@@ -38,9 +38,10 @@ from .graphs import (
     Graph,
     TransitivityReport,
     enumerate_s_arcs,
+    tuple_orbits,
     verify_action,
 )
-from .perm import Action, GroupLike, GroupTable, Perm, coerce_action
+from .perm import Action, GroupLike, GroupTable, Perm, closure, coerce_action, orbits
 from .quotients import (
     QuotientCertificate,
     certify_quotient,
@@ -379,37 +380,13 @@ def validate_nchain(
                 raise NotCompatible(
                     f"the square fails at arc ({u}, {v}) under a generator"
                 )
-    orbits = _tuple_orbits(sorted(graph.arcs), gen_rows)
-    reps = tuple(orb[0] for orb in orbits)
+    arc_orbits = tuple_orbits(sorted(graph.arcs), gen_rows)
+    reps = tuple(orb[0] for orb in arc_orbits)
     return ChainReport(
-        arc_orbit_count=len(orbits),
+        arc_orbit_count=len(arc_orbits),
         orbit_representatives=reps,
         representative_values=tuple(chain.value(*arc) for arc in reps),
     )
-
-
-def _tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
-    universe = set(tuples)
-    seen = set()
-    orbits = []
-    for t in tuples:
-        if t in seen:
-            continue
-        comp = [t]
-        seen.add(t)
-        queue = [t]
-        while queue:
-            cur = queue.pop()
-            for row in gen_rows:
-                img = tuple(row[x] for x in cur)
-                if img not in universe:
-                    raise NotInvariant(f"the action moves {cur} off the set")
-                if img not in seen:
-                    seen.add(img)
-                    comp.append(img)
-                    queue.append(img)
-        orbits.append(sorted(comp))
-    return orbits
 
 
 # ---- covers over chains ----------------------------------------------------
@@ -509,13 +486,13 @@ def three_arc_orbits(graph: Graph, group: GroupLike) -> list:
     walks = [w for w in enumerate_s_arcs(graph, 3)]
     if not walks:
         return []
-    orbits = _tuple_orbits(sorted(walks), act.generator_rows())
+    walk_orbits = tuple_orbits(sorted(walks), act.generator_rows())
     where = {}
-    for idx, orb in enumerate(orbits):
+    for idx, orb in enumerate(walk_orbits):
         for t in orb:
             where[t] = idx
     out = []
-    for idx, orb in enumerate(orbits):
+    for idx, orb in enumerate(walk_orbits):
         rev = tuple(reversed(orb[0]))
         partner = where[rev]
         out.append(
@@ -734,16 +711,10 @@ def subgraph_graph(
     for (u, v) in sub.arcs:
         if (u, v) not in graph.arcs:
             raise NotSubgraph(f"({u}, {v}) is not an arc of the graph")
-    orbit = {sub.key(): sub}
-    queue = [sub]
     gen_rows = act.generator_rows()
-    while queue:
-        cur = queue.pop()
-        for row in gen_rows:
-            img = cur.image(row)
-            if img.key() not in orbit:
-                orbit[img.key()] = img
-                queue.append(img)
+    orbit = {
+        s.key(): s for s in closure((sub,), lambda s: [s.image(row) for row in gen_rows])
+    }
     keys = sorted(orbit)
     where = {k: i for i, k in enumerate(keys)}
     subgraphs = tuple(orbit[k] for k in keys)
@@ -912,27 +883,12 @@ def arc_partition_extension(
 
 
 def _conjugacy_classes(group) -> list:
-    size = len(group)
     gens = group.generator_indices()
-    inv_gens = [group.inverse_index(g) for g in gens]
-    seen = [False] * size
-    classes = []
-    for x in range(size):
-        if seen[x]:
-            continue
-        comp = [x]
-        seen[x] = True
-        queue = [x]
-        while queue:
-            cur = queue.pop()
-            for g, gi in zip(gens, inv_gens):
-                img = group.product_index(group.product_index(gi, cur), g)
-                if not seen[img]:
-                    seen[img] = True
-                    comp.append(img)
-                    queue.append(img)
-        classes.append(tuple(sorted(comp)))
-    return classes
+    pairs = [(group.inverse_index(g), g) for g in gens]
+    return orbits(
+        range(len(group)),
+        lambda x: [group.product_index(group.product_index(gi, x), g) for gi, g in pairs],
+    )
 
 _COMPLEMENT_GUARD = 1 << 20
 
@@ -946,7 +902,7 @@ def _regular_normal_subgroup(group, qact: Action, base: int) -> tuple:
     walk ends empty-handed.
     """
     want = qact.n_points
-    classes = [c for c in _conjugacy_classes(group) if c != (0,)]
+    classes = [c for c in _conjugacy_classes(group) if c != [0]]
     classes.sort(key=lambda c: c[0])
     hits: list = []
     budget = [_COMPLEMENT_GUARD]
@@ -1164,23 +1120,18 @@ def flag_orbital_reconstruction(
             raise NotSelfPairedOrbital("the orbital contains non-flags")
         if (f2, f1) not in delta:
             raise NotSelfPairedOrbital("the orbital is not self paired")
-    seed = min(delta)
-    span = set()
-    queue = [seed]
-    span.add(seed)
-    while queue:
-        (f1, f2) = queue.pop()
-        for i in h_indices:
-            prow = point_rows[i]
-            qrow = act.rows[i]
-            img = (
-                (prow[f1[0]], eta[qrow[rev_eta[f1[1]]]]),
-                (prow[f2[0]], eta[qrow[rev_eta[f2[1]]]]),
+
+    def move(pair: tuple) -> list:
+        (x1, j1), (x2, j2) = pair
+        return [
+            (
+                (point_rows[i][x1], eta[act.rows[i][rev_eta[j1]]]),
+                (point_rows[i][x2], eta[act.rows[i][rev_eta[j2]]]),
             )
-            if img not in span:
-                span.add(img)
-                queue.append(img)
-    if span != delta:
+            for i in h_indices
+        ]
+
+    if set(closure((min(delta),), move)) != delta:
         raise NotSelfPairedOrbital(
             "the set given is not a single orbit of the stabilizer"
         )

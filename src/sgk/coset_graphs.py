@@ -20,7 +20,16 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, TransitivityReport, is_connected, verify_action
-from .perm import Action, GroupLike, GroupTable, Perm, coerce_action, transversal
+from .perm import (
+    Action,
+    GroupLike,
+    GroupTable,
+    Perm,
+    closure,
+    coerce_action,
+    orbits,
+    transversal,
+)
 from .subgroups import (
     CosetSpace,
     Subgroup,
@@ -185,31 +194,17 @@ def orbitals(group: GroupLike, domain_size: Optional[int] = None) -> list:
     n = act.n_points
     if len(act.orbit_of(0)) != n:
         raise NotTransitive("orbitals are defined for transitive actions")
-    gen_rows = act.generator_rows()
-    seen = set()
+    all_pairs = [(u, v) for u in range(n) for v in range(n)]
     out = []
-    for u in range(n):
-        for v in range(n):
-            if (u, v) in seen:
-                continue
-            pairs = {(u, v)}
-            queue = [(u, v)]
-            while queue:
-                x, y = queue.pop()
-                for row in gen_rows:
-                    img = (row[x], row[y])
-                    if img not in pairs:
-                        pairs.add(img)
-                        queue.append(img)
-            seen |= pairs
-            out.append(
-                Orbital(
-                    pairs=tuple(sorted(pairs)),
-                    diagonal=(u == v),
-                    self_paired=((v, u) in pairs),
-                )
-            )
+    for pairs in orbits(all_pairs, _pair_step(act)):
+        u, v = pairs[0]
+        out.append(Orbital(tuple(pairs), diagonal=(u == v), self_paired=(v, u) in pairs))
     return out
+
+
+def _pair_step(act: Action):
+    gen_rows = act.generator_rows()
+    return lambda pair: [(row[pair[0]], row[pair[1]]) for row in gen_rows]
 
 
 def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital) -> Graph:
@@ -225,20 +220,8 @@ def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital
     n = act.n_points if domain_size is None else domain_size
     if act.n_points != n:
         raise DegreeMismatch(f"action on {act.n_points} points, expected {n}")
-    pairset = set(orbital.pairs)
     # cheap re-check that the orbital really is one orbit of this action
-    gen_rows = act.generator_rows()
-    u, v = orbital.pairs[0]
-    regen = {(u, v)}
-    queue = [(u, v)]
-    while queue:
-        x, y = queue.pop()
-        for row in gen_rows:
-            img = (row[x], row[y])
-            if img not in regen:
-                regen.add(img)
-                queue.append(img)
-    if regen != pairset:
+    if set(closure(orbital.pairs[:1], _pair_step(act))) != set(orbital.pairs):
         raise ValueError("the orbital does not match this action")
     return Graph([str(i + 1) for i in range(n)], orbital.pairs)
 

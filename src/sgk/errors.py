@@ -14,15 +14,19 @@ class KitError(Exception):
         return {"code": self.code, "message": str(self)}
 
 
-def certify(condition: bool, message: str) -> None:
-    """Guard for theorem-backed postconditions.
+class CertificationFailed(RuntimeError):
+    """A construction broke a fact it is supposed to guarantee.
 
-    A failure here is not bad input; it means a construction broke a fact
-    it is supposed to guarantee, so it surfaces as RuntimeError rather
-    than a KitError the command line would translate.
+    Not bad input, so not a KitError: the command line records it as a
+    failed claim.  Other runtime errors (recursion overflow, missing
+    features) are crashes and are never reported as claims.
     """
+
+
+def certify(condition: bool, message: str) -> None:
+    """Guard for theorem-backed postconditions; raises CertificationFailed."""
     if not condition:
-        raise RuntimeError(f"certification failed: {message}")
+        raise CertificationFailed(f"certification failed: {message}")
 
 
 # ---- parsing and enumeration ----------------------------------------------
@@ -59,10 +63,6 @@ class NotASubgroup(KitError):
 
 class DomainTooLarge(KitError):
     code = "domain-too-large"
-
-
-class SubgroupEnumerationCapExceeded(KitError):
-    code = "subgroup-enumeration-cap-exceeded"
 
 
 # ---- coset graphs and orbitals ---------------------------------------------

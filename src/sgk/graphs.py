@@ -6,7 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .perm import Action, GroupLike, coerce_action
+from .errors import NotInvariant
+from .perm import Action, GroupLike, coerce_action, orbits
 
 
 class Graph:
@@ -102,23 +103,7 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def connected_components(graph: Graph) -> list:
-    seen = [False] * graph.n
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in graph.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    return orbits(range(graph.n), graph.adj.__getitem__)
 
 
 def is_connected(graph: Graph) -> bool:
@@ -142,28 +127,19 @@ def enumerate_s_arcs(graph: Graph, s: int) -> list:
     return walks
 
 
-def _orbits_of_tuples(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
+def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
+    """Orbits of the generator rows on a set of point tuples, which they
+    must preserve; sorted, in the order of their first tuple."""
     universe = set(tuples)
-    visited = set()
-    orbits = []
-    for t in tuples:
-        if t in visited:
-            continue
-        comp = [t]
-        visited.add(t)
-        queue = [t]
-        while queue:
-            cur = queue.pop()
-            for row in gen_rows:
-                img = tuple(row[x] for x in cur)
-                if img not in universe:
-                    raise ValueError("the action does not preserve the tuple set")
-                if img not in visited:
-                    visited.add(img)
-                    comp.append(img)
-                    queue.append(img)
-        orbits.append(sorted(comp))
-    return orbits
+
+    def step(t: tuple) -> list:
+        images = [tuple(row[x] for x in t) for row in gen_rows]
+        for img in images:
+            if img not in universe:
+                raise NotInvariant(f"the action moves {t} off the set")
+        return images
+
+    return orbits(tuples, step)
 
 
 @dataclass(frozen=True)
@@ -227,7 +203,7 @@ def verify_action(graph: Graph, group: GroupLike, *, s_arc_limit: int = 5) -> Tr
         return TransitivityReport(False, vertex_tr, False, False, 0, kernel)
     arcs_sorted = sorted(graph.arcs)
     arc_tr = (
-        len(_orbits_of_tuples(arcs_sorted, gen_rows)) <= 1 if arcs_sorted else True
+        len(tuple_orbits(arcs_sorted, gen_rows)) <= 1 if arcs_sorted else True
     )
     local = _locally_transitive(graph, act, vertex_tr)
     s_up = 0
@@ -236,7 +212,7 @@ def verify_action(graph: Graph, group: GroupLike, *, s_arc_limit: int = 5) -> Tr
             arcs_s = enumerate_s_arcs(graph, s)
             if not arcs_s:
                 break
-            if len(_orbits_of_tuples(arcs_s, gen_rows)) != 1:
+            if len(tuple_orbits(arcs_s, gen_rows)) != 1:
                 break
             s_up = s
     return TransitivityReport(acts, vertex_tr, arc_tr, local, s_up, kernel)

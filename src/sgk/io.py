@@ -17,7 +17,8 @@ permutations raise the usual cycle parsing errors.
 from .constructions import NChain
 from .designs import IncidenceStructure
 from .graphs import Graph
-from .perm import GroupSpec, GroupTable, Perm
+from .errors import CapExceeded
+from .perm import GroupSpec, GroupTable, Perm, element_cap
 from .subgroups import BlockSystem
 
 __all__ = [
@@ -60,6 +61,10 @@ def _header_count(lines: list, key: str) -> int:
         raise ValueError(f"line {no}: {rest.strip()!r} is not a count") from None
     if n < 1:
         raise ValueError(f"line {no}: the count must be positive")
+    # checked before any parser allocates n entries
+    cap = element_cap()
+    if n > cap:
+        raise CapExceeded(f"line {no}: {key} {n} exceeds the element cap of {cap}")
     return n
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CapExceeded,
     CycleSyntaxError,
     DegreeMismatch,
-    NotTransitive,
     PointOutOfRange,
     RepeatedPoint,
 )
@@ -243,23 +242,52 @@ class GroupTable:
         return self._pos[self.elements[i].inverse().images]
 
 
-def _bfs_closure(degree: int, generators: Sequence[Perm], limit: Optional[int]) -> dict:
-    ident = Perm.identity(degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = p * g
-                if q.images in seen:
-                    continue
-                if limit is not None and len(seen) >= limit:
-                    raise CapExceeded(f"group exceeds the element cap of {limit}")
-                seen[q.images] = q
-                new.append(q)
-        frontier = new
-    return seen
+def closure(seed: Iterable, step: Callable) -> Iterator:
+    """Yield everything reachable from ``seed``, where ``step(x)`` yields
+    the images of ``x``.
+
+    Breadth first: the seeds come first, then each item as it is first
+    reached, so a caller can stop the walk early.  Items must be hashable.
+    This is the package's one orbit walk: orbits of points, tuples,
+    blocks, subgraphs and group elements are all closures under a step.
+    """
+    found = list(dict.fromkeys(seed))
+    seen = set(found)
+    yield from found
+    for x in found:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+                yield y
+
+
+def orbits(items: Iterable, step: Callable) -> list:
+    """Split ``items`` into closures under ``step``.
+
+    Each orbit comes back sorted, and the orbits are listed in the order
+    of their first member in ``items``.
+    """
+    seen: set = set()
+    out = []
+    for x in items:
+        if x not in seen:
+            orb = sorted(closure((x,), step))
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+def _generated(degree: int, generators: Sequence[Perm], limit: Optional[int]) -> list:
+    """Image tuples of every product of the generators, identity first;
+    CapExceeded as soon as the count would pass ``limit``."""
+    lookups = [g.images.__getitem__ for g in generators]
+    elements = []
+    for im in closure((tuple(range(degree)),), lambda x: [tuple(map(f, x)) for f in lookups]):
+        if limit is not None and len(elements) >= limit:
+            raise CapExceeded(f"group exceeds the element cap of {limit}")
+        elements.append(im)
+    return elements
 
 
 def enumerate_group(spec: GroupSpec, cap: Optional[int] = None) -> GroupTable:
@@ -269,8 +297,7 @@ def enumerate_group(spec: GroupSpec, cap: Optional[int] = None) -> GroupTable:
     (SGK_ELEMENT_CAP, or 200000 by default).
     """
     limit = element_cap() if cap is None else cap
-    seen = _bfs_closure(spec.degree, spec.generators, limit)
-    elements = sorted(seen.values(), key=lambda p: p.images)
+    elements = [Perm(im) for im in sorted(_generated(spec.degree, spec.generators, limit))]
     return GroupTable(spec.degree, spec.generators, elements)
 
 
@@ -296,7 +323,7 @@ def small_generating_set(degree: int, elements: Sequence[Perm]) -> tuple:
         if p.images in closed:
             continue
         gens.append(p)
-        closed = set(_bfs_closure(degree, gens, None))
+        closed = set(_generated(degree, gens, None))
         if len(closed) == target:
             break
     return tuple(gens) if gens else (Perm.identity(degree),)
@@ -305,16 +332,8 @@ def small_generating_set(degree: int, elements: Sequence[Perm]) -> tuple:
 def orbit(group: GroupTable, point: int) -> frozenset:
     if not 0 <= point < group.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    seen = {point}
-    queue = [point]
-    while queue:
-        x = queue.pop()
-        for g in group.generators:
-            y = g.images[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    gen_rows = [g.images for g in group.generators]
+    return frozenset(closure((point,), lambda x: [row[x] for row in gen_rows]))
 
 
 def transversal(group: GroupTable, point: int) -> dict:
@@ -392,16 +411,7 @@ class Action:
 
     def orbit_of(self, point: int) -> frozenset:
         gen_rows = self.generator_rows()
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for row in gen_rows:
-                y = row[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return frozenset(closure((point,), lambda x: [row[x] for row in gen_rows]))
 
     def validate(self) -> None:
         """Full homomorphism check, quadratic in the group order."""
@@ -442,67 +452,3 @@ def coerce_action(group_or_action: GroupLike, n_points: int) -> Action:
             f"action on {act.n_points} points where {n_points} were needed"
         )
     return act
-
-
-def right_regular_action(group: GroupTable) -> Action:
-    """The group acting on its own element list by right multiplication."""
-    size = len(group)
-    rows = []
-    for j in range(size):
-        rows.append(tuple(group.product_index(i, j) for i in range(size)))
-    return Action(group, size, tuple(rows))
-
-
-def permutation_equivalent(group, act1: Action, act2: Action):
-    """A point bijection intertwining two transitive actions of one group.
-
-    Returns ``eta`` with ``eta[p^g] == eta[p]^g`` for every element, or
-    None.  Both actions must index rows by the same group.
-    """
-    if len(act1.rows) != len(group) or len(act2.rows) != len(group):
-        raise DegreeMismatch("both actions must have one row per group element")
-    n = act1.n_points
-    if act2.n_points != n:
-        return None
-    if len(act1.orbit_of(0)) != n or len(act2.orbit_of(0)) != n:
-        raise NotTransitive("permutation equivalence is defined for transitive actions")
-    stab1 = frozenset(i for i, r in enumerate(act1.rows) if r[0] == 0)
-    for target in range(n):
-        if frozenset(i for i, r in enumerate(act2.rows) if r[target] == target) != stab1:
-            continue
-        eta: list = [None] * n
-        ok = True
-        for i, row in enumerate(act1.rows):
-            src, dst = row[0], act2.rows[i][target]
-            if eta[src] is None:
-                eta[src] = dst
-            elif eta[src] != dst:
-                ok = False
-                break
-        if not ok or any(v is None for v in eta) or len(set(eta)) != n:
-            continue
-        if all(
-            eta[row[p]] == act2.rows[i][eta[p]]
-            for i, row in enumerate(act1.rows)
-            for p in range(n)
-        ):
-            return tuple(eta)
-    return None
-
-
-def permutation_equivalent_inner(group, act1: Action, act2: Action):
-    """Equivalence up to an inner automorphism: eta(p^g) = eta(p)^(c⁻¹gc).
-
-    Conjugators are tried in element order; returns (eta, c) or None.
-    """
-    size = len(group)
-    for ci in range(size):
-        inv = group.inverse_index(ci)
-        rows = tuple(
-            act2.rows[group.product_index(group.product_index(inv, i), ci)]
-            for i in range(size)
-        )
-        eta = permutation_equivalent(group, act1, Action(group, act2.n_points, rows))
-        if eta is not None:
-            return eta, group.element(ci)
-    return None

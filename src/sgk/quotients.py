@@ -9,6 +9,7 @@ from typing import Optional
 from .coset_graphs import CosetGraphResult, symmetric_coset_graph
 from .designs import DesignParams, IncidenceStructure, validate_design
 from .errors import (
+    CertificationFailed,
     DegenerateQuotient,
     NotInvariant,
     NotNested,
@@ -186,7 +187,9 @@ def cross_section_design(
     try:
         params = validate_design(inc)
     except Exception as exc:
-        raise RuntimeError(f"certification failed: cross section is not uniform ({exc})")
+        raise CertificationFailed(
+            f"certification failed: cross section is not uniform ({exc})"
+        )
     stab = [
         row
         for row in act.rows

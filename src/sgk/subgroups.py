@@ -3,26 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    DomainTooLarge,
-    NotASubgroup,
-    NotTransitive,
-    PointOutOfRange,
-    SubgroupEnumerationCapExceeded,
-)
+from .errors import DomainTooLarge, NotASubgroup, NotTransitive, PointOutOfRange
 from .perm import (
     Action,
     GroupTable,
     Perm,
+    closure,
     is_transitive,
     small_generating_set,
     stabilizer,
 )
 
 DEFAULT_DOMAIN_LIMIT = 512
-DEFAULT_CLOSURE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,18 +85,8 @@ def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> 
     for g in generators:
         if g not in parent:
             raise NotASubgroup(f"{g.cycle_string()} lies outside the parent group")
-    closure = {parent.identity().images: parent.identity()}
-    frontier = [parent.identity()]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = p * g
-                if q.images not in closure:
-                    closure[q.images] = q
-                    new.append(q)
-        frontier = new
-    return Subgroup(parent, _sorted_unique(closure.values()))
+    elems = closure((parent.identity(),), lambda p: [p * g for g in generators])
+    return Subgroup(parent, _sorted_unique(elems))
 
 
 def trivial_subgroup(parent: GroupTable) -> Subgroup:
@@ -271,21 +255,13 @@ def double_cosets(group: GroupTable, sub: Subgroup) -> DoubleCosetDecomposition:
 # ---- blocks of imprimitivity ----------------------------------------------------
 
 
-def minimal_block(group: GroupTable, alpha: int, beta: int) -> frozenset:
-    """Smallest block of imprimitivity containing both seed points.
+def _smallest_block(n: int, gen_rows: Sequence[tuple], points: Iterable[int]) -> frozenset:
+    """Smallest block of imprimitivity containing every one of ``points``.
 
-    Union-find closure: start from alpha ~ beta and propagate merges through
-    the generators until the partition is a congruence.
+    Union-find closure (Atkinson): merge the points into one class, then
+    propagate every merge through the generators until the partition is
+    a congruence; the class of the points is the block.
     """
-    n = group.degree
-    for p in (alpha, beta):
-        if not 0 <= p < n:
-            raise PointOutOfRange(f"point {p} outside the domain of the group")
-    if alpha == beta:
-        raise ValueError("seed points must differ")
-    if not is_transitive(group):
-        raise NotTransitive("blocks are defined for transitive actions")
-
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -301,16 +277,44 @@ def minimal_block(group: GroupTable, alpha: int, beta: int) -> frozenset:
         parent[ry] = rx
         return True
 
-    union(alpha, beta)
-    queue = [(alpha, beta)]
+    first, *rest = points
+    queue = [(first, p) for p in rest if union(first, p)]
     while queue:
         u, v = queue.pop()
-        for g in group.generators:
-            a, b = g.images[u], g.images[v]
+        for row in gen_rows:
+            a, b = row[u], row[v]
             if union(a, b):
                 queue.append((a, b))
-    root = find(alpha)
+    root = find(first)
     return frozenset(x for x in range(n) if find(x) == root)
+
+
+def minimal_block(group: GroupTable, alpha: int, beta: int) -> frozenset:
+    """Smallest block of imprimitivity containing both seed points."""
+    n = group.degree
+    for p in (alpha, beta):
+        if not 0 <= p < n:
+            raise PointOutOfRange(f"point {p} outside the domain of the group")
+    if alpha == beta:
+        raise ValueError("seed points must differ")
+    if not is_transitive(group):
+        raise NotTransitive("blocks are defined for transitive actions")
+    return _smallest_block(n, [g.images for g in group.generators], (alpha, beta))
+
+
+def _blocks_through(n: int, gen_rows: Sequence[tuple], point: int) -> list:
+    """Every block of a transitive action that contains ``point``.
+
+    Each block B through the point is the join of the minimal blocks
+    {point, b} for b in B, so closing the minimal blocks under joins with
+    one another reaches them all; the singleton is added by hand.
+    """
+    minimal = {_smallest_block(n, gen_rows, (point, b)) for b in range(n) if b != point}
+
+    def joins(blk: frozenset) -> list:
+        return [_smallest_block(n, gen_rows, sorted(blk | m)) for m in minimal if not m <= blk]
+
+    return [frozenset((point,))] + list(closure(sorted(minimal, key=sorted), joins))
 
 
 @dataclass(frozen=True)
@@ -356,81 +360,43 @@ class BlockSystem:
 
 def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
     """Close one block under the group; the images must tile the domain."""
-    base = frozenset(block)
-    seen = {base}
-    queue = [base]
-    while queue:
-        cur = queue.pop()
-        for g in group.generators:
-            img = frozenset(g.images[p] for p in cur)
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
+    gen_rows = [g.images for g in group.generators]
+    images = closure(
+        (frozenset(block),), lambda blk: [frozenset(row[p] for p in blk) for row in gen_rows]
+    )
     try:
-        return BlockSystem.from_blocks(group.degree, seen)
+        return BlockSystem.from_blocks(group.degree, images)
     except ValueError as exc:
         raise ValueError(f"the set is not a block: {exc}") from None
 
 
-def intermediate_subgroups(
-    group: GroupTable, bottom: Subgroup, cap: int = DEFAULT_CLOSURE_CAP
-) -> list:
-    """All subgroups between ``bottom`` and the whole group.
+def intermediate_subgroups(group: GroupTable, bottom: Subgroup) -> list:
+    """All subgroups between ``bottom`` and the whole group, by order and
+    then by element list.
 
-    Saturation sweep: close every known subgroup together with one extra
-    element until nothing new appears.  Any intermediate subgroup is
-    reachable by adding its elements one at a time, so the sweep is
-    exhaustive; ``cap`` bounds the number of closures attempted.
+    The subgroups containing H = ``bottom`` match the blocks through the
+    coset H in the action on right cosets of H: block B gives the
+    subgroup {g : Hg in B}.
     """
     _require_sub(group, bottom)
-    found = {bottom.member_images(): bottom}
-    queue = [bottom]
-    closures = 0
-    while queue:
-        current = queue.pop()
-        members = current.member_images()
-        for g in group.elements:
-            if g.images in members:
-                continue
-            closures += 1
-            if closures > cap:
-                raise SubgroupEnumerationCapExceeded(
-                    f"more than {cap} closures while sweeping the subgroup lattice"
-                )
-            gens = list(current.elements) + [g]
-            closure = {group.identity().images: group.identity()}
-            frontier = [group.identity()]
-            while frontier:
-                new = []
-                for p in frontier:
-                    for q in gens:
-                        r = p * q
-                        if r.images not in closure:
-                            closure[r.images] = r
-                            new.append(r)
-                frontier = new
-            key = frozenset(closure)
-            if key not in found:
-                sub = Subgroup(group, _sorted_unique(closure.values()))
-                found[key] = sub
-                queue.append(sub)
-    return sorted(
-        found.values(),
-        key=lambda s: (s.order, tuple(p.images for p in s.elements)),
-    )
+    cosets = right_cosets(group, bottom)
+    cfe = cosets.coset_of_element
+    gen_rows = [
+        tuple(cfe[group.index(rep * g)] for rep in cosets.reps) for g in group.generators
+    ]
+    subs = [
+        Subgroup(group, tuple(g for g, c in zip(group.elements, cfe) if c in blk))
+        for blk in _blocks_through(cosets.n_cosets, gen_rows, 0)
+    ]
+    return sorted(subs, key=lambda s: (s.order, tuple(p.images for p in s.elements)))
 
 
-def all_block_systems(
-    group: GroupTable,
-    *,
-    domain_limit: int = DEFAULT_DOMAIN_LIMIT,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> list:
-    """Every invariant partition of a transitive action.
+def all_block_systems(group: GroupTable, *, domain_limit: int = DEFAULT_DOMAIN_LIMIT) -> list:
+    """Every invariant partition of a transitive action, the trivial two
+    included, ordered by block size and then by blocks.
 
-    Goes through the subgroup lattice above a point stabiliser, which hits
-    every system exactly once; seeding minimal blocks from point pairs
-    would miss the systems whose blocks are not 2-generated.
+    A system is fixed by its block through point 0, and those blocks come
+    from joins of minimal blocks (see ``_blocks_through``).
     """
     if group.degree > domain_limit:
         raise DomainTooLarge(
@@ -438,15 +404,10 @@ def all_block_systems(
         )
     if not is_transitive(group):
         raise NotTransitive("block systems are defined for transitive actions")
-    h0 = stabilizer_subgroup(group, 0)
-    systems = []
-    seen = set()
-    for sub in intermediate_subgroups(group, h0, cap=closure_cap):
-        block = frozenset(p.images[0] for p in sub.elements)
-        bs = system_from_block(group, block)
-        if bs.blocks not in seen:
-            seen.add(bs.blocks)
-            systems.append(bs)
+    gen_rows = [g.images for g in group.generators]
+    systems = [
+        system_from_block(group, blk) for blk in _blocks_through(group.degree, gen_rows, 0)
+    ]
     systems.sort(key=lambda bs: (len(bs.blocks[0]), bs.blocks))
     return systems
 
@@ -457,24 +418,22 @@ class LatticePair:
     block: tuple
 
 
-def subgroup_block_lattice(
-    group: GroupTable,
-    base_point: int = 0,
-    *,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> list:
+def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     """Subgroups above the stabiliser of ``base_point``, paired with the
     block each one traces out; containment matches containment both ways.
+
+    Each block B through the base point gives the subgroup
+    {g : base_point^g in B}, listed by block size, then block.
     """
     if not 0 <= base_point < group.degree:
         raise PointOutOfRange(f"point {base_point} outside the domain of the group")
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
-    h0 = stabilizer_subgroup(group, base_point)
+    gen_rows = [g.images for g in group.generators]
     pairs = []
-    for sub in intermediate_subgroups(group, h0, cap=closure_cap):
-        block = tuple(sorted({p.images[base_point] for p in sub.elements}))
-        pairs.append(LatticePair(sub, block))
+    for blk in _blocks_through(group.degree, gen_rows, base_point):
+        sub = Subgroup(group, tuple(g for g in group.elements if g.images[base_point] in blk))
+        pairs.append(LatticePair(sub, tuple(sorted(blk))))
     pairs.sort(key=lambda pr: (len(pr.block), pr.block, pr.subgroup.order))
     return pairs
 

@@ -1,0 +1,73 @@
+"""Block systems checked against sympy on transitive groups drawn by
+hypothesis: primitivity and the minimal block systems must agree."""
+
+import pytest
+
+sympy_comb = pytest.importorskip("sympy.combinatorics")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sgk.perm import Perm, group_from_generators, is_transitive  # noqa: E402
+from sgk.subgroups import all_block_systems  # noqa: E402
+
+
+@st.composite
+def transitive_groups(draw):
+    """Generators on at most 10 points, as random elements of a wreath
+    product S_a wr S_b (imprimitive) or of S_n for n <= 7 (often
+    primitive), relabelled at random; only transitive groups are kept."""
+    n = draw(st.integers(2, 10))
+    splits = [a for a in range(2, n) if n % a == 0]
+    gens = []
+    if splits and (n > 7 or draw(st.booleans())):
+        a = draw(st.sampled_from(splits))
+        b = n // a
+        for _ in range(draw(st.integers(1, 3))):
+            outer = draw(st.permutations(range(b)))
+            img = []
+            for blk in range(b):
+                inner = draw(st.permutations(range(a)))
+                img.extend(outer[blk] * a + inner[j] for j in range(a))
+            gens.append(img)
+    else:
+        gens = [draw(st.permutations(range(n))) for _ in range(draw(st.integers(1, 2)))]
+    relabel = draw(st.permutations(range(n)))
+    back = [0] * n
+    for i, r in enumerate(relabel):
+        back[r] = i
+    return [[relabel[g[back[x]]] for x in range(n)] for g in gens]
+
+
+def _partition(labels):
+    classes = {}
+    for point, label in enumerate(labels):
+        classes.setdefault(label, []).append(point)
+    return frozenset(tuple(c) for c in classes.values())
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(transitive_groups())
+def test_block_systems_match_sympy(images):
+    n = len(images[0])
+    group = group_from_generators([Perm(g) for g in images], degree=n)
+    assume(is_transitive(group))
+    oracle = sympy_comb.PermutationGroup([sympy_comb.Permutation(g) for g in images])
+    systems = all_block_systems(group)
+    nontrivial = [s for s in systems if not s.is_trivial()]
+    assert (not nontrivial) == oracle.is_primitive(randomized=False)
+    if not nontrivial:
+        return
+    block0 = {s.blocks: set(s.blocks[0]) for s in nontrivial}
+    minimal = {
+        frozenset(s.blocks)
+        for s in nontrivial
+        if not any(block0[t.blocks] < block0[s.blocks] for t in nontrivial)
+    }
+    expected = {_partition(labels) for labels in oracle.minimal_blocks(randomized=False)}
+    assert minimal == expected

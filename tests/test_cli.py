@@ -5,8 +5,10 @@ import re
 
 import pytest
 
-from conftest import FIXDIR
+from conftest import FIXDIR, REPO
+from sgk import cli
 from sgk.cli import CLAIM_INVARIANTS, main
+from sgk.errors import CertificationFailed
 
 
 def run(capsys, *argv):
@@ -386,3 +388,105 @@ def test_group_out_writes_readable_group(capsys, tmp_path):
     induced = enumerate_group(parse_group_file(group_path.read_text()))
     assert induced.degree == 4
     assert len(induced) == 24
+
+
+def test_broken_postcondition_is_a_failed_claim(capsys, monkeypatch):
+    def broken(args, cert):
+        raise CertificationFailed("certification failed: a planted fault")
+
+    monkeypatch.setattr(cli, "cmd_group", broken)
+    code, out, _ = run(capsys, "group", "--group", GRP)
+    assert code == 2
+    doc = cert_from(out)
+    assert doc["claims"] == [
+        {
+            "id": "orbit-stabilizer",
+            "pass": False,
+            "counterexample": "certification failed: a planted fault",
+        }
+    ]
+
+
+def test_crash_is_not_a_counterexample(capsys, monkeypatch, tmp_path):
+    def crash(args, cert):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_group", crash)
+    cert_path = tmp_path / "c.json"
+    with pytest.raises(RecursionError):
+        main(["group", "--group", GRP, "--certificate", str(cert_path)])
+    assert not cert_path.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_header_count_past_the_cap_is_rejected_before_allocating(capsys, tmp_path):
+    import tracemalloc
+
+    graph = tmp_path / "huge.graph"
+    graph.write_text("vertices: 1000000000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--graph", str(graph), "--group", GRP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sgk: cap-exceeded:")
+    assert peak < 10_000_000
+
+
+def _readme_claim_ids():
+    text = (REPO / "README.md").read_text()
+    table = text.split("The claim vocabulary:", 1)[1].split("\n\n", 2)[1]
+    return [re.match(r"\| `([a-z-]+)` \|", row).group(1) for row in table.splitlines()[2:]]
+
+
+def test_claim_vocabulary_is_emitted_and_documented(capsys, tmp_path):
+    twist = tmp_path / "twist.txt"
+    twist.write_text("trivial\n")
+    chain = tmp_path / "chain.txt"
+    chain.write_text("arc 1 2 (1 2)\n")
+    halves = tmp_path / "halves.txt"
+    halves.write_text("1 4\n2 5\n3 6\n")
+    fibres = tmp_path / "fibres.txt"
+    fibres.write_text("1 5\n2 6\n3 7\n4 8\n")
+    design = tmp_path / "k4.design"
+    cover, cover_group = tmp_path / "cover.graph", tmp_path / "cover.grp"
+    c6, d6, d4 = (str(FIXDIR / f) for f in ("c6.graph", "d6.grp", "d4.grp"))
+    invocations = [
+        ["group", "--group", GRP],
+        ["cosetgraph", "--group", GRP, "--subgroup", "(2 3),(3 4)", "--involution", "(1 2)"],
+        ["orbitals", "--group", GRP],
+        ["quotient", "--graph", c6, "--group", d6, "--blocks", str(halves)],
+        ["blocks", "--group", d4],
+        ["lattice", "--group", d4],
+        ["design", "from-graph", "--graph", GRAPH, "--group", GRP,
+         "--out", "design", "--out-file", str(design)],
+        ["design", "validate", "--design", str(design)],
+        ["design", "to-graph", "--design", str(design), "--group", GRP],
+        ["design", "polarities", "--design", str(design), "--group", GRP],
+        ["threearc", "--graph", GRAPH, "--group", GRP],
+        ["threearc", "--graph", GRAPH, "--group", GRP, "--orbit-index", "0"],
+        ["biggs", "--graph", GRAPH, "--group", GRP, "--n", str(FIXDIR / "z2.grp"),
+         "--twist", str(twist), "--chain", str(chain), "--out", "edges",
+         "--out-file", str(cover), "--group-out", str(cover_group)],
+        ["subgraph-graph", "--graph", GRAPH, "--group", GRP,
+         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
+        ["extend", "--via", "arcs", "--group", str(FIXDIR / "octahedron-aut.grp"),
+         "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+         "--involution", "(1 2)(4 5)"],
+        ["extend", "--via", "flags", "--graph", str(cover), "--group", str(cover_group),
+         "--blocks", str(fibres)],
+        ["verify", "--graph", GRAPH, "--group", GRP],
+    ]
+    emitted = set()
+    for i, argv in enumerate(invocations):
+        cert_path = tmp_path / f"cert{i}.json"
+        code, _, err = run(capsys, *argv, "--certificate", str(cert_path))
+        assert code == 0, (argv, err)
+        emitted |= {c["id"] for c in cert_from(cert_path.read_text())["claims"]}
+    assert emitted == set(CLAIM_INVARIANTS)
+    documented = _readme_claim_ids()
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(CLAIM_INVARIANTS)

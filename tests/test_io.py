@@ -21,6 +21,7 @@ from sgk.io import (
     parse_subgroup_generators,
     parse_twist_file,
 )
+from sgk.errors import CapExceeded
 from sgk.perm import Perm, enumerate_group
 
 
@@ -213,3 +214,19 @@ def test_fixture_files_match_builders():
     for name, builder in graphs.items():
         g = parse_graph_file((FIXDIR / name).read_text())
         assert g.arcs == builder().arcs, name
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_group_file, "degree: 1000000000000\n(1 2)\n"),
+        (parse_graph_file, "vertices: 1000000000000\n"),
+        (parse_design_file, "points: 1000000000000\nblock a: 1\n"),
+    ],
+)
+def test_header_counts_are_capped(parse, text, monkeypatch):
+    with pytest.raises(CapExceeded):
+        parse(text)
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "3")
+    with pytest.raises(CapExceeded):
+        parse(text.replace("1000000000000", "4"))

@@ -184,11 +184,31 @@ def test_setwise_stabilizer(d6):
     assert stab.order == 4
 
 
-def test_intermediate_subgroups_s4(s4):
+def test_intermediate_subgroups_s4(s4, d4, d6):
     sub = stabilizer_subgroup(s4, 0)
     mids = intermediate_subgroups(s4, sub)
     # S3 sits in no proper overgroup of S4 other than itself
     assert sorted(m.order for m in mids) == [6, 24]
+    # above the trivial subgroup: every subgroup, counted by hand
+    for group, count in ((s4, 30), (d4, 10), (d6, 16)):
+        subs = intermediate_subgroups(group, trivial_subgroup(group))
+        assert len(subs) == count
+        assert len({s.member_images() for s in subs}) == count
+        for s in subs:
+            make_subgroup(group, s.elements)
+
+
+def _dihedral(n):
+    rotation = Perm([(i + 1) % n for i in range(n)])
+    reflection = Perm([(-i) % n for i in range(n)])
+    return group_from_generators([rotation, reflection])
+
+
+def test_dihedral_block_systems_count_divisors():
+    # D_n on the n-gon: one system per divisor d of n, blocks {i, i+d, ...}
+    for n in range(3, 41):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert len(all_block_systems(_dihedral(n))) == len(divisors), n
 
 
 def test_lattice_d4_is_chain(d4):
