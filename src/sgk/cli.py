@@ -6,7 +6,9 @@ measured facts, and each claim with a witness or a counterexample.
 
 Exit status: 0 when every claim passed, 2 when a claim failed (the
 certificate then carries a concrete counterexample), 1 when the input
-itself was rejected; rejections print a stable error code on stderr.
+itself was rejected, 3 when the program itself crashed; rejections print
+a stable error code on stderr, crashes ``internal-error`` and the
+exception, and neither writes a certificate.
 
 Certificates are deterministic byte for byte apart from ``timing_ms``:
 keys are sorted, sampling uses fixed seeds, and every collection is
@@ -39,6 +41,7 @@ from .designs import (
     check_polarity,
     design_from_graph,
     find_polarities,
+    generator_block_rows,
     graph_from_design,
     is_flag_transitive,
     validate_design,
@@ -582,10 +585,7 @@ def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     if ft:
         act = Action.natural(group)
         pt = len(act.orbit_of(0)) == inc.n_points
-        from .designs import block_rows
-
-        rows = block_rows(inc, group)
-        gen_rows = [rows[i] for i in group.generator_indices()]
+        gen_rows = generator_block_rows(inc, group)
         bt = len(list(closure((0,), _point_step(gen_rows)))) == inc.n_blocks
         cert.claim(
             "flag-transitivity-propagates",
@@ -1235,6 +1235,10 @@ def main(argv=None) -> int:
         cert.claim(args.primary_claim, False, str(exc))
         _emit(args, cert, None)
         return 2
+    except Exception as exc:
+        # a crash is neither bad input nor a counterexample
+        print(f"sgk: internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     _emit(args, cert, output)
     return 0 if cert.ok else 2
 

@@ -41,7 +41,16 @@ from .graphs import (
     tuple_orbits,
     verify_action,
 )
-from .perm import Action, GroupLike, GroupTable, Perm, closure, coerce_action, orbits
+from .perm import (
+    Action,
+    GroupLike,
+    GroupTable,
+    Perm,
+    closure,
+    coerce_action,
+    extend_on_generators,
+    orbits,
+)
 from .quotients import (
     QuotientCertificate,
     certify_quotient,
@@ -58,9 +67,9 @@ from .subgroups import BlockSystem, Subgroup, make_subgroup, right_cosets
 def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Perm]) -> tuple:
     """Extend generator images of N to a full automorphism row, by index.
 
-    Walks N once, mapping each product of generators to the product of the
-    images; any clash or failure to reach a bijection means the images do
-    not define an automorphism.
+    The extension is checked on every edge of the Cayley graph of N, which
+    makes it multiplicative; a clash or a failure to reach a bijection
+    means the images do not define an automorphism.
     """
     gens = n_part.generators
     if len(images) != len(gens):
@@ -72,32 +81,14 @@ def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Per
             raise TwistNotHomomorphism(
                 f"image {img.cycle_string()} lies outside N"
             )
-    row = [-1] * len(n_part)
-    row[0] = 0
-    frontier = [0]
-    while frontier:
-        new = []
-        for i in frontier:
-            src = n_part.element(i)
-            dst = n_part.element(row[i])
-            for g, img in zip(gens, images):
-                j = n_part.index(src * g)
-                k = n_part.index(dst * img)
-                if row[j] < 0:
-                    row[j] = k
-                    new.append(j)
-                elif row[j] != k:
-                    raise TwistNotHomomorphism(
-                        "generator images contradict each other on N"
-                    )
-        frontier = new
-    if -1 in row or len(set(row)) != len(row):
+    values = extend_on_generators(
+        n_part, [n_part.index(img) for img in images], 0, n_part.product_index
+    )
+    if values is None:
+        raise TwistNotHomomorphism("generator images contradict each other on N")
+    if len(values) != len(n_part) or len(set(values.values())) != len(n_part):
         raise TwistNotHomomorphism("the induced map on N is not a bijection")
-    for i in range(len(n_part)):
-        for j in range(len(n_part)):
-            if row[n_part.product_index(i, j)] != n_part.product_index(row[i], row[j]):
-                raise TwistNotHomomorphism("the induced map on N is not multiplicative")
-    return tuple(row)
+    return tuple(values[i] for i in range(len(n_part)))
 
 
 class SemidirectGroup:
@@ -159,12 +150,6 @@ class SemidirectGroup:
         nj = self.n_part.inverse_index(self.twist_rows[gj][ni])
         return self.pair_index(nj, gj)
 
-    def identity_index(self) -> int:
-        return 0
-
-    def project_g(self, i: int) -> int:
-        return self.pair_of(i)[1]
-
     def embed_n(self, ni: int) -> int:
         return self.pair_index(ni, 0)
 
@@ -178,9 +163,11 @@ def semidirect_product(
     """Form N ⋊_ρ G from generator data for the twist.
 
     ``twist`` lists, for each generator of G in order, the images of the
-    generators of N under ρ of that generator.  The extension of ρ to all
-    of G must be single valued, which the full pairwise check at the end
-    decides; partial BFS agreement is not trusted.
+    generators of N under ρ of that generator.  ρ is extended along the
+    Cayley graph of G and checked on every edge of it: ρ(x·s) = ρ(x)
+    followed by ρ(s) for each element x and generator s.  By induction on
+    word length that makes ρ a homomorphism on all of G, so no pair of
+    elements needs checking.
     """
     if len(twist) != len(g_part.generators):
         raise TwistNotHomomorphism(
@@ -190,50 +177,36 @@ def semidirect_product(
         _automorphism_from_generator_images(n_part, images) for images in twist
     ]
     size = len(g_part)
-    rows: list = [None] * size
-    rows[0] = tuple(range(len(n_part)))
-    frontier = [0]
-    gen_idx = g_part.generator_indices()
-    while frontier:
-        new = []
-        for gi in frontier:
-            for s, srow in zip(gen_idx, gen_rows):
-                gj = g_part.product_index(gi, s)
-                if rows[gj] is None:
-                    rows[gj] = tuple(srow[x] for x in rows[gi])
-                    new.append(gj)
-        frontier = new
-    if any(r is None for r in rows):
+    values = extend_on_generators(
+        g_part, gen_rows, tuple(range(len(n_part))), lambda r, s: tuple(s[x] for x in r)
+    )
+    if values is None:
+        raise TwistNotHomomorphism("the twist does not extend to a homomorphism on G")
+    if len(values) != size:
         raise TwistNotHomomorphism("the generators given do not generate G")
-    for i in range(size):
-        ri = rows[i]
-        for j in range(size):
-            rj = rows[j]
-            if rows[g_part.product_index(i, j)] != tuple(rj[x] for x in ri):
-                raise TwistNotHomomorphism(
-                    "the twist does not extend to a homomorphism on G"
-                )
-    sd = SemidirectGroup(n_part, g_part, tuple(rows))
+    rows = tuple(values[i] for i in range(size))
+    sd = SemidirectGroup(n_part, g_part, rows)
     certify(
         all(row[0] == 0 for row in rows),
         "every twist automorphism fixes the identity of N",
     )
-    # the two embedded copies multiply inside themselves
+    # the two embedded copies multiply inside themselves; on generator
+    # edges, which decides it for every pair
     certify(
         all(
-            sd.product_index(sd.embed_n(i), sd.embed_n(j))
-            == sd.embed_n(n_part.product_index(i, j))
+            sd.product_index(sd.embed_n(i), sd.embed_n(s))
+            == sd.embed_n(n_part.product_index(i, s))
             for i in range(len(n_part))
-            for j in range(len(n_part))
+            for s in n_part.generator_indices()
         ),
         "N embeds as a subgroup",
     )
     certify(
         all(
-            sd.product_index(sd.embed_g(i), sd.embed_g(j))
-            == sd.embed_g(g_part.product_index(i, j))
+            sd.product_index(sd.embed_g(i), sd.embed_g(s))
+            == sd.embed_g(g_part.product_index(i, s))
             for i in range(size)
-            for j in range(size)
+            for s in g_part.generator_indices()
         ),
         "G embeds as a subgroup",
     )

@@ -97,12 +97,11 @@ def _sabidussi(spec: CosetGraphSpec):
     spec.validate()
     cosets = right_cosets(spec.group, spec.sub)
     labels = [rep.cycle_string() for rep in cosets.reps]
-    arcs = set()
-    cfe = cosets.coset_of_element
-    for d in spec.connectors:
-        for y in spec.group.elements:
-            # the arc (Hdy, Hy); x·y⁻¹ = d at x = d·y
-            arcs.add((cfe[spec.group.index(d * y)], cfe[spec.group.index(y)]))
+    gen_rows = cosets.generator_rows()
+    # Hx joins Hy when x·y⁻¹ = d, so the arcs are the G-orbits of the
+    # arcs (Hd, H); H is coset 0
+    seeds = [(cosets.coset_of(d), 0) for d in spec.connectors]
+    arcs = closure(seeds, lambda arc: [(row[arc[0]], row[arc[1]]) for row in gen_rows])
     return Graph(labels, arcs), cosets
 
 
@@ -127,9 +126,13 @@ class CosetGraphResult:
 
 
 def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGraphResult:
-    """Coset graph whose connecting set is the double coset of an
+    """Coset graph whose connecting set is the double coset HaH of an
     involution outside the subgroup; the canonical shape of a symmetric
-    graph, certified on the way out."""
+    graph, certified on the way out.
+
+    The arcs are the orbit of the one arc (Ha, H), so the double coset is
+    never multiplied out.
+    """
     if a not in group:
         raise NotInvolution(f"{a.cycle_string()} is not in the group")
     if not a.is_involution():
@@ -138,20 +141,18 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
         raise InsideSubgroup(
             "the involution lies in the subgroup; the graph would have loops"
         )
-    block = {}
-    for h1 in sub.elements:
-        left = h1 * a
-        for h2 in sub.elements:
-            q = left * h2
-            block[q.images] = q
-    connectors = frozenset(block.values())
-    graph, cosets = _sabidussi(CosetGraphSpec(group, sub, connectors))
+    graph, cosets = _sabidussi(CosetGraphSpec(group, sub, frozenset({a})))
     action = cosets.action()
     report = verify_action(graph, action)
     # the arc stabiliser of (H, Ha) is a⁻¹Ha ∩ H; a is its own inverse
     conj = {(a * h * a).images for h in sub.elements}
     arc_stab_order = sum(1 for p in sub.elements if p.images in conj)
     valency = graph.valency()
+    # the connecting set HaH is {g : Hg is adjacent to H}, in element order
+    near = set(graph.adj[0])
+    connector_class = tuple(
+        g for g, c in zip(group.elements, cosets.coset_of_element) if c in near
+    )
     certify(valency == sub.order // arc_stab_order, "valency is |H| / |a⁻¹Ha ∩ H|")
     certify(report.symmetric, "a double coset of an involution gives a symmetric graph")
     return CosetGraphResult(
@@ -159,7 +160,7 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
         cosets=cosets,
         action=action,
         report=report,
-        connector_class=tuple(sorted(connectors, key=lambda p: p.images)),
+        connector_class=connector_class,
         valency=valency,
         arc_stabilizer_order=arc_stab_order,
         kernel_order=action.kernel_size(),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, verify_action
-from .perm import GroupTable, coerce_action
+from .perm import GroupTable, closure, coerce_action
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ def reduce_repeated_blocks(inc: IncidenceStructure) -> IncidenceStructure:
     )
 
 
-def block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
-    """The block action induced through traces by a point action.
+def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
+    """The block action induced through traces, one row per permutation.
 
     Needs pairwise distinct traces, otherwise the induced action is not
     well defined; raises NoBlockAction when some image set is not a trace.
@@ -143,7 +144,7 @@ def block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
             )
         trace_index[t] = b
     rows = []
-    for g in group.elements:
+    for g in perms:
         row = []
         for b in range(inc.n_blocks):
             img = frozenset(g.images[p] for p in inc.trace(b))
@@ -156,16 +157,27 @@ def block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
     return rows
 
 
+def block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
+    """The block action induced through traces by a point action, one row
+    per group element, in element order."""
+    return _block_action(inc, group, group.elements)
+
+
+def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
+    """The block action of the generators, which decides every law below."""
+    return _block_action(inc, group, group.generators)
+
+
+def _flag_step(inc: IncidenceStructure, group: GroupTable):
+    pairs = list(zip(group.generators, generator_block_rows(inc, group)))
+    return lambda flag: [(g.images[flag[0]], row[flag[1]]) for g, row in pairs]
+
+
 def is_flag_transitive(inc: IncidenceStructure, group: GroupTable) -> bool:
-    rows = block_rows(inc, group)
+    step = _flag_step(inc, group)
     if not inc.flags:
         return False
-    base = min(inc.flags)
-    orbit = {
-        (g.images[base[0]], rows[i][base[1]])
-        for i, g in enumerate(group.elements)
-    }
-    return orbit == set(inc.flags)
+    return set(closure((min(inc.flags),), step)) == set(inc.flags)
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,11 @@ class Polarity:
 
 
 def check_polarity(inc: IncidenceStructure, group: GroupTable, pol: Polarity) -> None:
-    """Raise NotPolarity unless ``pol`` is a group equivariant polarity."""
+    """Raise NotPolarity unless ``pol`` is a group equivariant polarity.
+
+    (p, b) -> (block_map[b], point_map[p]) is a bijection, so carrying
+    flags to flags makes it preserve incidence both ways.
+    """
     n = inc.n_points
     if inc.n_blocks != n:
         raise NotPolarity("point and block counts differ")
@@ -189,16 +205,12 @@ def check_polarity(inc: IncidenceStructure, group: GroupTable, pol: Polarity) ->
     for b in range(n):
         if pol.point_map[pol.block_map[b]] != b:
             raise NotPolarity(f"maps are not mutually inverse at block {b}")
-    for p in range(n):
-        for b in range(n):
-            if ((p, b) in inc.flags) != ((pol.block_map[b], pol.point_map[p]) in inc.flags):
-                raise NotPolarity(
-                    f"flag duality fails at point {p}, block {b}"
-                )
-    rows = block_rows(inc, group)
-    for i, g in enumerate(group.elements):
+    for p, b in sorted(inc.flags):
+        if (pol.block_map[b], pol.point_map[p]) not in inc.flags:
+            raise NotPolarity(f"flag duality fails at point {p}, block {b}")
+    for g, row in zip(group.generators, generator_block_rows(inc, group)):
         for p in range(n):
-            if pol.point_map[g.images[p]] != rows[i][pol.point_map[p]]:
+            if pol.point_map[g.images[p]] != row[pol.point_map[p]]:
                 raise NotPolarity(
                     f"{g.cycle_string()} does not commute with the polarity"
                 )
@@ -263,26 +275,23 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
 
     A polarity is pinned down by the image of one point because the group
     moves that point everywhere, so seeding each block and extending along
-    the group finds every candidate.
+    the generators finds every candidate.
     """
     if not is_flag_transitive(inc, group):
         raise NotFlagTransitive("the group is not flag transitive on the design")
     n = inc.n_points
     if inc.n_blocks != n:
         return []
-    rows = block_rows(inc, group)
+    step = _flag_step(inc, group)
     out = []
     for seed in range(n):
+        # an equivariant point_map is the orbit of (0, seed) read as a map;
+        # more than n pairs means the seed is not fixed by the stabiliser of 0
+        pairs = list(itertools.islice(closure(((0, seed),), step), n + 1))
         pm = [-1] * n
-        ok = True
-        for i, g in enumerate(group.elements):
-            src, dst = g.images[0], rows[i][seed]
-            if pm[src] < 0:
-                pm[src] = dst
-            elif pm[src] != dst:
-                ok = False
-                break
-        if not ok or -1 in pm or len(set(pm)) != n:
+        for p, b in pairs:
+            pm[p] = b
+        if len(pairs) != n or -1 in pm or len(set(pm)) != n:
             continue
         bm = [0] * n
         for p, b in enumerate(pm):

@@ -65,9 +65,6 @@ class Graph:
         degs = {len(a) for a in self.adj}
         return degs.pop() if len(degs) == 1 else None
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
-
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
@@ -244,7 +241,8 @@ def are_isomorphic(a: Graph, b: Graph):
     """A vertex bijection carrying arcs exactly onto arcs, or None.
 
     Colour refinement first, then backtracking inside colour classes with
-    the most constrained vertex chosen next.  Comfortable at desk scale.
+    the most constrained vertex chosen next.  The backtracking keeps its
+    own stack, so the vertex count is not bounded by the recursion limit.
     """
     n = a.n
     if n != b.n or a.arc_count != b.arc_count:
@@ -280,22 +278,23 @@ def are_isomorphic(a: Graph, b: Graph):
                 return False
         return True
 
-    def search(depth: int) -> bool:
-        if depth == n:
-            return True
+    # depth first, on a stack of (vertex, candidates it has not tried)
+    stack: list = []
+    while len(stack) < n:
         v = pick()
-        for w in by_colour.get(ca[v], ()):
-            if used[w] or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if search(depth + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return tuple(mapping) if search(0) else None
+        stack.append((v, iter(by_colour[ca[v]])))
+        while stack:
+            v, options = stack[-1]
+            if mapping[v] >= 0:  # back from a dead end below: undo the choice
+                used[mapping[v]], mapping[v] = False, -1
+            w = next((w for w in options if not used[w] and consistent(v, w)), -1)
+            if w >= 0:
+                mapping[v], used[w] = w, True
+                break
+            stack.pop()
+        if not stack:
+            return None
+    return tuple(mapping)
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,29 @@ def orbits(items: Iterable, step: Callable) -> list:
     return out
 
 
+def extend_on_generators(group, gen_values: Sequence, identity, then: Callable) -> Optional[dict]:
+    """Extend values on the generators of ``group`` (element 0 the identity)
+    along its Cayley graph: x·s gets ``then(value at x, value at s)``.
+
+    The walk is the closure of (0, ``identity``) under the pairs (s, value
+    at s), so it evaluates every edge; None as soon as an element gets two
+    values.  Otherwise the map is a homomorphism, by induction on word
+    length, on every element the generators reach, keyed by index.
+    """
+    steps = list(zip(group.generator_indices(), gen_values))
+
+    def step(item):
+        x, val = item
+        return [(group.product_index(x, s), then(val, v)) for s, v in steps]
+
+    values: dict = {}
+    for x, val in closure(((0, identity),), step):
+        if x in values:
+            return None
+        values[x] = val
+    return values
+
+
 def _generated(degree: int, generators: Sequence[Perm], limit: Optional[int]) -> list:
     """Image tuples of every product of the generators, identity first;
     CapExceeded as soon as the count would pass ``limit``."""
@@ -381,7 +404,9 @@ class Action:
     ``group`` indexes the rows and may act unfaithfully here; that is the
     point of keeping rows separate from the group's own degree.  Any object
     with ``__len__``, ``generator_indices()`` and ``product_index(i, j)``
-    can stand in for a GroupTable.
+    can stand in for a GroupTable.  The rows are not checked to compose;
+    whoever builds them answers for that.  Orbits and invariance are
+    decided on the generator rows alone.
     """
 
     group: object
@@ -412,29 +437,6 @@ class Action:
     def orbit_of(self, point: int) -> frozenset:
         gen_rows = self.generator_rows()
         return frozenset(closure((point,), lambda x: [row[x] for row in gen_rows]))
-
-    def validate(self) -> None:
-        """Full homomorphism check, quadratic in the group order."""
-        size = len(self.group)
-        for i in range(size):
-            ri = self.rows[i]
-            for j in range(size):
-                rj = self.rows[j]
-                k = self.group.product_index(i, j)
-                composite = tuple(rj[x] for x in ri)
-                if composite != self.rows[k]:
-                    raise ValueError(
-                        f"rows {i} and {j} do not compose to row {k}; "
-                        "this is not an action"
-                    )
-
-    def faithful_group(self) -> GroupTable:
-        """The image of the action as an honest permutation group."""
-        if not self.is_faithful():
-            raise ValueError("the action has a kernel, its image loses elements")
-        elements = sorted(Perm(r) for r in self.rows)
-        gens = [Perm(r) for r in self.generator_rows()]
-        return GroupTable(self.n_points, gens, elements)
 
 
 GroupLike = Union[GroupTable, Action]

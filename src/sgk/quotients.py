@@ -11,6 +11,7 @@ from .designs import DesignParams, IncidenceStructure, validate_design
 from .errors import (
     CertificationFailed,
     DegenerateQuotient,
+    KitError,
     NotInvariant,
     NotNested,
     NotQuotientArc,
@@ -186,7 +187,7 @@ def cross_section_design(
     )
     try:
         params = validate_design(inc)
-    except Exception as exc:
+    except KitError as exc:
         raise CertificationFailed(
             f"certification failed: cross section is not uniform ({exc})"
         )

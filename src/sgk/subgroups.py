@@ -11,6 +11,7 @@ from .perm import (
     GroupTable,
     Perm,
     closure,
+    extend_on_generators,
     is_transitive,
     small_generating_set,
     stabilizer,
@@ -38,9 +39,6 @@ class Subgroup:
 
     def member_images(self) -> frozenset:
         return self._members
-
-    def element_indices(self) -> tuple:
-        return tuple(self.parent.index(p) for p in self.elements)
 
     def as_group(self) -> GroupTable:
         """The subgroup as a standalone group on the same points."""
@@ -148,16 +146,21 @@ class CosetSpace:
     def coset_of(self, perm: Perm) -> int:
         return self.coset_of_element[self.group.index(perm)]
 
+    def generator_rows(self) -> tuple:
+        """The action of the group's generators, in generator order."""
+        index, cfe = self.group.index, self.coset_of_element
+        return tuple(
+            tuple(cfe[index(rep * g)] for rep in self.reps) for g in self.group.generators
+        )
+
     def action(self) -> Action:
-        rows = []
-        for x in self.group.elements:
-            rows.append(
-                tuple(
-                    self.coset_of_element[self.group.index(rep * x)]
-                    for rep in self.reps
-                )
-            )
-        return Action(self.group, len(self.reps), tuple(rows))
+        """One row per element, composed from the generator rows along the
+        Cayley graph of the group."""
+        n = len(self.reps)
+        rows = extend_on_generators(
+            self.group, self.generator_rows(), tuple(range(n)), lambda r, s: tuple(s[x] for x in r)
+        )
+        return Action(self.group, n, tuple(rows[i] for i in range(len(self.group))))
 
     def kernel(self) -> Subgroup:
         ident = tuple(range(len(self.reps)))

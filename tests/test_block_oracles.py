@@ -1,5 +1,6 @@
-"""Block systems checked against sympy on transitive groups drawn by
-hypothesis: primitivity and the minimal block systems must agree."""
+"""Groups checked against sympy on generators drawn by hypothesis: group
+order and point orbits on transitive and intransitive groups, primitivity
+and the minimal block systems on transitive ones."""
 
 import pytest
 
@@ -8,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sgk.perm import Perm, group_from_generators, is_transitive  # noqa: E402
+from sgk.perm import Perm, group_from_generators, is_transitive, orbit  # noqa: E402
 from sgk.subgroups import all_block_systems  # noqa: E402
 
 
@@ -71,3 +72,45 @@ def test_block_systems_match_sympy(images):
     }
     expected = {_partition(labels) for labels in oracle.minimal_blocks(randomized=False)}
     assert minimal == expected
+
+
+@st.composite
+def intransitive_groups(draw):
+    """Generators on at most 9 points that preserve a random split into
+    parts of at most 5 points, each generator permuting every part on its
+    own; relabelled at random."""
+    n = draw(st.integers(1, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    parts = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    assume(all(len(part) <= 5 for part in parts))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        img = list(range(n))
+        for part in parts:
+            for x, y in zip(part, draw(st.permutations(part))):
+                img[x] = y
+        gens.append(img)
+    relabel = draw(st.permutations(range(n)))
+    back = [0] * n
+    for i, r in enumerate(relabel):
+        back[r] = i
+    return [[relabel[g[back[x]]] for x in range(n)] for g in gens]
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(st.one_of(transitive_groups(), intransitive_groups()))
+def test_order_and_orbits_match_sympy(images):
+    n = len(images[0])
+    group = group_from_generators([Perm(g) for g in images], degree=n)
+    oracle = sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation(g, size=n) for g in images]
+    )
+    assert len(group) == oracle.order()
+    expected = {frozenset(orb) for orb in oracle.orbits()}
+    assert {orbit(group, p) for p in range(n)} == expected

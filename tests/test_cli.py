@@ -413,10 +413,11 @@ def test_crash_is_not_a_counterexample(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "cmd_group", crash)
     cert_path = tmp_path / "c.json"
-    with pytest.raises(RecursionError):
-        main(["group", "--group", GRP, "--certificate", str(cert_path)])
+    code, out, err = run(capsys, "group", "--group", GRP, "--certificate", str(cert_path))
+    assert code == 3
+    assert err == "sgk: internal-error: RecursionError: maximum recursion depth exceeded\n"
+    assert out == ""
     assert not cert_path.exists()
-    assert capsys.readouterr().out == ""
 
 
 def test_header_count_past_the_cap_is_rejected_before_allocating(capsys, tmp_path):

@@ -103,6 +103,65 @@ def test_semidirect_twist_must_extend(z2):
     assert "homomorphism" in str(err.value)
 
 
+def _cyclic(m):
+    return group_from_generators([Perm([(i + 1) % m for i in range(m)])], degree=m)
+
+
+def _automorphisms_by_generator_images(n_part):
+    """Every bijection of N that is multiplicative on every pair, keyed by
+    its images of the generators of N."""
+    import itertools
+
+    size = len(n_part)
+    table = [[n_part.product_index(i, j) for j in range(size)] for i in range(size)]
+    auts = {}
+    for f in itertools.permutations(range(size)):
+        if all(f[table[i][j]] == table[f[i]][f[j]] for i in range(size) for j in range(size)):
+            auts[tuple(f[i] for i in n_part.generator_indices())] = f
+    return auts
+
+
+def _reference_twist_rows(n_part, g_part, auts, twist):
+    """The twist by definition, or None: each generator's images must be
+    those of an automorphism of N, and the rows must satisfy
+    rows[ij] = rows[j]∘rows[i] on every pair of elements of G."""
+    gen_rows = [auts.get(tuple(n_part.index(img) for img in images)) for images in twist]
+    if None in gen_rows:
+        return None
+    rows = {0: tuple(range(len(n_part)))}
+    while len(rows) < len(g_part):
+        for x in list(rows):
+            for s, srow in zip(g_part.generator_indices(), gen_rows):
+                rows.setdefault(g_part.product_index(x, s), tuple(srow[v] for v in rows[x]))
+    for i in range(len(g_part)):
+        for j in range(len(g_part)):
+            if rows[g_part.product_index(i, j)] != tuple(rows[j][v] for v in rows[i]):
+                return None
+    return tuple(rows[i] for i in range(len(g_part)))
+
+
+def test_semidirect_accepts_exactly_the_homomorphic_twists(z2, s4, d6):
+    """Every twist of Z2..Z6 by Z2, Z4, S4 and D6, against the pairwise
+    definition of a homomorphism into Aut(N)."""
+    import itertools
+
+    accepted = 0
+    for m in range(2, 7):
+        n_part = _cyclic(m)
+        auts = _automorphisms_by_generator_images(n_part)
+        for g_part in (z2, _cyclic(4), s4, d6):
+            for images in itertools.product(n_part.elements, repeat=len(g_part.generators)):
+                twist = [[img] for img in images]
+                expected = _reference_twist_rows(n_part, g_part, auts, twist)
+                try:
+                    got = semidirect_product(n_part, g_part, twist).twist_rows
+                except TwistNotHomomorphism:
+                    got = None
+                assert got == expected
+                accepted += got is not None
+    assert accepted == 46
+
+
 # ---- chains ------------------------------------------------------------------
 
 

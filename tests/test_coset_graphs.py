@@ -23,7 +23,14 @@ from sgk.errors import (
 )
 from sgk.graphs import are_isomorphic, complete_graph, cycle_graph
 from sgk.perm import Perm, group_from_generators
-from sgk.subgroups import double_cosets, stabilizer_subgroup, subgroup_from_generators
+from sgk.subgroups import (
+    double_cosets,
+    right_cosets,
+    setwise_stabilizer,
+    stabilizer_subgroup,
+    subgroup_from_generators,
+    trivial_subgroup,
+)
 
 
 def _stab_plus(group, point):
@@ -191,3 +198,37 @@ def test_recognition_needs_symmetry(c6, z6):
 
     with pytest.raises(KitError):
         recognize_as_coset_graph(c6, z6)
+
+
+FIXTURE_GROUPS = ["s4", "s5", "d4", "d6", "z2", "z6", "oct_aut"]
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_coset_graph_matches_its_definition(name, request):
+    """Arcs against {(Hx, Hy) : x·y⁻¹ ∈ HaH} and the connecting set against
+    the products h₁·a·h₂, both formed in full, for every involution a
+    outside H, where H is a point stabiliser, the trivial subgroup or the
+    stabiliser of {1, 2}."""
+    group = request.getfixturevalue(name)
+    for sub in (
+        stabilizer_subgroup(group, 0),
+        trivial_subgroup(group),
+        setwise_stabilizer(group, (0, 1)),
+    ):
+        reps = right_cosets(group, sub).reps
+        # H·HaH·H = HaH, so coset representatives decide x·y⁻¹ ∈ HaH
+        quotients = [
+            (i, j, (x * y.inverse()).images)
+            for i, x in enumerate(reps)
+            for j, y in enumerate(reps)
+        ]
+        for a in group.elements:
+            if not a.is_involution() or a in sub:
+                continue
+            res = symmetric_coset_graph(group, sub, a)
+            hah = {(h1 * a * h2).images: h1 * a * h2 for h1 in sub.elements for h2 in sub.elements}
+            assert res.connector_class == tuple(sorted(hah.values(), key=lambda p: p.images))
+            arcs = {(i, j) for i, j, q in quotients if q in hah}
+            assert res.graph.arcs == arcs
+            spec = CosetGraphSpec(group, sub, frozenset(hah.values()))
+            assert sabidussi_graph(spec).arcs == arcs

@@ -168,3 +168,115 @@ def test_find_polarities_needs_flag_transitivity():
     triv = group_from_generators([Perm.identity(7)], degree=7)
     with pytest.raises(NotFlagTransitive):
         find_polarities(_fano(), triv)
+
+
+def _dihedral(n):
+    from sgk.perm import Perm, group_from_generators
+
+    return group_from_generators(
+        [Perm([(i + 1) % n for i in range(n)]), Perm([(-i) % n for i in range(n)])]
+    )
+
+
+def _reference_polarity(inc, group, pm, bm) -> bool:
+    """Equivariant polarity by definition: mutually inverse bijections,
+    duality on every point-block pair, commutation with every element."""
+    n = inc.n_points
+    if sorted(pm) != list(range(n)) or any(bm[pm[p]] != p for p in range(n)):
+        return False
+    if any(
+        ((p, b) in inc.flags) != ((bm[b], pm[p]) in inc.flags)
+        for p in range(n)
+        for b in range(n)
+    ):
+        return False
+    rows = block_rows(inc, group)
+    return all(
+        pm[g(p)] == rows[i][pm[p]] for i, g in enumerate(group.elements) for p in range(n)
+    )
+
+
+def _reference_polarities(inc, group) -> list:
+    """For each seed block, the relation g(0) -> g(seed) over every element
+    g, kept when it is a map and a polarity by definition."""
+    n = inc.n_points
+    rows = block_rows(inc, group)
+    found = []
+    for seed in range(n):
+        images = {}
+        for i, g in enumerate(group.elements):
+            images.setdefault(g(0), set()).add(rows[i][seed])
+        if sorted(images) != list(range(n)) or any(len(v) != 1 for v in images.values()):
+            continue
+        pm = [images[p].pop() for p in range(n)]
+        bm = [pm.index(b) if b in pm else -1 for b in range(n)]
+        if _reference_polarity(inc, group, pm, bm):
+            found.append((tuple(pm), tuple(bm)))
+    return found
+
+
+def _polarity_cases(k4, s4, c6, d6):
+    from sgk.graphs import cycle_graph
+
+    yield k4, s4
+    yield c6, d6
+    # C4 is left out: its opposite vertices share a neighbourhood
+    for n in [3] + list(range(5, 25)):
+        yield cycle_graph(n), _dihedral(n)
+
+
+def test_polarities_match_their_definition(k4, s4, c6, d6):
+    """find_polarities against the seeds that commute with every element;
+    check_polarity against the definition on every map given by a group
+    element and on random bijections."""
+    import random
+
+    from sgk.designs import Polarity
+
+    rnd = random.Random(11)
+    for graph, group in _polarity_cases(k4, s4, c6, d6):
+        inc, _ = design_from_graph(graph, group)
+        got = [(pol.point_map, pol.block_map) for pol in find_polarities(inc, group)]
+        assert got == _reference_polarities(inc, group)
+        maps = [list(g.images) for g in group.elements]
+        for _ in range(5):
+            maps.append(rnd.sample(range(graph.n), graph.n))
+        for pm in maps:
+            bm = [pm.index(b) for b in range(graph.n)]
+            try:
+                check_polarity(inc, group, Polarity(tuple(pm), tuple(bm)))
+                accepted = True
+            except NotPolarity:
+                accepted = False
+            assert accepted == _reference_polarity(inc, group, pm, bm)
+
+
+def test_check_polarity_matches_its_definition_off_flag_transitivity():
+    """The Fano plane as translates of {0, 1, 3} mod 7, under Z7 and under
+    the trivial group, with the maps p -> c ± p: the minus signs respect
+    incidence, and under the trivial group every map commutes."""
+    from sgk.designs import Polarity
+    from sgk.perm import Perm, group_from_generators
+
+    lines = [tuple((i + d) % 7 for d in (0, 1, 3)) for i in range(7)]
+    inc = IncidenceStructure(
+        tuple(str(p) for p in range(7)),
+        tuple(f"L{i}" for i in range(7)),
+        frozenset((p, i) for i, line in enumerate(lines) for p in line),
+    )
+    z7 = group_from_generators([Perm([(p + 1) % 7 for p in range(7)])])
+    trivial = group_from_generators([Perm.identity(7)])
+    verdicts = []
+    for group in (z7, trivial):
+        for c in range(7):
+            for sign in (1, -1):
+                pm = [(c + sign * p) % 7 for p in range(7)]
+                bm = [pm.index(b) for b in range(7)]
+                try:
+                    check_polarity(inc, group, Polarity(tuple(pm), tuple(bm)))
+                    accepted = True
+                except NotPolarity:
+                    accepted = False
+                assert accepted == _reference_polarity(inc, group, pm, bm)
+                verdicts.append(accepted)
+    assert True in verdicts and False in verdicts

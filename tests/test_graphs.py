@@ -166,3 +166,18 @@ def test_directed_subgraph_identity():
     row = (1, 2, 3, 0)  # the 4-cycle
     moved = sub.image(row)
     assert moved.key() == DirectedSubgraph.make([1, 3, 0], [(3, 0), (0, 1), (1, 3)]).key()
+
+
+def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
+    import sys
+
+    g = cycle_graph(1100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        mapping = are_isomorphic(g, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
+    assert sorted(mapping) == list(range(g.n))
+    assert {(mapping[u], mapping[v]) for u, v in g.arcs} == g.arcs

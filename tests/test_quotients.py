@@ -3,6 +3,7 @@
 import pytest
 
 from sgk.errors import (
+    CertificationFailed,
     DegenerateQuotient,
     NotInvariant,
     NotNested,
@@ -125,6 +126,18 @@ def test_cross_section_design(c6, d6):
     p = section.params
     assert (p.v, p.k, p.lam, p.b) == (2, 2, 2, 2)
     assert p.v * p.lam == p.b * p.k
+
+
+def test_cross_section_crash_is_not_a_certification_failure(c6, d6, monkeypatch):
+    from sgk import quotients
+
+    def crash(inc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(quotients, "validate_design", crash)
+    with pytest.raises(RecursionError) as info:
+        cross_section_design(c6, coerce_action(d6, 6), _antipodal6(), 0)
+    assert not isinstance(info.value, CertificationFailed)
 
 
 def test_quotient_as_coset_graph_d6(d6):
