@@ -58,7 +58,7 @@ from .quotients import (
     quotient_graph,
     quotient_is_nontrivial,
 )
-from .subgroups import BlockSystem, Subgroup, make_subgroup, right_cosets
+from .subgroups import BlockSystem, Subgroup, right_cosets
 
 
 # ---- semidirect products ---------------------------------------------------
@@ -692,25 +692,25 @@ def subgraph_graph(
     where = {k: i for i, k in enumerate(keys)}
     subgraphs = tuple(orbit[k] for k in keys)
     labels = [_subgraph_label(graph, s) for s in subgraphs]
-    a_row = a.images
-    arcs = []
-    dropped = False
-    for row in act.rows:
-        i = where[sub.image(row).key()]
-        j = where[sub.image(a_row).image(row).key()]
-        if i == j:
-            dropped = True
-            continue
-        arcs.append((i, j))
-        arcs.append((j, i))
-    out = Graph(labels, arcs)
-    rows = tuple(
-        tuple(where[s.image(row).key()] for s in subgraphs) for row in act.rows
+    n = len(subgraphs)
+    sub_rows = tuple(
+        tuple(where[s.image(row).key()] for s in subgraphs) for row in gen_rows
     )
-    action = Action(act.group, len(subgraphs), rows)
+    # Υ^g joins (Υ^a)^g, so the arcs are the orbit of (Υ, Υ^a) and its reverse
+    base_index = where[sub.key()]
+    base_arc = (base_index, where[sub.image(a.images).key()])
+    dropped = base_arc[0] == base_arc[1]
+    arcs = [] if dropped else closure(
+        (base_arc, base_arc[::-1]), lambda e: [(r[e[0]], r[e[1]]) for r in sub_rows]
+    )
+    out = Graph(labels, arcs)
+    rows = extend_on_generators(
+        act.group, sub_rows, tuple(range(n)), lambda r, s: tuple(s[x] for x in r)
+    )
+    certify(rows is not None, "the generator rows compose to an action on the subgraphs")
+    action = Action(act.group, n, tuple(rows[i] for i in range(len(act.group))))
     report = verify_action(out, action)
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
-    base_index = where[sub.key()]
     stab = len(action.stabilizer_indices(base_index))
     certify(
         stab * len(subgraphs) == len(act.rows),
@@ -763,10 +763,10 @@ def arc_partition_extension(
     if a.images in over.member_images():
         raise DegenerateInvolution("the involution lies in K; arcs would fold flat")
     base = symmetric_coset_graph(group, sub, a)
+    # a⁻¹Ha ∩ H is a subgroup by construction; the descent check below
+    # re-derives it inside K
     conj = {(a * h * a).images for h in sub.elements}
-    bar = make_subgroup(
-        group, [p for p in sub.elements if p.images in conj]
-    )
+    bar = Subgroup(group, tuple(p for p in sub.elements if p.images in conj))
     if not bar.member_images() < over.member_images():
         raise NoStrictChain(
             "K must strictly contain the arc stabilizer a⁻¹Ha ∩ H"

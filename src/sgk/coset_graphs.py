@@ -163,7 +163,7 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
         connector_class=connector_class,
         valency=valency,
         arc_stabilizer_order=arc_stab_order,
-        kernel_order=action.kernel_size(),
+        kernel_order=report.action_kernel_size,
         connected=is_connected(graph),
     )
 

@@ -145,7 +145,6 @@ class TransitivityReport:
     vertex_transitive: bool
     arc_transitive: bool
     locally_transitive: bool
-    s_arc_transitive_up_to: int
     action_kernel_size: int
 
     @property
@@ -157,62 +156,63 @@ class TransitivityReport:
             and self.locally_transitive
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "acts_as_automorphisms": self.acts_as_automorphisms,
-            "vertex_transitive": self.vertex_transitive,
-            "arc_transitive": self.arc_transitive,
-            "locally_transitive": self.locally_transitive,
-            "s_arc_transitive_up_to": self.s_arc_transitive_up_to,
-            "action_kernel_size": self.action_kernel_size,
-            "symmetric": self.symmetric,
-        }
+
+def _preserves_arcs(graph: Graph, gen_rows: Sequence[tuple]) -> bool:
+    arcs = graph.arcs
+    return all((row[u], row[v]) in arcs for row in gen_rows for (u, v) in arcs)
 
 
-def _locally_transitive(graph: Graph, act: Action, vertex_transitive: bool) -> bool:
-    # with vertex transitivity one representative vertex decides everything
-    targets = [0] if vertex_transitive and graph.n else range(graph.n)
-    for v in targets:
-        nbrs = graph.adj[v]
-        if len(nbrs) <= 1:
-            continue
-        stab_rows = [act.rows[i] for i in act.stabilizer_indices(v)]
-        orb = {row[nbrs[0]] for row in stab_rows}
-        if len(orb) != len(nbrs):
-            return False
-    return True
+def _vertex_transitive(graph: Graph, act: Action) -> bool:
+    return not graph.n or len(act.orbit_of(0)) == graph.n
 
 
-def verify_action(graph: Graph, group: GroupLike, *, s_arc_limit: int = 5) -> TransitivityReport:
-    """Measure how transitively the action treats the graph.
+def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
+    """Decide whether the action is symmetric on the graph.
 
-    The s-arc level stops at the first s whose s-arcs split into several
-    orbits or run out, and never looks past ``s_arc_limit``.
+    The generators must carry arcs to arcs, and the orbit of vertex 0
+    decides vertex transitivity.  One orbit split of the arcs decides the
+    rest: the action is arc transitive when there is one arc orbit, and
+    the stabiliser of v is transitive on the neighbours of v exactly when
+    the arcs leaving v lie in one orbit.  The s-arc level is
+    ``s_arc_level``.
     """
     act = coerce_action(group, graph.n)
     gen_rows = act.generator_rows()
-    acts = all(
-        (row[u], row[v]) in graph.arcs for row in gen_rows for (u, v) in graph.arcs
-    )
-    vertex_tr = len(act.orbit_of(0)) == graph.n if graph.n else True
+    acts = _preserves_arcs(graph, gen_rows)
+    vertex_tr = _vertex_transitive(graph, act)
     kernel = act.kernel_size()
     if not acts:
-        return TransitivityReport(False, vertex_tr, False, False, 0, kernel)
-    arcs_sorted = sorted(graph.arcs)
-    arc_tr = (
-        len(tuple_orbits(arcs_sorted, gen_rows)) <= 1 if arcs_sorted else True
+        return TransitivityReport(False, vertex_tr, False, False, kernel)
+    arc_orbits = tuple_orbits(list(graph.arcs), gen_rows)
+    orbit_of = {arc: k for k, orb in enumerate(arc_orbits) for arc in orb}
+    local = all(
+        len({orbit_of[(v, u)] for u in graph.adj[v]}) <= 1 for v in range(graph.n)
     )
-    local = _locally_transitive(graph, act, vertex_tr)
-    s_up = 0
-    if vertex_tr:
-        for s in range(1, s_arc_limit + 1):
-            arcs_s = enumerate_s_arcs(graph, s)
-            if not arcs_s:
-                break
-            if len(tuple_orbits(arcs_s, gen_rows)) != 1:
-                break
-            s_up = s
-    return TransitivityReport(acts, vertex_tr, arc_tr, local, s_up, kernel)
+    return TransitivityReport(True, vertex_tr, len(arc_orbits) <= 1, local, kernel)
+
+
+S_ARC_LIMIT = 5
+
+
+def s_arc_level(graph: Graph, group: GroupLike) -> int:
+    """The largest s up to ``S_ARC_LIMIT`` such that the action is
+    transitive on the s-arcs and on the shorter ones.
+
+    0 when a generator breaks an arc or the action is not vertex
+    transitive; otherwise the walk stops at the first s whose s-arcs split
+    into several orbits or run out.
+    """
+    act = coerce_action(group, graph.n)
+    gen_rows = act.generator_rows()
+    if not (_preserves_arcs(graph, gen_rows) and _vertex_transitive(graph, act)):
+        return 0
+    level = 0
+    for s in range(1, S_ARC_LIMIT + 1):
+        walks = enumerate_s_arcs(graph, s)
+        if not walks or len(tuple_orbits(walks, gen_rows)) != 1:
+            break
+        level = s
+    return level
 
 
 def _joint_refinement(a: Graph, b: Graph):

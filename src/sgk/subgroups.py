@@ -17,7 +17,7 @@ from .perm import (
     stabilizer,
 )
 
-DEFAULT_DOMAIN_LIMIT = 512
+DOMAIN_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -384,26 +384,23 @@ def intermediate_subgroups(group: GroupTable, bottom: Subgroup) -> list:
     _require_sub(group, bottom)
     cosets = right_cosets(group, bottom)
     cfe = cosets.coset_of_element
-    gen_rows = [
-        tuple(cfe[group.index(rep * g)] for rep in cosets.reps) for g in group.generators
-    ]
     subs = [
         Subgroup(group, tuple(g for g, c in zip(group.elements, cfe) if c in blk))
-        for blk in _blocks_through(cosets.n_cosets, gen_rows, 0)
+        for blk in _blocks_through(cosets.n_cosets, cosets.generator_rows(), 0)
     ]
     return sorted(subs, key=lambda s: (s.order, tuple(p.images for p in s.elements)))
 
 
-def all_block_systems(group: GroupTable, *, domain_limit: int = DEFAULT_DOMAIN_LIMIT) -> list:
+def all_block_systems(group: GroupTable) -> list:
     """Every invariant partition of a transitive action, the trivial two
     included, ordered by block size and then by blocks.
 
     A system is fixed by its block through point 0, and those blocks come
     from joins of minimal blocks (see ``_blocks_through``).
     """
-    if group.degree > domain_limit:
+    if group.degree > DOMAIN_LIMIT:
         raise DomainTooLarge(
-            f"domain of size {group.degree} exceeds the limit {domain_limit}"
+            f"domain of size {group.degree} exceeds the limit {DOMAIN_LIMIT}"
         )
     if not is_transitive(group):
         raise NotTransitive("block systems are defined for transitive actions")

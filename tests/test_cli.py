@@ -1,6 +1,8 @@
 """The command line front end: exit codes, certificates, determinism."""
 
+import dataclasses
 import json
+import random
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from conftest import FIXDIR, REPO
 from sgk import cli
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
+from sgk.perm import Action
 
 
 def run(capsys, *argv):
@@ -275,6 +278,53 @@ def test_biggs_command(capsys, tmp_path):
     assert doc["facts"]["semidirect_order"] == 48
     assert doc["facts"]["cover_class"] == "cover"
     assert doc["ok"]
+
+
+def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatch):
+    """The law is decided, not sampled: corrupt one row of the cover action
+    that is no generator's and that 512 random pairs drawn with seed 2025
+    never touch (as factor or product), and the claim still fails."""
+    real = cli.biggs_cover
+
+    def corrupted(graph, group, sd, chain):
+        bc = real(graph, group, sd, chain)
+        m = len(sd)
+        rnd = random.Random(2025)
+        touched = {0, *sd.generator_indices()}
+        for _ in range(512):
+            x, y = rnd.randrange(m), rnd.randrange(m)
+            touched |= {x, y, sd.product_index(x, y)}
+        r = min(set(range(m)) - touched)
+        rows = list(bc.action.rows)
+        row = list(rows[r])
+        row[0], row[1] = row[1], row[0]
+        rows[r] = tuple(row)
+        return dataclasses.replace(bc, action=Action(sd, bc.cover.n, tuple(rows)))
+
+    monkeypatch.setattr(cli, "biggs_cover", corrupted)
+    k5 = tmp_path / "k5.graph"
+    edges = "".join(f"edge {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6))
+    k5.write_text("vertices: 5\n" + edges)
+    v4 = tmp_path / "v4.grp"
+    v4.write_text("degree: 4\n(1 2)(3 4)\n(1 3)(2 4)\n")
+    twist = tmp_path / "twist.txt"
+    twist.write_text("trivial\n")
+    chain = tmp_path / "chain.txt"
+    chain.write_text("arc 1 2 (1 2)(3 4)\n")
+    code, out, _ = run(
+        capsys,
+        "biggs",
+        "--graph", str(k5),
+        "--group", str(FIXDIR / "s5.grp"),
+        "--n", str(v4),
+        "--twist", str(twist),
+        "--chain", str(chain),
+    )
+    assert code == 2
+    doc = cert_from(out)
+    assert doc["facts"]["semidirect_order"] == 480
+    law = next(c for c in doc["claims"] if c["id"] == "biggs-action-law")
+    assert not law["pass"]
 
 
 def test_subgraph_graph_command(capsys):

@@ -369,6 +369,43 @@ def test_subgraph_graph_orbit_times_stabilizer(k4, s4):
     assert len(res.subgraphs) * res.stabilizer_order == len(s4)
 
 
+def test_subgraph_graph_matches_its_definition(k4, s4):
+    """Arcs {Υ^g, Υ^{ag}} and one action row per element g, straight from
+    the definition, on K4/S4 and K6/S6; the edge case fixes its subgraph."""
+    k6 = complete_graph(6)
+    s6 = group_from_generators(
+        [Perm.from_cycles("(1 2 3 4 5 6)", 6), Perm.from_cycles("(1 2)", 6)]
+    )
+    tri = [[0, 2, 3], [(2, 3), (3, 0), (0, 2)]]
+    path = [[0, 1, 2], [(0, 1), (1, 2)]]
+    edge = [[0, 1], [(0, 1), (1, 0)]]
+    cases = [
+        (k4, s4, tri, "(1 2)"),
+        (k4, s4, path, "(1 3)"),
+        (k4, s4, edge, "(1 2)"),
+        (k6, s6, tri, "(1 2)"),
+        (k6, s6, path, "(1 4)(2 5)"),
+        (k6, s6, edge, "(1 2)(3 4)"),
+    ]
+    for graph, group, (vs, arcs), a_text in cases:
+        sub = DirectedSubgraph.make(vs, arcs)
+        a = Perm.from_cycles(a_text, graph.n)
+        res = subgraph_graph(graph, group, sub, a)
+        where = {s.key(): i for i, s in enumerate(res.subgraphs)}
+        assert set(where) == {sub.image(g.images).key() for g in group}
+        pairs = {
+            (where[sub.image(g.images).key()], where[sub.image((a * g).images).key()])
+            for g in group
+        }
+        expected = {(i, j) for i, j in pairs if i != j}
+        assert res.graph.arcs == expected | {(j, i) for i, j in expected}
+        assert res.dropped_loops == (expected != pairs)
+        assert res.action.rows == tuple(
+            tuple(where[s.image(g.images).key()] for s in res.subgraphs) for g in group
+        )
+    assert res.dropped_loops and not res.graph.arcs
+
+
 def test_subgraph_graph_needs_involution(k4, s4):
     tri = DirectedSubgraph.make([0, 2, 3], [(2, 3), (3, 0), (0, 2)])
     with pytest.raises(NotInvolution):

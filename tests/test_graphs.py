@@ -15,6 +15,7 @@ from sgk.graphs import (
     edgeless_graph,
     enumerate_s_arcs,
     is_connected,
+    s_arc_level,
     verify_action,
 )
 from sgk.perm import Perm, group_from_generators
@@ -80,7 +81,7 @@ def test_verify_action_full_symmetric(k4, s4):
     assert report.vertex_transitive
     assert report.arc_transitive
     assert report.locally_transitive
-    assert report.s_arc_transitive_up_to == 2
+    assert s_arc_level(k4, s4) == 2
     assert report.action_kernel_size == 1
 
 
@@ -88,7 +89,7 @@ def test_verify_action_cycle(c6, d6, z6):
     full = verify_action(c6, d6)
     assert full.symmetric
     # a cycle is s-arc transitive as far as we look
-    assert full.s_arc_transitive_up_to == 5
+    assert s_arc_level(c6, d6) == 5
     half = verify_action(c6, z6)
     assert half.vertex_transitive
     assert not half.arc_transitive
