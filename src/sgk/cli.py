@@ -33,7 +33,6 @@ from .constructions import (
     semidirect_product,
     three_arc_graph,
     three_arc_orbits,
-    validate_nchain,
 )
 from .designs import (
     check_polarity,
@@ -68,7 +67,7 @@ from .perm import (
     enumerate_group,
     orbits,
 )
-from .quotients import certify_quotient, induced_bipartite, quotient_action
+from .quotients import certify_quotient, induced_bipartite, quotient
 from .subgroups import (
     all_block_systems,
     lattice_is_order_isomorphic,
@@ -94,9 +93,12 @@ CLAIM_INVARIANTS = {
     "arc-stabilizer-law": "the stabilizer of the base arc is a^-1Ha n H as a set",
     "rank-consistency": "the orbital count equals the point stabilizer's orbit count",
     "quotient-symmetry": "the induced action on the quotient passes the full symmetric report",
-    "fiber-transitivity": "the action kernel is transitive on every fibre",
+    "fiber-transitivity": "the regular normal subgroup is transitive on the quotient vertices",
     "design-double-count": "v times lambda equals b times k",
-    "quotient-homomorphism": "the block map intertwines the two actions on every generator",
+    "quotient-homomorphism": (
+        "the block map intertwines the two actions at every element and vertex;"
+        " in an extension it collapses the arcs onto the base arcs"
+    ),
     "cover-arithmetic": "cover vertex counts and valencies multiply out exactly",
     "graph-design-parameters": "the neighbourhood design has v = b and k = lambda = valency",
     "polarity-commutation": "the polarity commutes with every group element",
@@ -416,9 +418,9 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
-    qc = certify_quotient(graph, group, partition)
-    act = coerce_action(group, graph.n)
-    qact = quotient_action(partition, act)
+    q = quotient(graph, group, partition)
+    qc = certify_quotient(q)
+    act, qact = q.action, q.block_action
     p = qc.design_params
     cert.facts.update(
         {
@@ -742,11 +744,11 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         " returns the base arcs",
     )
     _claim_symmetric(cert, tag.graph, tag.action, tag.report)
-    labelling = check_condition_pe(tag.graph, tag.action, tag.partition)
+    labelling = check_condition_pe(tag.certificate.source)
     cert.facts["pe_labelling_found"] = labelling is not None
     if labelling is not None:
         cert.facts["three_arc_necessity"] = check_three_arc_necessity(
-            tag.graph, tag.action, tag.partition, labelling
+            tag.certificate.source, labelling
         )
     _write_group_out(args, tag.action)
     return _graph_output(tag.graph, args.out)
@@ -813,7 +815,7 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
         bad is None,
         "every adjacent fibre pair meets in a perfect matching" if bad is None else bad,
     )
-    report = validate_nchain(graph, group, sd, chain)
+    report = bc.chain_report
     rep_seeds = {
         arc: value
         for arc, value in zip(report.orbit_representatives, report.representative_values)
@@ -970,7 +972,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
-    fx = extract_fibre_data(graph, group, partition)
+    fx = extract_fibre_data(quotient(graph, group, partition))
     rb = flag_orbital_reconstruction(
         fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
     )

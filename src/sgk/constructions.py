@@ -52,10 +52,10 @@ from .perm import (
     orbits,
 )
 from .quotients import (
+    Quotient,
     QuotientCertificate,
     certify_quotient,
-    quotient_action,
-    quotient_graph,
+    quotient,
     quotient_is_nontrivial,
 )
 from .subgroups import BlockSystem, Subgroup, right_cosets
@@ -374,6 +374,7 @@ class BiggsCover:
     fibres: BlockSystem
     report: TransitivityReport
     certificate: QuotientCertificate
+    chain_report: ChainReport
 
 
 def biggs_cover(
@@ -384,9 +385,10 @@ def biggs_cover(
     Vertices are N × V; the copy of (v₁, v₂) at n₁ runs to n₂ = φ(v₁,v₂)·n₁,
     so walking an edge multiplies the chain value in from the left.  The
     semidirect product acts by (n, v) ↦ (n^{ρ(g)}·η, v^g), and the whole
-    bundle of cover facts is certified on the way out.
+    bundle of cover facts is certified on the way out; the result keeps
+    the chain's validation report and the certified fibre quotient.
     """
-    validate_nchain(graph, group, sd, chain)
+    chain_report = validate_nchain(graph, group, sd, chain)
     act = coerce_action(group, graph.n)
     n_part = sd.n_part
     m = len(n_part)
@@ -418,7 +420,7 @@ def biggs_cover(
         cover.n, [[ni * graph.n + u for ni in range(m)] for u in range(graph.n)]
     )
     certificate = certify_quotient(
-        cover, action, fibres, allow_trivial=not graph.arcs
+        quotient(cover, action, fibres), allow_trivial=not graph.arcs
     )
     certify(
         certificate.quotient.arcs == graph.arcs,
@@ -433,7 +435,7 @@ def biggs_cover(
             cover.valency() == graph.valency(),
             "the cover keeps the valency of the base",
         )
-    return BiggsCover(cover, action, sd, chain, fibres, report, certificate)
+    return BiggsCover(cover, action, sd, chain, fibres, report, certificate, chain_report)
 
 
 # ---- three-arc graphs ------------------------------------------------------
@@ -491,7 +493,8 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     lies in the orbit.
 
     Grouping the vertices by initial vertex gives back the original
-    graph, which is certified along with symmetry of the induced action.
+    graph, which is certified along with symmetry of the induced action;
+    the certified quotient stays on the result's ``certificate``.
     """
     act = coerce_action(group, graph.n)
     report0 = verify_action(graph, act)
@@ -534,7 +537,7 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(taggraph, action, partition)
+    certificate = certify_quotient(quotient(taggraph, action, partition))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",
@@ -557,22 +560,19 @@ def _initial_vertex_blocks(graph: Graph, averts: Sequence[tuple]) -> list:
 PE_BLOCK_LIMIT = 8
 
 
-def check_condition_pe(
-    graph: Graph, group: GroupLike, partition: BlockSystem
-) -> Optional[tuple]:
-    """Look for a labelling of each block by the quotient's neighbouring
-    blocks that the group respects.
+def check_condition_pe(q: Quotient) -> Optional[tuple]:
+    """Look for a labelling of each block of a quotient by the quotient's
+    neighbouring blocks that the group respects.
 
     Returns a tuple assigning each vertex a quotient vertex: within block
     B the map is a bijection onto Γ_𝓑(B) commuting with the setwise
     stabilizer of B, transported to the other blocks along the group.
     None when the sizes differ or no equivariant bijection exists.
     """
-    act = coerce_action(group, graph.n)
+    graph, act, partition = q.base, q.action, q.partition
+    quo, qact = q.graph, q.block_action
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("the labelling test applies to nontrivial quotients")
-    quo = quotient_graph(graph, act, partition)
-    qact = quotient_action(partition, act)
     members = partition.blocks[0]
     nbrs = quo.adj[0]
     if len(members) != len(nbrs):
@@ -622,17 +622,15 @@ def check_condition_pe(
     return tuple(labelling)
 
 
-def check_three_arc_necessity(
-    graph: Graph, group: GroupLike, partition: BlockSystem, labelling: Sequence[int]
-) -> bool:
-    """Whether every arc reads as a 3-arc of the quotient under the
-    labelling: an arc from v_{BC} to v_{DE} must make (C,B,D,E) a 3-arc,
-    which is exactly what membership in a three-arc graph requires."""
-    act = coerce_action(group, graph.n)
+def check_three_arc_necessity(q: Quotient, labelling: Sequence[int]) -> bool:
+    """Whether every arc of the quotient's base graph reads as a 3-arc of
+    the quotient under the labelling: an arc from v_{BC} to v_{DE} must
+    make (C,B,D,E) a 3-arc, which is exactly what membership in a
+    three-arc graph requires."""
+    graph, partition, quo = q.base, q.partition, q.graph
     valency = graph.valency()
     if valency is None or valency < 2:
         raise ValencyTooSmall("the necessity argument needs valency at least 2")
-    quo = quotient_graph(graph, act, partition)
     lab = tuple(labelling)
     if len(lab) != graph.n:
         raise ValueError("one quotient vertex per graph vertex is required")
@@ -933,17 +931,14 @@ class FibreExtraction:
     vertex_code: tuple
 
 
-def extract_fibre_data(
-    graph: Graph, group: GroupLike, partition: BlockSystem
-) -> FibreExtraction:
-    """Read the reconstruction data off a symmetric cover: the quotient,
-    the design a fibre sees, the stabilizer's action on that fibre, and
-    the orbital of flag pairs the arcs trace out."""
-    act = coerce_action(group, graph.n)
+def extract_fibre_data(q: Quotient) -> FibreExtraction:
+    """Read the reconstruction data off the quotient of a symmetric cover
+    by its fibres: the design a fibre sees, the stabilizer's action on
+    that fibre, and the orbital of flag pairs the arcs trace out."""
+    graph, act, partition = q.base, q.action, q.partition
+    quo, qact = q.graph, q.block_action
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
-    quo = quotient_graph(graph, act, partition)
-    qact = quotient_action(partition, act)
     n_indices = _regular_normal_subgroup(act.group, qact, 0)
     n_label = [-1] * quo.n
     for x in n_indices:

@@ -274,8 +274,9 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     """All group equivariant polarities of a flag transitive design.
 
     A polarity is pinned down by the image of one point because the group
-    moves that point everywhere, so seeding each block and extending along
-    the generators finds every candidate.
+    moves that point everywhere, and it must send that point to a block
+    the point's stabiliser fixes; seeding each such block and extending
+    along the generators finds every candidate.
     """
     if not is_flag_transitive(inc, group):
         raise NotFlagTransitive("the group is not flag transitive on the design")
@@ -283,10 +284,13 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     if inc.n_blocks != n:
         return []
     step = _flag_step(inc, group)
+    stab_rows = _block_action(inc, group, [g for g in group.elements if g.images[0] == 0])
     out = []
     for seed in range(n):
+        if any(row[seed] != seed for row in stab_rows):
+            continue
         # an equivariant point_map is the orbit of (0, seed) read as a map;
-        # more than n pairs means the seed is not fixed by the stabiliser of 0
+        # the stabiliser of 0 fixes the seed, so the orbit has at most n pairs
         pairs = list(itertools.islice(closure(((0, seed),), step), n + 1))
         pm = [-1] * n
         for p, b in pairs:

@@ -24,7 +24,10 @@ from .perm import Action, GroupLike, GroupTable, Perm, coerce_action
 from .subgroups import BlockSystem, Subgroup, right_cosets
 
 
-def _require_invariant(system: BlockSystem, act: Action) -> None:
+def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
+    """The action induced on the blocks, one row per group element in the
+    group's order; raises NotInvariant when a generator splits a block."""
+    act = coerce_action(group, system.n_points)
     for row in act.generator_rows():
         for block in system.blocks:
             targets = {system.block_of[row[v]] for v in block}
@@ -32,50 +35,53 @@ def _require_invariant(system: BlockSystem, act: Action) -> None:
                 raise NotInvariant(
                     f"a generator splits block {block} across blocks {sorted(targets)}"
                 )
+    rows = tuple(
+        tuple(system.block_of[row[block[0]]] for block in system.blocks) for row in act.rows
+    )
+    return Action(act.group, system.n_blocks, rows)
 
 
-def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
-    """The action induced on the blocks; rows follow the group's order."""
-    act = coerce_action(group, system.n_points)
-    _require_invariant(system, act)
-    rows = []
-    for row in act.rows:
-        rows.append(
-            tuple(system.block_of[row[block[0]]] for block in system.blocks)
-        )
-    return Action(act.group, system.n_blocks, tuple(rows))
+@dataclass(frozen=True)
+class Quotient:
+    """One invariant partition of a symmetric graph, taken once: the base
+    graph with its action, the partition, the quotient graph, the action
+    induced on the blocks and that action's report.  Build it with
+    ``quotient``; ``certify_quotient``, ``cross_section_design`` and the
+    labelling and fibre readers in ``constructions`` take it as it is."""
+
+    base: Graph
+    action: Action
+    partition: BlockSystem
+    graph: Graph
+    block_action: Action
+    report: TransitivityReport
 
 
-def quotient_graph(graph: Graph, group: GroupLike, partition: BlockSystem) -> Graph:
-    """Vertices are the blocks; two blocks are adjacent when any arc joins
-    them.  Arcs inside a block are discarded, not marked.
+def quotient(graph: Graph, group: GroupLike, partition: BlockSystem) -> Quotient:
+    """The quotient of a symmetric graph by an invariant partition.
 
-    The induced action on the result is checked to be symmetric, which the
-    invariance of the partition guarantees.
+    Vertices are the blocks; two blocks are adjacent when any arc joins
+    them.  Arcs inside a block are discarded, not marked.  The induced
+    action on the result is certified symmetric, which the invariance of
+    the partition guarantees.
     """
     if partition.n_points != graph.n:
         raise NotInvariant(
             f"partition of {partition.n_points} points against a graph on {graph.n}"
         )
     act = coerce_action(group, graph.n)
-    report = verify_action(graph, act)
-    if not report.symmetric:
+    if not verify_action(graph, act).symmetric:
         raise NotSymmetric("quotients are taken of symmetric graphs only")
-    _require_invariant(partition, act)
+    qact = quotient_action(partition, act)
     labels = tuple(
         f"B{i}:{graph.labels[block[0]]}" for i, block in enumerate(partition.blocks)
     )
-    arcs = set()
-    for u, v in graph.arcs:
-        bu, bv = partition.block_of[u], partition.block_of[v]
-        if bu != bv:
-            arcs.add((bu, bv))
+    block_of = partition.block_of
+    arcs = {(block_of[u], block_of[v]) for u, v in graph.arcs if block_of[u] != block_of[v]}
     quo = Graph(labels, sorted(arcs))
-    certify(
-        verify_action(quo, quotient_action(partition, act)).symmetric,
-        "the induced action on the quotient is symmetric",
-    )
-    return quo
+    report = verify_action(quo, qact)
+    certify(report.symmetric, "the induced action on the quotient is symmetric")
+    return Quotient(graph, act, partition, quo, qact, report)
 
 
 def quotient_is_nontrivial(graph: Graph, partition: BlockSystem) -> bool:
@@ -156,19 +162,16 @@ class CrossSection:
     points: tuple
 
 
-def cross_section_design(
-    graph: Graph, group: GroupLike, partition: BlockSystem, b: int
-) -> CrossSection:
+def cross_section_design(q: Quotient, b: int) -> CrossSection:
     """The incidence structure on block b: one design block per quotient
     neighbour C, collecting the points of b that send an arc into C.
 
     Certifies the uniformity laws and flag transitivity of the setwise
     stabilizer of b, both guaranteed for symmetric graphs.
     """
-    act = coerce_action(group, graph.n)
+    graph, act, partition, quo = q.base, q.action, q.partition, q.graph
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("cross sections are cut through nontrivial quotients")
-    quo = quotient_graph(graph, act, partition)
     if not 0 <= b < partition.n_blocks:
         raise NotQuotientArc(f"no block numbered {b}")
     neighbours = [c for c in range(quo.n) if quo.has_arc(b, c)]
@@ -191,16 +194,11 @@ def cross_section_design(
         raise CertificationFailed(
             f"certification failed: cross section is not uniform ({exc})"
         )
-    stab = [
-        row
-        for row in act.rows
-        if all(partition.block_of[row[p]] == b for p in points)
-    ]
     base_flag = min(flags)
     orbit = set()
-    for row in stab:
-        qrow = {c: partition.block_of[row[partition.blocks[c][0]]] for c in neighbours}
-        orbit.add((where[row[points[base_flag[0]]]], col_of[qrow[neighbours[base_flag[1]]]]))
+    for row, qrow in zip(act.rows, q.block_action.rows):
+        if qrow[b] == b:
+            orbit.add((where[row[points[base_flag[0]]]], col_of[qrow[neighbours[base_flag[1]]]]))
     certify(
         orbit == flags,
         "the setwise stabilizer is flag transitive on the cross section",
@@ -210,44 +208,40 @@ def cross_section_design(
 
 @dataclass(frozen=True)
 class QuotientCertificate:
-    quotient: Graph
-    partition: BlockSystem
+    """What ``certify_quotient`` found out about ``source``."""
+
+    source: Quotient
     nontrivial: bool
     cover_class: Optional[str]
     bipartite_pattern: Optional[Graph]
     design_params: Optional[DesignParams]
-    report: TransitivityReport
     bipartite_uniform: Optional[bool]
 
+    @property
+    def quotient(self) -> Graph:
+        return self.source.graph
 
-def certify_quotient(
-    graph: Graph,
-    group: GroupLike,
-    partition: BlockSystem,
-    *,
-    allow_trivial: bool = False,
-) -> QuotientCertificate:
-    """Quotient plus the facts a caller will want on file: cover class,
+    @property
+    def report(self) -> TransitivityReport:
+        return self.source.report
+
+
+def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCertificate:
+    """The facts a caller will want on file about a quotient: cover class,
     a representative induced bipartite graph with the verdict of the
     all-pairs isomorphism check, and the cross-sectional design numbers.
 
     Trivial quotients are refused unless ``allow_trivial`` is set; with it
     the classification fields come back as None.
     """
-    act = coerce_action(group, graph.n)
-    quo = quotient_graph(graph, act, partition)
-    qact = quotient_action(partition, act)
-    report = verify_action(quo, qact)
-    nontrivial = quotient_is_nontrivial(graph, partition)
-    if not nontrivial:
+    graph, partition, quo = q.base, q.partition, q.graph
+    if not quotient_is_nontrivial(graph, partition):
         if not allow_trivial:
             raise TrivialQuotient(
                 "some arc stays inside a block (or there are no arcs); "
                 "pass allow_trivial to certify anyway"
             )
-        return QuotientCertificate(
-            quo, partition, False, None, None, None, report, None
-        )
+        return QuotientCertificate(q, False, None, None, None, None)
     kind = cover_class(graph, partition)
     arcs_sorted = sorted(quo.arcs)
     b0, c0 = arcs_sorted[0]
@@ -257,10 +251,8 @@ def certify_quotient(
         for u, v in arcs_sorted[1:]
     )
     certify(uniform, "all induced bipartite graphs are isomorphic")
-    section = cross_section_design(graph, act, partition, b0)
-    return QuotientCertificate(
-        quo, partition, True, kind, pattern, section.params, report, uniform
-    )
+    section = cross_section_design(q, b0)
+    return QuotientCertificate(q, True, kind, pattern, section.params, uniform)
 
 
 @dataclass(frozen=True)
@@ -306,7 +298,7 @@ def quotient_as_coset_graph(
     for v in range(base.graph.n):
         blocks[k_cosets.coset_of(base.cosets.reps[v])].append(v)
     partition = BlockSystem.from_blocks(base.graph.n, blocks)
-    quo = quotient_graph(base.graph, base.action, partition)
+    quo = quotient(base.graph, base.action, partition).graph
     # a block holds the H-cosets filling one K-coset; send it there
     vertex_map = tuple(
         k_cosets.coset_of(base.cosets.reps[block[0]]) for block in partition.blocks

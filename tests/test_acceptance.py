@@ -41,7 +41,7 @@ from sgk.graphs import (
     cycle_graph,
 )
 from sgk.perm import Action, Perm, group_from_generators
-from sgk.quotients import induced_bipartite, quotient_action, quotient_as_coset_graph, quotient_graph
+from sgk.quotients import induced_bipartite, quotient, quotient_action, quotient_as_coset_graph
 from sgk.subgroups import (
     BlockSystem,
     core,
@@ -171,15 +171,15 @@ def test_criterion_05(capsys, k4, s4):
     if ok:
         for ob in orbs:
             t = three_arc_graph(k4, s4, ob)
-            quo = quotient_graph(t.graph, t.action, t.partition)
-            labelling = check_condition_pe(t.graph, t.action, t.partition)
+            quo = quotient(t.graph, t.action, t.partition).graph
+            labelling = check_condition_pe(quotient(t.graph, t.action, t.partition))
             ok = ok and (
                 t.graph.n == 12
                 and t.graph.valency() == 2
                 and t.report.symmetric
                 and quo.arcs == k4.arcs
                 and labelling is not None
-                and check_three_arc_necessity(t.graph, t.action, t.partition, labelling)
+                and check_three_arc_necessity(quotient(t.graph, t.action, t.partition), labelling)
             )
     _report(capsys, 5, ok, "both 3-arc graphs of K4: 12 vertices, 2-regular, quotient back to K4, labelling found")
 

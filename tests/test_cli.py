@@ -413,6 +413,34 @@ def test_extend_flags_command(capsys, tmp_path):
     assert doc["ok"]
 
 
+@pytest.mark.parametrize(
+    "graph, group, blocks, code",
+    [
+        # every arc of C6 stays inside the one block
+        ("c6.graph", "d6.grp", "1 2 3 4 5 6\n", "trivial-quotient"),
+        # Z6 keeps the antipodal pairs but is not locally transitive on C6
+        ("c6.graph", "z6.grp", "1 4\n2 5\n3 6\n", "not-symmetric"),
+    ],
+)
+def test_extend_flags_rejects_bad_quotients(capsys, tmp_path, graph, group, blocks, code):
+    path = tmp_path / "blocks.txt"
+    path.write_text(blocks)
+    cert_path = tmp_path / "cert.json"
+    status, out, err = run(
+        capsys,
+        "extend",
+        "--via", "flags",
+        "--graph", str(FIXDIR / graph),
+        "--group", str(FIXDIR / group),
+        "--blocks", str(path),
+        "--certificate", str(cert_path),
+    )
+    assert status == 1
+    assert err.startswith(f"sgk: {code}:")
+    assert out == ""
+    assert not cert_path.exists()
+
+
 def test_certificates_deterministic(capsys):
     _, out1, _ = run(capsys, "orbitals", "--group", GRP)
     _, out2, _ = run(capsys, "orbitals", "--group", GRP)
@@ -487,10 +515,12 @@ def test_header_count_past_the_cap_is_rejected_before_allocating(capsys, tmp_pat
     assert peak < 10_000_000
 
 
-def _readme_claim_ids():
+def _readme_claims():
+    """(id, meaning) for each row of the README's claim table."""
     text = (REPO / "README.md").read_text()
     table = text.split("The claim vocabulary:", 1)[1].split("\n\n", 2)[1]
-    return [re.match(r"\| `([a-z-]+)` \|", row).group(1) for row in table.splitlines()[2:]]
+    rows = [re.match(r"\| `([a-z-]+)` \| (.*) \|$", row) for row in table.splitlines()[2:]]
+    return [(m.group(1), m.group(2).replace("\\|", "|")) for m in rows]
 
 
 def test_claim_vocabulary_is_emitted_and_documented(capsys, tmp_path):
@@ -538,6 +568,7 @@ def test_claim_vocabulary_is_emitted_and_documented(capsys, tmp_path):
         assert code == 0, (argv, err)
         emitted |= {c["id"] for c in cert_from(cert_path.read_text())["claims"]}
     assert emitted == set(CLAIM_INVARIANTS)
-    documented = _readme_claim_ids()
+    documented = [cid for cid, _ in _readme_claims()]
     assert len(documented) == len(set(documented))
     assert set(documented) == set(CLAIM_INVARIANTS)
+    assert dict(_readme_claims()) == CLAIM_INVARIANTS

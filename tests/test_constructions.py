@@ -35,7 +35,7 @@ from sgk.graphs import (
     cycle_graph,
 )
 from sgk.perm import Perm, group_from_generators
-from sgk.quotients import certify_quotient, induced_bipartite
+from sgk.quotients import certify_quotient, induced_bipartite, quotient
 from sgk.subgroups import (
     BlockSystem,
     setwise_stabilizer,
@@ -311,16 +311,16 @@ def test_three_arc_orbits_empty_when_too_short():
 def test_condition_pe_on_k4_tags(k4, s4):
     for ob in three_arc_orbits(k4, s4):
         t = three_arc_graph(k4, s4, ob)
-        labelling = check_condition_pe(t.graph, t.action, t.partition)
+        labelling = check_condition_pe(quotient(t.graph, t.action, t.partition))
         assert labelling is not None
         assert labelling == tuple(v for (_, v) in t.vertices)
-        assert check_three_arc_necessity(t.graph, t.action, t.partition, labelling)
+        assert check_three_arc_necessity(quotient(t.graph, t.action, t.partition), labelling)
 
 
 def test_condition_pe_rejects_covers(q3, k4, s4, z2, d6, c6):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    assert check_condition_pe(bc.cover, bc.action, bc.fibres) is None
+    assert check_condition_pe(quotient(bc.cover, bc.action, bc.fibres)) is None
 
 
 def test_necessity_counterexample():
@@ -330,7 +330,7 @@ def test_necessity_counterexample():
     )
     part = BlockSystem.from_blocks(4, [[0, 2], [1, 3]])
     labelling = (1, 0, 1, 0)
-    assert not check_three_arc_necessity(c4, d4g, part, labelling)
+    assert not check_three_arc_necessity(quotient(c4, d4g, part), labelling)
 
 
 # ---- subgraph graphs -----------------------------------------------------------
@@ -464,7 +464,7 @@ def test_arc_extension_needs_strict_chain(s4):
 def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    fx = extract_fibre_data(bc.cover, bc.action, bc.fibres)
+    fx = extract_fibre_data(quotient(bc.cover, bc.action, bc.fibres))
     assert len(fx.n_indices) == 4
     assert len(fx.h_indices) == 12
     assert len(fx.delta) == 6
@@ -483,7 +483,7 @@ def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
 
 def test_extract_trivial_fibres_k4(k4, s4):
     singles = BlockSystem.from_blocks(4, [[v] for v in range(4)])
-    fx = extract_fibre_data(k4, s4, singles)
+    fx = extract_fibre_data(quotient(k4, s4, singles))
     rb = flag_orbital_reconstruction(
         fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
     )
@@ -497,4 +497,4 @@ def test_extract_needs_regular_normal_subgroup():
     )
     part = BlockSystem.from_blocks(4, [[0, 2], [1, 3]])
     with pytest.raises(NotSemidirect):
-        extract_fibre_data(c4, d4g, part)
+        extract_fibre_data(quotient(c4, d4g, part))
