@@ -90,7 +90,10 @@ CLAIM_INVARIANTS = {
     "symmetric-action": "the group acts as automorphisms, vertex and locally transitively",
     "symmetric-iff-arc-transitive": "symmetric and arc-transitive agree when no vertex is isolated",
     "valency-law": "vertex degree equals |H| / |a^-1Ha n H| at every vertex",
-    "arc-stabilizer-law": "the stabilizer of the base arc is a^-1Ha n H as a set",
+    "arc-stabilizer-law": (
+        "the stabilizer of the base arc and a^-1Ha n H have equal orders"
+        " and each contains the other's generators"
+    ),
     "rank-consistency": "the orbital count equals the point stabilizer's orbit count",
     "quotient-symmetry": "the induced action on the quotient passes the full symmetric report",
     "fiber-transitivity": "the regular normal subgroup is transitive on the quotient vertices",
@@ -164,10 +167,16 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_group(cert: Certificate, path: str, name: str = "group") -> GroupTable:
+def _load_group(
+    cert: Certificate, path: str, name: str = "group", listed: bool = True
+) -> GroupTable:
+    """The group in the file, listed up front unless ``listed`` is off;
+    an unlisted group answers from stabiliser chains and lists its
+    elements only if something asks for them."""
     text = _read_text(path)
     cert.add_input(name, text)
-    return enumerate_group(parse_group_file(text))
+    spec = parse_group_file(text)
+    return enumerate_group(spec) if listed else GroupTable(spec.degree, spec.generators)
 
 
 def _load_graph(cert: Certificate, path: str, name: str = "graph") -> Graph:
@@ -227,13 +236,12 @@ def _claim_symmetric(cert: Certificate, graph: Graph, act: Action, report) -> No
         return
     detail: dict = {}
     if not report.acts_as_automorphisms:
-        for i in act.group.generator_indices():
-            row = act.rows[i]
+        for gen, row in zip(act.group.generators, act.generator_rows()):
             for (u, v) in sorted(graph.arcs):
                 if (row[u], row[v]) not in graph.arcs:
                     detail = {
                         "kind": "generator breaks an arc",
-                        "generator": act.group.element(i).cycle_string(),
+                        "generator": gen.cycle_string(),
                         "arc": _arc_pair(graph, u, v),
                         "image": [graph.labels[row[u]], graph.labels[row[v]]],
                     }
@@ -308,7 +316,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
 
 
 def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     cert.add_input("subgroup", args.subgroup)
     sub = subgroup_from_generators(
         group, parse_subgroup_generators(args.subgroup, group.degree)
@@ -324,7 +332,8 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
             "arc_stabilizer_order": res.arc_stabilizer_order,
             "kernel_order": res.kernel_order,
             "connected": res.connected,
-            "connector_class_size": len(res.connector_class),
+            # HaH is the union of the cosets next to H
+            "connector_class_size": sub.order * len(g.adj[0]),
             "group_order": len(group),
             "subgroup_order": sub.order,
             "vertex_transitive": r.vertex_transitive,
@@ -343,37 +352,38 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
         if bad is None
         else {"vertex": g.labels[bad], "degree": len(g.adj[bad])},
     )
-    v_a = res.cosets.coset_of_element[group.index(a)]
-    by_action = {
-        i
-        for i, row in enumerate(res.action.rows)
-        if row[0] == 0 and row[v_a] == v_a
-    }
-    by_algebra = {
-        group.index(y)
-        for y in (a * x * a for x in sub.elements)
-        if y in sub
-    }
+    # the stabiliser of the arc (H, Ha) in the coset action, against
+    # a⁻¹Ha ∩ H as the stabiliser of the coset H in a⁻¹Ha
+    cosets = res.cosets
+    v_a = cosets.coset_of(a)
+    by_action = res.arc_stabilizer
+    by_algebra = cosets.stabilizer([a * h * a for h in sub.generators], 0)
+
+    def fixes_arc(x: Perm) -> bool:
+        return cosets.coset_of(x) == 0 and cosets.coset_of(cosets.reps[v_a] * x) == v_a
+
+    action_only = sorted(
+        x.cycle_string()
+        for x in map(Perm, by_action.generators)
+        if not (x in sub and a * x * a in sub)
+    )
+    algebra_only = sorted(
+        x.cycle_string() for x in map(Perm, by_algebra.generators) if not fixes_arc(x)
+    )
+    same = by_action.order == by_algebra.order and not action_only and not algebra_only
     cert.claim(
         "arc-stabilizer-law",
-        by_action == by_algebra,
-        f"both sides have {len(by_algebra)} elements"
-        if by_action == by_algebra
-        else {
-            "action_only": sorted(
-                group.element(i).cycle_string() for i in by_action - by_algebra
-            ),
-            "algebra_only": sorted(
-                group.element(i).cycle_string() for i in by_algebra - by_action
-            ),
-        },
+        same,
+        f"both sides have {by_algebra.order} elements"
+        if same
+        else {"action_only": action_only, "algebra_only": algebra_only},
     )
     _write_group_out(args, res.action)
     return _graph_output(g, args.out)
 
 
 def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     orbs = orbitals(group)
     cert.facts.update(
         {
@@ -389,8 +399,7 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
             ],
         }
     )
-    act = Action.natural(group)
-    stab_rows = [group.element(i).images for i in act.stabilizer_indices(0)]
+    stab_rows = group.chain.stabilizer(0).generators
     suborbits = orbits(range(group.degree), _point_step(stab_rows))
     cert.claim(
         "rank-consistency",
@@ -695,7 +704,9 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
 def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    orbs = three_arc_orbits(graph, group)
+    # one report on the base graph serves both the orbits and the graph
+    report = verify_action(graph, group)
+    orbs = three_arc_orbits(graph, group, report)
     cert.facts.update(
         {
             "orbit_count": len(orbs),
@@ -719,7 +730,7 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         return None
     if not 0 <= args.orbit_index < len(orbs):
         raise ValueError(f"orbit index {args.orbit_index} outside 0..{len(orbs) - 1}")
-    tag = three_arc_graph(graph, group, orbs[args.orbit_index])
+    tag = three_arc_graph(graph, group, orbs[args.orbit_index], report)
     cert.facts.update(
         {
             "orbit_index": args.orbit_index,
@@ -1013,7 +1024,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
 
 def cmd_verify(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     act = coerce_action(group, graph.n)
     report = verify_action(graph, act)
     cert.facts.update(

@@ -420,7 +420,7 @@ def biggs_cover(
         cover.n, [[ni * graph.n + u for ni in range(m)] for u in range(graph.n)]
     )
     certificate = certify_quotient(
-        quotient(cover, action, fibres), allow_trivial=not graph.arcs
+        quotient(cover, action, fibres, report), allow_trivial=not graph.arcs
     )
     certify(
         certificate.quotient.arcs == graph.arcs,
@@ -452,10 +452,15 @@ class ThreeArcOrbit:
         return len(self.arcs)
 
 
-def three_arc_orbits(graph: Graph, group: GroupLike) -> list:
-    """Orbits on 3-arcs, each with its reversal partner worked out."""
+def three_arc_orbits(
+    graph: Graph, group: GroupLike, report: Optional[TransitivityReport] = None
+) -> list:
+    """Orbits on 3-arcs, each with its reversal partner worked out.
+    ``report`` is the graph's report under the group, when the caller has
+    it already."""
     act = coerce_action(group, graph.n)
-    report = verify_action(graph, act)
+    if report is None:
+        report = verify_action(graph, act)
     if not report.symmetric:
         raise NotSymmetric("three-arc data needs a symmetric graph")
     walks = [w for w in enumerate_s_arcs(graph, 3)]
@@ -487,7 +492,9 @@ class ThreeArcGraph:
     reverse_adjacent: bool
 
 
-def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
+def three_arc_graph(
+    graph: Graph, group: GroupLike, orbit, base_report: Optional[TransitivityReport] = None
+) -> ThreeArcGraph:
     """The graph on the arcs of a symmetric graph, joined through a
     self-paired orbit on 3-arcs: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′)
     lies in the orbit.
@@ -495,10 +502,13 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     Grouping the vertices by initial vertex gives back the original
     graph, which is certified along with symmetry of the induced action;
     the certified quotient stays on the result's ``certificate``.
+    ``base_report`` is the base graph's report under the group, when the
+    caller has it already.
     """
     act = coerce_action(group, graph.n)
-    report0 = verify_action(graph, act)
-    if not report0.symmetric:
+    if base_report is None:
+        base_report = verify_action(graph, act)
+    if not base_report.symmetric:
         raise NotSymmetric("three-arc graphs are built over symmetric graphs")
     delta = frozenset(
         tuple(t) for t in (orbit.arcs if isinstance(orbit, ThreeArcOrbit) else orbit)
@@ -537,7 +547,7 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(quotient(taggraph, action, partition))
+    certificate = certify_quotient(quotient(taggraph, action, partition, report))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",

@@ -25,6 +25,7 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
+    StabChain,
     closure,
     coerce_action,
     orbits,
@@ -118,11 +119,24 @@ class CosetGraphResult:
     cosets: CosetSpace
     action: Action
     report: TransitivityReport
-    connector_class: tuple
     valency: int
-    arc_stabilizer_order: int
+    arc_stabilizer: StabChain
     kernel_order: int
     connected: bool
+
+    @property
+    def arc_stabilizer_order(self) -> int:
+        return self.arc_stabilizer.order
+
+    @property
+    def connector_class(self) -> tuple:
+        """The connecting set HaH = {g : Hg is adjacent to H}, in element
+        order; this lists the group."""
+        near = set(self.graph.adj[0])
+        cosets = self.cosets
+        return tuple(
+            g for g, c in zip(cosets.group.elements, cosets.coset_of_element) if c in near
+        )
 
 
 def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGraphResult:
@@ -131,7 +145,8 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
     graph, certified on the way out.
 
     The arcs are the orbit of the one arc (Ha, H), so the double coset is
-    never multiplied out.
+    never multiplied out, and the arc stabiliser is the stabiliser of Ha
+    in H, from its own chain; neither G nor H is listed.
     """
     if a not in group:
         raise NotInvolution(f"{a.cycle_string()} is not in the group")
@@ -144,25 +159,19 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
     graph, cosets = _sabidussi(CosetGraphSpec(group, sub, frozenset({a})))
     action = cosets.action()
     report = verify_action(graph, action)
-    # the arc stabiliser of (H, Ha) is a⁻¹Ha ∩ H; a is its own inverse
-    conj = {(a * h * a).images for h in sub.elements}
-    arc_stab_order = sum(1 for p in sub.elements if p.images in conj)
+    arc_stabilizer = cosets.stabilizer(sub.generators, cosets.coset_of(a))
     valency = graph.valency()
-    # the connecting set HaH is {g : Hg is adjacent to H}, in element order
-    near = set(graph.adj[0])
-    connector_class = tuple(
-        g for g, c in zip(group.elements, cosets.coset_of_element) if c in near
+    certify(
+        valency == sub.order // arc_stabilizer.order, "valency is |H| / |a⁻¹Ha ∩ H|"
     )
-    certify(valency == sub.order // arc_stab_order, "valency is |H| / |a⁻¹Ha ∩ H|")
     certify(report.symmetric, "a double coset of an involution gives a symmetric graph")
     return CosetGraphResult(
         graph=graph,
         cosets=cosets,
         action=action,
         report=report,
-        connector_class=connector_class,
         valency=valency,
-        arc_stabilizer_order=arc_stab_order,
+        arc_stabilizer=arc_stabilizer,
         kernel_order=report.action_kernel_size,
         connected=is_connected(graph),
     )
@@ -238,7 +247,7 @@ def orbital_double_coset_map(group: GroupTable, sub: Subgroup) -> list:
     pairing = []
     used = set()
     for dc in dcs.classes:
-        target = (0, cosets.coset_of_element[group.index(dc.rep)])
+        target = (0, cosets.coset_of(dc.rep))
         matches = [k for k, ps in enumerate(pair_sets) if target in ps]
         certify(len(matches) == 1, "each double coset meets exactly one orbital")
         k = matches[0]
@@ -282,9 +291,7 @@ def recognize_as_coset_graph(graph: Graph, group: GroupTable) -> RecognitionResu
         )
     rebuilt = symmetric_coset_graph(group, sub, flip)
     wit = transversal(group, 0)
-    vmap = [
-        rebuilt.cosets.coset_of_element[group.index(wit[v])] for v in range(graph.n)
-    ]
+    vmap = [rebuilt.cosets.coset_of(wit[v]) for v in range(graph.n)]
     exact = (
         len(set(vmap)) == graph.n
         and {(vmap[u], vmap[v]) for (u, v) in graph.arcs} == rebuilt.graph.arcs

@@ -1,4 +1,4 @@
-"""Permutations of {0, ..., n-1} and fully enumerated permutation groups.
+"""Permutations of {0, ..., n-1}, permutation groups and their stabiliser chains.
 
 Composition reads left to right: ``(p * q)(i) == q(p(i))``, the right
 action convention, so conjugation ``x ** g`` means ``g⁻¹ x g`` and
@@ -8,8 +8,10 @@ cycle notation at the text boundary is 1-based.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -189,36 +191,60 @@ class GroupSpec:
 
 
 class GroupTable:
-    """A fully enumerated permutation group with a fixed element order.
+    """A permutation group given by its generators.
 
-    Elements are sorted by image tuple; the identity's image tuple is the
-    lexicographic minimum of all permutations, so it always sits at index 0.
-    Everything downstream indexes into this order.
+    Order and membership come from a stabiliser chain (``chain``), built
+    on first use.  The elements are listed on first access of
+    ``elements``, under the element cap, sorted by image tuple; the
+    identity's image tuple is the lexicographic minimum of all
+    permutations, so it always sits at index 0.  Everything that indexes
+    elements uses this order.  Once the elements are listed, order and
+    membership read the list, so a listed group never pays for a chain.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_pos")
-
-    def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
+    def __init__(
+        self, degree: int, generators: Sequence[Perm], elements: Optional[Sequence[Perm]] = None
+    ):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._pos = {p.images: i for i, p in enumerate(self.elements)}
+        if elements is not None:
+            self.elements = tuple(elements)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return enumerate_group(GroupSpec(self.degree, self.generators)).elements
+
+    @cached_property
+    def _pos(self) -> dict:
+        return {p.images: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def chain(self) -> "StabChain":
+        return StabChain(self.degree, [g.images for g in self.generators])
+
+    @property
+    def is_listed(self) -> bool:
+        return "elements" in vars(self)
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.elements) if self.is_listed else self.chain.order
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, perm) -> bool:
-        return isinstance(perm, Perm) and perm.images in self._pos
+        if not isinstance(perm, Perm):
+            return False
+        if self.is_listed:
+            return perm.images in self._pos
+        return self.chain.contains(perm.images)
 
     def __repr__(self) -> str:
-        return f"<group of order {len(self.elements)} on {self.degree} points>"
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+        return f"<group of order {len(self)} on {self.degree} points>"
 
     def index(self, perm: Perm) -> int:
         try:
@@ -230,7 +256,7 @@ class GroupTable:
         return self.elements[i]
 
     def identity(self) -> Perm:
-        return self.elements[0]
+        return Perm.identity(self.degree)
 
     def generator_indices(self) -> tuple:
         return tuple(self.index(g) for g in self.generators)
@@ -240,6 +266,189 @@ class GroupTable:
 
     def inverse_index(self, i: int) -> int:
         return self._pos[self.elements[i].inverse().images]
+
+
+# ---- stabiliser chains ---------------------------------------------------------
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Image tuple of a followed by b."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _invert(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for src, dst in enumerate(a):
+        out[dst] = src
+    return tuple(out)
+
+
+def _first_moved(images: tuple, start: int = 0) -> Optional[int]:
+    for i in range(start, len(images)):
+        if images[i] != i:
+            return i
+    return None
+
+
+def _witnesses(start, identity: tuple, gens: Sequence[tuple], act: Callable) -> dict:
+    """For each point that ``gens`` reach from ``start``, the first product
+    of generators found carrying ``start`` there, as an image tuple:
+    breadth first, generators in listed order.  ``act(x, g)`` is the
+    image of the point x under g."""
+    wit = {start: identity}
+
+    def step(x):
+        images = [act(x, g) for g in gens]
+        for g, y in zip(gens, images):
+            if y not in wit:
+                wit[y] = _compose(wit[x], g)
+        return images
+
+    for _ in closure((start,), step):
+        pass
+    return wit
+
+
+class StabChain:
+    """A stabiliser chain of the group that some image tuples generate,
+    with base 0, 1, ..., n-1 (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4).
+
+    Level b is kept when the stabiliser of 0, ..., b-1 moves b.  It holds,
+    for each point of that stabiliser's orbit of b, one element carrying b
+    there, with its inverse.  The order is the product of the orbit
+    lengths, membership is sifting through the levels, and
+    ``least_in_coset`` descends them in base order.
+
+    Deterministic Schreier-Sims: a strong generator belongs to every level
+    up to the first point it moves.  Levels are closed from the deepest
+    up.  Each Schreier generator t_p.g.t_(p^g)^-1 is sifted once, and the
+    first one that does not sift to the identity becomes a strong
+    generator, after which the levels it joins are closed again.
+    Transversals only ever gain points, so a generator that sifted once
+    still sifts.
+    """
+
+    __slots__ = ("degree", "_strong", "_levels", "_base", "_checked")
+
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
+        self.degree = degree
+        self._strong: list = []  # (first moved point, images)
+        self._levels: dict = {}  # base point -> {orbit point: (t, t^-1)}
+        self._base: list = []
+        self._checked: dict = {}  # base point -> {(orbit point, generator number)}
+        for g in generators:
+            residue = self._sift(tuple(g))
+            if residue is not None:
+                self._add(residue)
+        k = len(self._base) - 1
+        while k >= 0:
+            residue = self._close(self._base[k])
+            if residue is None:
+                k -= 1
+            else:
+                b = self._add(residue)
+                k = self._base.index(b)
+
+    def _add(self, g: tuple) -> int:
+        b = _first_moved(g)
+        self._strong.append((b, g))
+        if b not in self._levels:
+            ident = tuple(range(self.degree))
+            self._levels[b] = {b: (ident, ident)}
+            self._checked[b] = set()
+            self._base = sorted(self._levels)
+        return b
+
+    def _close(self, b: int) -> Optional[tuple]:
+        """Close the orbit of b under the strong generators fixing 0..b-1
+        and sift each Schreier generator not sifted before; the first
+        residue that is not the identity comes back."""
+        level, checked = self._levels[b], self._checked[b]
+        gens = [g for m, g in self._strong if m >= b]
+        found = []
+
+        def step(p):
+            if found:
+                return ()
+            t = level[p][0]
+            images = []
+            for k, g in enumerate(gens):
+                q = g[p]
+                images.append(q)
+                if (p, k) in checked:
+                    continue
+                checked.add((p, k))
+                tg = _compose(t, g)
+                if q not in level:
+                    level[q] = (tg, _invert(tg))
+                    continue
+                residue = self._sift(_compose(tg, level[q][1]))
+                if residue is not None:
+                    found.append(residue)
+                    break
+            return images
+
+        for _ in closure(list(level), step):
+            if found:
+                break
+        return found[0] if found else None
+
+    def _sift(self, g: tuple) -> Optional[tuple]:
+        """What is left of g after dividing out the levels, or None when
+        that is the identity, which is when g lies in the group."""
+        levels = self._levels
+        b = _first_moved(g)
+        while b is not None:
+            level = levels.get(b)
+            if level is None or g[b] not in level:
+                return g
+            g = _compose(g, level[g[b]][1])
+            b = _first_moved(g, b + 1)
+        return None
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(level) for level in self._levels.values())
+
+    @property
+    def generators(self) -> list:
+        """A strong generating set, as image tuples."""
+        return [g for _, g in self._strong]
+
+    def contains(self, images: Sequence[int]) -> bool:
+        return len(images) == self.degree and self._sift(tuple(images)) is None
+
+    def stabilizer(self, point: int) -> "StabChain":
+        """The chain of the stabiliser of ``point``.  For point 0 the strong
+        generators fixing 0 generate it; elsewhere Schreier generators on
+        the orbit of the point do."""
+        if point == 0:
+            return StabChain(self.degree, [g for b, g in self._strong if b > 0])
+        return stabilizer_chain(self.degree, self.generators, point, lambda x, g: g[x])
+
+    def least_in_coset(self, g: Sequence[int]) -> tuple:
+        """The least image tuple in the right coset H.g, H this chain's
+        group: level by level in base order, carry the base point to the
+        orbit point that g sends lowest."""
+        g = tuple(g)
+        for b in self._base:
+            level = self._levels[b]
+            g = _compose(level[min(level, key=g.__getitem__)][0], g)
+        return g
+
+
+def stabilizer_chain(degree: int, generators: Sequence[tuple], point, act: Callable) -> StabChain:
+    """The chain of the stabiliser of ``point`` in the group that the image
+    tuples ``generators`` generate, where ``act(x, g)`` is the image of
+    the point x under g.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1,
+    for x in the orbit and g a generator, generate the stabiliser."""
+    wit = _witnesses(point, tuple(range(degree)), generators, act)
+    inverse = {x: _invert(t) for x, t in wit.items()}
+    return StabChain(
+        degree,
+        [_compose(_compose(t, g), inverse[act(x, g)]) for x, t in wit.items() for g in generators],
+    )
 
 
 def closure(seed: Iterable, step: Callable) -> Iterator:
@@ -365,27 +574,9 @@ def transversal(group: GroupTable, point: int) -> dict:
     """
     if not 0 <= point < group.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    wit = {point: group.identity()}
-    frontier = [point]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group.generators:
-                y = g.images[x]
-                if y not in wit:
-                    wit[y] = wit[x] * g
-                    new.append(y)
-        frontier = new
-    return wit
-
-
-def stabilizer(group: GroupTable, point: int) -> GroupTable:
-    """Point stabiliser as a group in its own right (same degree)."""
-    if not 0 <= point < group.degree:
-        raise PointOutOfRange(f"point {point} outside the domain of the group")
-    elems = [p for p in group.elements if p.images[point] == point]
-    gens = small_generating_set(group.degree, elems)
-    return GroupTable(group.degree, gens, elems)
+    gens = [g.images for g in group.generators]
+    wit = _witnesses(point, tuple(range(group.degree)), gens, lambda x, g: g[x])
+    return {p: Perm(t) for p, t in wit.items()}
 
 
 def is_transitive(group: GroupTable, domain_size: Optional[int] = None) -> bool:
@@ -396,35 +587,67 @@ def is_transitive(group: GroupTable, domain_size: Optional[int] = None) -> bool:
     return len(orbit(group, 0)) == group.degree
 
 
-@dataclass(frozen=True)
 class Action:
-    """A finite group acting on {0, ..., n_points-1}, one image row per
-    group element.
+    """A finite group acting on {0, ..., n_points-1}.
 
     ``group`` indexes the rows and may act unfaithfully here; that is the
     point of keeping rows separate from the group's own degree.  Any object
     with ``__len__``, ``generator_indices()`` and ``product_index(i, j)``
-    can stand in for a GroupTable.  The rows are not checked to compose;
-    whoever builds them answers for that.  Orbits and invariance are
-    decided on the generator rows alone.
+    can stand in for a GroupTable.  The action is given by one image row
+    per group element (``rows``), or by one row per generator of the
+    group (``gen_rows``), in which case the rows of the other elements
+    are composed along the Cayley graph on first access of ``rows``.  The
+    rows are not checked to compose; whoever builds them answers for
+    that.  Orbits and invariance are decided on the generator rows alone.
     """
 
-    group: object
-    n_points: int
-    rows: tuple
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.group):
-            raise DegreeMismatch("need exactly one image row per group element")
+    def __init__(self, group, n_points: int, rows=None, gen_rows=None):
+        self.group = group
+        self.n_points = n_points
+        self._gen_rows = None if gen_rows is None else tuple(gen_rows)
+        if rows is not None:
+            self.rows = tuple(rows)
+            if len(self.rows) != len(group):
+                raise DegreeMismatch("need exactly one image row per group element")
 
     @classmethod
     def natural(cls, group: GroupTable) -> "Action":
-        return cls(group, group.degree, tuple(p.images for p in group))
+        return cls(group, group.degree, gen_rows=[g.images for g in group.generators])
+
+    def _is_natural(self) -> bool:
+        group = self.group
+        return isinstance(group, GroupTable) and self.generator_rows() == tuple(
+            g.images for g in group.generators
+        )
+
+    @cached_property
+    def rows(self) -> tuple:
+        if self._is_natural():
+            return tuple(p.images for p in self.group)
+        values = extend_on_generators(
+            self.group,
+            self._gen_rows,
+            tuple(range(self.n_points)),
+            lambda r, s: tuple(s[x] for x in r),
+        )
+        return tuple(values[i] for i in range(len(self.group)))
 
     def generator_rows(self) -> tuple:
-        return tuple(self.rows[i] for i in self.group.generator_indices())
+        if self._gen_rows is None:
+            self._gen_rows = tuple(self.rows[i] for i in self.group.generator_indices())
+        return self._gen_rows
 
     def kernel_size(self) -> int:
+        """Read off the rows when they are held.  Otherwise a group acts
+        faithfully on its own points, and an unlisted group's kernel is
+        |G| over the order of the group its generator rows generate, both
+        from stabiliser chains; a listed group's rows are built and read."""
+        group = self.group
+        if "rows" not in vars(self):
+            if self._is_natural():
+                return 1
+            if isinstance(group, GroupTable) and not group.is_listed:
+                return len(group) // StabChain(self.n_points, self.generator_rows()).order
         ident = tuple(range(self.n_points))
         return sum(1 for r in self.rows if r == ident)
 

@@ -57,20 +57,28 @@ class Quotient:
     report: TransitivityReport
 
 
-def quotient(graph: Graph, group: GroupLike, partition: BlockSystem) -> Quotient:
+def quotient(
+    graph: Graph,
+    group: GroupLike,
+    partition: BlockSystem,
+    report: Optional[TransitivityReport] = None,
+) -> Quotient:
     """The quotient of a symmetric graph by an invariant partition.
 
     Vertices are the blocks; two blocks are adjacent when any arc joins
     them.  Arcs inside a block are discarded, not marked.  The induced
     action on the result is certified symmetric, which the invariance of
-    the partition guarantees.
+    the partition guarantees.  ``report`` is the graph's own report under
+    the group, for a caller that has already verified it.
     """
     if partition.n_points != graph.n:
         raise NotInvariant(
             f"partition of {partition.n_points} points against a graph on {graph.n}"
         )
     act = coerce_action(group, graph.n)
-    if not verify_action(graph, act).symmetric:
+    if report is None:
+        report = verify_action(graph, act)
+    if not report.symmetric:
         raise NotSymmetric("quotients are taken of symmetric graphs only")
     qact = quotient_action(partition, act)
     labels = tuple(

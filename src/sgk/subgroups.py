@@ -3,39 +3,76 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainTooLarge, NotASubgroup, NotTransitive, PointOutOfRange
 from .perm import (
     Action,
+    GroupSpec,
     GroupTable,
     Perm,
+    StabChain,
     closure,
-    extend_on_generators,
+    enumerate_group,
     is_transitive,
     small_generating_set,
-    stabilizer,
+    stabilizer_chain,
 )
 
 DOMAIN_LIMIT = 512
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup carried by its full element list inside a parent group."""
+    """A subgroup of ``parent``, given by generators or by its full element
+    list.
 
-    parent: GroupTable
-    elements: tuple
+    Given by generators, its order and membership come from a stabiliser
+    chain, and its elements are listed on first access, sorted by image
+    tuple with the identity in front.  Given by elements, it reads them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(p.images for p in self.elements))
+    def __init__(self, parent: GroupTable, elements=None, generators=None):
+        self.parent = parent
+        if elements is not None:
+            self.elements = tuple(elements)
+        if generators is not None:
+            self.generators = tuple(generators)
+
+    @cached_property
+    def elements(self) -> tuple:
+        degree = self.parent.degree
+        gens = self.generators or (Perm.identity(degree),)
+        return enumerate_group(GroupSpec(degree, gens)).elements
+
+    @cached_property
+    def chain(self) -> StabChain:
+        given = vars(self).get("generators")
+        source = self.elements if given is None else given
+        return StabChain(self.parent.degree, [p.images for p in source])
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple(Perm(g) for g in self.chain.generators)
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(p.images for p in self.elements)
 
     @property
+    def is_listed(self) -> bool:
+        return "elements" in vars(self)
+
+    @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self.is_listed else self.chain.order
 
     def __contains__(self, perm) -> bool:
-        return isinstance(perm, Perm) and perm.images in self._members
+        if not isinstance(perm, Perm):
+            return False
+        if self.is_listed:
+            return perm.images in self._members
+        return self.chain.contains(perm.images)
 
     def member_images(self) -> frozenset:
         return self._members
@@ -83,8 +120,7 @@ def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> 
     for g in generators:
         if g not in parent:
             raise NotASubgroup(f"{g.cycle_string()} lies outside the parent group")
-    elems = closure((parent.identity(),), lambda p: [p * g for g in generators])
-    return Subgroup(parent, _sorted_unique(elems))
+    return Subgroup(parent, generators=generators)
 
 
 def trivial_subgroup(parent: GroupTable) -> Subgroup:
@@ -96,8 +132,9 @@ def full_subgroup(parent: GroupTable) -> Subgroup:
 
 
 def stabilizer_subgroup(parent: GroupTable, point: int) -> Subgroup:
-    table = stabilizer(parent, point)
-    return Subgroup(parent, table.elements)
+    if not 0 <= point < parent.degree:
+        raise PointOutOfRange(f"point {point} outside the domain of the group")
+    return Subgroup(parent, generators=map(Perm, parent.chain.stabilizer(point).generators))
 
 
 def setwise_stabilizer(parent: GroupTable, points: Iterable[int]) -> Subgroup:
@@ -117,75 +154,88 @@ def conjugate_subgroup(sub: Subgroup, by: Perm) -> Subgroup:
 
 
 def _require_sub(group: GroupTable, sub: Subgroup) -> None:
-    if sub.parent is not group and not sub.member_images() <= {
-        p.images for p in group.elements
-    }:
+    if sub.parent is group:
+        return
+    known = sub.elements if sub.is_listed else sub.generators
+    if not all(p in group for p in known):
         raise NotASubgroup("the subgroup does not live inside this group")
 
 
 # ---- cosets -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CosetSpace:
     """Right cosets Hg, acted on by right multiplication.
 
-    Representatives are the lexicographically least elements of their
-    cosets, listed in that order, so the coset of H itself comes first.
+    Each coset is named by its least element, which H's stabiliser chain
+    finds without listing H.  The cosets are the closure of H under the
+    group's generators, listed by representative, so the coset of H
+    itself comes first.  ``coset_of_element`` lists G and is built on
+    first access.
     """
 
-    group: GroupTable
-    sub: Subgroup
-    reps: tuple
-    coset_of_element: tuple
+    def __init__(self, group: GroupTable, sub: Subgroup):
+        self.group, self.sub = group, sub
+        least = sub.chain.least_in_coset
+        gens = [g.images for g in group.generators]
+        successors = {}
+
+        def step(x):
+            successors[x] = [least(tuple(map(g.__getitem__, x))) for g in gens]
+            return successors[x]
+
+        reps = sorted(closure((tuple(range(group.degree)),), step))
+        self._number = {r: i for i, r in enumerate(reps)}
+        self.reps = tuple(Perm(r) for r in reps)
+        self._gen_rows = tuple(
+            tuple(self._number[successors[r][k]] for r in reps) for k in range(len(gens))
+        )
 
     @property
     def n_cosets(self) -> int:
         return len(self.reps)
 
     def coset_of(self, perm: Perm) -> int:
-        return self.coset_of_element[self.group.index(perm)]
+        try:
+            return self._number[self.sub.chain.least_in_coset(perm.images)]
+        except KeyError:
+            raise KeyError(f"{perm.cycle_string()} is not in this group") from None
+
+    @cached_property
+    def coset_of_element(self) -> tuple:
+        """The coset of each group element, in element order."""
+        index = self.group.index
+        out = [-1] * len(self.group)
+        for c, rep in enumerate(self.reps):
+            for h in self.sub.elements:
+                out[index(h * rep)] = c
+        return tuple(out)
 
     def generator_rows(self) -> tuple:
         """The action of the group's generators, in generator order."""
-        index, cfe = self.group.index, self.coset_of_element
-        return tuple(
-            tuple(cfe[index(rep * g)] for rep in self.reps) for g in self.group.generators
-        )
+        return self._gen_rows
 
     def action(self) -> Action:
-        """One row per element, composed from the generator rows along the
-        Cayley graph of the group."""
-        n = len(self.reps)
-        rows = extend_on_generators(
-            self.group, self.generator_rows(), tuple(range(n)), lambda r, s: tuple(s[x] for x in r)
-        )
-        return Action(self.group, n, tuple(rows[i] for i in range(len(self.group))))
+        """The action on the cosets; rows for elements other than the
+        generators are composed on first use."""
+        return Action(self.group, len(self.reps), gen_rows=self._gen_rows)
 
-    def kernel(self) -> Subgroup:
-        ident = tuple(range(len(self.reps)))
-        act = self.action()
-        elems = [
-            self.group.elements[i]
-            for i, row in enumerate(act.rows)
-            if row == ident
-        ]
-        return Subgroup(self.group, tuple(elems))
+    def stabilizer(self, generators: Sequence[Perm], coset: int) -> StabChain:
+        """The chain of the stabiliser of coset number ``coset`` in the group
+        that ``generators``, elements of the group, generate."""
+        number, least = self._number, self.sub.chain.least_in_coset
+        reps = [r.images for r in self.reps]
+        return stabilizer_chain(
+            self.group.degree,
+            [g.images for g in generators],
+            coset,
+            lambda c, g: number[least(tuple(map(g.__getitem__, reps[c])))],
+        )
 
 
 def right_cosets(group: GroupTable, sub: Subgroup) -> CosetSpace:
     _require_sub(group, sub)
-    coset_of = [-1] * len(group)
-    reps = []
-    for i, g in enumerate(group.elements):
-        if coset_of[i] >= 0:
-            continue
-        # scanning in element order makes g the least member of a new coset
-        reps.append(g)
-        c = len(reps) - 1
-        for h in sub.elements:
-            coset_of[group.index(h * g)] = c
-    return CosetSpace(group, sub, tuple(reps), tuple(coset_of))
+    return CosetSpace(group, sub)
 
 
 def core(group: GroupTable, sub: Subgroup) -> Subgroup:

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from conftest import FIXDIR, REPO
-from sgk import cli
+from sgk import cli, constructions
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.perm import Action
@@ -483,6 +483,38 @@ def test_broken_postcondition_is_a_failed_claim(capsys, monkeypatch):
             "counterexample": "certification failed: a planted fault",
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "command, primary",
+    [("biggs", "biggs-action-law"), ("threearc", "three-arc-identification")],
+)
+def test_broken_cover_is_a_failed_claim(capsys, monkeypatch, tmp_path, command, primary):
+    """A construction that builds a graph its group does not act on
+    symmetrically fails its own claim (exit 2); the quotient it takes
+    afterwards does not turn that into a rejected input (exit 1)."""
+    real = constructions.Graph
+
+    def broken(labels, arcs):
+        arcs = sorted(set(arcs))
+        u, v = arcs[0]
+        return real(labels, [arc for arc in arcs if arc not in ((u, v), (v, u))])
+
+    monkeypatch.setattr(constructions, "Graph", broken)
+    if command == "biggs":
+        twist = tmp_path / "twist.txt"
+        twist.write_text("trivial\n")
+        chain = tmp_path / "chain.txt"
+        chain.write_text("arc 1 2 (1 2)\n")
+        extra = ["--n", str(FIXDIR / "z2.grp"), "--twist", str(twist), "--chain", str(chain)]
+    else:
+        extra = ["--orbit-index", "0"]
+    code, out, err = run(capsys, command, "--graph", GRAPH, "--group", GRP, *extra)
+    assert code == 2, err
+    doc = cert_from(out)
+    claim = next(c for c in doc["claims"] if c["id"] == primary)
+    assert not claim["pass"]
+    assert "symmetric" in claim["counterexample"]
 
 
 def test_crash_is_not_a_counterexample(capsys, monkeypatch, tmp_path):

@@ -1,0 +1,124 @@
+"""Stabiliser chains against sympy and against the listed elements.
+
+Groups of degree at most 10: the fixtures, random generator sets of
+degree at most 9, and relabelled dihedral groups, direct products of
+symmetric groups on disjoint blocks (intransitive) and wreath products
+S_k wr S_m (transitive, imprimitive).  Groups of order above LIST_LIMIT
+are checked against sympy only; the rest are listed too.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from sgk import fixtures as fx
+from sgk.perm import GroupSpec, Perm, StabChain, enumerate_group
+
+LIST_LIMIT = 2000
+FIXTURES = [fx.s4(), fx.s5(), fx.d4(), fx.d6(), fx.z2(), fx.z6(), fx.octahedron_aut()]
+
+
+def _symmetric_on(points):
+    """Generators of the symmetric group on ``points``, as cycles."""
+    if len(points) < 2:
+        return []
+    return [[points[0], points[1]], list(points)]
+
+
+def _images(n, cycles):
+    images = list(range(n))
+    for cyc in cycles:
+        for i, p in enumerate(cyc):
+            images[p] = cyc[(i + 1) % len(cyc)]
+    return tuple(images)
+
+
+@st.composite
+def generator_sets(draw):
+    """(degree, generator image tuples)."""
+    kind = draw(st.sampled_from(["random", "dihedral", "product", "wreath"]))
+    if kind == "random":
+        n = draw(st.integers(1, 9))
+        perms = st.permutations(range(n)).map(tuple)
+        return n, draw(st.lists(perms, min_size=1, max_size=3))
+    if kind == "dihedral":
+        n = draw(st.integers(3, 10))
+        gens = [[tuple(range(n))], [(i, n - i) for i in range(1, (n + 1) // 2)]]
+    elif kind == "product":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        n, gens = 0, []
+        for size in sizes:
+            if n + size > 10:
+                break
+            gens += [[c] for c in _symmetric_on(list(range(n, n + size)))]
+            n += size
+        n = max(n, 1)
+    else:
+        k, m = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3)]))
+        n = k * m
+        blocks = [list(range(b * k, (b + 1) * k)) for b in range(m)]
+        gens = [[c] for c in _symmetric_on(blocks[0])]
+        gens.append([list(col) for col in zip(*blocks)])
+        gens.append([list(col) for col in zip(blocks[0], blocks[1])])
+    relabel = draw(st.permutations(range(n)))
+    gens = [[[relabel[p] for p in cyc] for cyc in g if len(cyc) > 1] for g in gens]
+    return n, [_images(n, g) for g in gens] or [tuple(range(n))]
+
+
+def _listed(n, gens):
+    return enumerate_group(GroupSpec(n, tuple(Perm(g) for g in gens)))
+
+
+def _sympy(gens):
+    return PermutationGroup([Permutation(list(g)) for g in gens])
+
+
+def _check_against_sympy(n, gens):
+    """The chain and, when the order is at most LIST_LIMIT, the listing."""
+    chain = StabChain(n, gens)
+    oracle = _sympy(gens)
+    assert chain.order == oracle.order()
+    for p in range(n):
+        assert chain.stabilizer(p).order == oracle.stabilizer(p).order()
+    if chain.order > LIST_LIMIT:
+        return chain, None
+    listed = _listed(n, gens)
+    assert chain.order == len(listed)
+    assert all(chain.contains(g.images) for g in listed.elements)
+    return chain, listed
+
+
+@pytest.mark.parametrize("index", range(len(FIXTURES)))
+def test_fixture_chains_match_sympy(index):
+    group = FIXTURES[index]
+    _check_against_sympy(group.degree, [g.images for g in group.generators])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.data())
+def test_chain_matches_sympy_and_the_listing(group, data):
+    n, gens = group
+    chain, listed = _check_against_sympy(n, gens)
+    oracle = _sympy(gens)
+    for images in data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=5)):
+        member = oracle.contains(Permutation(list(images)))
+        if listed is not None:
+            assert member == any(g.images == images for g in listed.elements)
+        assert chain.contains(images) == member
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.data())
+def test_least_coset_element_matches_the_listed_coset(group, data):
+    n, gens = group
+    if StabChain(n, gens).order > LIST_LIMIT:
+        return
+    elements = _listed(n, gens).elements
+    pick = st.sampled_from(elements)
+    sub_gens = data.draw(st.lists(pick, min_size=1, max_size=2))
+    sub = _listed(n, [h.images for h in sub_gens]).elements
+    sub_chain = StabChain(n, [h.images for h in sub_gens])
+    assert sub_chain.order == len(sub)
+    for g in data.draw(st.lists(pick, min_size=1, max_size=4)):
+        assert sub_chain.least_in_coset(g.images) == min((h * g).images for h in sub)
