@@ -364,11 +364,11 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
 
     action_only = sorted(
         x.cycle_string()
-        for x in map(Perm, by_action.generators)
+        for x in by_action.generators
         if not (x in sub and a * x * a in sub)
     )
     algebra_only = sorted(
-        x.cycle_string() for x in map(Perm, by_algebra.generators) if not fixes_arc(x)
+        x.cycle_string() for x in by_algebra.generators if not fixes_arc(x)
     )
     same = by_action.order == by_algebra.order and not action_only and not algebra_only
     cert.claim(

@@ -456,8 +456,10 @@ def three_arc_orbits(
     graph: Graph, group: GroupLike, report: Optional[TransitivityReport] = None
 ) -> list:
     """Orbits on 3-arcs, each with its reversal partner worked out.
-    ``report`` is the graph's report under the group, when the caller has
-    it already."""
+
+    ``report``, when given, must be ``verify_action(graph, group)``; it
+    spares a caller that holds it the second verification.
+    """
     act = coerce_action(group, graph.n)
     if report is None:
         report = verify_action(graph, act)
@@ -493,7 +495,7 @@ class ThreeArcGraph:
 
 
 def three_arc_graph(
-    graph: Graph, group: GroupLike, orbit, base_report: Optional[TransitivityReport] = None
+    graph: Graph, group: GroupLike, orbit, report: Optional[TransitivityReport] = None
 ) -> ThreeArcGraph:
     """The graph on the arcs of a symmetric graph, joined through a
     self-paired orbit on 3-arcs: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′)
@@ -502,13 +504,13 @@ def three_arc_graph(
     Grouping the vertices by initial vertex gives back the original
     graph, which is certified along with symmetry of the induced action;
     the certified quotient stays on the result's ``certificate``.
-    ``base_report`` is the base graph's report under the group, when the
-    caller has it already.
+    ``report``, when given, must be ``verify_action(graph, group)``; it
+    spares a caller that holds it the second verification.
     """
     act = coerce_action(group, graph.n)
-    if base_report is None:
-        base_report = verify_action(graph, act)
-    if not base_report.symmetric:
+    if report is None:
+        report = verify_action(graph, act)
+    if not report.symmetric:
         raise NotSymmetric("three-arc graphs are built over symmetric graphs")
     delta = frozenset(
         tuple(t) for t in (orbit.arcs if isinstance(orbit, ThreeArcOrbit) else orbit)
@@ -539,21 +541,21 @@ def three_arc_graph(
         tuple(index[(row[u], row[v])] for (u, v) in averts) for row in act.rows
     )
     action = Action(act.group, len(averts), rows)
-    report = verify_action(taggraph, action)
-    certify(report.symmetric, "the arc action is symmetric on the three-arc graph")
+    tag_report = verify_action(taggraph, action)
+    certify(tag_report.symmetric, "the arc action is symmetric on the three-arc graph")
     reverse_adjacent = any(
         taggraph.has_arc(i, index[(v, u)]) for i, (u, v) in enumerate(averts)
     )
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(quotient(taggraph, action, partition, report))
+    certificate = certify_quotient(quotient(taggraph, action, partition, tag_report))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",
     )
     return ThreeArcGraph(
-        taggraph, tuple(averts), action, report, partition, certificate,
+        taggraph, tuple(averts), action, tag_report, partition, certificate,
         reverse_adjacent,
     )
 

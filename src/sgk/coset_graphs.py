@@ -25,7 +25,6 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
-    StabChain,
     closure,
     coerce_action,
     orbits,
@@ -120,7 +119,7 @@ class CosetGraphResult:
     action: Action
     report: TransitivityReport
     valency: int
-    arc_stabilizer: StabChain
+    arc_stabilizer: Subgroup
     kernel_order: int
     connected: bool
 
@@ -146,7 +145,8 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
 
     The arcs are the orbit of the one arc (Ha, H), so the double coset is
     never multiplied out, and the arc stabiliser is the stabiliser of Ha
-    in H, from its own chain; neither G nor H is listed.
+    in H, given by its Schreier generators.  Neither G nor H is listed
+    unless G is listed already.
     """
     if a not in group:
         raise NotInvolution(f"{a.cycle_string()} is not in the group")

@@ -191,28 +191,42 @@ class GroupSpec:
 
 
 class GroupTable:
-    """A permutation group given by its generators.
+    """A permutation group, given by its generators, its full element list,
+    or both.
 
     Order and membership come from a stabiliser chain (``chain``), built
     on first use.  The elements are listed on first access of
     ``elements``, under the element cap, sorted by image tuple; the
     identity's image tuple is the lexicographic minimum of all
     permutations, so it always sits at index 0.  Everything that indexes
-    elements uses this order.  Once the elements are listed, order and
-    membership read the list, so a listed group never pays for a chain.
+    elements uses this order.  Once the elements are listed, order,
+    membership and least coset elements read the list, so a listed group
+    never pays for a chain.  A group given by elements alone gets a
+    greedy generating set on first access of ``generators``.
     """
 
     def __init__(
-        self, degree: int, generators: Sequence[Perm], elements: Optional[Sequence[Perm]] = None
+        self,
+        degree: int,
+        generators: Optional[Sequence[Perm]] = None,
+        elements: Optional[Sequence[Perm]] = None,
     ):
+        if generators is None and elements is None:
+            raise ValueError("a group needs generators or elements")
         self.degree = degree
-        self.generators = tuple(generators)
+        if generators is not None:
+            self.generators = tuple(generators)
         if elements is not None:
             self.elements = tuple(elements)
 
     @cached_property
+    def generators(self) -> tuple:
+        return small_generating_set(self.degree, self.elements)
+
+    @cached_property
     def elements(self) -> tuple:
-        return enumerate_group(GroupSpec(self.degree, self.generators)).elements
+        gens = self.generators or (Perm.identity(self.degree),)
+        return enumerate_group(GroupSpec(self.degree, gens)).elements
 
     @cached_property
     def _pos(self) -> dict:
@@ -245,6 +259,13 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"<group of order {len(self)} on {self.degree} points>"
+
+    def least_in_coset(self, g: Sequence[int]) -> tuple:
+        """The least image tuple in the right coset Hg, H this group."""
+        if self.is_listed:
+            at = g.__getitem__
+            return min(tuple(map(at, h.images)) for h in self.elements)
+        return self.chain.least_in_coset(g)
 
     def index(self, perm: Perm) -> int:
         try:
@@ -425,7 +446,10 @@ class StabChain:
         the orbit of the point do."""
         if point == 0:
             return StabChain(self.degree, [g for b, g in self._strong if b > 0])
-        return stabilizer_chain(self.degree, self.generators, point, lambda x, g: g[x])
+        return StabChain(
+            self.degree,
+            schreier_generators(self.degree, self.generators, point, lambda x, g: g[x]),
+        )
 
     def least_in_coset(self, g: Sequence[int]) -> tuple:
         """The least image tuple in the right coset H.g, H this chain's
@@ -438,17 +462,20 @@ class StabChain:
         return g
 
 
-def stabilizer_chain(degree: int, generators: Sequence[tuple], point, act: Callable) -> StabChain:
-    """The chain of the stabiliser of ``point`` in the group that the image
-    tuples ``generators`` generate, where ``act(x, g)`` is the image of
-    the point x under g.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1,
-    for x in the orbit and g a generator, generate the stabiliser."""
-    wit = _witnesses(point, tuple(range(degree)), generators, act)
+def schreier_generators(degree: int, generators: Sequence[tuple], point, act: Callable) -> list:
+    """Image tuples that generate the stabiliser of ``point`` in the group
+    that the image tuples ``generators`` generate, where ``act(x, g)`` is
+    the image of the point x under g.  Schreier's lemma: the elements
+    t_x.g.t_(x^g)^-1, for x in the orbit and g a generator, generate the
+    stabiliser; each is kept once, and the identity not at all."""
+    identity = tuple(range(degree))
+    wit = _witnesses(point, identity, generators, act)
     inverse = {x: _invert(t) for x, t in wit.items()}
-    return StabChain(
-        degree,
-        [_compose(_compose(t, g), inverse[act(x, g)]) for x, t in wit.items() for g in generators],
+    found = dict.fromkeys(
+        _compose(_compose(t, g), inverse[act(x, g)]) for x, t in wit.items() for g in generators
     )
+    found.pop(identity, None)
+    return list(found)
 
 
 def closure(seed: Iterable, step: Callable) -> Iterator:

@@ -68,8 +68,9 @@ def quotient(
     Vertices are the blocks; two blocks are adjacent when any arc joins
     them.  Arcs inside a block are discarded, not marked.  The induced
     action on the result is certified symmetric, which the invariance of
-    the partition guarantees.  ``report`` is the graph's own report under
-    the group, for a caller that has already verified it.
+    the partition guarantees.  ``report``, when given, must be
+    ``verify_action(graph, group)``; it spares a caller that holds it the
+    second verification.
     """
     if partition.n_points != graph.n:
         raise NotInvariant(

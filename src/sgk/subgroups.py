@@ -6,81 +6,75 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DomainTooLarge, NotASubgroup, NotTransitive, PointOutOfRange
+from .errors import (
+    CapExceeded,
+    DomainTooLarge,
+    NotASubgroup,
+    NotTransitive,
+    PointOutOfRange,
+)
 from .perm import (
     Action,
-    GroupSpec,
     GroupTable,
     Perm,
-    StabChain,
     closure,
-    enumerate_group,
+    element_cap,
     is_transitive,
-    small_generating_set,
-    stabilizer_chain,
+    schreier_generators,
 )
 
 DOMAIN_LIMIT = 512
 
 
 class Subgroup:
-    """A subgroup of ``parent``, given by generators or by its full element
-    list.
+    """A subgroup of ``parent``: its own table on the parent's points,
+    given by generators or by its full element list.
 
-    Given by generators, its order and membership come from a stabiliser
-    chain, and its elements are listed on first access, sorted by image
-    tuple with the identity in front.  Given by elements, it reads them.
+    A subgroup of a listed parent is listed as well, so commands that list
+    their group never build a chain; otherwise order and membership come
+    from the table's chain and the elements are listed only on request.
     """
 
     def __init__(self, parent: GroupTable, elements=None, generators=None):
         self.parent = parent
-        if elements is not None:
-            self.elements = tuple(elements)
         if generators is not None:
-            self.generators = tuple(generators)
+            generators = tuple(generators)
+        if elements is None and parent.is_listed:
+            elements = GroupTable(parent.degree, generators).elements
+        self.table = GroupTable(parent.degree, generators, elements)
 
-    @cached_property
+    @property
     def elements(self) -> tuple:
-        degree = self.parent.degree
-        gens = self.generators or (Perm.identity(degree),)
-        return enumerate_group(GroupSpec(degree, gens)).elements
+        return self.table.elements
 
-    @cached_property
-    def chain(self) -> StabChain:
-        given = vars(self).get("generators")
-        source = self.elements if given is None else given
-        return StabChain(self.parent.degree, [p.images for p in source])
-
-    @cached_property
+    @property
     def generators(self) -> tuple:
-        return tuple(Perm(g) for g in self.chain.generators)
+        return self.table.generators
+
+    @property
+    def is_listed(self) -> bool:
+        return self.table.is_listed
+
+    @property
+    def order(self) -> int:
+        return self.table.order
+
+    def __contains__(self, perm) -> bool:
+        return perm in self.table
+
+    def least_in_coset(self, g) -> tuple:
+        return self.table.least_in_coset(g)
 
     @cached_property
     def _members(self) -> frozenset:
         return frozenset(p.images for p in self.elements)
-
-    @property
-    def is_listed(self) -> bool:
-        return "elements" in vars(self)
-
-    @cached_property
-    def order(self) -> int:
-        return len(self.elements) if self.is_listed else self.chain.order
-
-    def __contains__(self, perm) -> bool:
-        if not isinstance(perm, Perm):
-            return False
-        if self.is_listed:
-            return perm.images in self._members
-        return self.chain.contains(perm.images)
 
     def member_images(self) -> frozenset:
         return self._members
 
     def as_group(self) -> GroupTable:
         """The subgroup as a standalone group on the same points."""
-        gens = small_generating_set(self.parent.degree, self.elements)
-        return GroupTable(self.parent.degree, gens, self.elements)
+        return self.table
 
     def __repr__(self) -> str:
         return f"<subgroup of order {self.order}>"
@@ -134,6 +128,8 @@ def full_subgroup(parent: GroupTable) -> Subgroup:
 def stabilizer_subgroup(parent: GroupTable, point: int) -> Subgroup:
     if not 0 <= point < parent.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
+    if parent.is_listed:
+        return Subgroup(parent, [g for g in parent.elements if g.images[point] == point])
     return Subgroup(parent, generators=map(Perm, parent.chain.stabilizer(point).generators))
 
 
@@ -168,15 +164,16 @@ class CosetSpace:
     """Right cosets Hg, acted on by right multiplication.
 
     Each coset is named by its least element, which H's stabiliser chain
-    finds without listing H.  The cosets are the closure of H under the
-    group's generators, listed by representative, so the coset of H
-    itself comes first.  ``coset_of_element`` lists G and is built on
-    first access.
+    finds without listing H, or H's listing when H is listed.  The cosets
+    are the closure of H under the group's generators, listed by
+    representative, so the coset of H itself comes first; their number is
+    held to the element cap.  ``coset_of_element`` lists G and is built
+    on first access.
     """
 
     def __init__(self, group: GroupTable, sub: Subgroup):
         self.group, self.sub = group, sub
-        least = sub.chain.least_in_coset
+        least = sub.least_in_coset
         gens = [g.images for g in group.generators]
         successors = {}
 
@@ -184,7 +181,13 @@ class CosetSpace:
             successors[x] = [least(tuple(map(g.__getitem__, x))) for g in gens]
             return successors[x]
 
-        reps = sorted(closure((tuple(range(group.degree)),), step))
+        cap = element_cap()
+        reps = []
+        for r in closure((tuple(range(group.degree)),), step):
+            if len(reps) >= cap:
+                raise CapExceeded(f"the cosets exceed the element cap of {cap}")
+            reps.append(r)
+        reps.sort()
         self._number = {r: i for i, r in enumerate(reps)}
         self.reps = tuple(Perm(r) for r in reps)
         self._gen_rows = tuple(
@@ -197,7 +200,7 @@ class CosetSpace:
 
     def coset_of(self, perm: Perm) -> int:
         try:
-            return self._number[self.sub.chain.least_in_coset(perm.images)]
+            return self._number[self.sub.least_in_coset(perm.images)]
         except KeyError:
             raise KeyError(f"{perm.cycle_string()} is not in this group") from None
 
@@ -220,17 +223,19 @@ class CosetSpace:
         generators are composed on first use."""
         return Action(self.group, len(self.reps), gen_rows=self._gen_rows)
 
-    def stabilizer(self, generators: Sequence[Perm], coset: int) -> StabChain:
-        """The chain of the stabiliser of coset number ``coset`` in the group
-        that ``generators``, elements of the group, generate."""
-        number, least = self._number, self.sub.chain.least_in_coset
+    def stabilizer(self, generators: Sequence[Perm], coset: int) -> Subgroup:
+        """The stabiliser of coset number ``coset`` in the group that
+        ``generators``, elements of the group, generate, as the subgroup
+        its Schreier generators generate."""
+        number, least = self._number, self.sub.least_in_coset
         reps = [r.images for r in self.reps]
-        return stabilizer_chain(
+        schreier = schreier_generators(
             self.group.degree,
             [g.images for g in generators],
             coset,
             lambda c, g: number[least(tuple(map(g.__getitem__, reps[c])))],
         )
+        return Subgroup(self.group, generators=map(Perm, schreier))
 
 
 def right_cosets(group: GroupTable, sub: Subgroup) -> CosetSpace:

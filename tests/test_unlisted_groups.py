@@ -1,9 +1,12 @@
-"""``cosetgraph``, ``orbitals`` and ``verify`` never list the group.
+"""``cosetgraph``, ``orbitals`` and ``verify`` never list the group, and
+the commands that list it never build a stabiliser chain.
 
-With listing made to raise, each command gives the same exit status,
-output and certificate (apart from ``timing_ms``) as with listing
-allowed, on the coset-ladder inputs: the fixtures plus S6, S7 and M11.
-S9 and S10 coset graphs run under the default element cap.
+With listing made to raise, each of the three commands gives the same
+exit status, output and certificate (apart from ``timing_ms``) as with
+listing allowed, on the coset-ladder inputs: the fixtures plus S6, S7
+and M11.  S9 and S10 coset graphs run under the default element cap,
+while the cap still bounds the number of cosets.  With chains made to
+raise, every other command gives the same outcome as with chains allowed.
 """
 
 import json
@@ -13,6 +16,7 @@ import pytest
 
 from conftest import FIXDIR
 from sgk.cli import main
+from sgk.perm import StabChain
 
 SUBGROUP_S4 = "(2 3),(3 4)"
 SUBGROUP_S5 = "(1 2),(3 4),(4 5)"
@@ -102,3 +106,71 @@ def test_symmetric_group_coset_graph_past_the_cap(capsys, tmp_path, monkeypatch,
     assert facts["arc_stabilizer_order"] * n * (n - 1) == facts["group_order"]
     assert facts["symmetric"] and facts["kernel_order"] == 1
     assert all(c["pass"] for c in doc["claims"])
+
+
+def test_coset_count_is_capped(capsys, tmp_path, monkeypatch):
+    """A mistyped small subgroup of S10 has 1814400 cosets: refused at the
+    cap, which a lowered cap reaches quickly, while the point stabiliser's
+    10 cosets pass under that cap."""
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "5000")
+    group = tmp_path / "s10.grp"
+    group.write_text(symmetric_group_file(10))
+    argv = ["cosetgraph", "--group", str(group), "--involution", "(1 3)", "--subgroup"]
+    code, out, err, doc = outcome(capsys, tmp_path, argv + ["(1 2)"])
+    assert code == 1 and out == "" and doc is None
+    assert err.startswith("sgk: cap-exceeded:")
+    code, _, err, doc = outcome(capsys, tmp_path, argv + ["(2 3),(2 3 4 5 6 7 8 9 10)"])
+    assert code == 0, err
+    assert doc["facts"]["vertices"] == 10
+
+
+def listing_jobs(tmp_path):
+    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "d4", "d6", "z2")}
+    k4, c6 = str(FIXDIR / "k4.graph"), str(FIXDIR / "c6.graph")
+    files = {
+        "twist.txt": "trivial\n",
+        "chain.txt": "arc 1 2 (1 2)\n",
+        "halves.txt": "1 4\n2 5\n3 6\n",
+        "fibres.txt": "1 5\n2 6\n3 7\n4 8\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    t = {name: str(tmp_path / name) for name in files}
+    design, cover, cover_group = (
+        str(tmp_path / f) for f in ("k4.design", "cover.graph", "cover.grp")
+    )
+    return [
+        ["group", "--group", fix["s4"]],
+        ["quotient", "--graph", c6, "--group", fix["d6"], "--blocks", t["halves.txt"]],
+        ["blocks", "--group", fix["d6"]],
+        ["lattice", "--group", fix["d4"]],
+        ["lattice", "--group", fix["s4"]],
+        ["design", "from-graph", "--graph", k4, "--group", fix["s4"],
+         "--out", "design", "--out-file", design],
+        ["design", "to-graph", "--design", design, "--group", fix["s4"]],
+        ["design", "polarities", "--design", design, "--group", fix["s4"]],
+        ["threearc", "--graph", k4, "--group", fix["s4"], "--orbit-index", "0"],
+        ["biggs", "--graph", k4, "--group", fix["s4"], "--n", fix["z2"],
+         "--twist", t["twist.txt"], "--chain", t["chain.txt"], "--out", "edges",
+         "--out-file", cover, "--group-out", cover_group],
+        ["subgraph-graph", "--graph", k4, "--group", fix["s4"],
+         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
+        ["extend", "--via", "arcs", "--group", str(FIXDIR / "octahedron-aut.grp"),
+         "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+         "--involution", "(1 2)(4 5)"],
+        ["extend", "--via", "flags", "--graph", cover, "--group", cover_group,
+         "--blocks", t["fibres.txt"]],
+    ]
+
+
+def test_listing_commands_build_no_chain(capsys, tmp_path, monkeypatch):
+    jobs = listing_jobs(tmp_path)
+    allowed = [outcome(capsys, tmp_path, argv) for argv in jobs]
+    assert {a[0] for a in allowed} == {0}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(StabChain, "__init__", refuse)
+    for argv, expect in zip(jobs, allowed):
+        assert outcome(capsys, tmp_path, argv) == expect, argv
