@@ -71,7 +71,6 @@ from .quotients import certify_quotient, induced_bipartite, quotient
 from .subgroups import (
     all_block_systems,
     lattice_is_order_isomorphic,
-    setwise_stabilizer,
     subgroup_block_lattice,
     subgroup_from_generators,
     system_from_block,
@@ -330,7 +329,7 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
             "vertices": g.n,
             "valency": res.valency,
             "arc_stabilizer_order": res.arc_stabilizer_order,
-            "kernel_order": res.kernel_order,
+            "kernel_order": res.action.kernel_size(),
             "connected": res.connected,
             # HaH is the union of the cosets next to H
             "connector_class_size": sub.order * len(g.adj[0]),
@@ -423,7 +422,7 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
 
 def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
@@ -451,11 +450,13 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
         qc.report.symmetric,
         "the induced action is symmetric on the quotient",
     )
+    # on the generators, which gives it for every element by induction on
+    # word length
     bad = None
-    for i, (row, qrow) in enumerate(zip(act.rows, qact.rows)):
+    for gen, row, qrow in zip(group.generators, act.generator_rows(), qact.generator_rows()):
         for v in range(graph.n):
             if partition.block_of[row[v]] != qrow[partition.block_of[v]]:
-                bad = {"element_index": i, "vertex": graph.labels[v]}
+                bad = {"generator": gen.cycle_string(), "vertex": graph.labels[v]}
                 break
         if bad:
             break
@@ -485,7 +486,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
 
 
 def cmd_blocks(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     systems = all_block_systems(group)
     cert.facts.update(
         {
@@ -510,12 +511,16 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
         bad is None,
         "every generator permutes the blocks of every system" if bad is None else bad,
     )
+    # an element carrying a point of a block into the block fixes the block,
+    # so a block's stabiliser sweeps the block exactly when the block lies
+    # in one orbit
+    orbit_of = {}
+    for k, orb in enumerate(orbits(range(group.degree), _point_step(gen_rows))):
+        orbit_of.update(dict.fromkeys(orb, k))
     bad = None
     for si, system in enumerate(systems):
         for blk in system.blocks:
-            stab = setwise_stabilizer(group, blk)
-            reach = closure(blk[:1], _point_step([h.images for h in stab.elements]))
-            if set(reach) != set(blk):
+            if len({orbit_of[p] for p in blk}) != 1:
                 bad = {"system": si, "block": [p + 1 for p in blk]}
                 break
         if bad:
@@ -566,7 +571,7 @@ def cmd_lattice(args, cert: Certificate) -> Optional[str]:
 
 def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     inc, pol = design_from_graph(graph, group)
     params = validate_design(inc)
     ft = is_flag_transitive(inc, group)
@@ -614,7 +619,7 @@ def cmd_design_to_graph(args, cert: Certificate) -> Optional[str]:
     text = _read_text(args.design)
     cert.add_input("design", text)
     inc = parse_design_file(text)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     pols = find_polarities(inc, group)
     if not pols:
         raise NotPolarity("the design admits no equivariant polarity")
@@ -649,7 +654,7 @@ def cmd_design_polarities(args, cert: Certificate) -> Optional[str]:
     text = _read_text(args.design)
     cert.add_input("design", text)
     inc = parse_design_file(text)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     pols = find_polarities(inc, group)
     cert.facts.update(
         {
@@ -703,7 +708,7 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
 
 def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     # one report on the base graph serves both the orbits and the graph
     report = verify_action(graph, group)
     orbs = three_arc_orbits(graph, group, report)
@@ -1038,7 +1043,7 @@ def cmd_verify(args, cert: Certificate) -> Optional[str]:
             "arc_transitive": report.arc_transitive,
             "locally_transitive": report.locally_transitive,
             "s_arc_transitive_up_to": s_arc_level(graph, act),
-            "kernel_order": report.action_kernel_size,
+            "kernel_order": act.kernel_size(),
             "symmetric": report.symmetric,
         }
     )

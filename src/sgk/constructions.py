@@ -48,8 +48,10 @@ from .perm import (
     Perm,
     closure,
     coerce_action,
+    _witnesses,
     extend_on_generators,
     orbits,
+    schreier_generators,
 )
 from .quotients import (
     Quotient,
@@ -537,10 +539,11 @@ def three_arc_graph(
             if (tau, sigma, s2, t2) in delta:
                 arcs.append((i, index[(s2, t2)]))
     taggraph = Graph(labels, arcs)
-    rows = tuple(
-        tuple(index[(row[u], row[v])] for (u, v) in averts) for row in act.rows
+    action = Action(
+        act.group,
+        len(averts),
+        gen_rows=[tuple(index[(row[u], row[v])] for (u, v) in averts) for row in gen_rows],
     )
-    action = Action(act.group, len(averts), rows)
     tag_report = verify_action(taggraph, action)
     certify(tag_report.symmetric, "the arc action is symmetric on the three-arc graph")
     reverse_adjacent = any(
@@ -580,12 +583,16 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     B the map is a bijection onto Γ_𝓑(B) commuting with the setwise
     stabilizer of B, transported to the other blocks along the group.
     None when the sizes differ or no equivariant bijection exists.
+    Equivariance is tested on the Schreier generators of the stabiliser,
+    and each block is reached by the first product of generators found
+    carrying block 0 there; an equivariant labelling does not depend on
+    that choice.
     """
     graph, act, partition = q.base, q.action, q.partition
-    quo, qact = q.graph, q.block_action
+    quo, block_of, blocks = q.graph, partition.block_of, partition.blocks
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("the labelling test applies to nontrivial quotients")
-    members = partition.blocks[0]
+    members = blocks[0]
     nbrs = quo.adj[0]
     if len(members) != len(nbrs):
         return None
@@ -593,42 +600,37 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
         raise CapExceeded(
             f"blocks of size {len(members)} are past the search limit {PE_BLOCK_LIMIT}"
         )
-    stab = [i for i in range(len(act.rows)) if qact.rows[i][0] == 0]
+    gen_rows = act.generator_rows()
+
+    def on_blocks(b, row):
+        return block_of[row[blocks[b][0]]]
+
+    stab = schreier_generators(graph.n, gen_rows, 0, on_blocks)
     rho0 = None
     for perm in itertools.permutations(nbrs):
         table = dict(zip(members, perm))
-        if all(
-            table[act.rows[i][m]] == qact.rows[i][table[m]]
-            for i in stab
-            for m in members
-        ):
+        if all(table[row[m]] == on_blocks(table[m], row) for row in stab for m in members):
             rho0 = table
             break
     if rho0 is None:
         return None
     # carry the block-0 labelling everywhere along a transversal
-    carrier = [-1] * partition.n_blocks
-    carrier[0] = 0
-    for i in range(len(act.rows)):
-        b = qact.rows[i][0]
-        if carrier[b] < 0:
-            carrier[b] = i
+    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, on_blocks)
     labelling = [-1] * graph.n
-    for b in range(partition.n_blocks):
-        i = carrier[b]
+    for row in carrier.values():
         for m in members:
-            labelling[act.rows[i][m]] = qact.rows[i][rho0[m]]
+            labelling[row[m]] = on_blocks(rho0[m], row)
     certify(-1 not in labelling, "the transversal reaches every block")
     certify(
         all(
             labelling[row[v]] == qrow[labelling[v]]
-            for row, qrow in zip(act.generator_rows(), qact.generator_rows())
+            for row, qrow in zip(gen_rows, q.block_action.generator_rows())
             for v in range(graph.n)
         ),
         "the labelling commutes with the whole group",
     )
     certify(
-        len({(partition.block_of[v], labelling[v]) for v in range(graph.n)}) == graph.n,
+        len({(block_of[v], labelling[v]) for v in range(graph.n)}) == graph.n,
         "vertices are named by distinct quotient arcs",
     )
     return tuple(labelling)

@@ -120,7 +120,6 @@ class CosetGraphResult:
     report: TransitivityReport
     valency: int
     arc_stabilizer: Subgroup
-    kernel_order: int
     connected: bool
 
     @property
@@ -172,7 +171,6 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
         report=report,
         valency=valency,
         arc_stabilizer=arc_stabilizer,
-        kernel_order=report.action_kernel_size,
         connected=is_connected(graph),
     )
 

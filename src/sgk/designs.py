@@ -6,7 +6,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     AmbiguousBlockAction,
@@ -21,7 +20,7 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, verify_action
-from .perm import GroupTable, closure, coerce_action
+from .perm import GroupTable, Perm, closure, coerce_action, schreier_generators
 
 
 @dataclass(frozen=True)
@@ -157,12 +156,6 @@ def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
     return rows
 
 
-def block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
-    """The block action induced through traces by a point action, one row
-    per group element, in element order."""
-    return _block_action(inc, group, group.elements)
-
-
 def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
     """The block action of the generators, which decides every law below."""
     return _block_action(inc, group, group.generators)
@@ -275,8 +268,9 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
 
     A polarity is pinned down by the image of one point because the group
     moves that point everywhere, and it must send that point to a block
-    the point's stabiliser fixes; seeding each such block and extending
-    along the generators finds every candidate.
+    the point's stabiliser fixes, which is a block its Schreier generators
+    fix; seeding each such block and extending along the generators finds
+    every candidate.
     """
     if not is_flag_transitive(inc, group):
         raise NotFlagTransitive("the group is not flag transitive on the design")
@@ -284,7 +278,9 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     if inc.n_blocks != n:
         return []
     step = _flag_step(inc, group)
-    stab_rows = _block_action(inc, group, [g for g in group.elements if g.images[0] == 0])
+    gens = [g.images for g in group.generators]
+    stab = schreier_generators(group.degree, gens, 0, lambda x, g: g[x])
+    stab_rows = _block_action(inc, group, map(Perm, stab))
     out = []
     for seed in range(n):
         if any(row[seed] != seed for row in stab_rows):

@@ -141,11 +141,14 @@ def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
 
 @dataclass(frozen=True)
 class TransitivityReport:
+    """What ``verify_action`` decides from the generator rows.  The s-arc
+    level is ``s_arc_level`` and the kernel is ``Action.kernel_size``;
+    each is worked out only where it is printed."""
+
     acts_as_automorphisms: bool
     vertex_transitive: bool
     arc_transitive: bool
     locally_transitive: bool
-    action_kernel_size: int
 
     @property
     def symmetric(self) -> bool:
@@ -173,22 +176,20 @@ def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
     decides vertex transitivity.  One orbit split of the arcs decides the
     rest: the action is arc transitive when there is one arc orbit, and
     the stabiliser of v is transitive on the neighbours of v exactly when
-    the arcs leaving v lie in one orbit.  The s-arc level is
-    ``s_arc_level``.
+    the arcs leaving v lie in one orbit.
     """
     act = coerce_action(group, graph.n)
     gen_rows = act.generator_rows()
     acts = _preserves_arcs(graph, gen_rows)
     vertex_tr = _vertex_transitive(graph, act)
-    kernel = act.kernel_size()
     if not acts:
-        return TransitivityReport(False, vertex_tr, False, False, kernel)
+        return TransitivityReport(False, vertex_tr, False, False)
     arc_orbits = tuple_orbits(list(graph.arcs), gen_rows)
     orbit_of = {arc: k for k, orb in enumerate(arc_orbits) for arc in orb}
     local = all(
         len({orbit_of[(v, u)] for u in graph.adj[v]}) <= 1 for v in range(graph.n)
     )
-    return TransitivityReport(True, vertex_tr, len(arc_orbits) <= 1, local, kernel)
+    return TransitivityReport(True, vertex_tr, len(arc_orbits) <= 1, local)
 
 
 S_ARC_LIMIT = 5

@@ -665,21 +665,15 @@ class Action:
         return self._gen_rows
 
     def kernel_size(self) -> int:
-        """Read off the rows when they are held.  Otherwise a group acts
-        faithfully on its own points, and an unlisted group's kernel is
-        |G| over the order of the group its generator rows generate, both
-        from stabiliser chains; a listed group's rows are built and read."""
-        group = self.group
-        if "rows" not in vars(self):
-            if self._is_natural():
-                return 1
-            if isinstance(group, GroupTable) and not group.is_listed:
-                return len(group) // StabChain(self.n_points, self.generator_rows()).order
-        ident = tuple(range(self.n_points))
-        return sum(1 for r in self.rows if r == ident)
+        """The order of the kernel: 1 when a group acts on its own points,
+        otherwise |G| over the order of the group that the generator rows
+        generate, read off a stabiliser chain of those rows."""
+        if self._is_natural():
+            return 1
+        return len(self.group) // StabChain(self.n_points, self.generator_rows()).order
 
     def is_faithful(self) -> bool:
-        return len(set(self.rows)) == len(self.rows)
+        return self.kernel_size() == 1
 
     def stabilizer_indices(self, point: int) -> list:
         return [i for i, r in enumerate(self.rows) if r[point] == point]

@@ -20,14 +20,16 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, TransitivityReport, are_isomorphic, verify_action
-from .perm import Action, GroupLike, GroupTable, Perm, coerce_action
+from .perm import Action, GroupLike, GroupTable, Perm, closure, coerce_action
 from .subgroups import BlockSystem, Subgroup, right_cosets
 
 
 def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
-    """The action induced on the blocks, one row per group element in the
-    group's order; raises NotInvariant when a generator splits a block."""
+    """The action induced on the blocks, given by one row per generator;
+    raises NotInvariant when a generator splits a block.  Rows of other
+    elements are composed only if someone asks for ``rows``."""
     act = coerce_action(group, system.n_points)
+    gen_rows = []
     for row in act.generator_rows():
         for block in system.blocks:
             targets = {system.block_of[row[v]] for v in block}
@@ -35,10 +37,8 @@ def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
                 raise NotInvariant(
                     f"a generator splits block {block} across blocks {sorted(targets)}"
                 )
-    rows = tuple(
-        tuple(system.block_of[row[block[0]]] for block in system.blocks) for row in act.rows
-    )
-    return Action(act.group, system.n_blocks, rows)
+        gen_rows.append(tuple(system.block_of[row[block[0]]] for block in system.blocks))
+    return Action(act.group, system.n_blocks, gen_rows=gen_rows)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,9 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
     neighbour C, collecting the points of b that send an arc into C.
 
     Certifies the uniformity laws and flag transitivity of the setwise
-    stabilizer of b, both guaranteed for symmetric graphs.
+    stabilizer of b, both guaranteed for symmetric graphs.  An element
+    that carries a point of b into b fixes b, so the orbit of a flag
+    under the stabiliser is its orbit under the group, cut down to b.
     """
     graph, act, partition, quo = q.base, q.action, q.partition, q.graph
     if not quotient_is_nontrivial(graph, partition):
@@ -203,11 +205,10 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
         raise CertificationFailed(
             f"certification failed: cross section is not uniform ({exc})"
         )
-    base_flag = min(flags)
-    orbit = set()
-    for row, qrow in zip(act.rows, q.block_action.rows):
-        if qrow[b] == b:
-            orbit.add((where[row[points[base_flag[0]]]], col_of[qrow[neighbours[base_flag[1]]]]))
+    p, j = min(flags)
+    rows = list(zip(act.generator_rows(), q.block_action.generator_rows()))
+    pairs = closure(((points[p], neighbours[j]),), lambda x: [(r[x[0]], qr[x[1]]) for r, qr in rows])
+    orbit = {(where[v], col_of[c]) for v, c in pairs if v in where}
     certify(
         orbit == flags,
         "the setwise stabilizer is flag transitive on the cross section",

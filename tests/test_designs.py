@@ -4,7 +4,6 @@ import pytest
 
 from sgk.designs import (
     IncidenceStructure,
-    block_rows,
     check_polarity,
     design_from_graph,
     dual,
@@ -22,6 +21,16 @@ from sgk.errors import (
     NotUniformPoints,
 )
 from sgk.graphs import Graph, are_isomorphic
+
+
+def block_rows(inc, group):
+    """Reference block action: one row per group element, in element
+    order, sending each block to the block whose trace is its image."""
+    trace_index = {inc.trace(b): b for b in range(inc.n_blocks)}
+    return [
+        tuple(trace_index[frozenset(g(p) for p in inc.trace(b))] for b in range(inc.n_blocks))
+        for g in group.elements
+    ]
 
 
 def _fano():

@@ -18,7 +18,7 @@ from sgk.graphs import (
     s_arc_level,
     verify_action,
 )
-from sgk.perm import Perm, group_from_generators
+from sgk.perm import Action, Perm, group_from_generators
 
 
 def test_builders():
@@ -82,7 +82,7 @@ def test_verify_action_full_symmetric(k4, s4):
     assert report.arc_transitive
     assert report.locally_transitive
     assert s_arc_level(k4, s4) == 2
-    assert report.action_kernel_size == 1
+    assert Action.natural(s4).kernel_size() == 1
 
 
 def test_verify_action_cycle(c6, d6, z6):

@@ -1,10 +1,10 @@
 """Stabiliser chains against sympy and against the listed elements.
 
-Groups of degree at most 10: the fixtures, random generator sets of
-degree at most 9, and relabelled dihedral groups, direct products of
-symmetric groups on disjoint blocks (intransitive) and wreath products
-S_k wr S_m (transitive, imprimitive).  Groups of order above LIST_LIMIT
-are checked against sympy only; the rest are listed too.
+Groups of degree at most 12: the fixtures, random generator sets, and
+relabelled dihedral groups, direct products of symmetric groups on
+disjoint blocks (intransitive) and wreath products S_k wr S_m
+(transitive, imprimitive).  Groups of order above LIST_LIMIT are checked
+against sympy only; the rest are listed too.
 """
 
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from sgk import fixtures as fx
 from sgk.perm import GroupSpec, Perm, StabChain, enumerate_group
 
 LIST_LIMIT = 2000
+MAX_DEGREE = 12
 FIXTURES = [fx.s4(), fx.s5(), fx.d4(), fx.d6(), fx.z2(), fx.z6(), fx.octahedron_aut()]
 
 
@@ -39,23 +40,24 @@ def generator_sets(draw):
     """(degree, generator image tuples)."""
     kind = draw(st.sampled_from(["random", "dihedral", "product", "wreath"]))
     if kind == "random":
-        n = draw(st.integers(1, 9))
+        n = draw(st.integers(1, MAX_DEGREE))
         perms = st.permutations(range(n)).map(tuple)
         return n, draw(st.lists(perms, min_size=1, max_size=3))
     if kind == "dihedral":
-        n = draw(st.integers(3, 10))
+        n = draw(st.integers(3, MAX_DEGREE))
         gens = [[tuple(range(n))], [(i, n - i) for i in range(1, (n + 1) // 2)]]
     elif kind == "product":
-        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
         n, gens = 0, []
         for size in sizes:
-            if n + size > 10:
+            if n + size > MAX_DEGREE:
                 break
             gens += [[c] for c in _symmetric_on(list(range(n, n + size)))]
             n += size
         n = max(n, 1)
     else:
-        k, m = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3)]))
+        k, m = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3),
+                                     (2, 6), (6, 2), (3, 4), (4, 3)]))
         n = k * m
         blocks = [list(range(b * k, (b + 1) * k)) for b in range(m)]
         gens = [[c] for c in _symmetric_on(blocks[0])]
@@ -95,7 +97,7 @@ def test_fixture_chains_match_sympy(index):
     _check_against_sympy(group.degree, [g.images for g in group.generators])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(generator_sets(), st.data())
 def test_chain_matches_sympy_and_the_listing(group, data):
     n, gens = group
@@ -108,7 +110,7 @@ def test_chain_matches_sympy_and_the_listing(group, data):
         assert chain.contains(images) == member
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(generator_sets(), st.data())
 def test_least_coset_element_matches_the_listed_coset(group, data):
     n, gens = group

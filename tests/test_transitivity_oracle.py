@@ -109,6 +109,6 @@ def test_report_and_s_arc_level_match_the_definitions(case):
         report.vertex_transitive,
         report.arc_transitive,
         report.locally_transitive,
-        report.action_kernel_size,
+        act.kernel_size(),
     )
     assert (fields, s_arc_level(graph, act)) == reference(graph, act)

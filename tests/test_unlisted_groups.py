@@ -1,12 +1,15 @@
-"""``cosetgraph``, ``orbitals`` and ``verify`` never list the group, and
-the commands that list it never build a stabiliser chain.
+"""Nine commands never list the group, and the commands that list it
+never build a stabiliser chain.
 
-With listing made to raise, each of the three commands gives the same
-exit status, output and certificate (apart from ``timing_ms``) as with
-listing allowed, on the coset-ladder inputs: the fixtures plus S6, S7
-and M11.  S9 and S10 coset graphs run under the default element cap,
-while the cap still bounds the number of cosets.  With chains made to
-raise, every other command gives the same outcome as with chains allowed.
+With listing made to raise, ``cosetgraph``, ``orbitals``, ``verify``,
+``quotient``, ``blocks``, ``threearc`` and the three ``design`` commands
+give the same exit status, output and certificate (apart from
+``timing_ms``) as with listing allowed, on the coset-ladder inputs (the
+fixtures plus S6, S7 and M11) and on the desk inputs of the others.  S9
+and S10 coset graphs, ``blocks`` on S10 and a three-arc graph of K9 under
+S9 run under the default element cap, while the cap still bounds the
+number of cosets.  With chains made to raise, every command but the first
+three gives the same outcome as with chains allowed.
 """
 
 import json
@@ -74,6 +77,43 @@ def ladder(tmp_path):
     ]
     groups = list(fix.values()) + [s6, str(tmp_path / "s7.grp"), str(tmp_path / "m11.grp")]
     jobs += [["orbitals", "--group", g] for g in groups]
+    return jobs + quotient_layer_jobs(tmp_path)
+
+
+def quotient_layer_jobs(tmp_path):
+    """The six commands of the quotient and design layers on the desk
+    inputs, with one rejected input or failed claim for most of them."""
+    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "d6", "z6")}
+    k4, c6 = str(FIXDIR / "k4.graph"), str(FIXDIR / "c6.graph")
+    (tmp_path / "halves.txt").write_text("1 4\n2 5\n3 6\n")
+    (tmp_path / "split.txt").write_text("1 2\n3 4\n5 6\n")
+    halves, split = str(tmp_path / "halves.txt"), str(tmp_path / "split.txt")
+    k4_design, c6_design = str(tmp_path / "k4.design"), str(tmp_path / "c6.design")
+    jobs = [
+        ["quotient", "--graph", c6, "--group", fix["d6"], "--blocks", halves, "--out", "edges"],
+        # a generator splits a block: rejected either way
+        ["quotient", "--graph", c6, "--group", fix["d6"], "--blocks", split],
+        ["blocks", "--group", fix["d6"]],
+        ["blocks", "--group", fix["s4"]],
+        ["blocks", "--group", str(FIXDIR / "octahedron-aut.grp")],
+        ["threearc", "--graph", k4, "--group", fix["s4"]],
+        ["threearc", "--graph", k4, "--group", fix["s4"], "--orbit-index", "1",
+         "--group-out", str(tmp_path / "tag.grp")],
+        # not symmetric: rejected either way
+        ["threearc", "--graph", c6, "--group", fix["z6"]],
+    ]
+    for graph, group, design in ((k4, fix["s4"], k4_design), (c6, fix["d6"], c6_design)):
+        jobs += [
+            ["design", "from-graph", "--graph", graph, "--group", group,
+             "--out", "design", "--out-file", design],
+            ["design", "polarities", "--design", design, "--group", group],
+            ["design", "to-graph", "--design", design, "--group", group, "--out", "edges"],
+        ]
+    # C6 under Z6 is not symmetric, and Z6 is not flag transitive on its design
+    jobs += [
+        ["design", "from-graph", "--graph", c6, "--group", fix["z6"]],
+        ["design", "polarities", "--design", c6_design, "--group", fix["z6"]],
+    ]
     return jobs
 
 
@@ -105,6 +145,31 @@ def test_symmetric_group_coset_graph_past_the_cap(capsys, tmp_path, monkeypatch,
     assert facts["group_order"] > 200_000
     assert facts["arc_stabilizer_order"] * n * (n - 1) == facts["group_order"]
     assert facts["symmetric"] and facts["kernel_order"] == 1
+    assert all(c["pass"] for c in doc["claims"])
+
+
+def test_quotient_layer_past_the_cap(capsys, tmp_path, monkeypatch):
+    """S10 and S9 pass the default element cap: S10 is primitive, so its
+    two block systems are the trivial ones, and the 3-arc orbit of K9
+    under S9 that turns back to its start gives a three-arc graph on the
+    72 arcs."""
+    monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
+    forbid_listing(monkeypatch)
+    s9, s10, k9 = tmp_path / "s9.grp", tmp_path / "s10.grp", tmp_path / "k9.graph"
+    s9.write_text(symmetric_group_file(9))
+    s10.write_text(symmetric_group_file(10))
+    edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
+    k9.write_text("vertices: 9\n" + edges)
+    code, _, err, doc = outcome(capsys, tmp_path, ["blocks", "--group", str(s10)])
+    assert code == 0, err
+    assert doc["facts"]["count"] == 2
+    assert all(c["pass"] for c in doc["claims"])
+    code, _, err, doc = outcome(
+        capsys, tmp_path,
+        ["threearc", "--graph", str(k9), "--group", str(s9), "--orbit-index", "0"],
+    )
+    assert code == 0, err
+    assert doc["facts"]["vertices"] == 72 and doc["facts"]["orbit_count"] == 2
     assert all(c["pass"] for c in doc["claims"])
 
 
