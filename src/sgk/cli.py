@@ -71,6 +71,7 @@ from .quotients import certify_quotient, induced_bipartite, quotient
 from .subgroups import (
     all_block_systems,
     lattice_is_order_isomorphic,
+    stabilizer_subgroup,
     subgroup_block_lattice,
     subgroup_from_generators,
     system_from_block,
@@ -283,7 +284,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
     )
     bad = None
     for p in range(group.degree):
-        if len(act.orbit_of(p)) * len(act.stabilizer_indices(p)) != len(group):
+        if len(act.orbit_of(p)) * stabilizer_subgroup(group, p).order != len(group):
             bad = p
             break
     cert.claim(
@@ -879,7 +880,7 @@ def _parse_directed_subgraph(spec: str, graph: Graph):
 
 def cmd_subgraph_graph(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     cert.add_input("subgraph", args.subgraph)
     sub = _parse_directed_subgraph(args.subgraph, graph)
     cert.add_input("involution", args.involution)
@@ -984,14 +985,12 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
 def _extend_flags(args, cert: Certificate) -> Optional[str]:
     _require_flags(args, ("graph", "blocks"))
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group)
+    group = _load_group(cert, args.group, listed=False)
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
     fx = extract_fibre_data(quotient(graph, group, partition))
-    rb = flag_orbital_reconstruction(
-        fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
-    )
+    rb = flag_orbital_reconstruction(fx)
     cert.facts.update(
         {
             "quotient_vertices": fx.quotient.n,
@@ -999,8 +998,8 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
             "design_blocks": fx.design.n_blocks,
             "flag_orbital_size": len(fx.delta),
             "rebuilt_vertices": rb.graph.n,
-            "normal_subgroup_order": len(fx.n_indices),
-            "stabilizer_order": len(fx.h_indices),
+            "normal_subgroup_order": fx.normal_order,
+            "stabilizer_order": fx.stabilizer_order,
         }
     )
     qn = fx.quotient.n
@@ -1015,8 +1014,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
         "fibre coordinates carry the cover arcs exactly onto the rebuilt arcs",
     )
     # N is regular on the quotient vertices, so one orbit means regularity held
-    n_rows = [fx.quotient_action.rows[i] for i in fx.n_indices]
-    sweep = orbits(range(qn), _point_step(n_rows))
+    sweep = orbits(range(qn), _point_step(fx.normal_block_rows))
     cert.claim(
         "fiber-transitivity",
         len(sweep) == 1,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .coset_graphs import CosetGraphResult, symmetric_coset_graph
 from .designs import IncidenceStructure
@@ -46,11 +46,13 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
+    StabChain,
+    _compose,
+    _invert,
+    _witnesses,
     closure,
     coerce_action,
-    _witnesses,
     extend_on_generators,
-    orbits,
     schreier_generators,
 )
 from .quotients import (
@@ -103,7 +105,7 @@ class SemidirectGroup:
 
     which is associative exactly when ρ(gh) = ρ(g) followed by ρ(h).  The
     instance quacks like a group table for Action purposes: ``__len__``,
-    ``generator_indices``, ``product_index``, ``inverse_index``.
+    ``generator_indices``, ``product_index``.
     """
 
     __slots__ = ("n_part", "g_part", "twist_rows")
@@ -145,12 +147,6 @@ class SemidirectGroup:
         n2, g2 = self.pair_of(j)
         n = self.n_part.product_index(self.twist_rows[g2][n1], n2)
         return self.pair_index(n, self.g_part.product_index(g1, g2))
-
-    def inverse_index(self, i: int) -> int:
-        ni, gi = self.pair_of(i)
-        gj = self.g_part.inverse_index(gi)
-        nj = self.n_part.inverse_index(self.twist_rows[gj][ni])
-        return self.pair_index(nj, gj)
 
     def embed_n(self, ni: int) -> int:
         return self.pair_index(ni, 0)
@@ -575,6 +571,12 @@ def _initial_vertex_blocks(graph: Graph, averts: Sequence[tuple]) -> list:
 PE_BLOCK_LIMIT = 8
 
 
+def _on_blocks(partition: BlockSystem):
+    """``act(b, x)``: the block that the vertex permutation x sends block b to."""
+    blocks, block_of = partition.blocks, partition.block_of
+    return lambda b, x: block_of[x[blocks[b][0]]]
+
+
 def check_condition_pe(q: Quotient) -> Optional[tuple]:
     """Look for a labelling of each block of a quotient by the quotient's
     neighbouring blocks that the group respects.
@@ -601,10 +603,7 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
             f"blocks of size {len(members)} are past the search limit {PE_BLOCK_LIMIT}"
         )
     gen_rows = act.generator_rows()
-
-    def on_blocks(b, row):
-        return block_of[row[blocks[b][0]]]
-
+    on_blocks = _on_blocks(partition)
     stab = schreier_generators(graph.n, gen_rows, 0, on_blocks)
     rho0 = None
     for perm in itertools.permutations(nbrs):
@@ -716,16 +715,18 @@ def subgraph_graph(
         (base_arc, base_arc[::-1]), lambda e: [(r[e[0]], r[e[1]]) for r in sub_rows]
     )
     out = Graph(labels, arcs)
-    rows = extend_on_generators(
-        act.group, sub_rows, tuple(range(n)), lambda r, s: tuple(s[x] for x in r)
-    )
-    certify(rows is not None, "the generator rows compose to an action on the subgraphs")
-    action = Action(act.group, n, tuple(rows[i] for i in range(len(act.group))))
+    action = Action(act.group, n, gen_rows=sub_rows)
     report = verify_action(out, action)
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
-    stab = len(action.stabilizer_indices(base_index))
+    # the stabiliser of the base subgraph, from its Schreier generators, times
+    # the kernel of the action on the graph, which fixes every subgraph
+    on_subgraphs = dict(zip(gen_rows, sub_rows))
+    stab_gens = schreier_generators(
+        graph.n, gen_rows, base_index, lambda x, g: on_subgraphs[g][x]
+    )
+    stab = StabChain(graph.n, stab_gens).order * act.kernel_size()
     certify(
-        stab * len(subgraphs) == len(act.rows),
+        stab * len(subgraphs) == len(act.group),
         "the point stabilizer is the stabilizer of the subgraph",
     )
     return SubgraphGraph(out, subgraphs, action, report, base_index, stab, dropped)
@@ -794,19 +795,13 @@ def arc_partition_extension(
     # witness one group element per arc, breadth first from (H, Ha)
     h_cosets = base.cosets
     base_arc = (h_cosets.coset_of(group.identity()), h_cosets.coset_of(a))
-    witness = {base_arc: group.identity()}
-    frontier = [base_arc]
-    gen_rows = base.action.generator_rows()
-    while frontier:
-        new = []
-        for arc in frontier:
-            w = witness[arc]
-            for g, row in zip(group.generators, gen_rows):
-                img = (row[arc[0]], row[arc[1]])
-                if img not in witness:
-                    witness[img] = w * g
-                    new.append(img)
-        frontier = new
+    gens = [g.images for g in group.generators]
+    on_cosets = dict(zip(gens, base.action.generator_rows()))
+    walk = _witnesses(
+        base_arc, group.identity().images, gens,
+        lambda arc, g: (on_cosets[g][arc[0]], on_cosets[g][arc[1]]),
+    )
+    witness = {arc: Perm(w) for arc, w in walk.items()}
     certify(set(witness) == base.graph.arcs, "the group walks to every arc")
     k_cosets = right_cosets(group, over)
     bundle_of = {arc: k_cosets.coset_of(w) for arc, w in witness.items()}
@@ -867,168 +862,176 @@ def arc_partition_extension(
 # ---- fibre data and reconstruction -----------------------------------------
 
 
-def _conjugacy_classes(group) -> list:
-    gens = group.generator_indices()
-    pairs = [(group.inverse_index(g), g) for g in gens]
-    return orbits(
-        range(len(group)),
-        lambda x: [group.product_index(group.product_index(gi, x), g) for gi, g in pairs],
-    )
-
-_COMPLEMENT_GUARD = 1 << 20
+def _block_row(partition: BlockSystem, x: Sequence[int]) -> tuple:
+    """The row of the vertex permutation x on the blocks."""
+    act = _on_blocks(partition)
+    return tuple(act(b, x) for b in range(partition.n_blocks))
 
 
-def _regular_normal_subgroup(group, qact: Action, base: int) -> tuple:
-    """A normal subgroup acting regularly on the quotient vertices.
+def _semiregular_closure(gens: list, conjugators: list, on_blocks) -> Optional[dict]:
+    """The least subgroup that contains ``gens`` and is normalised by
+    ``conjugators``, listed by where each element sends block 0; None as
+    soon as two elements send it to the same block, which is when the
+    subgroup is not semiregular on the blocks (it is normal, so an
+    element fixing some block has a conjugate fixing block 0).  The
+    listing stops there, so it never passes the number of blocks."""
+    pairs = [(_invert(s), s) for s in conjugators]
 
-    Normal subgroups are unions of conjugacy classes, so the search walks
-    subsets of classes whose sizes add up, checks closure, and then
-    regularity; first fit in a fixed order wins, NotSemidirect when the
-    walk ends empty-handed.
+    def step(x):
+        return [_compose(x, g) for g in gens] + [_compose(_compose(t, x), s) for t, s in pairs]
+
+    listed: dict = {}
+    for x in closure((tuple(range(len(gens[0]))),), step):
+        b = on_blocks(0, x)
+        if b in listed:
+            return None
+        listed[b] = x
+    return listed
+
+
+def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
+    """A normal subgroup N regular on the quotient's vertices, as its
+    element n_w carrying block 0 to w for each block w; ``stab`` is the
+    chain of the stabiliser G_B of block 0.
+
+    N meets each coset G_B·t of a carrier t from block 0 to block w in
+    n_w alone.  Conjugating n_w by G_B gives the n_v on the orbit of w,
+    so over a connected quotient N is the normal closure of n_w for w on
+    one base arc.  The search takes w there, tries the members of G_B·t
+    least first, then breadth first, and keeps the first whose normal
+    closure with N so far is semiregular on the blocks; it then goes on
+    at the least block not yet reached, so disconnected quotients are
+    covered too.  NotSemidirect when a coset runs out.
     """
-    want = qact.n_points
-    classes = [c for c in _conjugacy_classes(group) if c != [0]]
-    classes.sort(key=lambda c: c[0])
-    hits: list = []
-    budget = [_COMPLEMENT_GUARD]
-
-    def walk(idx: int, chosen: list, total: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapExceeded("the search for a normal complement is too wide")
-        if total == want - 1:
-            members = {0}
-            for c in chosen:
-                members.update(c)
-            if all(
-                group.product_index(x, y) in members
-                for x in members
-                for y in members
-            ):
-                images = {qact.rows[x][base] for x in members}
-                if len(images) == want:
-                    hits.append(tuple(sorted(members)))
-                    return True
-            return False
-        if idx == len(classes) or total >= want - 1:
-            return False
-        c = classes[idx]
-        if total + len(c) <= want - 1:
-            chosen.append(c)
-            if walk(idx + 1, chosen, total + len(c)):
-                return True
-            chosen.pop()
-        return walk(idx + 1, chosen, total)
-
-    if not walk(0, [], 0):
-        raise NotSemidirect(
-            "no normal subgroup acts regularly on the quotient vertices"
-        )
-    return hits[0]
+    n, on_blocks = q.graph.n, _on_blocks(q.partition)
+    gen_rows = list(q.action.generator_rows())
+    carriers = _witnesses(0, tuple(range(q.base.n)), gen_rows, on_blocks)
+    gens: list = []
+    w = q.graph.adj[0][0]
+    while True:
+        least = stab.least_in_coset(carriers[w])
+        for x in closure((least,), lambda y: [_compose(h, y) for h in stab.generators]):
+            listed = _semiregular_closure(gens + [x], gen_rows, on_blocks)
+            if listed is not None:
+                break
+        else:
+            raise NotSemidirect("no normal subgroup acts regularly on the quotient vertices")
+        gens.append(x)
+        if len(listed) == n:
+            return listed
+        w = min(set(range(n)) - set(listed))
 
 
 @dataclass(frozen=True)
 class FibreExtraction:
-    """Everything the reconstruction needs, read off an existing cover."""
+    """Everything the reconstruction needs, read off an existing cover:
+    the quotient it was taken from; N as one element per block,
+    ``normal[w]`` carrying block 0 to w; for each generator s of G, the
+    row on the fibre points of its image s·n_(0^s)⁻¹ in G_B; the order
+    of G_B; the fibre design with its flag orbital Δ; and each vertex's
+    fibre coordinates."""
 
-    quotient: Graph
-    quotient_action: Action
-    base_block: int
+    source: Quotient
     points: tuple
     design: IncidenceStructure
-    point_rows: dict
-    h_indices: tuple
-    n_indices: tuple
-    n_label: tuple
+    normal: tuple
+    stabilizer_order: int
+    point_rows: tuple
     eta: dict
     delta: frozenset
     vertex_code: tuple
+
+    @property
+    def quotient(self) -> Graph:
+        return self.source.graph
+
+    @property
+    def quotient_action(self) -> Action:
+        return self.source.block_action
+
+    @property
+    def normal_order(self) -> int:
+        return len(self.normal)
+
+    @property
+    def normal_block_rows(self) -> list:
+        """N acting on the quotient's vertices, one row per element."""
+        return [_block_row(self.source.partition, x) for x in self.normal]
 
 
 def extract_fibre_data(q: Quotient) -> FibreExtraction:
     """Read the reconstruction data off the quotient of a symmetric cover
     by its fibres: the design a fibre sees, the stabilizer's action on
-    that fibre, and the orbital of flag pairs the arcs trace out."""
-    graph, act, partition = q.base, q.action, q.partition
-    quo, qact = q.graph, q.block_action
+    that fibre, and the orbital of flag pairs the arcs trace out.
+
+    Everything is derived from generators: N from the search above, and
+    G_B from the images s·n_(0^s)⁻¹ of G's generators under G → G/N ≅
+    G_B."""
+    graph, partition = q.base, q.partition
+    quo, block_of = q.graph, partition.block_of
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
-    n_indices = _regular_normal_subgroup(act.group, qact, 0)
-    n_label = [-1] * quo.n
-    for x in n_indices:
-        w = qact.rows[x][0]
-        certify(n_label[w] < 0, "the normal subgroup is regular on the quotient")
-        n_label[w] = x
+    gen_rows = q.action.generator_rows()
+    on_blocks = _on_blocks(partition)
+    stab = StabChain(graph.n, schreier_generators(graph.n, gen_rows, 0, on_blocks))
+    by_block = _regular_normal_subgroup(q, stab)
+    normal = tuple(by_block[w] for w in range(quo.n))
+    back = [_invert(x) for x in normal]
     points = partition.blocks[0]
     pos = {p: i for i, p in enumerate(points)}
-    h_indices = tuple(
-        i for i in range(len(act.rows)) if qact.rows[i][0] == 0
-    )
-    point_rows = {
-        i: tuple(pos[act.rows[i][p]] for p in points) for i in h_indices
-    }
+    stab_gens = [_compose(s, back[block_of[s[points[0]]]]) for s in gen_rows]
+    point_rows = tuple(tuple(pos[h[p]] for p in points) for h in stab_gens)
     nbrs = quo.adj[0]
     eta = {c: j for j, c in enumerate(nbrs)}
     flags = frozenset(
         (pos[p], eta[c])
         for p in points
         for c in nbrs
-        if any(partition.block_of[w] == c for w in graph.adj[p])
+        if any(block_of[w] == c for w in graph.adj[p])
     )
     design = IncidenceStructure(
         point_labels=tuple(graph.labels[p] for p in points),
         block_labels=tuple(quo.labels[c] for c in nbrs),
         flags=flags,
     )
-    inverse = {x: act.group.inverse_index(x) for x in n_indices}
-    code = []
-    for u in range(graph.n):
-        w = partition.block_of[u]
-        back = act.rows[inverse[n_label[w]]]
-        code.append((pos[back[u]], w))
-    vertex_code = tuple(code)
-    least = min(graph.arcs)
-    f1, f2 = _decode_arc(least, partition, act, qact, inverse, n_label, pos, eta)
-    delta = set()
-    for i in h_indices:
-        prow = point_rows[i]
-        qrow = qact.rows[i]
-        delta.add(
-            (
-                (prow[f1[0]], eta[qrow[nbrs[f1[1]]]]),
-                (prow[f2[0]], eta[qrow[nbrs[f2[1]]]]),
-            )
-        )
+    vertex_code = tuple((pos[back[block_of[u]][u]], block_of[u]) for u in range(graph.n))
+
+    def flag(u, v):
+        """The flag (point, neighbouring block) that u sees towards v,
+        carried back to block 0 by N."""
+        x = back[block_of[u]]
+        return pos[x[u]], eta[block_of[x[v]]]
+
+    u, v = min(graph.arcs)
+    images = _flag_images(point_rows, [_block_row(partition, h) for h in stab_gens], nbrs, eta)
+    delta = frozenset(closure(((flag(u, v), flag(v, u)),), _pairwise(images)))
     certify(
         all((b, a) in delta for (a, b) in delta),
         "the orbital of flag pairs is self paired",
     )
     return FibreExtraction(
-        quotient=quo,
-        quotient_action=qact,
-        base_block=0,
+        source=q,
         points=points,
         design=design,
+        normal=normal,
+        stabilizer_order=stab.order,
         point_rows=point_rows,
-        h_indices=h_indices,
-        n_indices=n_indices,
-        n_label=tuple(n_label),
         eta=eta,
-        delta=frozenset(delta),
+        delta=delta,
         vertex_code=vertex_code,
     )
 
 
-def _decode_arc(arc, partition, act, qact, inverse, n_label, pos, eta):
-    u, w = arc
-    p, b = partition.block_of[u], partition.block_of[w]
-    back_p = inverse[n_label[p]]
-    back_b = inverse[n_label[b]]
-    x = pos[act.rows[back_p][u]]
-    y = pos[act.rows[back_b][w]]
-    c = qact.rows[back_p][b]
-    d = qact.rows[back_b][p]
-    return (x, eta[c]), (y, eta[d])
+def _flag_images(point_rows, block_rows, nbrs, eta):
+    """The images of a flag (fibre point, neighbour number) under each
+    generator of G_B, given by its rows on the fibre points and on the
+    blocks."""
+    moves = list(zip(point_rows, block_rows))
+    return lambda f: [(prow[f[0]], eta[qrow[nbrs[f[1]]]]) for prow, qrow in moves]
+
+
+def _pairwise(images):
+    return lambda pair: list(zip(images(pair[0]), images(pair[1])))
 
 
 @dataclass(frozen=True)
@@ -1036,100 +1039,64 @@ class FlagReconstruction:
     graph: Graph
     action: Action
     report: TransitivityReport
-    n_indices: tuple
-    h_indices: tuple
-    n_label: tuple
 
 
-def flag_orbital_reconstruction(
-    quotient: Graph,
-    group: GroupLike,
-    design: IncidenceStructure,
-    point_rows: dict,
-    flag_orbital: Iterable[tuple],
-    eta: Dict[int, int],
-    base: int = 0,
-) -> FlagReconstruction:
+def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     """Rebuild the cover from its quotient, its fibre design, and the flag
     orbital its arcs trace.
 
-    The group must split over a normal subgroup acting regularly on the
-    quotient; with the fibre coordinates pinned to the base vertex, a pair
-    of fibre points spans an arc exactly when the quotient pair is an arc,
-    both transported incidences are flags, and the flag pair lies in the
-    orbital.
+    The group must split as N·G_B, N normal and regular on the quotient;
+    with the fibre coordinates pinned to block 0, a pair of fibre points
+    spans an arc exactly when the quotient pair is an arc, both
+    transported incidences are flags, and the flag pair lies in the
+    orbital.  Each generator s of G acts on the rebuilt cover by (x, v) ↦
+    (row_s[x], v^s), row_s the fibre row of s·n_(0^s)⁻¹; every input check
+    is made on generators.
     """
-    act = coerce_action(group, quotient.n)
-    report0 = verify_action(quotient, act)
-    if not report0.symmetric:
+    q, design, eta = fx.source, fx.design, fx.eta
+    quo = q.graph
+    if not q.report.symmetric:
         raise NotSymmetric("reconstruction starts from a symmetric quotient")
-    n_indices = _regular_normal_subgroup(act.group, act, base)
-    n_label = [-1] * quotient.n
-    for x in n_indices:
-        n_label[act.rows[x][base]] = x
-    h_indices = tuple(i for i in range(len(act.rows)) if act.rows[i][base] == base)
-    for i in h_indices:
-        if i not in point_rows:
-            raise ValueError(f"no fibre action for stabilizer element {i}")
+    gen_rows = q.action.generator_rows()
+    qrows = q.block_action.generator_rows()
+    if len(fx.point_rows) != len(gen_rows):
+        raise ValueError("need one fibre row per generator of the group")
     npoints = design.n_points
-    for i in h_indices:
-        row = point_rows[i]
+    for row in fx.point_rows:
         if len(row) != npoints or sorted(row) != list(range(npoints)):
             raise ValueError("fibre rows must permute the design points")
-    for i in h_indices:
-        for j in h_indices:
-            k = act.group.product_index(i, j)
-            if point_rows[k] != tuple(point_rows[j][x] for x in point_rows[i]):
-                raise ValueError("fibre rows do not compose as the stabilizer does")
-    nbrs = quotient.adj[base]
-    if sorted(eta) != sorted(nbrs) or sorted(eta.values()) != list(
-        range(design.n_blocks)
-    ):
+    # s -> row_s extends to a homomorphism exactly when the pairs (s, row_s)
+    # generate a group no larger than the one the s generate
+    paired = [s + tuple(q.base.n + x for x in row) for s, row in zip(gen_rows, fx.point_rows)]
+    if StabChain(q.base.n + npoints, paired).order != StabChain(q.base.n, gen_rows).order:
+        raise ValueError("fibre rows do not compose as the stabilizer does")
+    nbrs = quo.adj[0]
+    if sorted(eta) != sorted(nbrs) or sorted(eta.values()) != list(range(design.n_blocks)):
         raise ValueError("eta must pair the base's neighbours with the blocks")
-    rev_eta = {j: c for c, j in eta.items()}
+    back = [_invert(row) for row in fx.normal_block_rows]
+    # the block row of s·n_(0^s)⁻¹
+    hq = [_compose(qrow, back[qrow[0]]) for qrow in qrows]
+    images = _flag_images(fx.point_rows, hq, nbrs, eta)
     # the stabilizer must preserve the design through the transported blocks
-    for i in h_indices:
-        prow = point_rows[i]
-        qrow = act.rows[i]
-        for (x, j) in design.flags:
-            if (prow[x], eta[qrow[rev_eta[j]]]) not in design.flags:
-                raise NotInvariant(
-                    "the stabilizer does not preserve the fibre design"
-                )
-    delta = frozenset((tuple(f1), tuple(f2)) for f1, f2 in flag_orbital)
+    for flag in design.flags:
+        if any(moved not in design.flags for moved in images(flag)):
+            raise NotInvariant("the stabilizer does not preserve the fibre design")
+    delta = fx.delta
     for f1, f2 in delta:
         if f1 not in design.flags or f2 not in design.flags:
             raise NotSelfPairedOrbital("the orbital contains non-flags")
         if (f2, f1) not in delta:
             raise NotSelfPairedOrbital("the orbital is not self paired")
-
-    def move(pair: tuple) -> list:
-        (x1, j1), (x2, j2) = pair
-        return [
-            (
-                (point_rows[i][x1], eta[act.rows[i][rev_eta[j1]]]),
-                (point_rows[i][x2], eta[act.rows[i][rev_eta[j2]]]),
-            )
-            for i in h_indices
-        ]
-
-    if set(closure((min(delta),), move)) != delta:
+    if set(closure((min(delta),), _pairwise(images))) != delta:
         raise NotSelfPairedOrbital(
             "the set given is not a single orbit of the stabilizer"
         )
-    inverse = {x: act.group.inverse_index(x) for x in n_indices}
     labels = []
     for x in range(npoints):
-        labels.extend(
-            f"{design.point_labels[x]}|{quotient.labels[v]}"
-            for v in range(quotient.n)
-        )
+        labels.extend(f"{design.point_labels[x]}|{label}" for label in quo.labels)
     arcs = []
-    for (p, b) in quotient.arcs:
-        back_p = act.rows[inverse[n_label[p]]]
-        back_b = act.rows[inverse[n_label[b]]]
-        c, d = back_p[b], back_b[p]
-        jc, jd = eta[c], eta[d]
+    for (p, b) in quo.arcs:
+        jc, jd = eta[back[p][b]], eta[back[b][p]]
         for x in range(npoints):
             if (x, jc) not in design.flags:
                 continue
@@ -1137,22 +1104,16 @@ def flag_orbital_reconstruction(
                 if (y, jd) not in design.flags:
                     continue
                 if ((x, jc), (y, jd)) in delta:
-                    arcs.append((x * quotient.n + p, y * quotient.n + b))
+                    arcs.append((x * quo.n + p, y * quo.n + b))
     cover = Graph(labels, arcs)
-    rows = []
-    for g in range(len(act.rows)):
-        n = n_label[act.rows[g][base]]
-        h = act.group.product_index(g, act.group.inverse_index(n))
-        prow = point_rows[h]
-        qrow = act.rows[g]
-        row = [0] * cover.n
-        for x in range(npoints):
-            for v in range(quotient.n):
-                row[x * quotient.n + v] = prow[x] * quotient.n + qrow[v]
-        rows.append(tuple(row))
-    action = Action(act.group, cover.n, tuple(rows))
+    action = Action(
+        q.block_action.group,
+        cover.n,
+        gen_rows=[
+            tuple(prow[x] * quo.n + qrow[v] for x in range(npoints) for v in range(quo.n))
+            for prow, qrow in zip(fx.point_rows, qrows)
+        ],
+    )
     report = verify_action(cover, action)
     certify(report.symmetric, "the reconstructed cover is symmetric")
-    return FlagReconstruction(
-        cover, action, report, tuple(n_indices), h_indices, tuple(n_label)
-    )
+    return FlagReconstruction(cover, action, report)

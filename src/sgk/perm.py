@@ -441,11 +441,16 @@ class StabChain:
         return len(images) == self.degree and self._sift(tuple(images)) is None
 
     def stabilizer(self, point: int) -> "StabChain":
-        """The chain of the stabiliser of ``point``.  For point 0 the strong
-        generators fixing 0 generate it; elsewhere Schreier generators on
-        the orbit of the point do."""
+        """The chain of the stabiliser of ``point``.  The strong generators
+        fixing 0 generate G_0; a point that 0 reaches by t has the
+        stabiliser t⁻¹G_0t; elsewhere Schreier generators on the orbit of
+        the point generate it."""
+        g0 = [g for b, g in self._strong if b > 0]
         if point == 0:
-            return StabChain(self.degree, [g for b, g in self._strong if b > 0])
+            return StabChain(self.degree, g0)
+        if point in self._levels.get(0, ()):
+            t, t_inv = self._levels[0][point]
+            return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
         return StabChain(
             self.degree,
             schreier_generators(self.degree, self.generators, point, lambda x, g: g[x]),
@@ -674,9 +679,6 @@ class Action:
 
     def is_faithful(self) -> bool:
         return self.kernel_size() == 1
-
-    def stabilizer_indices(self, point: int) -> list:
-        return [i for i, r in enumerate(self.rows) if r[point] == point]
 
     def orbit_of(self, point: int) -> frozenset:
         gen_rows = self.generator_rows()

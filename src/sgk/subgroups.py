@@ -133,15 +133,6 @@ def stabilizer_subgroup(parent: GroupTable, point: int) -> Subgroup:
     return Subgroup(parent, generators=map(Perm, parent.chain.stabilizer(point).generators))
 
 
-def setwise_stabilizer(parent: GroupTable, points: Iterable[int]) -> Subgroup:
-    pts = frozenset(points)
-    for p in pts:
-        if not 0 <= p < parent.degree:
-            raise PointOutOfRange(f"point {p} outside the domain of the group")
-    elems = [g for g in parent.elements if frozenset(g.images[x] for x in pts) == pts]
-    return Subgroup(parent, tuple(elems))
-
-
 def conjugate_subgroup(sub: Subgroup, by: Perm) -> Subgroup:
     if by not in sub.parent:
         raise NotASubgroup(f"{by.cycle_string()} lies outside the parent group")

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sgk import fixtures as fx
+from sgk.subgroups import Subgroup
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"
@@ -21,6 +22,12 @@ def brute_force_isomorphic(a, b) -> bool:
         if all((pi[u], pi[v]) in b.arcs for (u, v) in a.arcs):
             return True
     return False
+
+
+def setwise_stabilizer(group, points) -> Subgroup:
+    """Reference: every listed element that maps the points onto themselves."""
+    pts = frozenset(points)
+    return Subgroup(group, [g for g in group.elements if frozenset(g(x) for x in pts) == pts])
 
 
 @pytest.fixture(scope="session")

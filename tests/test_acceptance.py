@@ -259,7 +259,7 @@ def test_criterion_09(capsys, k4, s4, c6, d6, z2):
         act = Action.natural(group)
 
         for p in range(degree):
-            if len(act.orbit_of(p)) * len(act.stabilizer_indices(p)) != len(group):
+            if len(act.orbit_of(p)) * sum(row[p] == p for row in act.rows) != len(group):
                 failures.append((trial, "orbit-stabilizer", p))
 
         point = rnd.randrange(degree)

@@ -38,7 +38,6 @@ from sgk.perm import Perm, group_from_generators
 from sgk.quotients import certify_quotient, induced_bipartite, quotient
 from sgk.subgroups import (
     BlockSystem,
-    setwise_stabilizer,
     stabilizer_subgroup,
     subgroup_from_generators,
 )
@@ -465,15 +464,13 @@ def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
     fx = extract_fibre_data(quotient(bc.cover, bc.action, bc.fibres))
-    assert len(fx.n_indices) == 4
-    assert len(fx.h_indices) == 12
+    assert fx.normal_order == 4
+    assert fx.stabilizer_order == 12
     assert len(fx.delta) == 6
     assert fx.design.n_points == 2
     assert fx.design.n_blocks == 3
     assert len(fx.design.flags) == 6
-    rb = flag_orbital_reconstruction(
-        fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
-    )
+    rb = flag_orbital_reconstruction(fx)
     assert rb.graph.n == bc.cover.n
     remap = [code[0] * fx.quotient.n + code[1] for code in fx.vertex_code]
     assert sorted(remap) == list(range(bc.cover.n))
@@ -484,9 +481,7 @@ def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
 def test_extract_trivial_fibres_k4(k4, s4):
     singles = BlockSystem.from_blocks(4, [[v] for v in range(4)])
     fx = extract_fibre_data(quotient(k4, s4, singles))
-    rb = flag_orbital_reconstruction(
-        fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
-    )
+    rb = flag_orbital_reconstruction(fx)
     assert are_isomorphic(rb.graph, k4) is not None
 
 

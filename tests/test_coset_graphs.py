@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_force_isomorphic
+from conftest import brute_force_isomorphic, setwise_stabilizer
 from sgk.coset_graphs import (
     CosetGraphSpec,
     cayley_graph,
@@ -26,7 +26,6 @@ from sgk.perm import Perm, group_from_generators
 from sgk.subgroups import (
     double_cosets,
     right_cosets,
-    setwise_stabilizer,
     stabilizer_subgroup,
     subgroup_from_generators,
     trivial_subgroup,

@@ -96,18 +96,11 @@ def _nx(graph):
     return g
 
 
-def _normal_subgroup(fx, group):
-    """N as a set of image tuples on the cover's points."""
-    return {group.element(i).images for i in fx.n_indices}
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_round_trip_is_isomorphic(inputs, name):
     graph, group, blocks = inputs[name]
     fx = extract_fibre_data(quotient(graph, group, blocks))
-    rb = flag_orbital_reconstruction(
-        fx.quotient, fx.quotient_action, fx.design, fx.point_rows, fx.delta, fx.eta
-    )
+    rb = flag_orbital_reconstruction(fx)
     assert rb.graph.n == graph.n
     assert nx.is_isomorphic(_nx(rb.graph), _nx(graph))
     assert rb.report.symmetric
@@ -119,7 +112,7 @@ def test_normal_subgroup_is_normal_and_regular(inputs, name):
     carries block 0 to each block by exactly one element."""
     graph, group, blocks = inputs[name]
     fx = extract_fibre_data(quotient(graph, group, blocks))
-    members = _normal_subgroup(fx, group)
+    members = set(fx.normal)
     assert all(tuple(b[i] for i in a) in members for a in members for b in members)
     for g in group.elements:
         inv = g.inverse()

@@ -179,7 +179,8 @@ def test_action_stabilizer_matches_filter(d6):
     act = Action.natural(d6)
     for p in range(6):
         expect = {i for i, g in enumerate(d6.elements) if g(p) == p}
-        assert set(act.stabilizer_indices(p)) == expect
+        assert {i for i, row in enumerate(act.rows) if row[p] == p} == expect
+        assert d6.chain.stabilizer(p).order == len(expect)
 
 
 def test_coerce_action_degree_guard(s4):

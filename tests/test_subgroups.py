@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import setwise_stabilizer
 from sgk.errors import NotASubgroup, NotTransitive
 from sgk.perm import Perm, group_from_generators
 from sgk.subgroups import (
@@ -18,7 +19,6 @@ from sgk.subgroups import (
     make_subgroup,
     minimal_block,
     right_cosets,
-    setwise_stabilizer,
     stabilizer_subgroup,
     subgroup_block_lattice,
     subgroup_from_generators,

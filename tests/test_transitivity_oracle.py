@@ -24,7 +24,7 @@ def reference_locally_transitive(graph, act, vertex_transitive):
         nbrs = graph.adj[v]
         if len(nbrs) <= 1:
             continue
-        stab_rows = [act.rows[i] for i in act.stabilizer_indices(v)]
+        stab_rows = [row for row in act.rows if row[v] == v]
         if len({row[nbrs[0]] for row in stab_rows}) != len(nbrs):
             return False
     return True

@@ -1,19 +1,23 @@
-"""Nine commands never list the group, and the commands that list it
+"""Eleven commands never list the group, and the commands that list it
 never build a stabiliser chain.
 
 With listing made to raise, ``cosetgraph``, ``orbitals``, ``verify``,
-``quotient``, ``blocks``, ``threearc`` and the three ``design`` commands
-give the same exit status, output and certificate (apart from
-``timing_ms``) as with listing allowed, on the coset-ladder inputs (the
-fixtures plus S6, S7 and M11) and on the desk inputs of the others.  S9
-and S10 coset graphs, ``blocks`` on S10 and a three-arc graph of K9 under
+``quotient``, ``blocks``, ``threearc``, the three ``design`` commands,
+``subgraph-graph`` and ``extend --via flags`` give the same exit status,
+output, certificate (apart from ``timing_ms``) and written files as with
+listing allowed, on the coset-ladder inputs (the fixtures plus S6, S7
+and M11) and on the desk inputs of the others.  S9 and S10 coset graphs,
+``blocks`` on S10, and a three-arc graph and a subgraph graph of K9 under
 S9 run under the default element cap, while the cap still bounds the
-number of cosets.  With chains made to raise, every command but the first
-three gives the same outcome as with chains allowed.
+number of cosets.  With chains made to raise, every command but those
+that read stabiliser chains (``cosetgraph``, ``orbitals``, ``verify``,
+``subgraph-graph`` and ``extend --via flags``) gives the same outcome as
+with chains allowed.
 """
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,12 +46,16 @@ def forbid_listing(monkeypatch):
 def outcome(capsys, tmp_path, argv):
     cert = tmp_path / "cert.json"
     cert.unlink(missing_ok=True)
+    group_out = Path(argv[argv.index("--group-out") + 1]) if "--group-out" in argv else None
+    if group_out:
+        group_out.unlink(missing_ok=True)
     code = main(argv + ["--certificate", str(cert)])
     out, err = capsys.readouterr()
     doc = json.loads(cert.read_text()) if cert.exists() else None
     if doc is not None:
         doc.pop("timing_ms")
-    return code, out, err, doc
+    written = group_out.read_text() if group_out and group_out.exists() else None
+    return code, out, err, doc, written
 
 
 def ladder(tmp_path):
@@ -78,6 +86,50 @@ def ladder(tmp_path):
     groups = list(fix.values()) + [s6, str(tmp_path / "s7.grp"), str(tmp_path / "m11.grp")]
     jobs += [["orbitals", "--group", g] for g in groups]
     return jobs + quotient_layer_jobs(tmp_path)
+
+
+def construction_jobs(capsys, tmp_path):
+    """``subgraph-graph`` and ``extend --via flags`` on the desk inputs,
+    the latter on the double cover of K4 that ``biggs`` writes first, on
+    2K2 under D4 by singletons and on C4 under D4 by antipodal pairs,
+    which has no regular normal subgroup."""
+    s4, d4 = str(FIXDIR / "s4.grp"), str(FIXDIR / "d4.grp")
+    k4 = str(FIXDIR / "k4.graph")
+    files = {
+        "twist.txt": "trivial\n",
+        "chain.txt": "arc 1 2 (1 2)\n",
+        "fibres.txt": "1 5\n2 6\n3 7\n4 8\n",
+        "singles.txt": "1\n2\n3\n4\n",
+        "pairs.txt": "1 3\n2 4\n",
+        "2k2.graph": "vertices: 4\nedge 1 3\nedge 2 4\n",
+        "c4.graph": "vertices: 4\nedge 1 2\nedge 2 3\nedge 3 4\nedge 1 4\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    t = {name: str(tmp_path / name) for name in files}
+    cover, cover_group = str(tmp_path / "cover.graph"), str(tmp_path / "cover.grp")
+    code, *_ = outcome(capsys, tmp_path, [
+        "biggs", "--graph", k4, "--group", s4, "--n", str(FIXDIR / "z2.grp"),
+        "--twist", t["twist.txt"], "--chain", t["chain.txt"], "--out", "edges",
+        "--out-file", cover, "--group-out", cover_group])
+    assert code == 0
+    induced = str(tmp_path / "induced.grp")
+    return [
+        ["subgraph-graph", "--graph", k4, "--group", s4,
+         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)", "--out", "edges",
+         "--group-out", induced],
+        ["subgraph-graph", "--graph", k4, "--group", s4, "--subgraph", "1>2,2>1",
+         "--involution", "(1 2)"],
+        # not an involution: rejected either way
+        ["subgraph-graph", "--graph", k4, "--group", s4, "--subgraph", "1>2",
+         "--involution", "(1 2 3)"],
+        ["extend", "--via", "flags", "--graph", cover, "--group", cover_group,
+         "--blocks", t["fibres.txt"], "--out", "edges", "--group-out", induced],
+        ["extend", "--via", "flags", "--graph", t["2k2.graph"], "--group", d4,
+         "--blocks", t["singles.txt"], "--out", "edges", "--group-out", induced],
+        ["extend", "--via", "flags", "--graph", t["c4.graph"], "--group", d4,
+         "--blocks", t["pairs.txt"]],
+    ]
 
 
 def quotient_layer_jobs(tmp_path):
@@ -118,7 +170,7 @@ def quotient_layer_jobs(tmp_path):
 
 
 def test_listing_is_never_needed(capsys, tmp_path, monkeypatch):
-    jobs = ladder(tmp_path)
+    jobs = ladder(tmp_path) + construction_jobs(capsys, tmp_path)
     allowed = [outcome(capsys, tmp_path, argv) for argv in jobs]
     assert {a[0] for a in allowed} == {0, 1, 2}
     forbid_listing(monkeypatch)
@@ -135,7 +187,7 @@ def test_symmetric_group_coset_graph_past_the_cap(capsys, tmp_path, monkeypatch,
     group = tmp_path / f"s{n}.grp"
     group.write_text(symmetric_group_file(n))
     stabiliser = "(2 3),(" + " ".join(str(p) for p in range(2, n + 1)) + ")"
-    code, _, err, doc = outcome(
+    code, _, err, doc, _ = outcome(
         capsys, tmp_path,
         ["cosetgraph", "--group", str(group), "--subgroup", stabiliser, "--involution", "(1 2)"],
     )
@@ -160,16 +212,33 @@ def test_quotient_layer_past_the_cap(capsys, tmp_path, monkeypatch):
     s10.write_text(symmetric_group_file(10))
     edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
     k9.write_text("vertices: 9\n" + edges)
-    code, _, err, doc = outcome(capsys, tmp_path, ["blocks", "--group", str(s10)])
+    code, _, err, doc, _ = outcome(capsys, tmp_path, ["blocks", "--group", str(s10)])
     assert code == 0, err
     assert doc["facts"]["count"] == 2
     assert all(c["pass"] for c in doc["claims"])
-    code, _, err, doc = outcome(
+    code, _, err, doc, _ = outcome(
         capsys, tmp_path,
         ["threearc", "--graph", str(k9), "--group", str(s9), "--orbit-index", "0"],
     )
     assert code == 0, err
     assert doc["facts"]["vertices"] == 72 and doc["facts"]["orbit_count"] == 2
+    assert all(c["pass"] for c in doc["claims"])
+
+
+def test_subgraph_graph_past_the_cap(capsys, tmp_path, monkeypatch):
+    """S9 passes the default element cap: the 168 directed triangles of K9
+    each have a stabiliser of order 9!/168 = 2160."""
+    monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
+    forbid_listing(monkeypatch)
+    s9, k9 = tmp_path / "s9.grp", tmp_path / "k9.graph"
+    s9.write_text(symmetric_group_file(9))
+    edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
+    k9.write_text("vertices: 9\n" + edges)
+    code, _, err, doc, _ = outcome(capsys, tmp_path, [
+        "subgraph-graph", "--graph", str(k9), "--group", str(s9),
+        "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"])
+    assert code == 0, err
+    assert doc["facts"]["vertices"] == 168 and doc["facts"]["stabilizer_order"] == 2160
     assert all(c["pass"] for c in doc["claims"])
 
 
@@ -181,10 +250,10 @@ def test_coset_count_is_capped(capsys, tmp_path, monkeypatch):
     group = tmp_path / "s10.grp"
     group.write_text(symmetric_group_file(10))
     argv = ["cosetgraph", "--group", str(group), "--involution", "(1 3)", "--subgroup"]
-    code, out, err, doc = outcome(capsys, tmp_path, argv + ["(1 2)"])
+    code, out, err, doc, _ = outcome(capsys, tmp_path, argv + ["(1 2)"])
     assert code == 1 and out == "" and doc is None
     assert err.startswith("sgk: cap-exceeded:")
-    code, _, err, doc = outcome(capsys, tmp_path, argv + ["(2 3),(2 3 4 5 6 7 8 9 10)"])
+    code, _, err, doc, _ = outcome(capsys, tmp_path, argv + ["(2 3),(2 3 4 5 6 7 8 9 10)"])
     assert code == 0, err
     assert doc["facts"]["vertices"] == 10
 
@@ -196,7 +265,6 @@ def listing_jobs(tmp_path):
         "twist.txt": "trivial\n",
         "chain.txt": "arc 1 2 (1 2)\n",
         "halves.txt": "1 4\n2 5\n3 6\n",
-        "fibres.txt": "1 5\n2 6\n3 7\n4 8\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -218,13 +286,9 @@ def listing_jobs(tmp_path):
         ["biggs", "--graph", k4, "--group", fix["s4"], "--n", fix["z2"],
          "--twist", t["twist.txt"], "--chain", t["chain.txt"], "--out", "edges",
          "--out-file", cover, "--group-out", cover_group],
-        ["subgraph-graph", "--graph", k4, "--group", fix["s4"],
-         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
         ["extend", "--via", "arcs", "--group", str(FIXDIR / "octahedron-aut.grp"),
          "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
          "--involution", "(1 2)(4 5)"],
-        ["extend", "--via", "flags", "--graph", cover, "--group", cover_group,
-         "--blocks", t["fibres.txt"]],
     ]
 
 
