@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 from .coset_graphs import CosetGraphResult, symmetric_coset_graph
@@ -50,6 +51,7 @@ from .perm import (
     _compose,
     _invert,
     _witnesses,
+    capped,
     closure,
     coerce_action,
     extend_on_generators,
@@ -696,9 +698,8 @@ def subgraph_graph(
         if (u, v) not in graph.arcs:
             raise NotSubgraph(f"({u}, {v}) is not an arc of the graph")
     gen_rows = act.generator_rows()
-    orbit = {
-        s.key(): s for s in closure((sub,), lambda s: [s.image(row) for row in gen_rows])
-    }
+    walk = closure((sub,), lambda s: [s.image(row) for row in gen_rows])
+    orbit = {s.key(): s for s in capped(walk, "subgraphs")}
     keys = sorted(orbit)
     where = {k: i for i, k in enumerate(keys)}
     subgraphs = tuple(orbit[k] for k in keys)
@@ -901,7 +902,8 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     least first, then breadth first, and keeps the first whose normal
     closure with N so far is semiregular on the blocks; it then goes on
     at the least block not yet reached, so disconnected quotients are
-    covered too.  NotSemidirect when a coset runs out.
+    covered too.  NotSemidirect when a coset runs out; CapExceeded when
+    a coset's walk passes the element cap.
     """
     n, on_blocks = q.graph.n, _on_blocks(q.partition)
     gen_rows = list(q.action.generator_rows())
@@ -910,7 +912,8 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     w = q.graph.adj[0][0]
     while True:
         least = stab.least_in_coset(carriers[w])
-        for x in closure((least,), lambda y: [_compose(h, y) for h in stab.generators]):
+        walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
+        for x in capped(walk, "candidates for N"):
             listed = _semiregular_closure(gens + [x], gen_rows, on_blocks)
             if listed is not None:
                 break
@@ -927,9 +930,9 @@ class FibreExtraction:
     """Everything the reconstruction needs, read off an existing cover:
     the quotient it was taken from; N as one element per block,
     ``normal[w]`` carrying block 0 to w; for each generator s of G, the
-    row on the fibre points of its image s·n_(0^s)⁻¹ in G_B; the order
-    of G_B; the fibre design with its flag orbital Δ; and each vertex's
-    fibre coordinates."""
+    rows on the fibre points and on the blocks of its image s·n_(0^s)⁻¹
+    in G_B; the order of G_B; the fibre design with its flag orbital Δ;
+    and each vertex's fibre coordinates."""
 
     source: Quotient
     points: tuple
@@ -937,6 +940,7 @@ class FibreExtraction:
     normal: tuple
     stabilizer_order: int
     point_rows: tuple
+    block_rows: tuple
     eta: dict
     delta: frozenset
     vertex_code: tuple
@@ -953,7 +957,7 @@ class FibreExtraction:
     def normal_order(self) -> int:
         return len(self.normal)
 
-    @property
+    @cached_property
     def normal_block_rows(self) -> list:
         """N acting on the quotient's vertices, one row per element."""
         return [_block_row(self.source.partition, x) for x in self.normal]
@@ -981,6 +985,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     pos = {p: i for i, p in enumerate(points)}
     stab_gens = [_compose(s, back[block_of[s[points[0]]]]) for s in gen_rows]
     point_rows = tuple(tuple(pos[h[p]] for p in points) for h in stab_gens)
+    block_rows = tuple(_block_row(partition, h) for h in stab_gens)
     nbrs = quo.adj[0]
     eta = {c: j for j, c in enumerate(nbrs)}
     flags = frozenset(
@@ -1003,7 +1008,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
         return pos[x[u]], eta[block_of[x[v]]]
 
     u, v = min(graph.arcs)
-    images = _flag_images(point_rows, [_block_row(partition, h) for h in stab_gens], nbrs, eta)
+    images = _flag_images(point_rows, block_rows, nbrs, eta)
     delta = frozenset(closure(((flag(u, v), flag(v, u)),), _pairwise(images)))
     certify(
         all((b, a) in delta for (a, b) in delta),
@@ -1016,6 +1021,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
         normal=normal,
         stabilizer_order=stab.order,
         point_rows=point_rows,
+        block_rows=block_rows,
         eta=eta,
         delta=delta,
         vertex_code=vertex_code,
@@ -1073,10 +1079,7 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     nbrs = quo.adj[0]
     if sorted(eta) != sorted(nbrs) or sorted(eta.values()) != list(range(design.n_blocks)):
         raise ValueError("eta must pair the base's neighbours with the blocks")
-    back = [_invert(row) for row in fx.normal_block_rows]
-    # the block row of s·n_(0^s)⁻¹
-    hq = [_compose(qrow, back[qrow[0]]) for qrow in qrows]
-    images = _flag_images(fx.point_rows, hq, nbrs, eta)
+    images = _flag_images(fx.point_rows, fx.block_rows, nbrs, eta)
     # the stabilizer must preserve the design through the transported blocks
     for flag in design.flags:
         if any(moved not in design.flags for moved in images(flag)):
@@ -1094,6 +1097,7 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     labels = []
     for x in range(npoints):
         labels.extend(f"{design.point_labels[x]}|{label}" for label in quo.labels)
+    back = [_invert(row) for row in fx.normal_block_rows]
     arcs = []
     for (p, b) in quo.arcs:
         jc, jd = eta[back[p][b]], eta[back[b][p]]

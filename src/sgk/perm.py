@@ -442,14 +442,14 @@ class StabChain:
 
     def stabilizer(self, point: int) -> "StabChain":
         """The chain of the stabiliser of ``point``.  The strong generators
-        fixing 0 generate G_0; a point that 0 reaches by t has the
-        stabiliser t⁻¹G_0t; elsewhere Schreier generators on the orbit of
-        the point generate it."""
+        fixing 0 generate G_0 (all of G when G fixes 0); a point that 0
+        reaches by t, 0 itself by the identity, has the stabiliser t⁻¹G_0t;
+        elsewhere Schreier generators on the orbit of the point generate it."""
         g0 = [g for b, g in self._strong if b > 0]
-        if point == 0:
-            return StabChain(self.degree, g0)
-        if point in self._levels.get(0, ()):
-            t, t_inv = self._levels[0][point]
+        identity = tuple(range(self.degree))
+        orbit = self._levels.get(0, {0: (identity, identity)})
+        if point in orbit:
+            t, t_inv = orbit[point]
             return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
         return StabChain(
             self.degree,
@@ -501,6 +501,15 @@ def closure(seed: Iterable, step: Callable) -> Iterator:
                 seen.add(y)
                 found.append(y)
                 yield y
+
+
+def capped(items: Iterable, what: str) -> Iterator:
+    """Yield ``items``, raising CapExceeded before one past the element cap."""
+    cap = element_cap()
+    for count, x in enumerate(items):
+        if count == cap:
+            raise CapExceeded(f"the {what} exceed the element cap of {cap}")
+        yield x
 
 
 def orbits(items: Iterable, step: Callable) -> list:

@@ -7,7 +7,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    CapExceeded,
     DomainTooLarge,
     NotASubgroup,
     NotTransitive,
@@ -17,8 +16,8 @@ from .perm import (
     Action,
     GroupTable,
     Perm,
+    capped,
     closure,
-    element_cap,
     is_transitive,
     schreier_generators,
 )
@@ -172,13 +171,7 @@ class CosetSpace:
             successors[x] = [least(tuple(map(g.__getitem__, x))) for g in gens]
             return successors[x]
 
-        cap = element_cap()
-        reps = []
-        for r in closure((tuple(range(group.degree)),), step):
-            if len(reps) >= cap:
-                raise CapExceeded(f"the cosets exceed the element cap of {cap}")
-            reps.append(r)
-        reps.sort()
+        reps = sorted(capped(closure((tuple(range(group.degree)),), step), "cosets"))
         self._number = {r: i for i, r in enumerate(reps)}
         self.reps = tuple(Perm(r) for r in reps)
         self._gen_rows = tuple(

@@ -9,7 +9,8 @@ listing allowed, on the coset-ladder inputs (the fixtures plus S6, S7
 and M11) and on the desk inputs of the others.  S9 and S10 coset graphs,
 ``blocks`` on S10, and a three-arc graph and a subgraph graph of K9 under
 S9 run under the default element cap, while the cap still bounds the
-number of cosets.  With chains made to raise, every command but those
+number of cosets, the orbit of a subgraph and the candidates tried for
+a regular normal subgroup.  With chains made to raise, every command but those
 that read stabiliser chains (``cosetgraph``, ``orbitals``, ``verify``,
 ``subgraph-graph`` and ``extend --via flags``) gives the same outcome as
 with chains allowed.
@@ -200,6 +201,14 @@ def test_symmetric_group_coset_graph_past_the_cap(capsys, tmp_path, monkeypatch,
     assert all(c["pass"] for c in doc["claims"])
 
 
+def k9_files(tmp_path):
+    s9, k9 = tmp_path / "s9.grp", tmp_path / "k9.graph"
+    s9.write_text(symmetric_group_file(9))
+    edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
+    k9.write_text("vertices: 9\n" + edges)
+    return str(s9), str(k9)
+
+
 def test_quotient_layer_past_the_cap(capsys, tmp_path, monkeypatch):
     """S10 and S9 pass the default element cap: S10 is primitive, so its
     two block systems are the trivial ones, and the 3-arc orbit of K9
@@ -207,18 +216,16 @@ def test_quotient_layer_past_the_cap(capsys, tmp_path, monkeypatch):
     72 arcs."""
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
     forbid_listing(monkeypatch)
-    s9, s10, k9 = tmp_path / "s9.grp", tmp_path / "s10.grp", tmp_path / "k9.graph"
-    s9.write_text(symmetric_group_file(9))
+    s9, k9 = k9_files(tmp_path)
+    s10 = tmp_path / "s10.grp"
     s10.write_text(symmetric_group_file(10))
-    edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
-    k9.write_text("vertices: 9\n" + edges)
     code, _, err, doc, _ = outcome(capsys, tmp_path, ["blocks", "--group", str(s10)])
     assert code == 0, err
     assert doc["facts"]["count"] == 2
     assert all(c["pass"] for c in doc["claims"])
     code, _, err, doc, _ = outcome(
         capsys, tmp_path,
-        ["threearc", "--graph", str(k9), "--group", str(s9), "--orbit-index", "0"],
+        ["threearc", "--graph", k9, "--group", s9, "--orbit-index", "0"],
     )
     assert code == 0, err
     assert doc["facts"]["vertices"] == 72 and doc["facts"]["orbit_count"] == 2
@@ -230,12 +237,9 @@ def test_subgraph_graph_past_the_cap(capsys, tmp_path, monkeypatch):
     each have a stabiliser of order 9!/168 = 2160."""
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
     forbid_listing(monkeypatch)
-    s9, k9 = tmp_path / "s9.grp", tmp_path / "k9.graph"
-    s9.write_text(symmetric_group_file(9))
-    edges = "".join(f"edge {i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
-    k9.write_text("vertices: 9\n" + edges)
+    s9, k9 = k9_files(tmp_path)
     code, _, err, doc, _ = outcome(capsys, tmp_path, [
-        "subgraph-graph", "--graph", str(k9), "--group", str(s9),
+        "subgraph-graph", "--graph", k9, "--group", s9,
         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"])
     assert code == 0, err
     assert doc["facts"]["vertices"] == 168 and doc["facts"]["stabilizer_order"] == 2160
@@ -256,6 +260,28 @@ def test_coset_count_is_capped(capsys, tmp_path, monkeypatch):
     code, _, err, doc, _ = outcome(capsys, tmp_path, argv + ["(2 3),(2 3 4 5 6 7 8 9 10)"])
     assert code == 0, err
     assert doc["facts"]["vertices"] == 10
+
+
+@pytest.mark.parametrize("what", ["subgraph-graph", "extend"])
+def test_orbit_walks_are_capped(capsys, tmp_path, monkeypatch, what):
+    """Under a lowered cap of 100, the 168 directed triangles of K9 under
+    S9 are refused, and so is the search for a regular normal subgroup
+    of S9 on K9 by singletons, which would try the 8! = 40320 members of
+    one coset of S8 before finding none."""
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "100")
+    forbid_listing(monkeypatch)
+    s9, k9 = k9_files(tmp_path)
+    singles = tmp_path / "singles.txt"
+    singles.write_text("".join(f"{i}\n" for i in range(1, 10)))
+    argv = {
+        "subgraph-graph": ["subgraph-graph", "--graph", k9, "--group", s9,
+                           "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
+        "extend": ["extend", "--via", "flags", "--graph", k9, "--group", s9,
+                   "--blocks", str(singles)],
+    }[what]
+    code, out, err, doc, _ = outcome(capsys, tmp_path, argv)
+    assert code == 1 and out == "" and doc is None
+    assert err.startswith("sgk: cap-exceeded:") and "element cap of 100" in err
 
 
 def listing_jobs(tmp_path):
