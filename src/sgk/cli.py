@@ -66,12 +66,12 @@ from .perm import (
     coerce_action,
     enumerate_group,
     orbits,
+    paired_order,
 )
 from .quotients import certify_quotient, induced_bipartite, quotient
 from .subgroups import (
     all_block_systems,
     lattice_is_order_isomorphic,
-    stabilizer_subgroup,
     subgroup_block_lattice,
     subgroup_from_generators,
     system_from_block,
@@ -107,7 +107,10 @@ CLAIM_INVARIANTS = {
     "polarity-commutation": "the polarity commutes with every group element",
     "design-round-trip": "rebuilding the graph from its design data returns an isomorphic graph",
     "flag-transitivity-propagates": "flag transitivity forces point and block transitivity",
-    "biggs-action-law": "acting by a product equals acting by its factors in order",
+    "biggs-action-law": (
+        "the generators of N x G paired with their cover rows generate a group"
+        " of order |N x G|, so acting by a product equals acting by its factors in order"
+    ),
     "biggs-valency-preservation": "the cover valency equals the base valency",
     "biggs-fiber-matching": "every adjacent fibre pair induces a perfect matching",
     "three-arc-identification": "vertices are the base arcs and the initial-vertex quotient is the base",
@@ -167,16 +170,14 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_group(
-    cert: Certificate, path: str, name: str = "group", listed: bool = True
-) -> GroupTable:
-    """The group in the file, listed up front unless ``listed`` is off;
-    an unlisted group answers from stabiliser chains and lists its
-    elements only if something asks for them."""
+def _load_group(cert: Certificate, path: str, name: str = "group") -> GroupTable:
+    """The group in the file, given by its generators: it answers from
+    stabiliser chains and lists its elements only if something asks for
+    them."""
     text = _read_text(path)
     cert.add_input(name, text)
     spec = parse_group_file(text)
-    return enumerate_group(spec) if listed else GroupTable(spec.degree, spec.generators)
+    return GroupTable(spec.degree, spec.generators)
 
 
 def _load_graph(cert: Certificate, path: str, name: str = "graph") -> Graph:
@@ -284,7 +285,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
     )
     bad = None
     for p in range(group.degree):
-        if len(act.orbit_of(p)) * stabilizer_subgroup(group, p).order != len(group):
+        if len(act.orbit_of(p)) * group.chain.stabilizer(p).order != len(group):
             bad = p
             break
     cert.claim(
@@ -304,9 +305,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         f"{len(point_orbits)} orbits tile the {group.degree} points",
     )
     again = enumerate_group(GroupSpec(group.degree, group.generators))
-    same = len(again) == len(group) and all(
-        x.images == y.images for x, y in zip(group.elements, again.elements)
-    )
+    same = again.elements == group.elements
     cert.claim(
         "enumeration-determinism",
         same,
@@ -316,7 +315,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
 
 
 def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     cert.add_input("subgroup", args.subgroup)
     sub = subgroup_from_generators(
         group, parse_subgroup_generators(args.subgroup, group.degree)
@@ -383,7 +382,7 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
 
 
 def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     orbs = orbitals(group)
     cert.facts.update(
         {
@@ -423,7 +422,7 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
 
 def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
@@ -487,7 +486,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
 
 
 def cmd_blocks(args, cert: Certificate) -> Optional[str]:
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     systems = all_block_systems(group)
     cert.facts.update(
         {
@@ -543,7 +542,7 @@ def cmd_lattice(args, cert: Certificate) -> Optional[str]:
             "count": len(pairs),
             "pairs": [
                 {
-                    "subgroup_order": p.subgroup.order,
+                    "subgroup_order": p.order,
                     "block": [x + 1 for x in p.block],
                 }
                 for p in pairs
@@ -572,7 +571,7 @@ def cmd_lattice(args, cert: Certificate) -> Optional[str]:
 
 def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     inc, pol = design_from_graph(graph, group)
     params = validate_design(inc)
     ft = is_flag_transitive(inc, group)
@@ -620,7 +619,7 @@ def cmd_design_to_graph(args, cert: Certificate) -> Optional[str]:
     text = _read_text(args.design)
     cert.add_input("design", text)
     inc = parse_design_file(text)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     pols = find_polarities(inc, group)
     if not pols:
         raise NotPolarity("the design admits no equivariant polarity")
@@ -655,7 +654,7 @@ def cmd_design_polarities(args, cert: Certificate) -> Optional[str]:
     text = _read_text(args.design)
     cert.add_input("design", text)
     inc = parse_design_file(text)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     pols = find_polarities(inc, group)
     cert.facts.update(
         {
@@ -709,7 +708,7 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
 
 def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     # one report on the base graph serves both the orbits and the graph
     report = verify_action(graph, group)
     orbs = three_arc_orbits(graph, group, report)
@@ -796,22 +795,15 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
             "cover_class": bc.certificate.cover_class,
         }
     )
-    # the law on every Cayley graph edge (x, x·s) gives it on every pair,
-    # by induction on the word length of the second factor
-    rows = bc.action.rows
-    edges = [(x, s) for x in range(len(sd)) for s in sd.generator_indices()]
-    bad = None
-    for x, s in edges:
-        rx, rs, rxs = rows[x], rows[s], rows[sd.product_index(x, s)]
-        if any(rs[rx[v]] != rxs[v] for v in range(cover.n)):
-            bad = {"x": sd.element_label(x), "y": sd.element_label(s)}
-            break
+    gens = [x.images for x in sd.generators]
+    paired = paired_order(gens, bc.action.generator_rows())
     cert.claim(
         "biggs-action-law",
-        bad is None,
-        f"(v^x)^s = v^(xs) for every element x and generator s, {len(edges)} pairs"
-        if bad is None
-        else bad,
+        paired == len(sd),
+        f"the {len(gens)} generators paired with their cover rows generate"
+        f" {paired} elements, as N x G has"
+        if paired == len(sd)
+        else {"paired_order": paired, "semidirect_order": len(sd)},
     )
     cert.claim(
         "biggs-valency-preservation",
@@ -880,7 +872,7 @@ def _parse_directed_subgraph(spec: str, graph: Graph):
 
 def cmd_subgraph_graph(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     cert.add_input("subgraph", args.subgraph)
     sub = _parse_directed_subgraph(args.subgraph, graph)
     cert.add_input("involution", args.involution)
@@ -985,7 +977,7 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
 def _extend_flags(args, cert: Certificate) -> Optional[str]:
     _require_flags(args, ("graph", "blocks"))
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
     partition = parse_blocks_file(blocks_text, graph.n)
@@ -1027,7 +1019,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
 
 def cmd_verify(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
-    group = _load_group(cert, args.group, listed=False)
+    group = _load_group(cert, args.group)
     act = coerce_action(group, graph.n)
     report = verify_action(graph, act)
     cert.facts.update(

@@ -55,6 +55,7 @@ from .perm import (
     closure,
     coerce_action,
     extend_on_generators,
+    paired_order,
     schreier_generators,
 )
 from .quotients import (
@@ -64,7 +65,7 @@ from .quotients import (
     quotient,
     quotient_is_nontrivial,
 )
-from .subgroups import BlockSystem, Subgroup, right_cosets
+from .subgroups import BlockSystem, Subgroup
 
 
 # ---- semidirect products ---------------------------------------------------
@@ -97,64 +98,32 @@ def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Per
     return tuple(values[i] for i in range(len(n_part)))
 
 
-class SemidirectGroup:
-    """N ⋊ G under a twist ρ: G → Aut(N), elements indexed as pairs.
+class SemidirectGroup(GroupTable):
+    """N ⋊ G under a twist ρ: G → Aut(N), as a permutation group on the
+    elements of N, numbered as N lists them, followed by the points of G:
+    the pair (η, g) sends n to n^ρ(g)·η and the point p to p^g.
 
-    Multiplication follows the composition convention used everywhere in
-    this package (left factor acts first):
-
-        (n₁, g₁)(n₂, g₂) = (n₁^{ρ(g₂)} n₂, g₁g₂)
-
-    which is associative exactly when ρ(gh) = ρ(g) followed by ρ(h).  The
-    instance quacks like a group table for Action purposes: ``__len__``,
-    ``generator_indices``, ``product_index``.
+    Pairs multiply as (n₁, g₁)(n₂, g₂) = (n₁^{ρ(g₂)} n₂, g₁g₂), the left
+    factor acting first as everywhere in this package, which is
+    associative exactly when ρ(gh) = ρ(g) followed by ρ(h).  The
+    generators are N's, (η, 1), then G's, (1, s); ``twists`` holds ρ(s)
+    for each generator s of G as a row on N's element numbers.
     """
 
-    __slots__ = ("n_part", "g_part", "twist_rows")
-
-    def __init__(self, n_part: GroupTable, g_part: GroupTable, twist_rows: tuple):
+    def __init__(self, n_part: GroupTable, g_part: GroupTable, twists: Sequence[tuple]):
+        m = len(n_part.elements)
+        fixed = tuple(range(m, m + g_part.degree))
+        right = [
+            tuple(n_part.product_index(i, n_part.index(eta)) for i in range(m)) + fixed
+            for eta in n_part.generators
+        ]
+        twisted = [
+            row + tuple(m + p for p in s.images) for row, s in zip(twists, g_part.generators)
+        ]
+        super().__init__(m + g_part.degree, [Perm(row) for row in right + twisted])
         self.n_part = n_part
         self.g_part = g_part
-        self.twist_rows = twist_rows
-
-    def __len__(self) -> int:
-        return len(self.n_part) * len(self.g_part)
-
-    def __repr__(self) -> str:
-        return (
-            f"<semidirect product of order {len(self)} = "
-            f"{len(self.n_part)} x {len(self.g_part)}>"
-        )
-
-    def pair_index(self, ni: int, gi: int) -> int:
-        return ni * len(self.g_part) + gi
-
-    def pair_of(self, i: int) -> tuple:
-        return divmod(i, len(self.g_part))
-
-    def element_label(self, i: int) -> str:
-        ni, gi = self.pair_of(i)
-        return (
-            f"({self.n_part.element(ni).cycle_string()}, "
-            f"{self.g_part.element(gi).cycle_string()})"
-        )
-
-    def generator_indices(self) -> tuple:
-        out = [self.pair_index(ni, 0) for ni in self.n_part.generator_indices()]
-        out += [self.pair_index(0, gi) for gi in self.g_part.generator_indices()]
-        return tuple(out)
-
-    def product_index(self, i: int, j: int) -> int:
-        n1, g1 = self.pair_of(i)
-        n2, g2 = self.pair_of(j)
-        n = self.n_part.product_index(self.twist_rows[g2][n1], n2)
-        return self.pair_index(n, self.g_part.product_index(g1, g2))
-
-    def embed_n(self, ni: int) -> int:
-        return self.pair_index(ni, 0)
-
-    def embed_g(self, gi: int) -> int:
-        return self.pair_index(0, gi)
+        self.twists = tuple(twists)
 
 
 def semidirect_product(
@@ -163,53 +132,19 @@ def semidirect_product(
     """Form N ⋊_ρ G from generator data for the twist.
 
     ``twist`` lists, for each generator of G in order, the images of the
-    generators of N under ρ of that generator.  ρ is extended along the
-    Cayley graph of G and checked on every edge of it: ρ(x·s) = ρ(x)
-    followed by ρ(s) for each element x and generator s.  By induction on
-    word length that makes ρ a homomorphism on all of G, so no pair of
-    elements needs checking.
+    generators of N under ρ of that generator.  ρ extends to a
+    homomorphism on G exactly when the pairs (s, ρ(s)) generate a group
+    of order |G| (``paired_order``), so no element of G is listed.
     """
     if len(twist) != len(g_part.generators):
         raise TwistNotHomomorphism(
             f"{len(twist)} automorphisms for {len(g_part.generators)} generators of G"
         )
-    gen_rows = [
-        _automorphism_from_generator_images(n_part, images) for images in twist
-    ]
-    size = len(g_part)
-    values = extend_on_generators(
-        g_part, gen_rows, tuple(range(len(n_part))), lambda r, s: tuple(s[x] for x in r)
-    )
-    if values is None:
+    twists = [_automorphism_from_generator_images(n_part, images) for images in twist]
+    if paired_order([s.images for s in g_part.generators], twists) != len(g_part):
         raise TwistNotHomomorphism("the twist does not extend to a homomorphism on G")
-    if len(values) != size:
-        raise TwistNotHomomorphism("the generators given do not generate G")
-    rows = tuple(values[i] for i in range(size))
-    sd = SemidirectGroup(n_part, g_part, rows)
-    certify(
-        all(row[0] == 0 for row in rows),
-        "every twist automorphism fixes the identity of N",
-    )
-    # the two embedded copies multiply inside themselves; on generator
-    # edges, which decides it for every pair
-    certify(
-        all(
-            sd.product_index(sd.embed_n(i), sd.embed_n(s))
-            == sd.embed_n(n_part.product_index(i, s))
-            for i in range(len(n_part))
-            for s in n_part.generator_indices()
-        ),
-        "N embeds as a subgroup",
-    )
-    certify(
-        all(
-            sd.product_index(sd.embed_g(i), sd.embed_g(s))
-            == sd.embed_g(g_part.product_index(i, s))
-            for i in range(size)
-            for s in g_part.generator_indices()
-        ),
-        "G embeds as a subgroup",
-    )
+    sd = SemidirectGroup(n_part, g_part, twists)
+    certify(len(sd) == len(n_part) * len(g_part), "N ⋊ G has |N|·|G| elements")
     return sd
 
 
@@ -294,21 +229,12 @@ def chain_from_seeds(
     return NChain.from_map(values)
 
 
-def _generator_perms(act: Action) -> list:
-    group = act.group
-    if isinstance(group, GroupTable):
-        return list(group.generators)
-    raise DegreeMismatch("chains need the acting group as a plain group table")
-
-
-def _twists_for_generators(act: Action, sd: SemidirectGroup) -> list:
-    rows = []
-    for g in _generator_perms(act):
-        try:
-            rows.append(sd.twist_rows[sd.g_part.index(g)])
-        except KeyError:
-            raise DegreeMismatch("the twist was built over a different group") from None
-    return rows
+def _twists_for_generators(act: Action, sd: SemidirectGroup) -> tuple:
+    """ρ of each generator of the acting group, which must be the G that
+    the twist was built over."""
+    if act.group.generators != sd.g_part.generators:
+        raise DegreeMismatch("the twist was built over a different group")
+    return sd.twists
 
 
 @dataclass(frozen=True)
@@ -331,8 +257,7 @@ def validate_nchain(
     twist is a homomorphism, so the check is complete.
     """
     act = coerce_action(group, graph.n)
-    if len(sd.g_part) != len(act.group):
-        raise DegreeMismatch("the twist was built over a different group")
+    gen_twists = _twists_for_generators(act, sd)
     n_part = sd.n_part
     for arc in graph.arcs:
         if not chain.has(*arc):
@@ -345,7 +270,6 @@ def validate_nchain(
                 f"value on ({v}, {u}) is not the inverse of the value on ({u}, {v})"
             )
     gen_rows = act.generator_rows()
-    gen_twists = _twists_for_generators(act, sd)
     for (u, v) in sorted(graph.arcs):
         val = chain.value(u, v)
         for row, trow in zip(gen_rows, gen_twists):
@@ -391,7 +315,7 @@ def biggs_cover(
     chain_report = validate_nchain(graph, group, sd, chain)
     act = coerce_action(group, graph.n)
     n_part = sd.n_part
-    m = len(n_part)
+    m = len(n_part.elements)
     labels = []
     for ni in range(m):
         stamp = n_part.element(ni).cycle_string()
@@ -402,18 +326,13 @@ def biggs_cover(
         for ni in range(m):
             arcs.append((ni * graph.n + u, n_part.product_index(val, ni) * graph.n + v))
     cover = Graph(labels, arcs)
-    rows = []
-    for i in range(len(sd)):
-        eta, gi = sd.pair_of(i)
-        grow = act.rows[gi]
-        trow = sd.twist_rows[gi]
-        row = [0] * cover.n
-        for ni in range(m):
-            nimg = n_part.product_index(trow[ni], eta)
-            for u in range(graph.n):
-                row[ni * graph.n + u] = nimg * graph.n + grow[u]
-        rows.append(tuple(row))
-    action = Action(sd, cover.n, tuple(rows))
+    # a generator (η, g) sends (n, u) to (n^ρ(g)·η, u^g): its row on the
+    # elements of N, then the row of g on the graph, the identity for N's
+    g_rows = [tuple(range(graph.n))] * len(n_part.generators) + list(act.generator_rows())
+    action = Action(sd, cover.n, [
+        tuple(x.images[ni] * graph.n + g_row[u] for ni in range(m) for u in range(graph.n))
+        for x, g_row in zip(sd.generators, g_rows)
+    ])
     report = verify_action(cover, action)
     certify(report.symmetric, "the semidirect product is symmetric on the cover")
     fibres = BlockSystem.from_blocks(
@@ -445,7 +364,7 @@ def biggs_cover(
 class ThreeArcOrbit:
     arcs: tuple
     self_paired: bool
-    pair_index: int
+    partner: int
 
     @property
     def size(self) -> int:
@@ -478,7 +397,7 @@ def three_arc_orbits(
         rev = tuple(reversed(orb[0]))
         partner = where[rev]
         out.append(
-            ThreeArcOrbit(tuple(orb), self_paired=(partner == idx), pair_index=partner)
+            ThreeArcOrbit(tuple(orb), self_paired=(partner == idx), partner=partner)
         )
     return out
 
@@ -684,9 +603,8 @@ def subgraph_graph(
     move the subgraph for the construction to say anything.
     """
     act = coerce_action(group, graph.n)
-    if isinstance(act.group, GroupTable):
-        if a not in act.group:
-            raise NotInvolution(f"{a.cycle_string()} is not in the group")
+    if a not in act.group:
+        raise NotInvolution(f"{a.cycle_string()} is not in the group")
     if not a.is_involution():
         raise NotInvolution(f"{a.cycle_string()} is not an involution")
     if a.degree != graph.n:
@@ -772,27 +690,28 @@ def arc_partition_extension(
         raise NotInvolution(f"{a.cycle_string()} is not in the group")
     if not a.is_involution():
         raise NotInvolution(f"{a.cycle_string()} is not an involution")
-    if not over.member_images() <= sub.member_images():
+    if not all(k in sub for k in over.generators):
         raise NoStrictChain("K must sit inside H")
-    if a.images in over.member_images():
+    if a in over:
         raise DegenerateInvolution("the involution lies in K; arcs would fold flat")
     base = symmetric_coset_graph(group, sub, a)
-    # a⁻¹Ha ∩ H is a subgroup by construction; the descent check below
-    # re-derives it inside K
-    conj = {(a * h * a).images for h in sub.elements}
-    bar = Subgroup(group, tuple(p for p in sub.elements if p.images in conj))
-    if not bar.member_images() < over.member_images():
+    bar = base.arc_stabilizer  # a⁻¹Ha ∩ H
+    if not (bar.order < over.order and all(h in over for h in bar.generators)):
         raise NoStrictChain(
             "K must strictly contain the arc stabilizer a⁻¹Ha ∩ H"
         )
     if over.order == sub.order:
         raise NoStrictChain("K must sit strictly inside H")
-    kbar = {
-        p.images
-        for p in over.elements
-        if (a * p * a).images in over.member_images()
-    }
-    certify(kbar == bar.member_images(), "the arc stabilizer survives the descent to K")
+    model = symmetric_coset_graph(group, over, a)
+    # a⁻¹Ka ∩ K against a⁻¹Ha ∩ H: equal orders, each side's generators
+    # in the other
+    kbar = model.arc_stabilizer
+    certify(
+        kbar.order == bar.order
+        and all(h in over and a * h * a in over for h in bar.generators)
+        and all(k in sub and a * k * a in sub for k in kbar.generators),
+        "the arc stabilizer survives the descent to K",
+    )
     # witness one group element per arc, breadth first from (H, Ha)
     h_cosets = base.cosets
     base_arc = (h_cosets.coset_of(group.identity()), h_cosets.coset_of(a))
@@ -804,7 +723,7 @@ def arc_partition_extension(
     )
     witness = {arc: Perm(w) for arc, w in walk.items()}
     certify(set(witness) == base.graph.arcs, "the group walks to every arc")
-    k_cosets = right_cosets(group, over)
+    k_cosets = model.cosets
     bundle_of = {arc: k_cosets.coset_of(w) for arc, w in witness.items()}
     bundles: Dict[int, list] = {}
     for arc in sorted(bundle_of):
@@ -827,7 +746,6 @@ def arc_partition_extension(
             j = renum[bundle_of[(y, x)]]
             certify(j != blk_i, "no bundle contains a reversed pair")
             ext_arcs.add((blk_i, j))
-    model = symmetric_coset_graph(group, over, a)
     labels = [
         model.cosets.reps[k_cosets.coset_of(witness[blk[0]])].cycle_string()
         for blk in blocks
@@ -900,7 +818,9 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     so over a connected quotient N is the normal closure of n_w for w on
     one base arc.  The search takes w there, tries the members of G_B·t
     least first, then breadth first, and keeps the first whose normal
-    closure with N so far is semiregular on the blocks; it then goes on
+    closure with N so far is semiregular on the blocks, skipping without
+    a closure each member that does not commute with the stabiliser
+    G_(0,w) of both blocks, as n_w does; it then goes on
     at the least block not yet reached, so disconnected quotients are
     covered too.  NotSemidirect when a coset runs out; CapExceeded when
     a coset's walk passes the element cap.
@@ -913,7 +833,10 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
+        fixing_w = schreier_generators(q.base.n, stab.generators, w, on_blocks)
         for x in capped(walk, "candidates for N"):
+            if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
+                continue
             listed = _semiregular_closure(gens + [x], gen_rows, on_blocks)
             if listed is not None:
                 break
@@ -1071,10 +994,7 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     for row in fx.point_rows:
         if len(row) != npoints or sorted(row) != list(range(npoints)):
             raise ValueError("fibre rows must permute the design points")
-    # s -> row_s extends to a homomorphism exactly when the pairs (s, row_s)
-    # generate a group no larger than the one the s generate
-    paired = [s + tuple(q.base.n + x for x in row) for s, row in zip(gen_rows, fx.point_rows)]
-    if StabChain(q.base.n + npoints, paired).order != StabChain(q.base.n, gen_rows).order:
+    if paired_order(gen_rows, fx.point_rows) != StabChain(q.base.n, gen_rows).order:
         raise ValueError("fibre rows do not compose as the stabilizer does")
     nbrs = quo.adj[0]
     if sorted(eta) != sorted(nbrs) or sorted(eta.values()) != list(range(design.n_blocks)):

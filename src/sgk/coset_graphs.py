@@ -144,8 +144,7 @@ def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGra
 
     The arcs are the orbit of the one arc (Ha, H), so the double coset is
     never multiplied out, and the arc stabiliser is the stabiliser of Ha
-    in H, given by its Schreier generators.  Neither G nor H is listed
-    unless G is listed already.
+    in H, given by its Schreier generators.  Neither G nor H is listed.
     """
     if a not in group:
         raise NotInvolution(f"{a.cycle_string()} is not in the group")

@@ -194,14 +194,12 @@ class GroupTable:
     """A permutation group, given by its generators, its full element list,
     or both.
 
-    Order and membership come from a stabiliser chain (``chain``), built
-    on first use.  The elements are listed on first access of
-    ``elements``, under the element cap, sorted by image tuple; the
-    identity's image tuple is the lexicographic minimum of all
+    Order, membership and least coset elements come from a stabiliser
+    chain (``chain``), built on first use.  The elements are listed on
+    first access of ``elements``, under the element cap, sorted by image
+    tuple; the identity's image tuple is the lexicographic minimum of all
     permutations, so it always sits at index 0.  Everything that indexes
-    elements uses this order.  Once the elements are listed, order,
-    membership and least coset elements read the list, so a listed group
-    never pays for a chain.  A group given by elements alone gets a
+    elements uses this order.  A group given by elements alone gets a
     greedy generating set on first access of ``generators``.
     """
 
@@ -236,13 +234,9 @@ class GroupTable:
     def chain(self) -> "StabChain":
         return StabChain(self.degree, [g.images for g in self.generators])
 
-    @property
-    def is_listed(self) -> bool:
-        return "elements" in vars(self)
-
     @cached_property
     def order(self) -> int:
-        return len(self.elements) if self.is_listed else self.chain.order
+        return self.chain.order
 
     def __len__(self) -> int:
         return self.order
@@ -251,20 +245,13 @@ class GroupTable:
         return iter(self.elements)
 
     def __contains__(self, perm) -> bool:
-        if not isinstance(perm, Perm):
-            return False
-        if self.is_listed:
-            return perm.images in self._pos
-        return self.chain.contains(perm.images)
+        return isinstance(perm, Perm) and self.chain.contains(perm.images)
 
     def __repr__(self) -> str:
         return f"<group of order {len(self)} on {self.degree} points>"
 
     def least_in_coset(self, g: Sequence[int]) -> tuple:
         """The least image tuple in the right coset Hg, H this group."""
-        if self.is_listed:
-            at = g.__getitem__
-            return min(tuple(map(at, h.images)) for h in self.elements)
         return self.chain.least_in_coset(g)
 
     def index(self, perm: Perm) -> int:
@@ -483,6 +470,20 @@ def schreier_generators(degree: int, generators: Sequence[tuple], point, act: Ca
     return list(found)
 
 
+def paired_order(generators: Sequence[tuple], values: Sequence[tuple]) -> int:
+    """The order of the group that the pairs (g, value at g) generate, for
+    g in ``generators``, each pair written as one image tuple with the
+    value on points of its own after g's.
+
+    That group maps onto the group the generators generate, and its
+    elements over the identity are the pairs (1, v); so g ↦ value at g
+    extends to a homomorphism exactly when the two orders agree.
+    """
+    shift = len(generators[0])
+    paired = [g + tuple(shift + x for x in v) for g, v in zip(generators, values)]
+    return StabChain(shift + len(values[0]), paired).order
+
+
 def closure(seed: Iterable, step: Callable) -> Iterator:
     """Yield everything reachable from ``seed``, where ``step(x)`` yields
     the images of ``x``.
@@ -631,35 +632,26 @@ def is_transitive(group: GroupTable, domain_size: Optional[int] = None) -> bool:
 class Action:
     """A finite group acting on {0, ..., n_points-1}.
 
-    ``group`` indexes the rows and may act unfaithfully here; that is the
-    point of keeping rows separate from the group's own degree.  Any object
-    with ``__len__``, ``generator_indices()`` and ``product_index(i, j)``
-    can stand in for a GroupTable.  The action is given by one image row
-    per group element (``rows``), or by one row per generator of the
-    group (``gen_rows``), in which case the rows of the other elements
-    are composed along the Cayley graph on first access of ``rows``.  The
-    rows are not checked to compose; whoever builds them answers for
-    that.  Orbits and invariance are decided on the generator rows alone.
+    ``group`` is a GroupTable and may act unfaithfully here; that is the
+    point of keeping rows separate from the group's own degree.  The
+    action is given by one image row per generator of the group
+    (``gen_rows``); the rows of the other elements are composed along the
+    Cayley graph on first access of ``rows``.  The rows are not checked
+    to compose; whoever builds them answers for that.  Orbits and
+    invariance are decided on the generator rows alone.
     """
 
-    def __init__(self, group, n_points: int, rows=None, gen_rows=None):
+    def __init__(self, group: GroupTable, n_points: int, gen_rows: Sequence[tuple]):
         self.group = group
         self.n_points = n_points
-        self._gen_rows = None if gen_rows is None else tuple(gen_rows)
-        if rows is not None:
-            self.rows = tuple(rows)
-            if len(self.rows) != len(group):
-                raise DegreeMismatch("need exactly one image row per group element")
+        self._gen_rows = tuple(gen_rows)
 
     @classmethod
     def natural(cls, group: GroupTable) -> "Action":
         return cls(group, group.degree, gen_rows=[g.images for g in group.generators])
 
     def _is_natural(self) -> bool:
-        group = self.group
-        return isinstance(group, GroupTable) and self.generator_rows() == tuple(
-            g.images for g in group.generators
-        )
+        return self._gen_rows == tuple(g.images for g in self.group.generators)
 
     @cached_property
     def rows(self) -> tuple:
@@ -671,11 +663,9 @@ class Action:
             tuple(range(self.n_points)),
             lambda r, s: tuple(s[x] for x in r),
         )
-        return tuple(values[i] for i in range(len(self.group)))
+        return tuple(values[i] for i in range(len(values)))
 
     def generator_rows(self) -> tuple:
-        if self._gen_rows is None:
-            self._gen_rows = tuple(self.rows[i] for i in self.group.generator_indices())
         return self._gen_rows
 
     def kernel_size(self) -> int:

@@ -20,6 +20,7 @@ from .perm import (
     closure,
     is_transitive,
     schreier_generators,
+    transversal,
 )
 
 DOMAIN_LIMIT = 512
@@ -27,19 +28,13 @@ DOMAIN_LIMIT = 512
 
 class Subgroup:
     """A subgroup of ``parent``: its own table on the parent's points,
-    given by generators or by its full element list.
-
-    A subgroup of a listed parent is listed as well, so commands that list
-    their group never build a chain; otherwise order and membership come
-    from the table's chain and the elements are listed only on request.
+    given by generators or by its full element list.  Order and
+    membership come from the table's chain, and the elements are listed
+    only on request.
     """
 
     def __init__(self, parent: GroupTable, elements=None, generators=None):
         self.parent = parent
-        if generators is not None:
-            generators = tuple(generators)
-        if elements is None and parent.is_listed:
-            elements = GroupTable(parent.degree, generators).elements
         self.table = GroupTable(parent.degree, generators, elements)
 
     @property
@@ -49,10 +44,6 @@ class Subgroup:
     @property
     def generators(self) -> tuple:
         return self.table.generators
-
-    @property
-    def is_listed(self) -> bool:
-        return self.table.is_listed
 
     @property
     def order(self) -> int:
@@ -127,8 +118,6 @@ def full_subgroup(parent: GroupTable) -> Subgroup:
 def stabilizer_subgroup(parent: GroupTable, point: int) -> Subgroup:
     if not 0 <= point < parent.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    if parent.is_listed:
-        return Subgroup(parent, [g for g in parent.elements if g.images[point] == point])
     return Subgroup(parent, generators=map(Perm, parent.chain.stabilizer(point).generators))
 
 
@@ -142,8 +131,7 @@ def conjugate_subgroup(sub: Subgroup, by: Perm) -> Subgroup:
 def _require_sub(group: GroupTable, sub: Subgroup) -> None:
     if sub.parent is group:
         return
-    known = sub.elements if sub.is_listed else sub.generators
-    if not all(p in group for p in known):
+    if not all(p in group for p in sub.generators):
         raise NotASubgroup("the subgroup does not live inside this group")
 
 
@@ -154,7 +142,7 @@ class CosetSpace:
     """Right cosets Hg, acted on by right multiplication.
 
     Each coset is named by its least element, which H's stabiliser chain
-    finds without listing H, or H's listing when H is listed.  The cosets
+    finds without listing H.  The cosets
     are the closure of H under the group's generators, listed by
     representative, so the coset of H itself comes first; their number is
     held to the element cap.  ``coset_of_element`` lists G and is built
@@ -453,36 +441,48 @@ def all_block_systems(group: GroupTable) -> list:
 
 @dataclass(frozen=True)
 class LatticePair:
+    """A block B through the base point α and the subgroup G_B =
+    {g : α^g ∈ B} it traces out, given by generators, with its order
+    |G_α|·|B|."""
+
     subgroup: Subgroup
     block: tuple
+    base_point: int
+    order: int
 
 
 def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     """Subgroups above the stabiliser of ``base_point``, paired with the
     block each one traces out; containment matches containment both ways.
 
-    Each block B through the base point gives the subgroup
-    {g : base_point^g in B}, listed by block size, then block.
+    Each block B through the base point α gives G_B = ⟨G_α, t_β : β ∈ B⟩,
+    t_β an element carrying α to β, of order |G_α|·|B|: G_α comes from
+    the group's chain, so no subgroup needs a chain of its own.  Listed
+    by block size, then block.
     """
     if not 0 <= base_point < group.degree:
         raise PointOutOfRange(f"point {base_point} outside the domain of the group")
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
+    stab = group.chain.stabilizer(base_point)
+    carry = transversal(group, base_point)
     gen_rows = [g.images for g in group.generators]
     pairs = []
     for blk in _blocks_through(group.degree, gen_rows, base_point):
-        sub = Subgroup(group, tuple(g for g in group.elements if g.images[base_point] in blk))
-        pairs.append(LatticePair(sub, tuple(sorted(blk))))
-    pairs.sort(key=lambda pr: (len(pr.block), pr.block, pr.subgroup.order))
+        gens = [Perm(g) for g in stab.generators] + [carry[b] for b in sorted(blk)]
+        sub = Subgroup(group, generators=gens)
+        pairs.append(LatticePair(sub, tuple(sorted(blk)), base_point, stab.order * len(blk)))
+    pairs.sort(key=lambda pr: (len(pr.block), pr.block))
     return pairs
 
 
 def lattice_is_order_isomorphic(pairs: Sequence[LatticePair]) -> bool:
-    """Pairwise containment of subgroups matches containment of blocks."""
+    """Pairwise containment of subgroups matches containment of blocks;
+    G_B lies in G_B′ exactly when its generators carry the base point
+    into B′."""
     for a in pairs:
         for b in pairs:
-            sub_le = a.subgroup.member_images() <= b.subgroup.member_images()
-            blk_le = set(a.block) <= set(b.block)
-            if sub_le != blk_le:
+            sub_le = all(g.images[b.base_point] in b.block for g in a.subgroup.generators)
+            if sub_le != (set(a.block) <= set(b.block)):
                 return False
     return True

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sgk import fixtures as fx
+from sgk.perm import Perm, closure
 from sgk.subgroups import Subgroup
 
 REPO = Path(__file__).resolve().parents[1]
@@ -28,6 +29,64 @@ def setwise_stabilizer(group, points) -> Subgroup:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)
     return Subgroup(group, [g for g in group.elements if frozenset(g(x) for x in pts) == pts])
+
+
+def twist_everywhere(n_part, g_part, twist) -> dict:
+    """Reference: ρ(g) for every listed element g of G, as a dict from
+    N's image tuples to image tuples.  Each generator's images extend
+    over N by ρ(m·t) = ρ(m)·ρ(t), then ρ(x·s) is ρ(x) followed by ρ(s)
+    along G."""
+    identity = n_part.identity()
+    gen_maps = []
+    for images in twist:
+        f = {identity.images: identity}
+        for m in list(closure([identity], lambda x: [x * t for t in n_part.generators])):
+            for t, img in zip(n_part.generators, images):
+                f.setdefault((m * t).images, f[m.images] * img)
+        gen_maps.append({k: v.images for k, v in f.items()})
+    rho = {g_part.identity().images: {p.images: p.images for p in n_part.elements}}
+    for x in closure([g_part.identity()], lambda y: [y * s for s in g_part.generators]):
+        for s, f in zip(g_part.generators, gen_maps):
+            rho.setdefault((x * s).images, {n: f[v] for n, v in rho[x.images].items()})
+    return rho
+
+
+class SemidirectPairs:
+    """Reference N ⋊ G, pair by pair from the listings of N and G.
+
+    ``pairs`` holds every (η, g) as image tuples; ``mul`` multiplies them
+    as (n₁, g₁)(n₂, g₂) = (n₁^ρ(g₂)·n₂, g₁g₂); ``perm`` is the permutation
+    a pair makes on the elements of N, numbered as N lists them, followed
+    by the points of G (n ↦ n^ρ(g)·η, p ↦ p^g); ``cover_row`` is its row
+    on the vertices n·|V| + u of a Biggs cover, G acting on V as on its
+    points.
+    """
+
+    def __init__(self, n_part, g_part, twist):
+        self.rho = twist_everywhere(n_part, g_part, twist)
+        self.n_elements = [p.images for p in n_part.elements]
+        self.number = {n: i for i, n in enumerate(self.n_elements)}
+        self.pairs = [(eta, g.images) for eta in self.n_elements for g in g_part.elements]
+
+    def mul(self, x, y):
+        (n1, g1), (n2, g2) = x, y
+        return _product(self.rho[g2][n1], n2), _product(g1, g2)
+
+    def perm(self, x):
+        eta, g = x
+        m = len(self.n_elements)
+        on_n = [self.number[_product(self.rho[g][n], eta)] for n in self.n_elements]
+        return Perm(on_n + [m + p for p in g])
+
+    def cover_row(self, x, base_n):
+        on_n, g = self.perm(x).images, x[1]
+        m = len(self.n_elements)
+        return tuple(on_n[i] * base_n + g[u] for i in range(m) for u in range(base_n))
+
+
+def _product(a, b):
+    """Image tuple of a followed by b."""
+    return tuple(b[i] for i in a)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ is visible both in the line and in the pytest report.
 import itertools
 import random
 
-from conftest import brute_force_isomorphic
+from conftest import SemidirectPairs, brute_force_isomorphic
 from sgk.constructions import (
     biggs_cover,
     check_condition_pe,
@@ -239,12 +239,13 @@ def test_criterion_08(capsys, d6):
 
 def test_criterion_09(capsys, k4, s4, c6, d6, z2):
     rnd = random.Random(20250817)
-    sd_pool = [
-        (semidirect_product(z2, s4, trivial_twist(z2, s4)), None),
-        (semidirect_product(z2, d6, trivial_twist(z2, d6)), None),
-    ]
-    sd_pool[0] = (sd_pool[0][0], biggs_cover(k4, s4, sd_pool[0][0], constant_chain(k4, 1)))
-    sd_pool[1] = (sd_pool[1][0], biggs_cover(c6, d6, sd_pool[1][0], constant_chain(c6, 1)))
+    sd_pool = []
+    for graph, g_part in ((k4, s4), (c6, d6)):
+        sd = semidirect_product(z2, g_part, trivial_twist(z2, g_part))
+        bc = biggs_cover(graph, g_part, sd, constant_chain(graph, 1))
+        ref = SemidirectPairs(z2, g_part, trivial_twist(z2, g_part))
+        rows = {x: bc.action.rows[sd.index(ref.perm(x))] for x in ref.pairs}
+        sd_pool.append((ref, bc, rows))
     instances = 0
     failures = []
 
@@ -303,11 +304,10 @@ def test_criterion_09(capsys, k4, s4, c6, d6, z2):
             if params.v * params.lam != params.b * params.k:
                 failures.append((trial, "design-double-count", params))
 
-        sd, bc = sd_pool[trial % 2]
-        rows = bc.action.rows
+        ref, bc, rows = sd_pool[trial % 2]
         for _ in range(8):
-            x, y = rnd.randrange(len(sd)), rnd.randrange(len(sd))
-            z = sd.product_index(x, y)
+            x, y = rnd.choice(ref.pairs), rnd.choice(ref.pairs)
+            z = ref.mul(x, y)
             v = rnd.randrange(bc.cover.n)
             if rows[y][rows[x][v]] != rows[z][v]:
                 failures.append((trial, "biggs-action-law", (x, y, v)))

@@ -3,6 +3,7 @@ two extension routes."""
 
 import pytest
 
+from conftest import SemidirectPairs
 from sgk.constructions import (
     arc_partition_extension,
     biggs_cover,
@@ -57,7 +58,8 @@ def _z5():
 def test_semidirect_trivial_twist_orders(z2, s4):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     assert len(sd) == 48
-    assert sd.element_label(0) == "(id, id)"
+    # N's generator on N's two elements, then S4's generators on points 3..6
+    assert [g.cycle_string() for g in sd.generators] == ["(1 2)", "(3 4)", "(3 4 5 6)"]
 
 
 def test_semidirect_inverting_twist_is_s3(z2):
@@ -65,27 +67,32 @@ def test_semidirect_inverting_twist_is_s3(z2):
     inv = [[z3.generators[0].inverse()]]
     sd = semidirect_product(z3, z2, inv)
     assert len(sd) == 6
+    ref = SemidirectPairs(z3, z2, inv)
+    assert {ref.perm(x) for x in ref.pairs} == set(sd.elements)
     # element orders 1, 2, 3 with multiplicities of the symmetric group
     shape = {}
-    for i in range(6):
-        k, j = 1, i
-        while j != 0:
-            j = sd.product_index(j, i)
+    for x in ref.pairs:
+        k, y = 1, x
+        while y != ref.pairs[0]:
+            y = ref.mul(y, x)
             k += 1
         shape[k] = shape.get(k, 0) + 1
     assert shape == {1: 1, 2: 3, 3: 2}
 
 
 def test_semidirect_product_law_associative(z2, s4):
+    """Pairs multiplied on the test side, against the permutations the
+    group makes of them, on random triples."""
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
+    ref = SemidirectPairs(z2, s4, trivial_twist(z2, s4))
+    assert {ref.perm(x) for x in ref.pairs} == set(sd.elements)
     import random
 
     rnd = random.Random(17)
     for _ in range(60):
-        x, y, z = (rnd.randrange(len(sd)) for _ in range(3))
-        assert sd.product_index(sd.product_index(x, y), z) == sd.product_index(
-            x, sd.product_index(y, z)
-        )
+        x, y, z = (rnd.choice(ref.pairs) for _ in range(3))
+        assert ref.perm(ref.mul(x, y)) == ref.perm(x) * ref.perm(y)
+        assert ref.mul(ref.mul(x, y), z) == ref.mul(x, ref.mul(y, z))
 
 
 def test_semidirect_twist_must_be_bijection(z2):
@@ -153,11 +160,21 @@ def test_semidirect_accepts_exactly_the_homomorphic_twists(z2, s4, d6):
                 twist = [[img] for img in images]
                 expected = _reference_twist_rows(n_part, g_part, auts, twist)
                 try:
-                    got = semidirect_product(n_part, g_part, twist).twist_rows
+                    sd = semidirect_product(n_part, g_part, twist)
                 except TwistNotHomomorphism:
-                    got = None
-                assert got == expected
-                accepted += got is not None
+                    assert expected is None
+                    continue
+                assert expected is not None
+                # the elements of N ⋊ G fixing N's identity are the (1, g):
+                # ρ(g) on N's elements, then g on G's points
+                m = len(n_part)
+                got = {
+                    tuple(p - m for p in x.images[m:]): x.images[:m]
+                    for x in sd.elements
+                    if x.images[0] == 0
+                }
+                assert got == {g.images: row for g, row in zip(g_part.elements, expected)}
+                accepted += 1
     assert accepted == 46
 
 
@@ -235,12 +252,16 @@ def test_biggs_c6_cover_splits_into_hexagons(c6, d6, z2):
 
 
 def test_biggs_action_is_homomorphism(k4, s4, z2):
+    """Each pair's row, read off the action by the pair's permutation,
+    composed with another's is the row of their product, multiplied on
+    the test side."""
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    rows = bc.action.rows
-    for x in range(len(sd)):
-        for y in range(len(sd)):
-            z = sd.product_index(x, y)
+    ref = SemidirectPairs(z2, s4, trivial_twist(z2, s4))
+    rows = {x: bc.action.rows[sd.index(ref.perm(x))] for x in ref.pairs}
+    for x in ref.pairs:
+        for y in ref.pairs:
+            z = ref.mul(x, y)
             for v in range(bc.cover.n):
                 assert rows[y][rows[x][v]] == rows[z][v]
 

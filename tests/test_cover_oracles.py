@@ -23,7 +23,7 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 
-from conftest import FIXDIR  # noqa: E402
+from conftest import FIXDIR, SemidirectPairs  # noqa: E402
 from test_block_oracles import transitive_groups  # noqa: E402
 
 from sgk.cli import main  # noqa: E402
@@ -87,38 +87,10 @@ def _cases():
 CASES = _cases()
 
 
-def _twist_everywhere(n_part, g_part, twist):
-    """ρ(g) for every element g of G, as a dict on N's image tuples: each
-    generator's images extended over N by ρ(m·t) = ρ(m)·ρ(t), then
-    ρ(x·s) = ρ(x) followed by ρ(s) along G."""
-    gen_maps = []
-    for images in twist:
-        f = {n_part.identity().images: n_part.identity()}
-        for m in list(closure([n_part.identity()], lambda x: [x * t for t in n_part.generators])):
-            for t, img in zip(n_part.generators, images):
-                f.setdefault((m * t).images, f[m.images] * img)
-        gen_maps.append({k: v.images for k, v in f.items()})
-    ident = {p.images: p.images for p in n_part.elements}
-    rho = {g_part.identity().images: ident}
-    for x in closure([g_part.identity()], lambda y: [y * s for s in g_part.generators]):
-        for s, f in zip(g_part.generators, gen_maps):
-            rho.setdefault((x * s).images, {n: f[v] for n, v in rho[x.images].items()})
-    return rho
-
-
 def _formula_rows(graph, g_part, n_part, twist):
     """The row of every pair (η, g) on the cover's vertices n·|V| + u."""
-    rho = _twist_everywhere(n_part, g_part, twist)
-    number = {p.images: i for i, p in enumerate(n_part.elements)}
-    rows = []
-    for eta in n_part.elements:
-        for g in g_part.elements:
-            r = rho[g.images]
-            rows.append(tuple(
-                number[(Perm(r[n.images]) * eta).images] * graph.n + g.images[u]
-                for n in n_part.elements for u in range(graph.n)
-            ))
-    return rows
+    ref = SemidirectPairs(n_part, g_part, twist)
+    return [ref.cover_row(x, graph.n) for x in ref.pairs]
 
 
 def _cover(name):

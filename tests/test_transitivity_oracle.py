@@ -16,7 +16,7 @@ from sgk.perm import Action, Perm, group_from_generators, orbits  # noqa: E402
 ORDER_CAP = 720
 
 
-def reference_locally_transitive(graph, act, vertex_transitive):
+def reference_locally_transitive(graph, rows, vertex_transitive):
     """The stabiliser of each vertex, scanned row by row, is transitive on
     its neighbours; with vertex transitivity one vertex decides."""
     targets = [0] if vertex_transitive and graph.n else range(graph.n)
@@ -24,7 +24,7 @@ def reference_locally_transitive(graph, act, vertex_transitive):
         nbrs = graph.adj[v]
         if len(nbrs) <= 1:
             continue
-        stab_rows = [row for row in act.rows if row[v] == v]
+        stab_rows = [row for row in rows if row[v] == v]
         if len({row[nbrs[0]] for row in stab_rows}) != len(nbrs):
             return False
     return True
@@ -36,20 +36,22 @@ def _transitive_on(tuples, rows):
 
 
 def reference(graph, act):
-    """Every report field and the s-arc level, from all rows of the action."""
-    acts = all((row[u], row[v]) in graph.arcs for row in act.rows for (u, v) in graph.arcs)
-    vertex_tr = {row[0] for row in act.rows} == set(range(graph.n)) if graph.n else True
-    kernel = sum(1 for row in act.rows if row == tuple(range(graph.n)))
+    """Every report field and the s-arc level, from all rows of the action:
+    each listed element of the group cut down to the graph's points."""
+    rows = [p.images[:graph.n] for p in act.group.elements]
+    acts = all((row[u], row[v]) in graph.arcs for row in rows for (u, v) in graph.arcs)
+    vertex_tr = {row[0] for row in rows} == set(range(graph.n)) if graph.n else True
+    kernel = sum(1 for row in rows if row == tuple(range(graph.n)))
     if not acts:
         return (False, vertex_tr, False, False, kernel), 0
     arcs = sorted(graph.arcs)
-    arc_tr = _transitive_on(arcs, act.rows) if arcs else True
-    local = reference_locally_transitive(graph, act, vertex_tr)
+    arc_tr = _transitive_on(arcs, rows) if arcs else True
+    local = reference_locally_transitive(graph, rows, vertex_tr)
     level = 0
     if vertex_tr:
         for s in range(1, 6):
             walks = enumerate_s_arcs(graph, s)
-            if not walks or not _transitive_on(walks, act.rows):
+            if not walks or not _transitive_on(walks, rows):
                 break
             level = s
     return (True, vertex_tr, arc_tr, local, kernel), level
@@ -73,7 +75,7 @@ def actions(draw):
             group = group_from_generators(gens[:k], degree=n + m, cap=ORDER_CAP)
         except CapExceeded:
             break
-    return Action(group, n, tuple(p.images[:n] for p in group.elements))
+    return Action(group, n, [g.images[:n] for g in group.generators])
 
 
 @st.composite

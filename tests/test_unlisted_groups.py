@@ -1,19 +1,20 @@
-"""Eleven commands never list the group, and the commands that list it
-never build a stabiliser chain.
+"""Every command but ``group`` never lists the group, and the commands of
+the quotient and design layers never build a stabiliser chain either.
 
 With listing made to raise, ``cosetgraph``, ``orbitals``, ``verify``,
-``quotient``, ``blocks``, ``threearc``, the three ``design`` commands,
-``subgraph-graph`` and ``extend --via flags`` give the same exit status,
-output, certificate (apart from ``timing_ms``) and written files as with
-listing allowed, on the coset-ladder inputs (the fixtures plus S6, S7
-and M11) and on the desk inputs of the others.  S9 and S10 coset graphs,
-``blocks`` on S10, and a three-arc graph and a subgraph graph of K9 under
+``quotient``, ``blocks``, ``lattice``, ``threearc``, the three ``design``
+commands, ``subgraph-graph`` and both forms of ``extend`` give the same
+exit status, output, certificate (apart from ``timing_ms``) and written
+files as with listing allowed, on the coset-ladder inputs (the fixtures
+plus S6, S7 and M11) and on the desk inputs of the others; ``biggs``
+does the same listing only N, whose elements label the cover's vertices.
+S9 and S10 coset graphs, ``blocks`` and ``lattice`` on S10, a three-arc
+graph and a subgraph graph of K9 under S9 and a double cover of K9 under
 S9 run under the default element cap, while the cap still bounds the
-number of cosets, the orbit of a subgraph and the candidates tried for
-a regular normal subgroup.  With chains made to raise, every command but those
-that read stabiliser chains (``cosetgraph``, ``orbitals``, ``verify``,
-``subgraph-graph`` and ``extend --via flags``) gives the same outcome as
-with chains allowed.
+number of cosets, the orbit of a subgraph and the candidates tried for a
+regular normal subgroup.  With chains made to raise, ``quotient``,
+``blocks``, ``threearc`` and the three ``design`` commands give the same
+outcome as with chains allowed.
 """
 
 import json
@@ -24,7 +25,8 @@ import pytest
 
 from conftest import FIXDIR
 from sgk.cli import main
-from sgk.perm import StabChain
+from sgk.io import parse_group_file
+from sgk.perm import StabChain, enumerate_group
 
 SUBGROUP_S4 = "(2 3),(3 4)"
 SUBGROUP_S5 = "(1 2),(3 4),(4 5)"
@@ -35,13 +37,30 @@ def symmetric_group_file(n):
     return f"degree: {n}\n(1 2)\n({' '.join(str(p) for p in range(1, n + 1))})\n"
 
 
+def _patch_listing(monkeypatch, replacement):
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sgk" and hasattr(module, "enumerate_group"):
+            monkeypatch.setattr(module, "enumerate_group", replacement)
+
+
 def forbid_listing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a group was listed")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "sgk" and hasattr(module, "enumerate_group"):
-            monkeypatch.setattr(module, "enumerate_group", refuse)
+    _patch_listing(monkeypatch, refuse)
+
+
+def record_listing(monkeypatch):
+    """Let groups be listed, recording the degree and generators of each;
+    the records come back in a list that fills as commands run."""
+    listed = []
+
+    def record(spec, cap=None):
+        listed.append((spec.degree, tuple(spec.generators)))
+        return enumerate_group(spec, cap)
+
+    _patch_listing(monkeypatch, record)
+    return listed
 
 
 def outcome(capsys, tmp_path, argv):
@@ -130,6 +149,64 @@ def construction_jobs(capsys, tmp_path):
          "--blocks", t["singles.txt"], "--out", "edges", "--group-out", induced],
         ["extend", "--via", "flags", "--graph", t["c4.graph"], "--group", d4,
          "--blocks", t["pairs.txt"]],
+    ] + lattice_and_arc_jobs(tmp_path)
+
+
+def lattice_and_arc_jobs(tmp_path):
+    """``lattice`` and ``extend --via arcs`` on the desk inputs, with a
+    group that is not transitive and the three chains ``extend`` refuses."""
+    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "s5", "d4", "d6")}
+    octahedron = str(FIXDIR / "octahedron-aut.grp")
+    (tmp_path / "split.grp").write_text("degree: 4\n(1 2)\n(3 4)\n")
+    arcs = ["extend", "--via", "arcs", "--group", octahedron]
+    return [
+        ["lattice", "--group", fix["d4"]],
+        ["lattice", "--group", fix["s4"], "--base", "3"],
+        ["lattice", "--group", fix["d6"]],
+        ["lattice", "--group", octahedron],
+        ["lattice", "--group", fix["s5"]],
+        # not transitive: rejected either way
+        ["lattice", "--group", str(tmp_path / "split.grp")],
+        arcs + ["--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+                "--involution", "(1 2)(4 5)", "--out", "edges", "--group-out",
+                str(tmp_path / "induced.grp")],
+        # K outside H, the involution inside K, K no larger than a^-1Ha n H
+        arcs + ["--subgroup", "(3 6),(2 5)", "--over", "(2 3)(5 6)", "--involution", "(1 2)(4 5)"],
+        arcs + ["--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+                "--involution", "(2 5)"],
+        arcs + ["--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6)",
+                "--involution", "(1 2)(4 5)"],
+    ]
+
+
+def biggs_jobs(tmp_path):
+    """``biggs`` on K4 under S4 and K5 under S5, by Z2 and V4, and with a
+    twist that is no homomorphism, with the N of each job."""
+    files = {
+        "twist.txt": "trivial\n",
+        "swap.txt": "(1 2)(3 4) -> (1 3)(2 4); (1 3)(2 4) -> (1 2)(3 4)\ntrivial\n",
+        "k4.chain": "arc 1 2 (1 2)\n",
+        "v4.chain": "arc 1 2 (1 2)(3 4)\n",
+        "v4.grp": "degree: 4\n(1 2)(3 4)\n(1 3)(2 4)\n",
+        "k5.graph": "vertices: 5\n" + "".join(
+            f"edge {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    t = {name: str(tmp_path / name) for name in files}
+    z2, k4 = str(FIXDIR / "z2.grp"), str(FIXDIR / "k4.graph")
+    s4, s5 = str(FIXDIR / "s4.grp"), str(FIXDIR / "s5.grp")
+    return [
+        (["biggs", "--graph", k4, "--group", s4, "--n", z2, "--twist", t["twist.txt"],
+          "--chain", t["k4.chain"], "--out", "edges", "--group-out",
+          str(tmp_path / "cover.grp")], z2),
+        (["biggs", "--graph", t["k5.graph"], "--group", s5, "--n", t["v4.grp"],
+          "--twist", t["twist.txt"], "--chain", t["v4.chain"]], t["v4.grp"]),
+        # (1 2) swapping the generators of V4 and (1 2 3 4) fixing them is
+        # no homomorphism of S4, (1 2)(1 2 3 4) having order 3: rejected
+        # either way
+        (["biggs", "--graph", k4, "--group", s4, "--n", t["v4.grp"],
+          "--twist", t["swap.txt"], "--chain", t["v4.chain"]], t["v4.grp"]),
     ]
 
 
@@ -172,8 +249,16 @@ def quotient_layer_jobs(tmp_path):
 
 def test_listing_is_never_needed(capsys, tmp_path, monkeypatch):
     jobs = ladder(tmp_path) + construction_jobs(capsys, tmp_path)
+    covers = biggs_jobs(tmp_path)
     allowed = [outcome(capsys, tmp_path, argv) for argv in jobs]
-    assert {a[0] for a in allowed} == {0, 1, 2}
+    allowed_covers = [outcome(capsys, tmp_path, argv) for argv, _ in covers]
+    assert {a[0] for a in allowed + allowed_covers} == {0, 1, 2}
+    listed = record_listing(monkeypatch)
+    for (argv, n_file), expect in zip(covers, allowed_covers):
+        del listed[:]
+        assert outcome(capsys, tmp_path, argv) == expect, argv
+        n_spec = parse_group_file(Path(n_file).read_text())
+        assert listed and set(listed) == {(n_spec.degree, n_spec.generators)}, argv
     forbid_listing(monkeypatch)
     for argv, expect in zip(jobs, allowed):
         assert outcome(capsys, tmp_path, argv) == expect, argv
@@ -232,6 +317,32 @@ def test_quotient_layer_past_the_cap(capsys, tmp_path, monkeypatch):
     assert all(c["pass"] for c in doc["claims"])
 
 
+def test_lattice_and_biggs_past_the_cap(capsys, tmp_path, monkeypatch):
+    """S10 and S9 pass the default element cap: the lattice over a point
+    stabiliser of the primitive S10 has the two trivial blocks, and the
+    double cover of K9 by the constant chain has 18 vertices under an
+    N x S9 of order 2 x 9!, with Z2 the only group listed."""
+    monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
+    s10 = tmp_path / "s10.grp"
+    s10.write_text(symmetric_group_file(10))
+    forbid_listing(monkeypatch)
+    code, _, err, doc, _ = outcome(capsys, tmp_path, ["lattice", "--group", str(s10)])
+    assert code == 0, err
+    assert [p["subgroup_order"] for p in doc["facts"]["pairs"]] == [362880, 3628800]
+    assert all(c["pass"] for c in doc["claims"])
+    listed = record_listing(monkeypatch)
+    s9, k9 = k9_files(tmp_path)
+    (tmp_path / "twist.txt").write_text("trivial\n")
+    (tmp_path / "chain.txt").write_text("arc 1 2 (1 2)\n")
+    code, _, err, doc, _ = outcome(capsys, tmp_path, [
+        "biggs", "--graph", k9, "--group", s9, "--n", str(FIXDIR / "z2.grp"),
+        "--twist", str(tmp_path / "twist.txt"), "--chain", str(tmp_path / "chain.txt")])
+    assert code == 0, err
+    assert doc["facts"]["cover_vertices"] == 18 and doc["facts"]["semidirect_order"] == 725760
+    assert all(c["pass"] for c in doc["claims"])
+    assert {degree for degree, _ in listed} == {2}
+
+
 def test_subgraph_graph_past_the_cap(capsys, tmp_path, monkeypatch):
     """S9 passes the default element cap: the 168 directed triangles of K9
     each have a stabiliser of order 9!/168 = 2160."""
@@ -284,42 +395,24 @@ def test_orbit_walks_are_capped(capsys, tmp_path, monkeypatch, what):
     assert err.startswith("sgk: cap-exceeded:") and "element cap of 100" in err
 
 
-def listing_jobs(tmp_path):
-    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "d4", "d6", "z2")}
+def chain_free_jobs(tmp_path):
+    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "d6")}
     k4, c6 = str(FIXDIR / "k4.graph"), str(FIXDIR / "c6.graph")
-    files = {
-        "twist.txt": "trivial\n",
-        "chain.txt": "arc 1 2 (1 2)\n",
-        "halves.txt": "1 4\n2 5\n3 6\n",
-    }
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    t = {name: str(tmp_path / name) for name in files}
-    design, cover, cover_group = (
-        str(tmp_path / f) for f in ("k4.design", "cover.graph", "cover.grp")
-    )
+    (tmp_path / "halves.txt").write_text("1 4\n2 5\n3 6\n")
+    halves, design = str(tmp_path / "halves.txt"), str(tmp_path / "k4.design")
     return [
-        ["group", "--group", fix["s4"]],
-        ["quotient", "--graph", c6, "--group", fix["d6"], "--blocks", t["halves.txt"]],
+        ["quotient", "--graph", c6, "--group", fix["d6"], "--blocks", halves],
         ["blocks", "--group", fix["d6"]],
-        ["lattice", "--group", fix["d4"]],
-        ["lattice", "--group", fix["s4"]],
         ["design", "from-graph", "--graph", k4, "--group", fix["s4"],
          "--out", "design", "--out-file", design],
         ["design", "to-graph", "--design", design, "--group", fix["s4"]],
         ["design", "polarities", "--design", design, "--group", fix["s4"]],
         ["threearc", "--graph", k4, "--group", fix["s4"], "--orbit-index", "0"],
-        ["biggs", "--graph", k4, "--group", fix["s4"], "--n", fix["z2"],
-         "--twist", t["twist.txt"], "--chain", t["chain.txt"], "--out", "edges",
-         "--out-file", cover, "--group-out", cover_group],
-        ["extend", "--via", "arcs", "--group", str(FIXDIR / "octahedron-aut.grp"),
-         "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
-         "--involution", "(1 2)(4 5)"],
     ]
 
 
-def test_listing_commands_build_no_chain(capsys, tmp_path, monkeypatch):
-    jobs = listing_jobs(tmp_path)
+def test_quotient_and_design_commands_build_no_chain(capsys, tmp_path, monkeypatch):
+    jobs = chain_free_jobs(tmp_path)
     allowed = [outcome(capsys, tmp_path, argv) for argv in jobs]
     assert {a[0] for a in allowed} == {0}
 
