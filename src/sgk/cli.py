@@ -108,8 +108,8 @@ CLAIM_INVARIANTS = {
     "design-round-trip": "rebuilding the graph from its design data returns an isomorphic graph",
     "flag-transitivity-propagates": "flag transitivity forces point and block transitivity",
     "biggs-action-law": (
-        "the generators of N x G paired with their cover rows generate a group"
-        " of order |N x G|, so acting by a product equals acting by its factors in order"
+        "the generators of N x G paired with their cover rows generate a group of the"
+        " same order as N x G, so acting by a product equals acting by its factors in order"
     ),
     "biggs-valency-preservation": "the cover valency equals the base valency",
     "biggs-fiber-matching": "every adjacent fibre pair induces a perfect matching",

@@ -142,11 +142,10 @@ class CosetSpace:
     """Right cosets Hg, acted on by right multiplication.
 
     Each coset is named by its least element, which H's stabiliser chain
-    finds without listing H.  The cosets
-    are the closure of H under the group's generators, listed by
-    representative, so the coset of H itself comes first; their number is
-    held to the element cap.  ``coset_of_element`` lists G and is built
-    on first access.
+    finds without listing H.  The cosets are the closure of H under the
+    group's generators, listed by representative, so the coset of H
+    itself comes first; their number is held to the element cap.
+    ``coset_of_element`` lists G and is built on first access.
     """
 
     def __init__(self, group: GroupTable, sub: Subgroup):
