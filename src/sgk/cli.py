@@ -59,7 +59,6 @@ from .io import (
 )
 from .perm import (
     Action,
-    GroupSpec,
     GroupTable,
     Perm,
     closure,
@@ -176,8 +175,7 @@ def _load_group(cert: Certificate, path: str, name: str = "group") -> GroupTable
     them."""
     text = _read_text(path)
     cert.add_input(name, text)
-    spec = parse_group_file(text)
-    return GroupTable(spec.degree, spec.generators)
+    return parse_group_file(text)
 
 
 def _load_graph(cert: Certificate, path: str, name: str = "graph") -> Graph:
@@ -304,8 +302,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         covered == list(range(group.degree)) and disjoint,
         f"{len(point_orbits)} orbits tile the {group.degree} points",
     )
-    again = enumerate_group(GroupSpec(group.degree, group.generators))
-    same = again.elements == group.elements
+    same = enumerate_group(group.degree, group.generators) == group.elements
     cert.claim(
         "enumeration-determinism",
         same,

@@ -65,7 +65,7 @@ from .quotients import (
     quotient,
     quotient_is_nontrivial,
 )
-from .subgroups import BlockSystem, Subgroup
+from .subgroups import BlockSystem
 
 
 # ---- semidirect products ---------------------------------------------------
@@ -676,7 +676,7 @@ class ArcExtension:
 
 
 def arc_partition_extension(
-    group: GroupTable, sub: Subgroup, over: Subgroup, a: Perm
+    group: GroupTable, sub: GroupTable, over: GroupTable, a: Perm
 ) -> ArcExtension:
     """Unfold the coset graph on H into the one on K < H by cutting each
     vertex into r = [H : K] bundles of arcs.

@@ -32,7 +32,6 @@ from .perm import (
 )
 from .subgroups import (
     CosetSpace,
-    Subgroup,
     double_cosets,
     right_cosets,
     stabilizer_subgroup,
@@ -44,7 +43,7 @@ class CosetGraphSpec:
     """Group, subgroup, and connecting set for a coset graph."""
 
     group: GroupTable
-    sub: Subgroup
+    sub: GroupTable
     connectors: frozenset
 
     def validate(self) -> None:
@@ -119,7 +118,7 @@ class CosetGraphResult:
     action: Action
     report: TransitivityReport
     valency: int
-    arc_stabilizer: Subgroup
+    arc_stabilizer: GroupTable
     connected: bool
 
     @property
@@ -129,15 +128,15 @@ class CosetGraphResult:
     @property
     def connector_class(self) -> tuple:
         """The connecting set HaH = {g : Hg is adjacent to H}, in element
-        order; this lists the group."""
-        near = set(self.graph.adj[0])
+        order: the elements h·r of H times the representatives r of the
+        cosets next to H; this lists H."""
         cosets = self.cosets
         return tuple(
-            g for g, c in zip(cosets.group.elements, cosets.coset_of_element) if c in near
+            sorted(h * cosets.reps[c] for c in self.graph.adj[0] for h in cosets.sub.elements)
         )
 
 
-def symmetric_coset_graph(group: GroupTable, sub: Subgroup, a: Perm) -> CosetGraphResult:
+def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetGraphResult:
     """Coset graph whose connecting set is the double coset HaH of an
     involution outside the subgroup; the canonical shape of a symmetric
     graph, certified on the way out.
@@ -233,7 +232,7 @@ def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital
     return Graph([str(i + 1) for i in range(n)], orbital.pairs)
 
 
-def orbital_double_coset_map(group: GroupTable, sub: Subgroup) -> list:
+def orbital_double_coset_map(group: GroupTable, sub: GroupTable) -> list:
     """Pair each double coset HxH with the orbital of (H, Hx) in the coset
     action.  The pairing is a bijection and is certified as one."""
     cosets = right_cosets(group, sub)
@@ -260,7 +259,7 @@ def orbital_double_coset_map(group: GroupTable, sub: Subgroup) -> list:
 
 @dataclass(frozen=True)
 class RecognitionResult:
-    sub: Subgroup
+    sub: GroupTable
     involution: Perm
     rebuilt: CosetGraphResult
     vertex_map: tuple

@@ -18,7 +18,7 @@ from .constructions import NChain
 from .designs import IncidenceStructure
 from .graphs import Graph
 from .errors import CapExceeded
-from .perm import GroupSpec, GroupTable, Perm, element_cap
+from .perm import GroupTable, Perm, element_cap
 from .subgroups import BlockSystem
 
 __all__ = [
@@ -82,14 +82,14 @@ def _index(no: int, token: str, n: int, what: str) -> int:
 # ---- group files ------------------------------------------------------------
 
 
-def parse_group_file(text: str) -> GroupSpec:
+def parse_group_file(text: str) -> GroupTable:
     """A ``degree:`` line followed by one generator per line."""
     lines = _content_lines(text)
     degree = _header_count(lines, "degree")
     gens = tuple(Perm.from_cycles(line, degree) for _, line in lines[1:])
     if not gens:
         raise ValueError("a group file needs at least one generator line")
-    return GroupSpec(degree, gens)
+    return GroupTable(degree, gens)
 
 
 def format_group(group) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -170,61 +169,30 @@ def parse_cycles(text: str, degree: int) -> tuple:
     return tuple(images)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Degree plus a nonempty generator list, the raw input to enumeration."""
-
-    degree: int
-    generators: tuple
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
-        if not self.generators:
-            raise ValueError("at least one generator is required")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise DegreeMismatch(
-                    f"generator {g.cycle_string()} has degree {g.degree}, "
-                    f"expected {self.degree}"
-                )
-
-
 class GroupTable:
-    """A permutation group, given by its generators, its full element list,
-    or both.
+    """A permutation group on {0, ..., degree-1}, given by its generators;
+    a subgroup is a group on the same points.
 
     Order, membership and least coset elements come from a stabiliser
     chain (``chain``), built on first use.  The elements are listed on
     first access of ``elements``, under the element cap, sorted by image
     tuple; the identity's image tuple is the lexicographic minimum of all
     permutations, so it always sits at index 0.  Everything that indexes
-    elements uses this order.  A group given by elements alone gets a
-    greedy generating set on first access of ``generators``.
+    elements uses this order.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Optional[Sequence[Perm]] = None,
-        elements: Optional[Sequence[Perm]] = None,
-    ):
-        if generators is None and elements is None:
-            raise ValueError("a group needs generators or elements")
+    def __init__(self, degree: int, generators: Iterable[Perm]):
         self.degree = degree
-        if generators is not None:
-            self.generators = tuple(generators)
-        if elements is not None:
-            self.elements = tuple(elements)
-
-    @cached_property
-    def generators(self) -> tuple:
-        return small_generating_set(self.degree, self.elements)
+        self.generators = tuple(generators)
+        for g in self.generators:
+            if g.degree != degree:
+                raise DegreeMismatch(
+                    f"generator {g.cycle_string()} has degree {g.degree}, expected {degree}"
+                )
 
     @cached_property
     def elements(self) -> tuple:
-        gens = self.generators or (Perm.identity(self.degree),)
-        return enumerate_group(GroupSpec(self.degree, gens)).elements
+        return enumerate_group(self.degree, self.generators)
 
     @cached_property
     def _pos(self) -> dict:
@@ -460,13 +428,17 @@ def schreier_generators(degree: int, generators: Sequence[tuple], point, act: Ca
     the image of the point x under g.  Schreier's lemma: the elements
     t_x.g.t_(x^g)^-1, for x in the orbit and g a generator, generate the
     stabiliser; each is kept once, and the identity not at all."""
-    identity = tuple(range(degree))
-    wit = _witnesses(point, identity, generators, act)
-    inverse = {x: _invert(t) for x, t in wit.items()}
-    found = dict.fromkeys(
-        _compose(_compose(t, g), inverse[act(x, g)]) for x, t in wit.items() for g in generators
-    )
-    found.pop(identity, None)
+    wit = _witnesses(point, tuple(range(degree)), generators, act)
+    inverse: dict = {}
+    found: dict = {}
+    for x, t in wit.items():
+        for g in generators:
+            tg, y = _compose(t, g), act(x, g)
+            # a tree edge, t_x.g = t_(x^g), gives the identity
+            if tg != wit[y]:
+                if y not in inverse:
+                    inverse[y] = _invert(wit[y])
+                found[_compose(tg, inverse[y])] = None
     return list(found)
 
 
@@ -552,55 +524,30 @@ def extend_on_generators(group, gen_values: Sequence, identity, then: Callable) 
     return values
 
 
-def _generated(degree: int, generators: Sequence[Perm], limit: Optional[int]) -> list:
-    """Image tuples of every product of the generators, identity first;
-    CapExceeded as soon as the count would pass ``limit``."""
-    lookups = [g.images.__getitem__ for g in generators]
-    elements = []
-    for im in closure((tuple(range(degree)),), lambda x: [tuple(map(f, x)) for f in lookups]):
-        if limit is not None and len(elements) >= limit:
-            raise CapExceeded(f"group exceeds the element cap of {limit}")
-        elements.append(im)
-    return elements
-
-
-def enumerate_group(spec: GroupSpec, cap: Optional[int] = None) -> GroupTable:
-    """Close the generators under multiplication, breadth first.
+def enumerate_group(degree: int, generators: Sequence[Perm], cap: Optional[int] = None) -> tuple:
+    """The elements of the group the generators generate, sorted by image
+    tuple: the closure of the identity under the generators, breadth first.
 
     Raises CapExceeded as soon as the element count would pass the cap
     (SGK_ELEMENT_CAP, or 200000 by default).
     """
     limit = element_cap() if cap is None else cap
-    elements = [Perm(im) for im in sorted(_generated(spec.degree, spec.generators, limit))]
-    return GroupTable(spec.degree, spec.generators, elements)
+    lookups = [g.images.__getitem__ for g in generators]
+    found = []
+    for im in closure((tuple(range(degree)),), lambda x: [tuple(map(f, x)) for f in lookups]):
+        if len(found) >= limit:
+            raise CapExceeded(f"group exceeds the element cap of {limit}")
+        found.append(im)
+    return tuple(Perm(im) for im in sorted(found))
 
 
-def group_from_generators(
-    generators: Sequence[Perm],
-    degree: Optional[int] = None,
-    cap: Optional[int] = None,
-) -> GroupTable:
+def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = None) -> GroupTable:
     gens = tuple(generators)
     if degree is None:
         if not gens:
             raise ValueError("cannot infer a degree from an empty generator list")
         degree = gens[0].degree
-    return enumerate_group(GroupSpec(degree, gens), cap=cap)
-
-
-def small_generating_set(degree: int, elements: Sequence[Perm]) -> tuple:
-    """Greedy generating set for an already closed element list."""
-    target = len(set(p.images for p in elements))
-    gens: list = []
-    closed = {Perm.identity(degree).images}
-    for p in sorted(elements, key=lambda q: q.images):
-        if p.images in closed:
-            continue
-        gens.append(p)
-        closed = set(_generated(degree, gens, None))
-        if len(closed) == target:
-            break
-    return tuple(gens) if gens else (Perm.identity(degree),)
+    return GroupTable(degree, gens)
 
 
 def orbit(group: GroupTable, point: int) -> frozenset:

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graphs import Graph, TransitivityReport, are_isomorphic, verify_action
 from .perm import Action, GroupLike, GroupTable, Perm, closure, coerce_action
-from .subgroups import BlockSystem, Subgroup, right_cosets
+from .subgroups import BlockSystem, right_cosets
 
 
 def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
@@ -279,7 +279,7 @@ class QuotientCosetForm:
 
 
 def quotient_as_coset_graph(
-    group: GroupTable, sub: Subgroup, a: Perm, over: Subgroup
+    group: GroupTable, sub: GroupTable, a: Perm, over: GroupTable
 ) -> QuotientCosetForm:
     """Quotient dictionary: the quotient of the coset graph on H by the
     blocks of K-cosets is the coset graph on K, for H < K < G.
@@ -288,15 +288,13 @@ def quotient_as_coset_graph(
     induces on the smaller one's cosets, and certifies that the quotient
     matches the second coset graph arc for arc.
     """
-    h_set = sub.member_images()
-    k_set = over.member_images()
-    if not h_set <= k_set:
+    if not all(h in over for h in sub.generators):
         raise NotNested("the quotient subgroup must contain the base subgroup")
-    if len(h_set) == len(k_set):
+    if sub.order == over.order:
         raise NotNested("the containment H < K must be strict")
     if over.order == len(group):
         raise NotNested("K must be a proper subgroup; one block is no quotient")
-    if a.images in k_set:
+    if a in over:
         raise DegenerateQuotient(
             "the connecting involution lies in the larger subgroup; "
             "the quotient would collapse"

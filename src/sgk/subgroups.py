@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,111 +25,59 @@ from .perm import (
 DOMAIN_LIMIT = 512
 
 
-class Subgroup:
-    """A subgroup of ``parent``: its own table on the parent's points,
-    given by generators or by its full element list.  Order and
-    membership come from the table's chain, and the elements are listed
-    only on request.
-    """
-
-    def __init__(self, parent: GroupTable, elements=None, generators=None):
-        self.parent = parent
-        self.table = GroupTable(parent.degree, generators, elements)
-
-    @property
-    def elements(self) -> tuple:
-        return self.table.elements
-
-    @property
-    def generators(self) -> tuple:
-        return self.table.generators
-
-    @property
-    def order(self) -> int:
-        return self.table.order
-
-    def __contains__(self, perm) -> bool:
-        return perm in self.table
-
-    def least_in_coset(self, g) -> tuple:
-        return self.table.least_in_coset(g)
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(p.images for p in self.elements)
-
-    def member_images(self) -> frozenset:
-        return self._members
-
-    def as_group(self) -> GroupTable:
-        """The subgroup as a standalone group on the same points."""
-        return self.table
-
-    def __repr__(self) -> str:
-        return f"<subgroup of order {self.order}>"
-
-
-def _sorted_unique(perms: Iterable[Perm]) -> tuple:
-    by_images = {p.images: p for p in perms}
-    return tuple(sorted(by_images.values(), key=lambda p: p.images))
-
-
-def make_subgroup(parent: GroupTable, elements: Iterable[Perm]) -> Subgroup:
-    """Validate membership and closure, then wrap.
-
-    The element list is deduplicated and put into the parent's order
-    convention (plain lexicographic sort, identity in front).
-    """
-    elems = _sorted_unique(elements)
-    if not elems or not elems[0].is_identity():
+def make_subgroup(parent: GroupTable, elements: Iterable[Perm]) -> GroupTable:
+    """Check that the elements hold the identity, lie in the parent and
+    are closed; the set is closed exactly when the group it generates is
+    no larger than it."""
+    elems = {p.images: p for p in elements}
+    if parent.identity().images not in elems:
         raise NotASubgroup("the identity is missing")
-    members = set()
-    for p in elems:
+    for p in elems.values():
         if p not in parent:
             raise NotASubgroup(f"{p.cycle_string()} lies outside the parent group")
-        members.add(p.images)
-    for a in elems:
-        if a.inverse().images not in members:
-            raise NotASubgroup(f"{a.cycle_string()} has no inverse in the set")
-        for b in elems:
-            if (a * b).images not in members:
-                raise NotASubgroup(
-                    f"closure fails at {a.cycle_string()} * {b.cycle_string()}"
-                )
-    return Subgroup(parent, elems)
+    sub = GroupTable(parent.degree, sorted(elems.values()))
+    if sub.order != len(elems):
+        raise NotASubgroup(
+            f"the set is not closed: its {len(elems)} elements generate "
+            f"a group of order {sub.order}"
+        )
+    return sub
 
 
-def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> Subgroup:
+def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> GroupTable:
     for g in generators:
         if g not in parent:
             raise NotASubgroup(f"{g.cycle_string()} lies outside the parent group")
-    return Subgroup(parent, generators=generators)
+    return GroupTable(parent.degree, generators)
 
 
-def trivial_subgroup(parent: GroupTable) -> Subgroup:
-    return Subgroup(parent, (parent.identity(),))
+def trivial_subgroup(parent: GroupTable) -> GroupTable:
+    return GroupTable(parent.degree, ())
 
 
-def full_subgroup(parent: GroupTable) -> Subgroup:
-    return Subgroup(parent, parent.elements)
+def full_subgroup(parent: GroupTable) -> GroupTable:
+    return parent
 
 
-def stabilizer_subgroup(parent: GroupTable, point: int) -> Subgroup:
+def stabilizer_subgroup(parent: GroupTable, point: int) -> GroupTable:
+    """The stabiliser of ``point``, given by the strong generators of its
+    chain, which it keeps."""
     if not 0 <= point < parent.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    return Subgroup(parent, generators=map(Perm, parent.chain.stabilizer(point).generators))
+    chain = parent.chain.stabilizer(point)
+    sub = GroupTable(parent.degree, map(Perm, chain.generators))
+    sub.chain = chain
+    return sub
 
 
-def conjugate_subgroup(sub: Subgroup, by: Perm) -> Subgroup:
-    if by not in sub.parent:
+def conjugate_subgroup(group: GroupTable, sub: GroupTable, by: Perm) -> GroupTable:
+    """The subgroup by⁻¹·sub·by, given by the conjugated generators."""
+    if by not in group:
         raise NotASubgroup(f"{by.cycle_string()} lies outside the parent group")
-    inv = by.inverse()
-    return Subgroup(sub.parent, _sorted_unique(inv * h * by for h in sub.elements))
+    return GroupTable(group.degree, (h.conjugated_by(by) for h in sub.generators))
 
 
-def _require_sub(group: GroupTable, sub: Subgroup) -> None:
-    if sub.parent is group:
-        return
+def _require_sub(group: GroupTable, sub: GroupTable) -> None:
     if not all(p in group for p in sub.generators):
         raise NotASubgroup("the subgroup does not live inside this group")
 
@@ -145,10 +92,9 @@ class CosetSpace:
     finds without listing H.  The cosets are the closure of H under the
     group's generators, listed by representative, so the coset of H
     itself comes first; their number is held to the element cap.
-    ``coset_of_element`` lists G and is built on first access.
     """
 
-    def __init__(self, group: GroupTable, sub: Subgroup):
+    def __init__(self, group: GroupTable, sub: GroupTable):
         self.group, self.sub = group, sub
         least = sub.least_in_coset
         gens = [g.images for g in group.generators]
@@ -175,16 +121,6 @@ class CosetSpace:
         except KeyError:
             raise KeyError(f"{perm.cycle_string()} is not in this group") from None
 
-    @cached_property
-    def coset_of_element(self) -> tuple:
-        """The coset of each group element, in element order."""
-        index = self.group.index
-        out = [-1] * len(self.group)
-        for c, rep in enumerate(self.reps):
-            for h in self.sub.elements:
-                out[index(h * rep)] = c
-        return tuple(out)
-
     def generator_rows(self) -> tuple:
         """The action of the group's generators, in generator order."""
         return self._gen_rows
@@ -194,7 +130,7 @@ class CosetSpace:
         generators are composed on first use."""
         return Action(self.group, len(self.reps), gen_rows=self._gen_rows)
 
-    def stabilizer(self, generators: Sequence[Perm], coset: int) -> Subgroup:
+    def stabilizer(self, generators: Sequence[Perm], coset: int) -> GroupTable:
         """The stabiliser of coset number ``coset`` in the group that
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
@@ -206,25 +142,25 @@ class CosetSpace:
             coset,
             lambda c, g: number[least(tuple(map(g.__getitem__, reps[c])))],
         )
-        return Subgroup(self.group, generators=map(Perm, schreier))
+        return GroupTable(self.group.degree, map(Perm, schreier))
 
 
-def right_cosets(group: GroupTable, sub: Subgroup) -> CosetSpace:
+def right_cosets(group: GroupTable, sub: GroupTable) -> CosetSpace:
     _require_sub(group, sub)
     return CosetSpace(group, sub)
 
 
-def core(group: GroupTable, sub: Subgroup) -> Subgroup:
+def core(group: GroupTable, sub: GroupTable) -> GroupTable:
     """Largest normal subgroup of the parent lying inside ``sub``."""
     _require_sub(group, sub)
-    keep = set(sub.member_images())
-    base = list(sub.elements)
+    base = sub.elements
+    keep = {h.images for h in base}
     for x in group.elements:
         xi = x.inverse()
         keep &= {(xi * h * x).images for h in base}
         if len(keep) == 1:
             break
-    return Subgroup(group, tuple(sorted(Perm(im) for im in keep)))
+    return GroupTable(group.degree, sorted(Perm(im) for im in keep))
 
 
 # ---- double cosets --------------------------------------------------------------
@@ -244,7 +180,7 @@ class DoubleCoset:
 @dataclass(frozen=True)
 class DoubleCosetDecomposition:
     group: GroupTable
-    sub: Subgroup
+    sub: GroupTable
     classes: tuple
 
     def __post_init__(self):
@@ -258,7 +194,7 @@ class DoubleCosetDecomposition:
         return self._where[perm.images]
 
 
-def double_cosets(group: GroupTable, sub: Subgroup) -> DoubleCosetDecomposition:
+def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecomposition:
     """Decompose the group into H x H classes, least representatives first."""
     _require_sub(group, sub)
     assigned = {}
@@ -399,19 +335,18 @@ def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
         raise ValueError(f"the set is not a block: {exc}") from None
 
 
-def intermediate_subgroups(group: GroupTable, bottom: Subgroup) -> list:
+def intermediate_subgroups(group: GroupTable, bottom: GroupTable) -> list:
     """All subgroups between ``bottom`` and the whole group, by order and
     then by element list.
 
     The subgroups containing H = ``bottom`` match the blocks through the
     coset H in the action on right cosets of H: block B gives the
-    subgroup {g : Hg in B}.
+    subgroup {g : Hg in B}, which H and the representatives of the
+    cosets in B generate.
     """
-    _require_sub(group, bottom)
     cosets = right_cosets(group, bottom)
-    cfe = cosets.coset_of_element
     subs = [
-        Subgroup(group, tuple(g for g, c in zip(group.elements, cfe) if c in blk))
+        GroupTable(group.degree, bottom.generators + tuple(cosets.reps[c] for c in sorted(blk)))
         for blk in _blocks_through(cosets.n_cosets, cosets.generator_rows(), 0)
     ]
     return sorted(subs, key=lambda s: (s.order, tuple(p.images for p in s.elements)))
@@ -444,7 +379,7 @@ class LatticePair:
     {g : α^g ∈ B} it traces out, given by generators, with its order
     |G_α|·|B|."""
 
-    subgroup: Subgroup
+    subgroup: GroupTable
     block: tuple
     base_point: int
     order: int
@@ -469,7 +404,7 @@ def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     pairs = []
     for blk in _blocks_through(group.degree, gen_rows, base_point):
         gens = [Perm(g) for g in stab.generators] + [carry[b] for b in sorted(blk)]
-        sub = Subgroup(group, generators=gens)
+        sub = GroupTable(group.degree, gens)
         pairs.append(LatticePair(sub, tuple(sorted(blk)), base_point, stab.order * len(blk)))
     pairs.sort(key=lambda pr: (len(pr.block), pr.block))
     return pairs

@@ -5,7 +5,7 @@ import pytest
 
 from sgk import fixtures as fx
 from sgk.perm import Perm, closure
-from sgk.subgroups import Subgroup
+from sgk.perm import GroupTable
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"
@@ -25,10 +25,12 @@ def brute_force_isomorphic(a, b) -> bool:
     return False
 
 
-def setwise_stabilizer(group, points) -> Subgroup:
+def setwise_stabilizer(group, points) -> GroupTable:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)
-    return Subgroup(group, [g for g in group.elements if frozenset(g(x) for x in pts) == pts])
+    return GroupTable(
+        group.degree, [g for g in group.elements if frozenset(g(x) for x in pts) == pts]
+    )
 
 
 def twist_everywhere(n_part, g_part, twist) -> dict:

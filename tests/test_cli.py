@@ -453,11 +453,10 @@ def test_group_out_writes_readable_group(capsys, tmp_path):
     )
     assert code == 0
     from sgk.io import parse_group_file
-    from sgk.perm import enumerate_group
 
-    induced = enumerate_group(parse_group_file(group_path.read_text()))
+    induced = parse_group_file(group_path.read_text())
     assert induced.degree == 4
-    assert len(induced) == 24
+    assert len(induced.elements) == 24
 
 
 def test_broken_postcondition_is_a_failed_claim(capsys, monkeypatch):

@@ -168,4 +168,4 @@ def _arc_group(group, tag):
     """The group listed by its action on the arcs of the base graph."""
     index = {a: i for i, a in enumerate(tag.vertices)}
     rows = {tuple(index[(g(u), g(v))] for u, v in tag.vertices) for g in group.elements}
-    return GroupTable(len(tag.vertices), elements=[Perm(r) for r in sorted(rows)])
+    return GroupTable(len(tag.vertices), [Perm(r) for r in sorted(rows)])

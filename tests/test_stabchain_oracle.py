@@ -13,7 +13,7 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sgk import fixtures as fx
-from sgk.perm import GroupSpec, Perm, StabChain, enumerate_group
+from sgk.perm import GroupTable, Perm, StabChain
 
 LIST_LIMIT = 2000
 MAX_DEGREE = 12
@@ -69,7 +69,7 @@ def generator_sets(draw):
 
 
 def _listed(n, gens):
-    return enumerate_group(GroupSpec(n, tuple(Perm(g) for g in gens)))
+    return GroupTable(n, tuple(Perm(g) for g in gens))
 
 
 def _sympy(gens):

@@ -126,7 +126,7 @@ def test_core_is_normal(d6):
 def test_conjugate_subgroup(s4):
     sub = stabilizer_subgroup(s4, 0)
     g = Perm.from_cycles("(1 2)", 4)
-    conj = conjugate_subgroup(sub, g)
+    conj = conjugate_subgroup(s4, sub, g)
     assert set(conj.elements) == {x.conjugated_by(g) for x in sub.elements}
     assert conj.order == sub.order
 
@@ -193,7 +193,7 @@ def test_intermediate_subgroups_s4(s4, d4, d6):
     for group, count in ((s4, 30), (d4, 10), (d6, 16)):
         subs = intermediate_subgroups(group, trivial_subgroup(group))
         assert len(subs) == count
-        assert len({s.member_images() for s in subs}) == count
+        assert len({s.elements for s in subs}) == count
         for s in subs:
             make_subgroup(group, s.elements)
 

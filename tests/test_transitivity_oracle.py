@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sgk.errors import CapExceeded  # noqa: E402
 from sgk.graphs import Graph, enumerate_s_arcs, s_arc_level, verify_action  # noqa: E402
-from sgk.perm import Action, Perm, group_from_generators, orbits  # noqa: E402
+from sgk.perm import Action, Perm, enumerate_group, group_from_generators, orbits  # noqa: E402
 
 ORDER_CAP = 720
 
@@ -72,9 +72,10 @@ def actions(draw):
     group = group_from_generators(gens[:1], degree=n + m)  # order at most 30
     for k in range(2, len(gens) + 1):
         try:
-            group = group_from_generators(gens[:k], degree=n + m, cap=ORDER_CAP)
+            enumerate_group(n + m, gens[:k], cap=ORDER_CAP)
         except CapExceeded:
             break
+        group = group_from_generators(gens[:k], degree=n + m)
     return Action(group, n, [g.images[:n] for g in group.generators])
 
 

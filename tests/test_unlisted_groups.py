@@ -14,7 +14,8 @@ S9 run under the default element cap, while the cap still bounds the
 number of cosets, the orbit of a subgraph and the candidates tried for a
 regular normal subgroup.  With chains made to raise, ``quotient``,
 ``blocks``, ``threearc`` and the three ``design`` commands give the same
-outcome as with chains allowed.
+outcome as with chains allowed.  The subgroup helpers answer on S10
+without listing it.
 """
 
 import json
@@ -26,7 +27,16 @@ import pytest
 from conftest import FIXDIR
 from sgk.cli import main
 from sgk.io import parse_group_file
-from sgk.perm import StabChain, enumerate_group
+from sgk.perm import Perm, StabChain, enumerate_group
+from sgk.quotients import quotient_as_coset_graph
+from sgk.subgroups import (
+    conjugate_subgroup,
+    full_subgroup,
+    right_cosets,
+    stabilizer_subgroup,
+    subgroup_from_generators,
+    trivial_subgroup,
+)
 
 SUBGROUP_S4 = "(2 3),(3 4)"
 SUBGROUP_S5 = "(1 2),(3 4),(4 5)"
@@ -55,9 +65,9 @@ def record_listing(monkeypatch):
     the records come back in a list that fills as commands run."""
     listed = []
 
-    def record(spec, cap=None):
-        listed.append((spec.degree, tuple(spec.generators)))
-        return enumerate_group(spec, cap)
+    def record(degree, generators, cap=None):
+        listed.append((degree, tuple(generators)))
+        return enumerate_group(degree, generators, cap)
 
     _patch_listing(monkeypatch, record)
     return listed
@@ -422,3 +432,27 @@ def test_quotient_and_design_commands_build_no_chain(capsys, tmp_path, monkeypat
     monkeypatch.setattr(StabChain, "__init__", refuse)
     for argv, expect in zip(jobs, allowed):
         assert outcome(capsys, tmp_path, argv) == expect, argv
+
+
+def test_subgroup_helpers_never_list_the_group(monkeypatch):
+    """S10 passes the default element cap, and so do its point stabilisers:
+    the subgroup helpers answer from generators and chains alone.  The
+    base graph on the 90 cosets of Sym{3..10} folds onto the Kneser graph
+    on the 45 cosets of Sym{1,2} x Sym{3..10}."""
+    monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
+    forbid_listing(monkeypatch)
+    s10 = parse_group_file(symmetric_group_file(10))
+    assert trivial_subgroup(s10).order == 1
+    assert full_subgroup(s10).order == 3628800
+    stab = stabilizer_subgroup(s10, 0)
+    assert stab.order == 362880
+    swap = Perm.from_cycles("(1 2)", 10)
+    moved = conjugate_subgroup(s10, stab, swap)
+    assert moved.order == 362880 and all(g(1) == 1 for g in moved.generators)
+    cycles = ["(3 4)", "(3 4 5 6 7 8 9 10)"]
+    base = subgroup_from_generators(s10, [Perm.from_cycles(c, 10) for c in cycles])
+    over = subgroup_from_generators(s10, [swap] + list(base.generators))
+    assert right_cosets(s10, stab).n_cosets == 10
+    form = quotient_as_coset_graph(s10, base, Perm.from_cycles("(1 3)(2 4)", 10), over)
+    assert form.exact and form.base.graph.n == 90 and form.model.graph.n == 45
+    assert form.model.valency == 28
