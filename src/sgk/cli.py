@@ -44,10 +44,11 @@ from .designs import (
     validate_design,
 )
 from .errors import CertificationFailed, KitError, NotPolarity
-from .graphs import Graph, enumerate_s_arcs, is_connected, s_arc_level, verify_action
+from .graphs import Graph, is_connected, s_arc_level, verify_action
 from .io import (
     format_design,
     format_graph,
+    format_group,
     graph_to_dot,
     parse_blocks_file,
     parse_chain_seeds,
@@ -197,17 +198,8 @@ def _induced_group_text(act: Action) -> str:
     what a replay needs.
     """
     ident = tuple(range(act.n_points))
-    gens = []
-    seen = {ident}
-    for row in act.generator_rows():
-        if row not in seen:
-            seen.add(row)
-            gens.append(Perm(row))
-    if not gens:
-        gens = [Perm(ident)]
-    return "degree: {}\n".format(act.n_points) + "".join(
-        g.cycle_string() + "\n" for g in gens
-    )
+    rows = [row for row in dict.fromkeys(act.generator_rows()) if row != ident]
+    return format_group(GroupTable(act.n_points, map(Perm, rows or [ident])))
 
 
 def _write_group_out(args, act: Action) -> None:
@@ -218,6 +210,12 @@ def _write_group_out(args, act: Action) -> None:
 
 def _point_step(rows):
     return lambda x: [row[x] for row in rows]
+
+
+def _tiles(parts, domain) -> bool:
+    """The parts tile the domain: their members, sorted, are the domain
+    sorted, which proves them disjoint and covering at once."""
+    return sorted(x for part in parts for x in part) == sorted(domain)
 
 
 def _arc_pair(graph: Graph, u: int, v: int) -> list:
@@ -293,13 +291,9 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         if bad is None
         else {"point": bad + 1},
     )
-    covered = sorted(p for orb in point_orbits for p in orb)
-    disjoint = all(
-        a == b or not set(a) & set(b) for a in point_orbits for b in point_orbits
-    )
     cert.claim(
         "orbit-partition",
-        covered == list(range(group.degree)) and disjoint,
+        _tiles(point_orbits, range(group.degree)),
         f"{len(point_orbits)} orbits tile the {group.degree} points",
     )
     same = enumerate_group(group.degree, group.generators) == group.elements
@@ -402,16 +396,10 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
         len(orbs) == len(suborbits),
         {"rank": len(orbs), "stabilizer_orbits": len(suborbits)},
     )
-    sets = [set(ob.pairs) for ob in orbs]
-    total = sum(len(s) for s in sets)
-    disjoint = all(
-        i == j or not sets[i] & sets[j]
-        for i in range(len(sets))
-        for j in range(len(sets))
-    )
+    n = group.degree
     cert.claim(
         "orbit-partition",
-        total == group.degree ** 2 and disjoint,
+        _tiles((ob.pairs for ob in orbs), [(u, v) for u in range(n) for v in range(n)]),
         f"{len(orbs)} orbitals tile the {group.degree ** 2} ordered pairs",
     )
     return None
@@ -726,7 +714,7 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         total = sum(ob.size for ob in orbs)
         cert.claim(
             "orbit-partition",
-            total == len(enumerate_s_arcs(graph, 3)),
+            total == graph.arc_count * (graph.valency() - 1) ** 2,
             f"{len(orbs)} orbits tile the {total} three-arcs",
         )
         return None

@@ -233,20 +233,18 @@ def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital
 
 
 def orbital_double_coset_map(group: GroupTable, sub: GroupTable) -> list:
-    """Pair each double coset HxH with the orbital of (H, Hx) in the coset
-    action.  The pairing is a bijection and is certified as one."""
-    cosets = right_cosets(group, sub)
-    act = cosets.action()
-    orbs = orbitals(act)
-    pair_sets = [set(ob.pairs) for ob in orbs]
+    """Pair each double coset HxH with the orbital that holds (H, Hy) for
+    the cosets Hy in it, in the coset action.  The pairing is a
+    bijection and is certified as one."""
     dcs = double_cosets(group, sub)
+    orbs = orbitals(dcs.classes[0].space.action())
+    orbital_of = {pair: k for k, ob in enumerate(orbs) for pair in ob.pairs}
     pairing = []
     used = set()
     for dc in dcs.classes:
-        target = (0, cosets.coset_of(dc.rep))
-        matches = [k for k, ps in enumerate(pair_sets) if target in ps]
-        certify(len(matches) == 1, "each double coset meets exactly one orbital")
-        k = matches[0]
+        meets = {orbital_of[(0, c)] for c in dc.cosets}
+        certify(len(meets) == 1, "each double coset meets exactly one orbital")
+        k = meets.pop()
         certify(k not in used, "double cosets map to distinct orbitals")
         used.add(k)
         pairing.append((dc, orbs[k]))

@@ -10,9 +10,6 @@ class KitError(Exception):
 
     code = "error"
 
-    def payload(self) -> dict:
-        return {"code": self.code, "message": str(self)}
-
 
 class CertificationFailed(RuntimeError):
     """A construction broke a fact it is supposed to guarantee.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInvariant
-from .perm import Action, GroupLike, coerce_action, orbits
+from .perm import Action, GroupLike, closure, coerce_action, orbits
 
 
 class Graph:
@@ -200,20 +200,28 @@ def s_arc_level(graph: Graph, group: GroupLike) -> int:
     transitive on the s-arcs and on the shorter ones.
 
     0 when a generator breaks an arc or the action is not vertex
-    transitive; otherwise the walk stops at the first s whose s-arcs split
-    into several orbits or run out.
+    transitive.  Otherwise the graph is k-regular with n·k·(k−1)^(s−1)
+    s-arcs, and the walk extends one s-arc by the least neighbour that
+    is not a step back, stopping at the first s whose orbit falls short
+    of that count or that has no s-arc.
     """
     act = coerce_action(group, graph.n)
     gen_rows = act.generator_rows()
-    if not (_preserves_arcs(graph, gen_rows) and _vertex_transitive(graph, act)):
+    if not graph.n or not (_preserves_arcs(graph, gen_rows) and _vertex_transitive(graph, act)):
         return 0
-    level = 0
+    k = len(graph.adj[0])
+    walk = (0,)
     for s in range(1, S_ARC_LIMIT + 1):
-        walks = enumerate_s_arcs(graph, s)
-        if not walks or len(tuple_orbits(walks, gen_rows)) != 1:
-            break
-        level = s
-    return level
+        back = walk[-2] if s > 1 else None
+        ahead = [u for u in graph.adj[walk[-1]] if u != back]
+        if not ahead:
+            return s - 1
+        walk += (ahead[0],)
+        count = graph.n * k * (k - 1) ** (s - 1)
+        images = closure((walk,), lambda w: [tuple(row[x] for x in w) for row in gen_rows])
+        if sum(1 for _ in images) < count:
+            return s - 1
+    return S_ARC_LIMIT
 
 
 def _joint_refinement(a: Graph, b: Graph):

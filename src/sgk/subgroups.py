@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -15,9 +16,11 @@ from .perm import (
     Action,
     GroupTable,
     Perm,
+    StabChain,
     capped,
     closure,
     is_transitive,
+    orbits,
     schreier_generators,
     transversal,
 )
@@ -77,11 +80,6 @@ def conjugate_subgroup(group: GroupTable, sub: GroupTable, by: Perm) -> GroupTab
     return GroupTable(group.degree, (h.conjugated_by(by) for h in sub.generators))
 
 
-def _require_sub(group: GroupTable, sub: GroupTable) -> None:
-    if not all(p in group for p in sub.generators):
-        raise NotASubgroup("the subgroup does not live inside this group")
-
-
 # ---- cosets -------------------------------------------------------------------
 
 
@@ -130,37 +128,47 @@ class CosetSpace:
         generators are composed on first use."""
         return Action(self.group, len(self.reps), gen_rows=self._gen_rows)
 
+    def rows(self, perms: Sequence[Perm]) -> list:
+        """The rows of ``perms``, elements of the group, on the cosets."""
+        number, least = self._number, self.sub.least_in_coset
+        return [
+            tuple(number[least(tuple(map(p.images.__getitem__, r.images)))] for r in self.reps)
+            for p in perms
+        ]
+
     def stabilizer(self, generators: Sequence[Perm], coset: int) -> GroupTable:
         """The stabiliser of coset number ``coset`` in the group that
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
-        number, least = self._number, self.sub.least_in_coset
-        reps = [r.images for r in self.reps]
-        schreier = schreier_generators(
-            self.group.degree,
-            [g.images for g in generators],
-            coset,
-            lambda c, g: number[least(tuple(map(g.__getitem__, reps[c])))],
-        )
+        gens = [g.images for g in generators]
+        row_of = dict(zip(gens, self.rows(generators)))
+        schreier = schreier_generators(self.group.degree, gens, coset, lambda c, g: row_of[g][c])
         return GroupTable(self.group.degree, map(Perm, schreier))
 
 
 def right_cosets(group: GroupTable, sub: GroupTable) -> CosetSpace:
-    _require_sub(group, sub)
+    if not all(p in group for p in sub.generators):
+        raise NotASubgroup("the subgroup does not live inside this group")
     return CosetSpace(group, sub)
 
 
 def core(group: GroupTable, sub: GroupTable) -> GroupTable:
-    """Largest normal subgroup of the parent lying inside ``sub``."""
-    _require_sub(group, sub)
-    base = sub.elements
-    keep = {h.images for h in base}
-    for x in group.elements:
-        xi = x.inverse()
-        keep &= {(xi * h * x).images for h in base}
-        if len(keep) == 1:
-            break
-    return GroupTable(group.degree, sorted(Perm(im) for im in keep))
+    """Largest normal subgroup of the parent inside ``sub``, the kernel of
+    the coset action: in a chain of each generator's row on the m cosets
+    followed by its point row shifted past m, the strong generators that
+    fix every coset generate it."""
+    cosets = right_cosets(group, sub)
+    m = cosets.n_cosets
+    paired = [
+        row + tuple(m + x for x in g.images)
+        for row, g in zip(cosets.generator_rows(), group.generators)
+    ]
+    kernel = [
+        Perm(x - m for x in g[m:])
+        for g in StabChain(m + group.degree, paired).generators
+        if g[:m] == tuple(range(m))
+    ]
+    return GroupTable(group.degree, kernel)
 
 
 # ---- double cosets --------------------------------------------------------------
@@ -168,13 +176,25 @@ def core(group: GroupTable, sub: GroupTable) -> GroupTable:
 
 @dataclass(frozen=True)
 class DoubleCoset:
+    """HxH as the numbers of its cosets in ``space``, with its least element
+    ``rep``, the first coset's; its elements are composed only on access."""
+
     rep: Perm
-    elements: tuple
-    contains_involution: bool
+    cosets: tuple
+    space: CosetSpace
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.space.sub.order * len(self.cosets)
+
+    @cached_property
+    def elements(self) -> tuple:
+        reps, sub = self.space.reps, self.space.sub
+        return tuple(sorted(h * reps[c] for c in self.cosets for h in sub.elements))
+
+    @property
+    def contains_involution(self) -> bool:
+        return any(p.is_involution() for p in self.elements)
 
 
 @dataclass(frozen=True)
@@ -183,38 +203,22 @@ class DoubleCosetDecomposition:
     sub: GroupTable
     classes: tuple
 
-    def __post_init__(self):
-        where = {}
-        for ci, cls in enumerate(self.classes):
-            for p in cls.elements:
-                where[p.images] = ci
-        object.__setattr__(self, "_where", where)
-
     def class_of(self, perm: Perm) -> int:
-        return self._where[perm.images]
+        coset = self.classes[0].space.coset_of(perm)
+        return next(i for i, cls in enumerate(self.classes) if coset in cls.cosets)
 
 
 def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecomposition:
-    """Decompose the group into H x H classes, least representatives first."""
-    _require_sub(group, sub)
-    assigned = {}
-    classes = []
-    for g in group.elements:
-        if g.images in assigned:
-            continue
-        block = {}
-        for h1 in sub.elements:
-            left = h1 * g
-            for h2 in sub.elements:
-                q = left * h2
-                block[q.images] = q
-        elems = tuple(sorted(block.values(), key=lambda p: p.images))
-        has_inv = any(p.is_involution() for p in elems)
-        ci = len(classes)
-        for im in block:
-            assigned[im] = ci
-        classes.append(DoubleCoset(g, elems, has_inv))
-    return DoubleCosetDecomposition(group, sub, tuple(classes))
+    """Decompose the group into H x H classes, least representatives first:
+    the orbits of H on its cosets, which are numbered by least element, so
+    each orbit's first coset gives its class's least element and order."""
+    cosets = right_cosets(group, sub)
+    rows = cosets.rows(sub.generators)
+    classes = tuple(
+        DoubleCoset(cosets.reps[orb[0]], tuple(orb), cosets)
+        for orb in orbits(range(cosets.n_cosets), lambda c: [row[c] for row in rows])
+    )
+    return DoubleCosetDecomposition(group, sub, classes)
 
 
 # ---- blocks of imprimitivity ----------------------------------------------------

@@ -86,6 +86,17 @@ class SemidirectPairs:
         return tuple(on_n[i] * base_n + g[u] for i in range(m) for u in range(base_n))
 
 
+def pgl2(q: int) -> GroupTable:
+    """PGL(2, q), q prime, on the points 0..q-1 of GF(q) and ∞ = q, from
+    x ↦ x+1, x ↦ ax (a a primitive root mod q) and x ↦ −1/x."""
+    a = next(a for a in range(1, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
+    inverse = {x: pow(x, q - 2, q) for x in range(1, q)}
+    shift = [(x + 1) % q for x in range(q)] + [q]
+    scale = [a * x % q for x in range(q)] + [q]
+    flip = [q] + [-inverse[x] % q for x in range(1, q)] + [0]
+    return GroupTable(q + 1, [Perm(shift), Perm(scale), Perm(flip)])
+
+
 def _product(a, b):
     """Image tuple of a followed by b."""
     return tuple(b[i] for i in a)

@@ -1,10 +1,13 @@
 """Graphs, transitivity measurement, and isomorphism testing."""
 
+import json
 import random
 
 import pytest
 
-from conftest import brute_force_isomorphic
+from conftest import brute_force_isomorphic, pgl2
+from sgk import graphs
+from sgk.cli import main
 from sgk.graphs import (
     DirectedSubgraph,
     Graph,
@@ -16,9 +19,11 @@ from sgk.graphs import (
     enumerate_s_arcs,
     is_connected,
     s_arc_level,
+    tuple_orbits,
     verify_action,
 )
-from sgk.perm import Action, Perm, group_from_generators
+from sgk.io import format_graph, format_group
+from sgk.perm import Action, GroupTable, Perm, group_from_generators
 
 
 def test_builders():
@@ -94,6 +99,47 @@ def test_verify_action_cycle(c6, d6, z6):
     assert half.vertex_transitive
     assert not half.arc_transitive
     assert not half.symmetric
+
+
+def _dihedral(n):
+    return GroupTable(
+        n, [Perm([(x + 1) % n for x in range(n)]), Perm([-x % n for x in range(n)])]
+    )
+
+
+def _split_level(graph, group):
+    """Reference: list every s-arc and split the list into orbits."""
+    rows = [g.images for g in group.generators]
+    level = 0
+    for s in range(1, graphs.S_ARC_LIMIT + 1):
+        walks = enumerate_s_arcs(graph, s)
+        if not walks or len(tuple_orbits(walks, rows)) != 1:
+            break
+        level = s
+    return level
+
+
+def test_s_arc_level_walks_one_orbit(capsys, tmp_path, monkeypatch, petersen, petersen_group):
+    """The level comes from one s-arc's orbit and a count of the s-arcs:
+    with listing the s-arcs made to raise, it matches the split."""
+    cases = [(complete_graph(q + 1), pgl2(q)) for q in (5, 7, 11)]
+    cases += [(cycle_graph(n), _dihedral(n)) for n in (6, 12)]
+    cases += [(petersen, petersen_group), (Graph([], []), GroupTable(0, []))]
+    expected = [_split_level(graph, group) for graph, group in cases]
+    assert expected == [2, 2, 2, 5, 5, 3, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the s-arcs were listed or split")
+
+    monkeypatch.setattr(graphs, "enumerate_s_arcs", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "tuple_orbits", refuse)
+        assert [s_arc_level(graph, group) for graph, group in cases] == expected
+    (tmp_path / "k12.graph").write_text(format_graph(complete_graph(12)))
+    (tmp_path / "pgl.grp").write_text(format_group(pgl2(11)))
+    argv = ["verify", "--graph", str(tmp_path / "k12.graph"), "--group", str(tmp_path / "pgl.grp")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["facts"]["s_arc_transitive_up_to"] == 2
 
 
 def test_verify_action_not_automorphisms(k4):

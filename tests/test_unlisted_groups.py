@@ -26,11 +26,14 @@ import pytest
 
 from conftest import FIXDIR
 from sgk.cli import main
+from sgk.coset_graphs import orbital_double_coset_map
 from sgk.io import parse_group_file
 from sgk.perm import Perm, StabChain, enumerate_group
 from sgk.quotients import quotient_as_coset_graph
 from sgk.subgroups import (
     conjugate_subgroup,
+    core,
+    double_cosets,
     full_subgroup,
     right_cosets,
     stabilizer_subgroup,
@@ -436,9 +439,10 @@ def test_quotient_and_design_commands_build_no_chain(capsys, tmp_path, monkeypat
 
 def test_subgroup_helpers_never_list_the_group(monkeypatch):
     """S10 passes the default element cap, and so do its point stabilisers:
-    the subgroup helpers answer from generators and chains alone.  The
-    base graph on the 90 cosets of Sym{3..10} folds onto the Kneser graph
-    on the 45 cosets of Sym{1,2} x Sym{3..10}."""
+    the subgroup helpers, the core, the double cosets and their orbitals
+    answer from generators and chains alone.  The base graph on the 90
+    cosets of Sym{3..10} folds onto the Kneser graph on the 45 cosets of
+    Sym{1,2} x Sym{3..10}."""
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
     forbid_listing(monkeypatch)
     s10 = parse_group_file(symmetric_group_file(10))
@@ -456,3 +460,12 @@ def test_subgroup_helpers_never_list_the_group(monkeypatch):
     form = quotient_as_coset_graph(s10, base, Perm.from_cycles("(1 3)(2 4)", 10), over)
     assert form.exact and form.base.graph.n == 90 and form.model.graph.n == 45
     assert form.model.valency == 28
+    assert core(s10, stab).order == 1
+    dec = double_cosets(s10, stab)
+    assert [(c.rep, c.size) for c in dec.classes] == [(s10.identity(), 362880), (swap, 3265920)]
+    assert [dec.class_of(Perm.from_cycles(c, 10)) for c in ["id", "(2 3)", "(1 10)"]] == [0, 0, 1]
+    pairing = orbital_double_coset_map(s10, stab)
+    assert [(dc.size, ob.size, ob.diagonal) for dc, ob in pairing] == [
+        (362880, 10, True),
+        (3265920, 90, False),
+    ]
