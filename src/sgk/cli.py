@@ -1039,147 +1039,105 @@ def cmd_verify(args, cert: Certificate) -> Optional[str]:
 # ---- wiring ------------------------------------------------------------------
 
 
-def _add_cert(p) -> None:
-    p.add_argument("--certificate", metavar="FILE", help="write the certificate here")
+_FILE = dict(required=True, metavar="FILE")
+_GRAPH_OUT = (
+    ("--out", dict(choices=("edges", "dot"), help="print the constructed graph in this format")),
+    ("--out-file", dict(metavar="FILE", help="write the graph there instead")),
+    ("--group-out", dict(metavar="FILE", help="write the induced acting group as a group file")),
+)
 
 
-def _add_graph_out(p) -> None:
-    p.add_argument(
-        "--out",
-        choices=("edges", "dot"),
-        help="print the constructed graph in this format",
+def _commands() -> tuple:
+    """The commands as (name, help, handler, primary claim, arguments), in
+    help order; each argument is a flag and its add_argument keywords, and
+    every command takes --certificate last.  The handler of ``design`` is
+    its table of modes, in the same shape.  Built per call, so that a
+    handler patched on the module is the one dispatched."""
+    return (
+        ("group", "enumerate a group and certify its orbit arithmetic", cmd_group,
+         "orbit-stabilizer", [("--group", _FILE)]),
+        ("cosetgraph", "build the coset graph of a subgroup and an involution", cmd_cosetgraph,
+         "valency-law", [
+             ("--group", _FILE), ("--subgroup", dict(required=True, metavar="GENS")),
+             ("--involution", dict(required=True, metavar="PERM")), *_GRAPH_OUT]),
+        ("orbitals", "orbits on ordered pairs with rank checks", cmd_orbitals,
+         "rank-consistency", [("--group", _FILE)]),
+        ("quotient", "quotient a graph by an invariant partition", cmd_quotient,
+         "quotient-symmetry", [
+             ("--graph", _FILE), ("--group", _FILE), ("--blocks", _FILE),
+             ("--out", dict(choices=("edges", "dot"), help="print the quotient in this format")),
+             ("--out-file", dict(metavar="FILE"))]),
+        ("blocks", "every invariant partition of a transitive group", cmd_blocks,
+         "block-closure", [("--group", _FILE)]),
+        ("lattice", "subgroups above a point stabilizer with their blocks", cmd_lattice,
+         "lattice-isomorphism", [
+             ("--group", _FILE), ("--base", dict(type=int, default=1, metavar="POINT"))]),
+        ("design", "designs from graphs and back", (
+            ("from-graph", "the neighbourhood design of a symmetric graph", cmd_design_from_graph,
+             "graph-design-parameters", [
+                 ("--graph", _FILE), ("--group", _FILE),
+                 ("--out", dict(choices=("design",), help="print the design")),
+                 ("--out-file", dict(metavar="FILE"))]),
+            ("to-graph", "the graph of a design under a polarity", cmd_design_to_graph,
+             "polarity-commutation", [
+                 ("--design", _FILE), ("--group", _FILE),
+                 ("--polarity-index", dict(type=int, default=0, metavar="K")),
+                 ("--out", dict(choices=("edges", "dot"))), ("--out-file", dict(metavar="FILE"))]),
+            ("polarities", "all equivariant polarities of a design", cmd_design_polarities,
+             "polarity-commutation", [("--design", _FILE), ("--group", _FILE)]),
+            ("validate", "1-design parameters of a design file", cmd_design_validate,
+             "design-double-count", [("--design", _FILE)]),
+        ), None, None),
+        ("threearc", "three-arc orbits and their graphs", cmd_threearc,
+         "three-arc-identification", [
+             ("--graph", _FILE), ("--group", _FILE),
+             ("--orbit-index", dict(type=int, metavar="K")), *_GRAPH_OUT]),
+        ("biggs", "cover a graph by a chain over a semidirect product", cmd_biggs,
+         "biggs-action-law", [
+             ("--graph", _FILE), ("--group", _FILE),
+             ("--n", dict(_FILE, help="the covering group N")), ("--twist", _FILE),
+             ("--chain", _FILE), *_GRAPH_OUT]),
+        ("subgraph-graph", "the graph on images of a directed subgraph", cmd_subgraph_graph,
+         "subgraph-graph-transitivity", [
+             ("--graph", _FILE), ("--group", _FILE),
+             ("--subgraph", dict(required=True, metavar="ARCS", help="e.g. '3>4,4>1,1>3'")),
+             ("--involution", dict(required=True, metavar="PERM")), *_GRAPH_OUT]),
+        ("extend", "extend a symmetric graph over a finer coset space", cmd_extend,
+         "extension-counting", [
+             ("--via", dict(choices=("arcs", "flags"), required=True)), ("--group", _FILE),
+             ("--subgroup", dict(metavar="GENS")),
+             ("--over", dict(metavar="GENS", help="the finer subgroup K")),
+             ("--involution", dict(metavar="PERM")), ("--graph", dict(metavar="FILE")),
+             ("--blocks", dict(metavar="FILE")), *_GRAPH_OUT]),
+        ("verify", "measure how transitively a group treats a graph", cmd_verify,
+         "symmetric-action", [("--graph", _FILE), ("--group", _FILE)]),
     )
-    p.add_argument("--out-file", metavar="FILE", help="write the graph there instead")
-    p.add_argument(
-        "--group-out",
-        metavar="FILE",
-        help="write the induced acting group as a group file",
-    )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_commands(parser, dest: str, table: tuple, argv: list) -> None:
+    """Subparsers for the entries of ``table``: only the one that ``argv``
+    starts with, or every one when it starts with none of them."""
+    named = [entry for entry in table if argv[:1] == [entry[0]]]
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, handler, claim, arguments in named or table:
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(handler, tuple):
+            _add_commands(p, "mode", handler, argv[1:] if named else [])
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--certificate", metavar="FILE", help="write the certificate here")
+        p.set_defaults(handler=handler, primary_claim=claim)
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command (and mode) that ``argv`` names, or of
+    every command when it names none."""
     parser = argparse.ArgumentParser(
         prog="sgk",
         description="construct and certify symmetric graphs from permutation group data",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="enumerate a group and certify its orbit arithmetic")
-    p.add_argument("--group", required=True, metavar="FILE")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_group, primary_claim="orbit-stabilizer")
-
-    p = sub.add_parser("cosetgraph", help="build the coset graph of a subgroup and an involution")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--subgroup", required=True, metavar="GENS")
-    p.add_argument("--involution", required=True, metavar="PERM")
-    _add_graph_out(p)
-    _add_cert(p)
-    p.set_defaults(handler=cmd_cosetgraph, primary_claim="valency-law")
-
-    p = sub.add_parser("orbitals", help="orbits on ordered pairs with rank checks")
-    p.add_argument("--group", required=True, metavar="FILE")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_orbitals, primary_claim="rank-consistency")
-
-    p = sub.add_parser("quotient", help="quotient a graph by an invariant partition")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--blocks", required=True, metavar="FILE")
-    p.add_argument(
-        "--out", choices=("edges", "dot"), help="print the quotient in this format"
-    )
-    p.add_argument("--out-file", metavar="FILE")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_quotient, primary_claim="quotient-symmetry")
-
-    p = sub.add_parser("blocks", help="every invariant partition of a transitive group")
-    p.add_argument("--group", required=True, metavar="FILE")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_blocks, primary_claim="block-closure")
-
-    p = sub.add_parser("lattice", help="subgroups above a point stabilizer with their blocks")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--base", type=int, default=1, metavar="POINT")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_lattice, primary_claim="lattice-isomorphism")
-
-    p = sub.add_parser("design", help="designs from graphs and back")
-    dsub = p.add_subparsers(dest="mode", required=True)
-
-    q = dsub.add_parser("from-graph", help="the neighbourhood design of a symmetric graph")
-    q.add_argument("--graph", required=True, metavar="FILE")
-    q.add_argument("--group", required=True, metavar="FILE")
-    q.add_argument("--out", choices=("design",), help="print the design")
-    q.add_argument("--out-file", metavar="FILE")
-    _add_cert(q)
-    q.set_defaults(handler=cmd_design_from_graph, primary_claim="graph-design-parameters")
-
-    q = dsub.add_parser("to-graph", help="the graph of a design under a polarity")
-    q.add_argument("--design", required=True, metavar="FILE")
-    q.add_argument("--group", required=True, metavar="FILE")
-    q.add_argument("--polarity-index", type=int, default=0, metavar="K")
-    q.add_argument("--out", choices=("edges", "dot"))
-    q.add_argument("--out-file", metavar="FILE")
-    _add_cert(q)
-    q.set_defaults(handler=cmd_design_to_graph, primary_claim="polarity-commutation")
-
-    q = dsub.add_parser("polarities", help="all equivariant polarities of a design")
-    q.add_argument("--design", required=True, metavar="FILE")
-    q.add_argument("--group", required=True, metavar="FILE")
-    _add_cert(q)
-    q.set_defaults(handler=cmd_design_polarities, primary_claim="polarity-commutation")
-
-    q = dsub.add_parser("validate", help="1-design parameters of a design file")
-    q.add_argument("--design", required=True, metavar="FILE")
-    _add_cert(q)
-    q.set_defaults(handler=cmd_design_validate, primary_claim="design-double-count")
-
-    p = sub.add_parser("threearc", help="three-arc orbits and their graphs")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--orbit-index", type=int, metavar="K")
-    _add_graph_out(p)
-    _add_cert(p)
-    p.set_defaults(handler=cmd_threearc, primary_claim="three-arc-identification")
-
-    p = sub.add_parser("biggs", help="cover a graph by a chain over a semidirect product")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--n", required=True, metavar="FILE", help="the covering group N")
-    p.add_argument("--twist", required=True, metavar="FILE")
-    p.add_argument("--chain", required=True, metavar="FILE")
-    _add_graph_out(p)
-    _add_cert(p)
-    p.set_defaults(handler=cmd_biggs, primary_claim="biggs-action-law")
-
-    p = sub.add_parser("subgraph-graph", help="the graph on images of a directed subgraph")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--subgraph", required=True, metavar="ARCS", help="e.g. '3>4,4>1,1>3'")
-    p.add_argument("--involution", required=True, metavar="PERM")
-    _add_graph_out(p)
-    _add_cert(p)
-    p.set_defaults(handler=cmd_subgraph_graph, primary_claim="subgraph-graph-transitivity")
-
-    p = sub.add_parser("extend", help="extend a symmetric graph over a finer coset space")
-    p.add_argument("--via", choices=("arcs", "flags"), required=True)
-    p.add_argument("--group", required=True, metavar="FILE")
-    p.add_argument("--subgroup", metavar="GENS")
-    p.add_argument("--over", metavar="GENS", help="the finer subgroup K")
-    p.add_argument("--involution", metavar="PERM")
-    p.add_argument("--graph", metavar="FILE")
-    p.add_argument("--blocks", metavar="FILE")
-    _add_graph_out(p)
-    _add_cert(p)
-    p.set_defaults(handler=cmd_extend, primary_claim="extension-counting")
-
-    p = sub.add_parser("verify", help="measure how transitively a group treats a graph")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--group", required=True, metavar="FILE")
-    _add_cert(p)
-    p.set_defaults(handler=cmd_verify, primary_claim="symmetric-action")
-
+    _add_commands(parser, "command", _commands(), list(argv))
     return parser
 
 
@@ -1199,7 +1157,11 @@ def _emit(args, cert: Certificate, output: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = _build_parser(argv).parse_known_args(argv)
+    if extra:
+        # the full parser rejects them too, with every command in its usage line
+        _build_parser().parse_args(argv)
     name = args.command
     if getattr(args, "mode", None):
         name = f"{name}-{args.mode}"

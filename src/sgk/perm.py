@@ -411,6 +411,22 @@ class StabChain:
             schreier_generators(self.degree, self.generators, point, lambda x, g: g[x]),
         )
 
+    def elements(self) -> list:
+        """Every element's image tuple, in lexicographic order.
+
+        An element is t_k...t_1.t_0, one transversal element per level, the
+        deepest applied first, so its image of base point b is c[p], for c
+        the product of the levels above b and p the orbit point b goes to.
+        Expanding each c with those p sorted by c[p] keeps the list sorted:
+        a point between base points is fixed by whatever fixes the base
+        points before it, so two elements first differ at a base point.
+        """
+        out = [tuple(range(self.degree))]
+        for b in self._base:
+            level = self._levels[b]
+            out = [_compose(level[p][0], c) for c in out for p in sorted(level, key=c.__getitem__)]
+        return out
+
     def least_in_coset(self, g: Sequence[int]) -> tuple:
         """The least image tuple in the right coset H.g, H this chain's
         group: level by level in base order, carry the base point to the
@@ -526,19 +542,16 @@ def extend_on_generators(group, gen_values: Sequence, identity, then: Callable) 
 
 def enumerate_group(degree: int, generators: Sequence[Perm], cap: Optional[int] = None) -> tuple:
     """The elements of the group the generators generate, sorted by image
-    tuple: the closure of the identity under the generators, breadth first.
+    tuple, read off a stabiliser chain (``StabChain.elements``).
 
-    Raises CapExceeded as soon as the element count would pass the cap
-    (SGK_ELEMENT_CAP, or 200000 by default).
+    Raises CapExceeded, before listing any element, when the group's order
+    passes the cap (SGK_ELEMENT_CAP, or 200000 by default).
     """
     limit = element_cap() if cap is None else cap
-    lookups = [g.images.__getitem__ for g in generators]
-    found = []
-    for im in closure((tuple(range(degree)),), lambda x: [tuple(map(f, x)) for f in lookups]):
-        if len(found) >= limit:
-            raise CapExceeded(f"group exceeds the element cap of {limit}")
-        found.append(im)
-    return tuple(Perm(im) for im in sorted(found))
+    chain = StabChain(degree, [g.images for g in generators])
+    if chain.order > limit:
+        raise CapExceeded(f"group exceeds the element cap of {limit}")
+    return tuple(Perm(im) for im in chain.elements())
 
 
 def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = None) -> GroupTable:

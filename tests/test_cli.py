@@ -1,5 +1,6 @@
 """The command line front end: exit codes, certificates, determinism."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -595,3 +596,70 @@ def test_claim_vocabulary_is_emitted_and_documented(capsys, tmp_path):
     assert len(documented) == len(set(documented))
     assert set(documented) == set(CLAIM_INVARIANTS)
     assert dict(_readme_claims()) == CLAIM_INVARIANTS
+
+
+def _leaves(table, prefix=()):
+    """(argv prefix, primary claim) of every command and design mode."""
+    for name, _, handler, claim, _ in table:
+        if isinstance(handler, tuple):
+            yield from _leaves(handler, prefix + (name,))
+        else:
+            yield prefix + (name,), claim
+
+
+LEAVES = list(_leaves(cli._commands()))
+PARITY_CASES = [
+    *([*argv, "--help"] for argv, _ in LEAVES),
+    ["design", "--help"],
+    [],
+    ["--help"],
+    ["no-such-command"],
+    ["group"],
+    ["design", "validate"],
+    ["quotient", "--graph", "g", "--group", "s4.grp", "--blocks", "b", "--out", "png"],
+    ["group", "--group", "s4.grp", "extra"],
+    ["design", "validate", "--design", "d", "extra"],
+    ["design"],
+    ["design", "no-such-mode"],
+]
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_CASES, ids=lambda argv: " ".join(argv) or "bare")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    """main builds only the parser its argv names; what it prints for help
+    and for a rejected command line is what the parser of every command
+    prints."""
+    full = _outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
+    assert full[0] in (0, 2)
+    assert _outcome(capsys, main, argv) == full
+
+
+def test_dispatch_builds_only_its_own_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "verify", "--graph", GRAPH, "--group", GRP)[0] == 0
+    assert len(built) <= 2
+    built.clear()
+    assert run(capsys, "design", "from-graph", "--graph", GRAPH, "--group", GRP)[0] == 0
+    assert len(built) <= 3
+
+
+def test_every_primary_claim_is_in_the_vocabulary():
+    assert len(LEAVES) == 15
+    for argv, claim in LEAVES:
+        assert claim in CLAIM_INVARIANTS, argv
