@@ -174,11 +174,11 @@ class GroupTable:
     a subgroup is a group on the same points.
 
     Order, membership and least coset elements come from a stabiliser
-    chain (``chain``), built on first use.  The elements are listed on
-    first access of ``elements``, under the element cap, sorted by image
-    tuple; the identity's image tuple is the lexicographic minimum of all
-    permutations, so it always sits at index 0.  Everything that indexes
-    elements uses this order.
+    chain (``chain``), built on first use.  The elements are read off that
+    chain on first access of ``elements``, under the element cap, sorted
+    by image tuple; the identity's image tuple is the lexicographic
+    minimum of all permutations, so it always sits at index 0.
+    Everything that indexes elements uses this order.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -192,7 +192,7 @@ class GroupTable:
 
     @cached_property
     def elements(self) -> tuple:
-        return enumerate_group(self.degree, self.generators)
+        return _list_chain(self.chain)
 
     @cached_property
     def _pos(self) -> dict:
@@ -420,9 +420,13 @@ class StabChain:
         Expanding each c with those p sorted by c[p] keeps the list sorted:
         a point between base points is fixed by whatever fixes the base
         points before it, so two elements first differ at a base point.
+        Above the first level c is the identity, so that level is copied.
         """
-        out = [tuple(range(self.degree))]
-        for b in self._base:
+        if not self._base:
+            return [tuple(range(self.degree))]
+        first = self._levels[self._base[0]]
+        out = [first[p][0] for p in sorted(first)]
+        for b in self._base[1:]:
             level = self._levels[b]
             out = [_compose(level[p][0], c) for c in out for p in sorted(level, key=c.__getitem__)]
         return out
@@ -547,8 +551,13 @@ def enumerate_group(degree: int, generators: Sequence[Perm], cap: Optional[int] 
     Raises CapExceeded, before listing any element, when the group's order
     passes the cap (SGK_ELEMENT_CAP, or 200000 by default).
     """
+    return _list_chain(StabChain(degree, [g.images for g in generators]), cap)
+
+
+def _list_chain(chain: StabChain, cap: Optional[int] = None) -> tuple:
+    """The elements of the chain's group as Perms, sorted by image tuple;
+    CapExceeded, before any is listed, when its order passes the cap."""
     limit = element_cap() if cap is None else cap
-    chain = StabChain(degree, [g.images for g in generators])
     if chain.order > limit:
         raise CapExceeded(f"group exceeds the element cap of {limit}")
     return tuple(Perm(im) for im in chain.elements())

@@ -25,6 +25,23 @@ def brute_force_isomorphic(a, b) -> bool:
     return False
 
 
+def closure_listing(degree, generators):
+    """The reference listing: every product of the generators, reached
+    breadth first from the identity and then sorted by image tuple."""
+    identity = tuple(range(degree))
+    found, frontier = {identity}, [identity]
+    while frontier:
+        step = []
+        for x in frontier:
+            for g in generators:
+                y = tuple(map(g.images.__getitem__, x))
+                if y not in found:
+                    found.add(y)
+                    step.append(y)
+        frontier = step
+    return sorted(found)
+
+
 def setwise_stabilizer(group, points) -> GroupTable:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)

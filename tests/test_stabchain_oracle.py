@@ -1,10 +1,12 @@
-"""Stabiliser chains against sympy and against the listed elements.
+"""Stabiliser chains against sympy and against the elements listed by
+breadth-first closure (``closure_listing``), which uses no chain.
 
 Groups of degree at most 12: the fixtures, random generator sets, and
 relabelled dihedral groups, direct products of symmetric groups on
 disjoint blocks (intransitive) and wreath products S_k wr S_m
 (transitive, imprimitive).  Groups of order above LIST_LIMIT are checked
-against sympy only; the rest are listed too.
+against sympy only; the rest are listed too, and the chain's listing
+(``GroupTable.elements``) must be the closure listing in the same order.
 """
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from conftest import closure_listing
 from sgk import fixtures as fx
 from sgk.perm import GroupTable, Perm, StabChain
 
@@ -69,7 +72,8 @@ def generator_sets(draw):
 
 
 def _listed(n, gens):
-    return GroupTable(n, tuple(Perm(g) for g in gens))
+    """The elements, by closure, as Perms sorted by image tuple."""
+    return [Perm(images) for images in closure_listing(n, [Perm(g) for g in gens])]
 
 
 def _sympy(gens):
@@ -87,7 +91,9 @@ def _check_against_sympy(n, gens):
         return chain, None
     listed = _listed(n, gens)
     assert chain.order == len(listed)
-    assert all(chain.contains(g.images) for g in listed.elements)
+    assert all(chain.contains(g.images) for g in listed)
+    table = GroupTable(n, [Perm(g) for g in gens])
+    assert [g.images for g in table.elements] == [g.images for g in listed]
     return chain, listed
 
 
@@ -106,7 +112,7 @@ def test_chain_matches_sympy_and_the_listing(group, data):
     for images in data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=5)):
         member = oracle.contains(Permutation(list(images)))
         if listed is not None:
-            assert member == any(g.images == images for g in listed.elements)
+            assert member == any(g.images == images for g in listed)
         assert chain.contains(images) == member
 
 
@@ -114,12 +120,12 @@ def test_chain_matches_sympy_and_the_listing(group, data):
 @given(generator_sets(), st.data())
 def test_least_coset_element_matches_the_listed_coset(group, data):
     n, gens = group
-    if StabChain(n, gens).order > LIST_LIMIT:
+    if _sympy(gens).order() > LIST_LIMIT:
         return
-    elements = _listed(n, gens).elements
+    elements = _listed(n, gens)
     pick = st.sampled_from(elements)
     sub_gens = data.draw(st.lists(pick, min_size=1, max_size=2))
-    sub = _listed(n, [h.images for h in sub_gens]).elements
+    sub = _listed(n, [h.images for h in sub_gens])
     sub_chain = StabChain(n, [h.images for h in sub_gens])
     assert sub_chain.order == len(sub)
     for g in data.draw(st.lists(pick, min_size=1, max_size=4)):

@@ -18,6 +18,7 @@ outcome as with chains allowed.  The subgroup helpers answer on S10
 without listing it.
 """
 
+from functools import cached_property
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from conftest import FIXDIR
 from sgk.cli import main
 from sgk.coset_graphs import orbital_double_coset_map
 from sgk.io import parse_group_file
-from sgk.perm import Perm, StabChain, enumerate_group
+from sgk.perm import GroupTable, Perm, StabChain, enumerate_group
 from sgk.quotients import quotient_as_coset_graph
 from sgk.subgroups import (
     conjugate_subgroup,
@@ -51,9 +52,14 @@ def symmetric_group_file(n):
 
 
 def _patch_listing(monkeypatch, replacement):
+    """Send every listing, ``GroupTable.elements`` or ``enumerate_group``,
+    to ``replacement(degree, generators, cap=None)``."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "sgk" and hasattr(module, "enumerate_group"):
             monkeypatch.setattr(module, "enumerate_group", replacement)
+    elements = cached_property(lambda group: replacement(group.degree, group.generators))
+    elements.__set_name__(GroupTable, "elements")
+    monkeypatch.setattr(GroupTable, "elements", elements)
 
 
 def forbid_listing(monkeypatch):
