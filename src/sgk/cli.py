@@ -185,7 +185,10 @@ def _load_graph(cert: Certificate, path: str, name: str = "graph") -> Graph:
     return parse_graph_file(text)
 
 
-def _graph_output(graph: Graph, fmt: Optional[str]) -> Optional[str]:
+def _graph_output(graph: Graph, args) -> Optional[str]:
+    """The graph in the ``--out`` format, or as edges when only
+    ``--out-file`` is given."""
+    fmt = args.out or ("edges" if args.out_file else None)
     if fmt is None:
         return None
     return graph_to_dot(graph) if fmt == "dot" else format_graph(graph)
@@ -279,11 +282,12 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
             "orbit_sizes": [len(o) for o in point_orbits],
         }
     )
-    bad = None
-    for p in range(group.degree):
-        if len(act.orbit_of(p)) * group.chain.stabilizer(p).order != len(group):
-            bad = p
-            break
+    orbit_size = {p: len(orb) for orb in point_orbits for p in orb}
+    bad = next(
+        (p for p in range(group.degree)
+         if orbit_size[p] * group.chain.stabilizer(p).order != len(group)),
+        None,
+    )
     cert.claim(
         "orbit-stabilizer",
         bad is None,
@@ -369,7 +373,7 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
         else {"action_only": action_only, "algebra_only": algebra_only},
     )
     _write_group_out(args, res.action)
-    return _graph_output(g, args.out)
+    return _graph_output(g, args)
 
 
 def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
@@ -467,7 +471,17 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
             ok,
             f"{graph.n} = {fibre} x {qc.quotient.n}, valency {graph.valency()} kept",
         )
-    return _graph_output(qc.quotient, args.out)
+    return _graph_output(qc.quotient, args)
+
+
+def _first_bad_block(systems, broken) -> Optional[dict]:
+    """The first system, and its first block, where ``broken(system
+    number, block)`` holds, as a counterexample; None when it never does."""
+    return next(
+        ({"system": si, "block": [p + 1 for p in blk]}
+         for si, system in enumerate(systems) for blk in system.blocks if broken(si, blk)),
+        None,
+    )
 
 
 def cmd_blocks(args, cert: Certificate) -> Optional[str]:
@@ -482,15 +496,10 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
         }
     )
     gen_rows = [g.images for g in group.generators]
-    bad = None
-    for si, system in enumerate(systems):
-        blocks = {tuple(b) for b in system.blocks}
-        for row in gen_rows:
-            for blk in system.blocks:
-                img = tuple(sorted(row[p] for p in blk))
-                if img not in blocks:
-                    bad = {"system": si, "block": [p + 1 for p in blk]}
-                    break
+    block_sets = [{tuple(b) for b in system.blocks} for system in systems]
+    bad = _first_bad_block(systems, lambda si, blk: any(
+        tuple(sorted(row[p] for p in blk)) not in block_sets[si] for row in gen_rows
+    ))
     cert.claim(
         "block-closure",
         bad is None,
@@ -502,14 +511,7 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
     orbit_of = {}
     for k, orb in enumerate(orbits(range(group.degree), _point_step(gen_rows))):
         orbit_of.update(dict.fromkeys(orb, k))
-    bad = None
-    for si, system in enumerate(systems):
-        for blk in system.blocks:
-            if len({orbit_of[p] for p in blk}) != 1:
-                bad = {"system": si, "block": [p + 1 for p in blk]}
-                break
-        if bad:
-            break
+    bad = _first_bad_block(systems, lambda si, blk: len({orbit_of[p] for p in blk}) != 1)
     cert.claim(
         "fiber-evaluation",
         bad is None,
@@ -632,7 +634,7 @@ def cmd_design_to_graph(args, cert: Certificate) -> Optional[str]:
     except KitError as exc:
         cert.claim("polarity-commutation", False, str(exc))
     _claim_symmetric(cert, graph, coerce_action(group, graph.n), report)
-    return _graph_output(graph, args.out)
+    return _graph_output(graph, args)
 
 
 def cmd_design_polarities(args, cert: Certificate) -> Optional[str]:
@@ -752,7 +754,7 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
             tag.certificate.source, labelling
         )
     _write_group_out(args, tag.action)
-    return _graph_output(tag.graph, args.out)
+    return _graph_output(tag.graph, args)
 
 
 def cmd_biggs(args, cert: Certificate) -> Optional[str]:
@@ -828,7 +830,7 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
     )
     _claim_symmetric(cert, cover, bc.action, bc.report)
     _write_group_out(args, bc.action)
-    return _graph_output(cover, args.out)
+    return _graph_output(cover, args)
 
 
 def _parse_directed_subgraph(spec: str, graph: Graph):
@@ -890,7 +892,7 @@ def cmd_subgraph_graph(args, cert: Certificate) -> Optional[str]:
         },
     )
     _write_group_out(args, res.action)
-    return _graph_output(res.graph, args.out)
+    return _graph_output(res.graph, args)
 
 
 def cmd_extend(args, cert: Certificate) -> Optional[str]:
@@ -956,7 +958,7 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
     )
     _claim_symmetric(cert, ext.model.graph, ext.model.action, ext.model.report)
     _write_group_out(args, ext.model.action)
-    return _graph_output(ext.extension, args.out)
+    return _graph_output(ext.extension, args)
 
 
 def _extend_flags(args, cert: Certificate) -> Optional[str]:
@@ -999,7 +1001,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
     )
     _claim_symmetric(cert, rb.graph, rb.action, rb.report)
     _write_group_out(args, rb.action)
-    return _graph_output(rb.graph, args.out)
+    return _graph_output(rb.graph, args)
 
 
 def cmd_verify(args, cert: Certificate) -> Optional[str]:

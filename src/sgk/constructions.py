@@ -38,8 +38,8 @@ from .graphs import (
     DirectedSubgraph,
     Graph,
     TransitivityReport,
-    enumerate_s_arcs,
     tuple_orbits,
+    tuple_step,
     verify_action,
 )
 from .perm import (
@@ -55,6 +55,7 @@ from .perm import (
     closure,
     coerce_action,
     extend_on_generators,
+    orbits,
     paired_order,
     schreier_generators,
 )
@@ -376,6 +377,12 @@ def three_arc_orbits(
 ) -> list:
     """Orbits on 3-arcs, each with its reversal partner worked out.
 
+    The orbits are sorted and listed in the order of their least 3-arc.
+    A symmetric group is transitive on the vertices, and the stabiliser
+    of 0 on its neighbours, so the least 3-arc of each orbit runs through
+    the base arc (0, a), a the least neighbour of 0: the orbits of those
+    3-arcs, taken in lex order, are all of them in that order.
+
     ``report``, when given, must be ``verify_action(graph, group)``; it
     spares a caller that holds it the second verification.
     """
@@ -384,18 +391,16 @@ def three_arc_orbits(
         report = verify_action(graph, act)
     if not report.symmetric:
         raise NotSymmetric("three-arc data needs a symmetric graph")
-    walks = [w for w in enumerate_s_arcs(graph, 3)]
-    if not walks:
+    if not graph.arcs:
         return []
-    walk_orbits = tuple_orbits(sorted(walks), act.generator_rows())
-    where = {}
-    for idx, orb in enumerate(walk_orbits):
-        for t in orb:
-            where[t] = idx
+    adj = graph.adj
+    a = adj[0][0]
+    seeds = [(0, a, y, z) for y in adj[a] if y != 0 for z in adj[y] if z != a]
+    walk_orbits = orbits(seeds, tuple_step(act.generator_rows()))
+    where = {t: idx for idx, orb in enumerate(walk_orbits) for t in orb}
     out = []
     for idx, orb in enumerate(walk_orbits):
-        rev = tuple(reversed(orb[0]))
-        partner = where[rev]
+        partner = where[tuple(reversed(orb[0]))]
         out.append(
             ThreeArcOrbit(tuple(orb), self_paired=(partner == idx), partner=partner)
         )
@@ -443,18 +448,20 @@ def three_arc_graph(
         if tuple(reversed(t)) not in delta:
             raise NotSelfPaired(f"the reversal of {t} is missing from the orbit")
     gen_rows = act.generator_rows()
+    step = tuple_step(gen_rows)
     for t in delta:
-        for row in gen_rows:
-            if tuple(row[x] for x in t) not in delta:
-                raise NotInvariant("the set given is not a union of orbits")
+        if any(img not in delta for img in step(t)):
+            raise NotInvariant("the set given is not a union of orbits")
     averts = sorted(graph.arcs)
     index = {a: i for i, a in enumerate(averts)}
     labels = [f"({graph.labels[u]},{graph.labels[v]})" for (u, v) in averts]
-    arcs = []
-    for i, (sigma, tau) in enumerate(averts):
-        for (s2, t2) in averts:
-            if (tau, sigma, s2, t2) in delta:
-                arcs.append((i, index[(s2, t2)]))
+    # (τ, σ, σ′, τ′) joins (σ, τ) to (σ′, τ′); a 4-tuple whose (σ, τ) or
+    # (σ′, τ′) is not an arc joins nothing
+    arcs = sorted(
+        (index[(sigma, tau)], index[(s2, t2)])
+        for tau, sigma, s2, t2 in delta
+        if (sigma, tau) in index and (s2, t2) in index
+    )
     taggraph = Graph(labels, arcs)
     action = Action(
         act.group,

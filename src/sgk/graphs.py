@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotInvariant
 from .perm import Action, GroupLike, closure, coerce_action, orbits
@@ -107,30 +107,20 @@ def is_connected(graph: Graph) -> bool:
     return len(connected_components(graph)) <= 1
 
 
-def enumerate_s_arcs(graph: Graph, s: int) -> list:
-    """All walks of s steps without immediate backtracking, in lex order."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    walks = [(v,) for v in range(graph.n)]
-    for _ in range(s):
-        nxt = []
-        for w in walks:
-            last = w[-1]
-            prev = w[-2] if len(w) >= 2 else None
-            for u in graph.adj[last]:
-                if u != prev:
-                    nxt.append(w + (u,))
-        walks = nxt
-    return walks
+def tuple_step(gen_rows: Sequence[tuple]) -> Callable:
+    """``step(t)``: the images of the point tuple t under each generator
+    row, for walking orbits of tuples with ``perm.closure``."""
+    return lambda t: [tuple(row[x] for x in t) for row in gen_rows]
 
 
 def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
     """Orbits of the generator rows on a set of point tuples, which they
     must preserve; sorted, in the order of their first tuple."""
     universe = set(tuples)
+    images_of = tuple_step(gen_rows)
 
     def step(t: tuple) -> list:
-        images = [tuple(row[x] for x in t) for row in gen_rows]
+        images = images_of(t)
         for img in images:
             if img not in universe:
                 raise NotInvariant(f"the action moves {t} off the set")
@@ -218,7 +208,7 @@ def s_arc_level(graph: Graph, group: GroupLike) -> int:
             return s - 1
         walk += (ahead[0],)
         count = graph.n * k * (k - 1) ** (s - 1)
-        images = closure((walk,), lambda w: [tuple(row[x] for x in w) for row in gen_rows])
+        images = closure((walk,), tuple_step(gen_rows))
         if sum(1 for _ in images) < count:
             return s - 1
     return S_ARC_LIMIT

@@ -42,6 +42,18 @@ def closure_listing(degree, generators):
     return sorted(found)
 
 
+def enumerate_s_arcs(graph, s: int) -> list:
+    """Reference: every walk of s steps without immediate backtracking,
+    in lex order."""
+    walks = [(v,) for v in range(graph.n)]
+    for _ in range(s):
+        walks = [
+            w + (u,) for w in walks for u in graph.adj[w[-1]]
+            if len(w) < 2 or u != w[-2]
+        ]
+    return walks
+
+
 def setwise_stabilizer(group, points) -> GroupTable:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)

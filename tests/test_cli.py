@@ -12,6 +12,7 @@ from sgk import cli, constructions
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.perm import Action
+from sgk.subgroups import BlockSystem
 
 
 def run(capsys, *argv):
@@ -178,6 +179,18 @@ def test_blocks_and_lattice(capsys):
     assert code == 0
     doc = cert_from(out)
     assert doc["facts"]["count"] == 3
+
+
+def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
+    """Two partitions that D6 does not keep: the counterexample is the
+    first block of the first one."""
+    pairs = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
+    halves = BlockSystem.from_blocks(6, [[0, 1, 2], [3, 4, 5]])
+    monkeypatch.setattr(cli, "all_block_systems", lambda group: [pairs, halves])
+    code, out, _ = run(capsys, "blocks", "--group", str(FIXDIR / "d6.grp"))
+    assert code == 2
+    claims = {c["id"]: c for c in cert_from(out)["claims"]}
+    assert claims["block-closure"]["counterexample"] == {"system": 0, "block": [1, 2]}
 
 
 def test_orbitals_command(capsys):
@@ -432,6 +445,53 @@ def test_extend_flags_rejects_bad_quotients(capsys, tmp_path, graph, group, bloc
     assert err.startswith(f"sgk: {code}:")
     assert out == ""
     assert not cert_path.exists()
+
+
+def _graph_commands(tmp_path) -> list:
+    """An invocation of each command that can write a graph."""
+    files = {
+        "twist.txt": "trivial\n", "chain.txt": "arc 1 2 (1 2)\n",
+        "halves.txt": "1 4\n2 5\n3 6\n", "fibres.txt": "1 5\n2 6\n3 7\n4 8\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    t = {name: str(tmp_path / name) for name in files}
+    design, cover, cover_group = (str(tmp_path / f) for f in ("k4.design", "cover.graph", "cover.grp"))
+    assert main(["design", "from-graph", "--graph", GRAPH, "--group", GRP,
+                 "--out-file", design]) == 0
+    assert main(["biggs", "--graph", GRAPH, "--group", GRP, "--n", str(FIXDIR / "z2.grp"),
+                 "--twist", t["twist.txt"], "--chain", t["chain.txt"],
+                 "--out-file", cover, "--group-out", cover_group]) == 0
+    return [
+        ["cosetgraph", "--group", GRP, "--subgroup", "(2 3),(3 4)", "--involution", "(1 2)"],
+        ["quotient", "--graph", str(FIXDIR / "c6.graph"), "--group", str(FIXDIR / "d6.grp"),
+         "--blocks", t["halves.txt"]],
+        ["design", "to-graph", "--design", design, "--group", GRP],
+        ["threearc", "--graph", GRAPH, "--group", GRP, "--orbit-index", "0"],
+        ["biggs", "--graph", GRAPH, "--group", GRP, "--n", str(FIXDIR / "z2.grp"),
+         "--twist", t["twist.txt"], "--chain", t["chain.txt"]],
+        ["subgraph-graph", "--graph", GRAPH, "--group", GRP,
+         "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
+        ["extend", "--via", "arcs", "--group", str(FIXDIR / "octahedron-aut.grp"),
+         "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+         "--involution", "(1 2)(4 5)"],
+        ["extend", "--via", "flags", "--graph", cover, "--group", cover_group,
+         "--blocks", t["fibres.txt"]],
+    ]
+
+
+def test_out_file_alone_writes_edges(capsys, tmp_path):
+    """--out-file with no --out writes what --out edges prints."""
+    commands = _graph_commands(tmp_path)
+    capsys.readouterr()
+    for i, argv in enumerate(commands):
+        code, printed, err = run(capsys, *argv, "--out", "edges")
+        assert code == 0, (argv, err)
+        path = tmp_path / f"out{i}.graph"
+        code, _, err = run(capsys, *argv, "--out-file", str(path))
+        assert code == 0, (argv, err)
+        assert printed.startswith("vertices:")
+        assert path.read_text() == printed, argv
 
 
 def test_certificates_deterministic(capsys):

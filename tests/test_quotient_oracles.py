@@ -16,6 +16,7 @@ nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 
+from conftest import enumerate_s_arcs  # noqa: E402
 from test_block_oracles import transitive_groups  # noqa: E402
 
 from sgk.coset_graphs import orbital_graph, orbitals  # noqa: E402
@@ -25,7 +26,7 @@ from sgk.constructions import (  # noqa: E402
     three_arc_orbits,
 )
 from sgk.errors import CertificationFailed  # noqa: E402
-from sgk.graphs import complete_graph, enumerate_s_arcs  # noqa: E402
+from sgk.graphs import complete_graph  # noqa: E402
 from sgk.perm import GroupTable, Perm, group_from_generators, is_transitive  # noqa: E402
 from sgk.quotients import (  # noqa: E402
     cross_section_design,

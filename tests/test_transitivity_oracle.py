@@ -9,8 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import enumerate_s_arcs  # noqa: E402
 from sgk.errors import CapExceeded  # noqa: E402
-from sgk.graphs import Graph, enumerate_s_arcs, s_arc_level, verify_action  # noqa: E402
+from sgk.graphs import Graph, s_arc_level, verify_action  # noqa: E402
 from sgk.perm import Action, Perm, enumerate_group, group_from_generators, orbits  # noqa: E402
 
 ORDER_CAP = 720
