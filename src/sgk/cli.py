@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -428,9 +429,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
             "nontrivial": qc.nontrivial,
             "cover_class": qc.cover_class,
             "bipartite_uniform": qc.bipartite_uniform,
-            "design": None
-            if p is None
-            else {"v": p.v, "k": p.k, "lam": p.lam, "b": p.b, "multiplicity": p.multiplicity},
+            "design": None if p is None else asdict(p),
             "symmetric": qc.report.symmetric,
         }
     )
@@ -562,16 +561,7 @@ def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     inc, pol = design_from_graph(graph, group)
     params = validate_design(inc)
     ft = is_flag_transitive(inc, group)
-    cert.facts.update(
-        {
-            "v": params.v,
-            "b": params.b,
-            "k": params.k,
-            "lam": params.lam,
-            "multiplicity": params.multiplicity,
-            "flag_transitive": ft,
-        }
-    )
+    cert.facts.update(asdict(params), flag_transitive=ft)
     val = graph.valency()
     cert.claim(
         "graph-design-parameters",
@@ -676,15 +666,7 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
     cert.add_input("design", text)
     inc = parse_design_file(text)
     params = validate_design(inc)
-    cert.facts.update(
-        {
-            "v": params.v,
-            "b": params.b,
-            "k": params.k,
-            "lam": params.lam,
-            "multiplicity": params.multiplicity,
-        }
-    )
+    cert.facts.update(asdict(params))
     cert.claim(
         "design-double-count",
         params.v * params.lam == params.b * params.k,
@@ -1144,17 +1126,18 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def _emit(args, cert: Certificate, output: Optional[str]) -> None:
-    if output is not None:
-        out_file = getattr(args, "out_file", None)
-        if out_file:
-            Path(out_file).write_text(output)
-        else:
-            sys.stdout.write(output)
+    """The output to ``--out-file`` or stdout, and the certificate to
+    ``--certificate``, or to stdout when the output did not go there."""
+    out_file = getattr(args, "out_file", None)
+    if output is not None and out_file:
+        Path(out_file).write_text(output)
+    elif output is not None:
+        sys.stdout.write(output)
     text = cert.render()
     cert_path = getattr(args, "certificate", None)
     if cert_path:
         Path(cert_path).write_text(text)
-    elif output is None:
+    elif output is None or out_file:
         sys.stdout.write(text)
 
 

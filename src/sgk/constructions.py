@@ -7,7 +7,6 @@ arc-partition extensions, and the fibre reconstruction from design data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Sequence
@@ -15,7 +14,6 @@ from typing import Dict, Optional, Sequence
 from .coset_graphs import CosetGraphResult, symmetric_coset_graph
 from .designs import IncidenceStructure
 from .errors import (
-    CapExceeded,
     DegenerateInvolution,
     DegreeMismatch,
     InvalidChain,
@@ -54,7 +52,7 @@ from .perm import (
     capped,
     closure,
     coerce_action,
-    extend_on_generators,
+    orbit_map,
     orbits,
     paired_order,
     schreier_generators,
@@ -89,9 +87,9 @@ def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Per
             raise TwistNotHomomorphism(
                 f"image {img.cycle_string()} lies outside N"
             )
-    values = extend_on_generators(
-        n_part, [n_part.index(img) for img in images], 0, n_part.product_index
-    )
+    mul = n_part.product_index
+    steps = list(zip(n_part.generator_indices(), map(n_part.index, images)))
+    values = orbit_map(((0, 0),), lambda xv: [(mul(xv[0], s), mul(xv[1], v)) for s, v in steps])
     if values is None:
         raise TwistNotHomomorphism("generator images contradict each other on N")
     if len(values) != len(n_part) or len(set(values.values())) != len(n_part):
@@ -195,32 +193,25 @@ def chain_from_seeds(
     """
     act = coerce_action(group, graph.n)
     n_part = sd.n_part
-    values: Dict[tuple, int] = {}
-    pending = []
+    start = []
     for arc, v in sorted(seeds.items()):
         arc = tuple(arc)
         if arc not in graph.arcs:
             raise InvalidChain(f"seed arc {arc} is not an arc of the graph")
         if not 0 <= v < len(n_part):
             raise InvalidChain(f"seed value {v} is outside N")
-        values[arc] = v
-        pending.append(arc)
+        start.append((arc, v))
     gen_pairs = list(zip(act.generator_rows(), _twists_for_generators(act, sd)))
-    while pending:
-        (u, v) = pending.pop()
-        val = values[(u, v)]
-        steps = [((v, u), n_part.inverse_index(val))]
-        for row, trow in gen_pairs:
-            steps.append(((row[u], row[v]), trow[val]))
-        for arc, w in steps:
-            old = values.get(arc)
-            if old is None:
-                values[arc] = w
-                pending.append(arc)
-            elif old != w:
-                raise NotCompatible(
-                    f"propagation assigns two values to the arc {arc}"
-                )
+
+    def step(item):
+        (u, v), val = item
+        return [((v, u), n_part.inverse_index(val))] + [
+            ((row[u], row[v]), trow[val]) for row, trow in gen_pairs
+        ]
+
+    values = orbit_map(start, step)
+    if values is None:
+        raise NotCompatible("propagation assigns two values to some arc")
     missing = graph.arcs - set(values)
     if missing:
         raise InvalidChain(
@@ -496,9 +487,6 @@ def _initial_vertex_blocks(graph: Graph, averts: Sequence[tuple]) -> list:
 
 # ---- the labelling test ----------------------------------------------------
 
-PE_BLOCK_LIMIT = 8
-
-
 def _on_blocks(partition: BlockSystem):
     """``act(b, x)``: the block that the vertex permutation x sends block b to."""
     blocks, block_of = partition.blocks, partition.block_of
@@ -513,10 +501,12 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     B the map is a bijection onto Γ_𝓑(B) commuting with the setwise
     stabilizer of B, transported to the other blocks along the group.
     None when the sizes differ or no equivariant bijection exists.
-    Equivariance is tested on the Schreier generators of the stabiliser,
-    and each block is reached by the first product of generators found
-    carrying block 0 there; an equivariant labelling does not depend on
-    that choice.
+    The stabiliser of a block of a symmetric graph is transitive on it, so
+    an equivariant table is fixed by its value at the first member: that
+    value runs through the neighbours in order, carried along the Schreier
+    generators of the stabiliser.  Each block is reached by the first
+    product of generators found carrying block 0 there; an equivariant
+    labelling does not depend on that choice.
     """
     graph, act, partition = q.base, q.action, q.partition
     quo, block_of, blocks = q.graph, partition.block_of, partition.blocks
@@ -526,19 +516,16 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     nbrs = quo.adj[0]
     if len(members) != len(nbrs):
         return None
-    if len(members) > PE_BLOCK_LIMIT:
-        raise CapExceeded(
-            f"blocks of size {len(members)} are past the search limit {PE_BLOCK_LIMIT}"
-        )
     gen_rows = act.generator_rows()
     on_blocks = _on_blocks(partition)
     stab = schreier_generators(graph.n, gen_rows, 0, on_blocks)
-    rho0 = None
-    for perm in itertools.permutations(nbrs):
-        table = dict(zip(members, perm))
-        if all(table[row[m]] == on_blocks(table[m], row) for row in stab for m in members):
-            rho0 = table
-            break
+
+    def step(item):
+        m, c = item
+        return [(row[m], on_blocks(c, row)) for row in stab]
+
+    tables = (orbit_map(((members[0], c),), step) for c in nbrs)
+    rho0 = next((t for t in tables if t is not None and sorted(t.values()) == sorted(nbrs)), None)
     if rho0 is None:
         return None
     # carry the block-0 labelling everywhere along a transversal
@@ -803,16 +790,12 @@ def _semiregular_closure(gens: list, conjugators: list, on_blocks) -> Optional[d
     listing stops there, so it never passes the number of blocks."""
     pairs = [(_invert(s), s) for s in conjugators]
 
-    def step(x):
-        return [_compose(x, g) for g in gens] + [_compose(_compose(t, x), s) for t, s in pairs]
+    def step(item):
+        x = item[1]
+        images = [_compose(x, g) for g in gens] + [_compose(_compose(t, x), s) for t, s in pairs]
+        return [(on_blocks(0, y), y) for y in images]
 
-    listed: dict = {}
-    for x in closure((tuple(range(len(gens[0]))),), step):
-        b = on_blocks(0, x)
-        if b in listed:
-            return None
-        listed[b] = x
-    return listed
+    return orbit_map(((0, tuple(range(len(gens[0])))),), step)
 
 
 def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, verify_action
-from .perm import GroupTable, Perm, closure, coerce_action, schreier_generators
+from .perm import GroupTable, Perm, closure, coerce_action, orbit_map, schreier_generators
 
 
 @dataclass(frozen=True)
@@ -285,14 +284,11 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     for seed in range(n):
         if any(row[seed] != seed for row in stab_rows):
             continue
-        # an equivariant point_map is the orbit of (0, seed) read as a map;
-        # the stabiliser of 0 fixes the seed, so the orbit has at most n pairs
-        pairs = list(itertools.islice(closure(((0, seed),), step), n + 1))
-        pm = [-1] * n
-        for p, b in pairs:
-            pm[p] = b
-        if len(pairs) != n or -1 in pm or len(set(pm)) != n:
+        # an equivariant point_map is the orbit of (0, seed) read as a map
+        table = orbit_map(((0, seed),), step)
+        if table is None or len(table) != n or len(set(table.values())) != n:
             continue
+        pm = [table[p] for p in range(n)]
         bm = [0] * n
         for p, b in enumerate(pm):
             bm[b] = p

@@ -496,6 +496,21 @@ def closure(seed: Iterable, step: Callable) -> Iterator:
                 yield y
 
 
+def orbit_map(seeds: Iterable, step: Callable) -> Optional[dict]:
+    """The map that the (key, value) pairs reachable from ``seeds`` under
+    ``step`` make, or None as soon as a key gets a second value.
+
+    A value carried along generators this way is equivariant: every pair's
+    images are pairs of the map.  Breadth first, as ``closure``.
+    """
+    out: dict = {}
+    for key, value in closure(seeds, step):
+        if key in out:
+            return None
+        out[key] = value
+    return out
+
+
 def capped(items: Iterable, what: str) -> Iterator:
     """Yield ``items``, raising CapExceeded before one past the element cap."""
     cap = element_cap()
@@ -519,29 +534,6 @@ def orbits(items: Iterable, step: Callable) -> list:
             seen.update(orb)
             out.append(orb)
     return out
-
-
-def extend_on_generators(group, gen_values: Sequence, identity, then: Callable) -> Optional[dict]:
-    """Extend values on the generators of ``group`` (element 0 the identity)
-    along its Cayley graph: x·s gets ``then(value at x, value at s)``.
-
-    The walk is the closure of (0, ``identity``) under the pairs (s, value
-    at s), so it evaluates every edge; None as soon as an element gets two
-    values.  Otherwise the map is a homomorphism, by induction on word
-    length, on every element the generators reach, keyed by index.
-    """
-    steps = list(zip(group.generator_indices(), gen_values))
-
-    def step(item):
-        x, val = item
-        return [(group.product_index(x, s), then(val, v)) for s, v in steps]
-
-    values: dict = {}
-    for x, val in closure(((0, identity),), step):
-        if x in values:
-            return None
-        values[x] = val
-    return values
 
 
 def enumerate_group(degree: int, generators: Sequence[Perm], cap: Optional[int] = None) -> tuple:
@@ -626,11 +618,11 @@ class Action:
     def rows(self) -> tuple:
         if self._is_natural():
             return tuple(p.images for p in self.group)
-        values = extend_on_generators(
-            self.group,
-            self._gen_rows,
-            tuple(range(self.n_points)),
-            lambda r, s: tuple(s[x] for x in r),
+        group = self.group
+        steps = list(zip(group.generator_indices(), self._gen_rows))
+        values = orbit_map(
+            ((0, tuple(range(self.n_points))),),
+            lambda xv: [(group.product_index(xv[0], s), _compose(xv[1], r)) for s, r in steps],
         )
         return tuple(values[i] for i in range(len(values)))
 

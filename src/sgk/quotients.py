@@ -19,8 +19,8 @@ from .errors import (
     TrivialQuotient,
     certify,
 )
-from .graphs import Graph, TransitivityReport, are_isomorphic, verify_action
-from .perm import Action, GroupLike, GroupTable, Perm, closure, coerce_action
+from .graphs import Graph, TransitivityReport, verify_action
+from .perm import Action, GroupLike, GroupTable, Perm, _witnesses, closure, coerce_action
 from .subgroups import BlockSystem, right_cosets
 
 
@@ -238,8 +238,13 @@ class QuotientCertificate:
 
 def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCertificate:
     """The facts a caller will want on file about a quotient: cover class,
-    a representative induced bipartite graph with the verdict of the
-    all-pairs isomorphism check, and the cross-sectional design numbers.
+    a representative induced bipartite graph with the verdict that every
+    pair's is isomorphic to it, and the cross-sectional design numbers.
+
+    The isomorphisms are explicit: a walk over the quotient's arcs from
+    the least one (b0, c0) finds, for each arc (b, c), an element carrying
+    b0 to b and c0 to c, and that element must carry the arcs from b0 to
+    c0 exactly onto the arcs from b to c.
 
     Trivial quotients are refused unless ``allow_trivial`` is set; with it
     the classification fields come back as None.
@@ -256,10 +261,21 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     arcs_sorted = sorted(quo.arcs)
     b0, c0 = arcs_sorted[0]
     pattern = induced_bipartite(graph, partition, b0, c0)
-    uniform = all(
-        are_isomorphic(pattern, induced_bipartite(graph, partition, u, v)) is not None
-        for u, v in arcs_sorted[1:]
-    )
+    block_of, blocks = partition.block_of, partition.blocks
+    between: dict = {}
+    for u, v in graph.arcs:
+        between.setdefault((block_of[u], block_of[v]), set()).add((u, v))
+
+    def on_arcs(arc, row):
+        return tuple(block_of[row[blocks[b][0]]] for b in arc)
+
+    carriers = _witnesses((b0, c0), tuple(range(graph.n)), q.action.generator_rows(), on_arcs)
+
+    def carried(arc) -> bool:
+        t = carriers.get(arc)
+        return t is not None and {(t[u], t[v]) for u, v in between[(b0, c0)]} == between[arc]
+
+    uniform = all(map(carried, arcs_sorted))
     certify(uniform, "all induced bipartite graphs are isomorphic")
     section = cross_section_design(q, b0)
     return QuotientCertificate(q, True, kind, pattern, section.params, uniform)

@@ -7,10 +7,12 @@ import re
 
 import pytest
 
-from conftest import FIXDIR, REPO
+from conftest import FIXDIR, REPO, pgl2
 from sgk import cli, constructions
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
+from sgk.graphs import complete_graph
+from sgk.io import format_graph, format_group
 from sgk.perm import Action
 from sgk.subgroups import BlockSystem
 
@@ -268,6 +270,22 @@ def test_threearc_commands(capsys, tmp_path):
     assert "orbit index" in err
 
 
+def test_threearc_labelling_has_no_block_size_limit(capsys, tmp_path):
+    """Blocks of 11 arcs on K12 under PGL(2,11): the labelling test
+    answers instead of refusing the command."""
+    (tmp_path / "k12.graph").write_text(format_graph(complete_graph(12)))
+    (tmp_path / "pgl.grp").write_text(format_group(pgl2(11)))
+    code, out, err = run(
+        capsys, "threearc", "--graph", str(tmp_path / "k12.graph"),
+        "--group", str(tmp_path / "pgl.grp"), "--orbit-index", "0",
+    )
+    assert code == 0, err
+    doc = cert_from(out)
+    assert doc["ok"] is True
+    assert doc["facts"]["vertices"] == 132
+    assert doc["facts"]["pe_labelling_found"] is True
+
+
 def test_biggs_command(capsys, tmp_path):
     twist = tmp_path / "twist.txt"
     twist.write_text("trivial\n")
@@ -481,17 +499,20 @@ def _graph_commands(tmp_path) -> list:
 
 
 def test_out_file_alone_writes_edges(capsys, tmp_path):
-    """--out-file with no --out writes what --out edges prints."""
+    """--out-file with no --out writes what --out edges prints, and the
+    certificate goes to stdout."""
     commands = _graph_commands(tmp_path)
     capsys.readouterr()
     for i, argv in enumerate(commands):
         code, printed, err = run(capsys, *argv, "--out", "edges")
         assert code == 0, (argv, err)
         path = tmp_path / f"out{i}.graph"
-        code, _, err = run(capsys, *argv, "--out-file", str(path))
+        code, shown, err = run(capsys, *argv, "--out-file", str(path))
         assert code == 0, (argv, err)
         assert printed.startswith("vertices:")
         assert path.read_text() == printed, argv
+        # stdout did not get the graph, so it gets the certificate
+        assert cert_from(shown)["ok"] is True, argv
 
 
 def test_certificates_deterministic(capsys):

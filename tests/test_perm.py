@@ -19,6 +19,7 @@ from sgk.perm import (
     group_from_generators,
     is_transitive,
     orbit,
+    orbit_map,
     parse_cycles,
 )
 
@@ -205,3 +206,22 @@ def test_cap_env_round_trip(monkeypatch):
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
     assert len(enumerate_group(4, (Perm.from_cycles("(1 2 3 4)", 4),))) == 4
     assert os.environ.get("SGK_ELEMENT_CAP") is None
+
+
+def test_orbit_map_clash_and_equivariance(d6):
+    """A map carried along the generators commutes with each of them; a
+    key that the walk meets with a second value gives None."""
+    rows = [g.images for g in d6.generators]
+
+    def step(item):
+        p, q = item
+        return [(row[p], row[q]) for row in rows]
+
+    shifted = orbit_map(((0, 3),), step)
+    assert shifted is not None and sorted(shifted) == list(range(6))
+    for row in rows:
+        assert all(shifted[row[p]] == row[shifted[p]] for p in range(6))
+    # p -> p+1 commutes with the rotation, not with the reflection p -> -p,
+    # so the walk meets some point with two values
+    assert orbit_map(((0, 1),), step) is None
+    assert orbit_map(((0, 1), (0, 2)), step) is None

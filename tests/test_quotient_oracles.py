@@ -5,7 +5,8 @@ flag transitivity, the labelling test and three-arc graphs.
 The groups are small transitive groups drawn by hypothesis (the strategy
 of ``test_block_oracles``), the graphs their self-paired orbital graphs
 quotiented by every nontrivial block system, and the three-arc graphs of
-K4, K5 and K6 under their symmetric and alternating groups.
+K4, K5 and K6 under their symmetric and alternating groups and of K8
+under PGL(2,7).
 """
 
 import itertools
@@ -16,7 +17,7 @@ nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 
-from conftest import enumerate_s_arcs  # noqa: E402
+from conftest import enumerate_s_arcs, pgl2  # noqa: E402
 from test_block_oracles import transitive_groups  # noqa: E402
 
 from sgk.coset_graphs import orbital_graph, orbitals  # noqa: E402
@@ -147,7 +148,16 @@ def test_three_arc_graphs_match_their_definition(n, make):
     """(u,v) ~ (x,y) exactly when (v,u,x,y) lies in the orbit, with the
     orbit listed by brute force; the labelling test against brute force on
     the initial-vertex quotient."""
-    graph, group = complete_graph(n), make(n)
+    _check_three_arc_graphs(complete_graph(n), make(n))
+
+
+def test_three_arc_graphs_of_k8_under_pgl27():
+    """Blocks of 7 arcs, the largest the permutation search of the
+    reference labelling gets through."""
+    _check_three_arc_graphs(complete_graph(8), pgl2(7))
+
+
+def _check_three_arc_graphs(graph, group):
     walks = enumerate_s_arcs(graph, 3)
     for orb in three_arc_orbits(graph, group):
         rep = orb.arcs[0]
