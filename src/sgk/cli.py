@@ -68,6 +68,8 @@ from .perm import (
     enumerate_group,
     orbits,
     paired_order,
+    point_step,
+    tuple_step,
 )
 from .quotients import certify_quotient, induced_bipartite, quotient
 from .subgroups import (
@@ -212,10 +214,6 @@ def _write_group_out(args, act: Action) -> None:
         Path(path).write_text(_induced_group_text(act))
 
 
-def _point_step(rows):
-    return lambda x: [row[x] for row in rows]
-
-
 def _tiles(parts, domain) -> bool:
     """The parts tile the domain: their members, sorted, are the domain
     sorted, which proves them disjoint and covering at once."""
@@ -255,9 +253,8 @@ def _claim_symmetric(cert: Certificate, graph: Graph, act: Action, report) -> No
             "orbit_of_first_vertex": [graph.labels[v] for v in sorted(act.orbit_of(0))],
         }
     else:
-        gen_rows = act.generator_rows()
         arcs = sorted(graph.arcs)
-        orbit = set(closure(arcs[:1], lambda a: [(row[a[0]], row[a[1]]) for row in gen_rows]))
+        orbit = set(closure(arcs[:1], tuple_step(act.generator_rows())))
         outside = next(a for a in arcs if a not in orbit)
         detail = {
             "kind": "two arcs in different orbits",
@@ -273,7 +270,7 @@ def _claim_symmetric(cert: Certificate, graph: Graph, act: Action, report) -> No
 def cmd_group(args, cert: Certificate) -> Optional[str]:
     group = _load_group(cert, args.group)
     act = Action.natural(group)
-    point_orbits = orbits(range(group.degree), _point_step(act.generator_rows()))
+    point_orbits = orbits(range(group.degree), point_step(act.generator_rows()))
     cert.facts.update(
         {
             "degree": group.degree,
@@ -395,7 +392,7 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
         }
     )
     stab_rows = group.chain.stabilizer(0).generators
-    suborbits = orbits(range(group.degree), _point_step(stab_rows))
+    suborbits = orbits(range(group.degree), point_step(stab_rows))
     cert.claim(
         "rank-consistency",
         len(orbs) == len(suborbits),
@@ -508,7 +505,7 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
     # so a block's stabiliser sweeps the block exactly when the block lies
     # in one orbit
     orbit_of = {}
-    for k, orb in enumerate(orbits(range(group.degree), _point_step(gen_rows))):
+    for k, orb in enumerate(orbits(range(group.degree), point_step(gen_rows))):
         orbit_of.update(dict.fromkeys(orb, k))
     bad = _first_bad_block(systems, lambda si, blk: len({orbit_of[p] for p in blk}) != 1)
     cert.claim(
@@ -577,7 +574,7 @@ def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
         act = Action.natural(group)
         pt = len(act.orbit_of(0)) == inc.n_points
         gen_rows = generator_block_rows(inc, group)
-        bt = len(list(closure((0,), _point_step(gen_rows)))) == inc.n_blocks
+        bt = len(list(closure((0,), point_step(gen_rows)))) == inc.n_blocks
         cert.claim(
             "flag-transitivity-propagates",
             pt and bt,
@@ -975,7 +972,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
         "fibre coordinates carry the cover arcs exactly onto the rebuilt arcs",
     )
     # N is regular on the quotient vertices, so one orbit means regularity held
-    sweep = orbits(range(qn), _point_step(fx.normal_block_rows))
+    sweep = orbits(range(qn), point_step(fx.normal_block_rows))
     cert.claim(
         "fiber-transitivity",
         len(sweep) == 1,

@@ -37,7 +37,6 @@ from .graphs import (
     Graph,
     TransitivityReport,
     tuple_orbits,
-    tuple_step,
     verify_action,
 )
 from .perm import (
@@ -55,7 +54,9 @@ from .perm import (
     orbit_map,
     orbits,
     paired_order,
+    point_step,
     schreier_generators,
+    tuple_step,
 )
 from .quotients import (
     Quotient,
@@ -487,12 +488,6 @@ def _initial_vertex_blocks(graph: Graph, averts: Sequence[tuple]) -> list:
 
 # ---- the labelling test ----------------------------------------------------
 
-def _on_blocks(partition: BlockSystem):
-    """``act(b, x)``: the block that the vertex permutation x sends block b to."""
-    blocks, block_of = partition.blocks, partition.block_of
-    return lambda b, x: block_of[x[blocks[b][0]]]
-
-
 def check_condition_pe(q: Quotient) -> Optional[tuple]:
     """Look for a labelling of each block of a quotient by the quotient's
     neighbouring blocks that the group respects.
@@ -517,23 +512,23 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     if len(members) != len(nbrs):
         return None
     gen_rows = act.generator_rows()
-    on_blocks = _on_blocks(partition)
-    stab = schreier_generators(graph.n, gen_rows, 0, on_blocks)
+    block_step = point_step(q.block_action.generator_rows())
+    stab = schreier_generators(graph.n, gen_rows, 0, block_step)
 
     def step(item):
         m, c = item
-        return [(row[m], on_blocks(c, row)) for row in stab]
+        return [(row[m], partition.image(c, row)) for row in stab]
 
     tables = (orbit_map(((members[0], c),), step) for c in nbrs)
     rho0 = next((t for t in tables if t is not None and sorted(t.values()) == sorted(nbrs)), None)
     if rho0 is None:
         return None
     # carry the block-0 labelling everywhere along a transversal
-    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, on_blocks)
+    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
     labelling = [-1] * graph.n
     for row in carrier.values():
         for m in members:
-            labelling[row[m]] = on_blocks(rho0[m], row)
+            labelling[row[m]] = partition.image(rho0[m], row)
     certify(-1 not in labelling, "the transversal reaches every block")
     certify(
         all(
@@ -624,19 +619,14 @@ def subgraph_graph(
     base_index = where[sub.key()]
     base_arc = (base_index, where[sub.image(a.images).key()])
     dropped = base_arc[0] == base_arc[1]
-    arcs = [] if dropped else closure(
-        (base_arc, base_arc[::-1]), lambda e: [(r[e[0]], r[e[1]]) for r in sub_rows]
-    )
+    arcs = [] if dropped else closure((base_arc, base_arc[::-1]), tuple_step(sub_rows))
     out = Graph(labels, arcs)
     action = Action(act.group, n, gen_rows=sub_rows)
     report = verify_action(out, action)
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
     # the stabiliser of the base subgraph, from its Schreier generators, times
     # the kernel of the action on the graph, which fixes every subgraph
-    on_subgraphs = dict(zip(gen_rows, sub_rows))
-    stab_gens = schreier_generators(
-        graph.n, gen_rows, base_index, lambda x, g: on_subgraphs[g][x]
-    )
+    stab_gens = schreier_generators(graph.n, gen_rows, base_index, point_step(sub_rows))
     stab = StabChain(graph.n, stab_gens).order * act.kernel_size()
     certify(
         stab * len(subgraphs) == len(act.group),
@@ -710,10 +700,8 @@ def arc_partition_extension(
     h_cosets = base.cosets
     base_arc = (h_cosets.coset_of(group.identity()), h_cosets.coset_of(a))
     gens = [g.images for g in group.generators]
-    on_cosets = dict(zip(gens, base.action.generator_rows()))
     walk = _witnesses(
-        base_arc, group.identity().images, gens,
-        lambda arc, g: (on_cosets[g][arc[0]], on_cosets[g][arc[1]]),
+        base_arc, group.identity().images, gens, tuple_step(base.action.generator_rows())
     )
     witness = {arc: Perm(w) for arc, w in walk.items()}
     certify(set(witness) == base.graph.arcs, "the group walks to every arc")
@@ -775,13 +763,7 @@ def arc_partition_extension(
 # ---- fibre data and reconstruction -----------------------------------------
 
 
-def _block_row(partition: BlockSystem, x: Sequence[int]) -> tuple:
-    """The row of the vertex permutation x on the blocks."""
-    act = _on_blocks(partition)
-    return tuple(act(b, x) for b in range(partition.n_blocks))
-
-
-def _semiregular_closure(gens: list, conjugators: list, on_blocks) -> Optional[dict]:
+def _semiregular_closure(gens: list, conjugators: list, partition: BlockSystem) -> Optional[dict]:
     """The least subgroup that contains ``gens`` and is normalised by
     ``conjugators``, listed by where each element sends block 0; None as
     soon as two elements send it to the same block, which is when the
@@ -793,7 +775,7 @@ def _semiregular_closure(gens: list, conjugators: list, on_blocks) -> Optional[d
     def step(item):
         x = item[1]
         images = [_compose(x, g) for g in gens] + [_compose(_compose(t, x), s) for t, s in pairs]
-        return [(on_blocks(0, y), y) for y in images]
+        return [(partition.image(0, y), y) for y in images]
 
     return orbit_map(((0, tuple(range(len(gens[0])))),), step)
 
@@ -815,19 +797,24 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     covered too.  NotSemidirect when a coset runs out; CapExceeded when
     a coset's walk passes the element cap.
     """
-    n, on_blocks = q.graph.n, _on_blocks(q.partition)
+    n, partition = q.graph.n, q.partition
     gen_rows = list(q.action.generator_rows())
-    carriers = _witnesses(0, tuple(range(q.base.n)), gen_rows, on_blocks)
+    carriers = _witnesses(
+        0, tuple(range(q.base.n)), gen_rows, point_step(q.block_action.generator_rows())
+    )
     gens: list = []
     w = q.graph.adj[0][0]
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
-        fixing_w = schreier_generators(q.base.n, stab.generators, w, on_blocks)
+        fixing_w = schreier_generators(
+            q.base.n, stab.generators, w,
+            lambda b: [partition.image(b, h) for h in stab.generators],
+        )
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue
-            listed = _semiregular_closure(gens + [x], gen_rows, on_blocks)
+            listed = _semiregular_closure(gens + [x], gen_rows, partition)
             if listed is not None:
                 break
         else:
@@ -873,7 +860,7 @@ class FibreExtraction:
     @cached_property
     def normal_block_rows(self) -> list:
         """N acting on the quotient's vertices, one row per element."""
-        return [_block_row(self.source.partition, x) for x in self.normal]
+        return [self.source.partition.row(x) for x in self.normal]
 
 
 def extract_fibre_data(q: Quotient) -> FibreExtraction:
@@ -889,8 +876,8 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
     gen_rows = q.action.generator_rows()
-    on_blocks = _on_blocks(partition)
-    stab = StabChain(graph.n, schreier_generators(graph.n, gen_rows, 0, on_blocks))
+    block_step = point_step(q.block_action.generator_rows())
+    stab = StabChain(graph.n, schreier_generators(graph.n, gen_rows, 0, block_step))
     by_block = _regular_normal_subgroup(q, stab)
     normal = tuple(by_block[w] for w in range(quo.n))
     back = [_invert(x) for x in normal]
@@ -898,7 +885,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     pos = {p: i for i, p in enumerate(points)}
     stab_gens = [_compose(s, back[block_of[s[points[0]]]]) for s in gen_rows]
     point_rows = tuple(tuple(pos[h[p]] for p in points) for h in stab_gens)
-    block_rows = tuple(_block_row(partition, h) for h in stab_gens)
+    block_rows = tuple(partition.row(h) for h in stab_gens)
     nbrs = quo.adj[0]
     eta = {c: j for j, c in enumerate(nbrs)}
     flags = frozenset(

@@ -29,6 +29,7 @@ from .perm import (
     coerce_action,
     orbits,
     transversal,
+    tuple_step,
 )
 from .subgroups import (
     CosetSpace,
@@ -96,11 +97,10 @@ def _sabidussi(spec: CosetGraphSpec):
     spec.validate()
     cosets = right_cosets(spec.group, spec.sub)
     labels = [rep.cycle_string() for rep in cosets.reps]
-    gen_rows = cosets.generator_rows()
     # Hx joins Hy when x·y⁻¹ = d, so the arcs are the G-orbits of the
     # arcs (Hd, H); H is coset 0
     seeds = [(cosets.coset_of(d), 0) for d in spec.connectors]
-    arcs = closure(seeds, lambda arc: [(row[arc[0]], row[arc[1]]) for row in gen_rows])
+    arcs = closure(seeds, tuple_step(cosets.generator_rows()))
     return Graph(labels, arcs), cosets
 
 
@@ -202,15 +202,10 @@ def orbitals(group: GroupLike, domain_size: Optional[int] = None) -> list:
         raise NotTransitive("orbitals are defined for transitive actions")
     all_pairs = [(u, v) for u in range(n) for v in range(n)]
     out = []
-    for pairs in orbits(all_pairs, _pair_step(act)):
+    for pairs in orbits(all_pairs, tuple_step(act.generator_rows())):
         u, v = pairs[0]
         out.append(Orbital(tuple(pairs), diagonal=(u == v), self_paired=(v, u) in pairs))
     return out
-
-
-def _pair_step(act: Action):
-    gen_rows = act.generator_rows()
-    return lambda pair: [(row[pair[0]], row[pair[1]]) for row in gen_rows]
 
 
 def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital) -> Graph:
@@ -227,7 +222,7 @@ def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital
     if act.n_points != n:
         raise DegreeMismatch(f"action on {act.n_points} points, expected {n}")
     # cheap re-check that the orbital really is one orbit of this action
-    if set(closure(orbital.pairs[:1], _pair_step(act))) != set(orbital.pairs):
+    if set(closure(orbital.pairs[:1], tuple_step(act.generator_rows()))) != set(orbital.pairs):
         raise ValueError("the orbital does not match this action")
     return Graph([str(i + 1) for i in range(n)], orbital.pairs)
 

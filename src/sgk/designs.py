@@ -19,7 +19,15 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, verify_action
-from .perm import GroupTable, Perm, closure, coerce_action, orbit_map, schreier_generators
+from .perm import (
+    GroupTable,
+    Perm,
+    closure,
+    coerce_action,
+    orbit_map,
+    point_step,
+    schreier_generators,
+)
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
         return []
     step = _flag_step(inc, group)
     gens = [g.images for g in group.generators]
-    stab = schreier_generators(group.degree, gens, 0, lambda x, g: g[x])
+    stab = schreier_generators(group.degree, gens, 0, point_step(gens))
     stab_rows = _block_action(inc, group, map(Perm, stab))
     out = []
     for seed in range(n):

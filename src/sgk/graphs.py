@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotInvariant
-from .perm import Action, GroupLike, closure, coerce_action, orbits
+from .perm import Action, GroupLike, closure, coerce_action, orbits, tuple_step
 
 
 class Graph:
@@ -105,12 +105,6 @@ def connected_components(graph: Graph) -> list:
 
 def is_connected(graph: Graph) -> bool:
     return len(connected_components(graph)) <= 1
-
-
-def tuple_step(gen_rows: Sequence[tuple]) -> Callable:
-    """``step(t)``: the images of the point tuple t under each generator
-    row, for walking orbits of tuples with ``perm.closure``."""
-    return lambda t: [tuple(row[x] for x in t) for row in gen_rows]
 
 
 def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -61,14 +62,10 @@ class Perm:
         return self.images[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        img = other.images
-        return Perm(img[i] for i in self.images)
+        return Perm(_compose(self.images, other.images))
 
     def inverse(self) -> "Perm":
-        out = [0] * len(self.images)
-        for src, dst in enumerate(self.images):
-            out[dst] = src
-        return Perm(out)
+        return Perm(_invert(self.images))
 
     def conjugated_by(self, g: "Perm") -> "Perm":
         return g.inverse() * self * g
@@ -266,21 +263,21 @@ def _first_moved(images: tuple, start: int = 0) -> Optional[int]:
     return None
 
 
-def _witnesses(start, identity: tuple, gens: Sequence[tuple], act: Callable) -> dict:
-    """For each point that ``gens`` reach from ``start``, the first product
+def _witnesses(start, identity: tuple, gens: Sequence[tuple], step: Callable) -> dict:
+    """For each item that ``gens`` reach from ``start``, the first product
     of generators found carrying ``start`` there, as an image tuple:
-    breadth first, generators in listed order.  ``act(x, g)`` is the
-    image of the point x under g."""
+    breadth first, generators in listed order.  ``step`` is the step that
+    ``closure`` takes: ``step(x)[k]`` is the image of x under ``gens[k]``."""
     wit = {start: identity}
 
-    def step(x):
-        images = [act(x, g) for g in gens]
+    def visit(x):
+        images = step(x)
         for g, y in zip(gens, images):
             if y not in wit:
                 wit[y] = _compose(wit[x], g)
         return images
 
-    for _ in closure((start,), step):
+    for _ in closure((start,), visit):
         pass
     return wit
 
@@ -408,7 +405,7 @@ class StabChain:
             return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
         return StabChain(
             self.degree,
-            schreier_generators(self.degree, self.generators, point, lambda x, g: g[x]),
+            schreier_generators(self.degree, self.generators, point, point_step(self.generators)),
         )
 
     def elements(self) -> list:
@@ -442,18 +439,19 @@ class StabChain:
         return g
 
 
-def schreier_generators(degree: int, generators: Sequence[tuple], point, act: Callable) -> list:
+def schreier_generators(degree: int, generators: Sequence[tuple], point, step: Callable) -> list:
     """Image tuples that generate the stabiliser of ``point`` in the group
-    that the image tuples ``generators`` generate, where ``act(x, g)`` is
-    the image of the point x under g.  Schreier's lemma: the elements
-    t_x.g.t_(x^g)^-1, for x in the orbit and g a generator, generate the
-    stabiliser; each is kept once, and the identity not at all."""
-    wit = _witnesses(point, tuple(range(degree)), generators, act)
+    that the image tuples ``generators`` generate, acting as ``step``
+    says: ``step(x)[k]`` is the image of x under ``generators[k]``, as
+    ``closure`` takes it.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1,
+    for x in the orbit and g a generator, generate the stabiliser; each is
+    kept once, and the identity not at all."""
+    wit = _witnesses(point, tuple(range(degree)), generators, step)
     inverse: dict = {}
     found: dict = {}
     for x, t in wit.items():
-        for g in generators:
-            tg, y = _compose(t, g), act(x, g)
+        for g, y in zip(generators, step(x)):
+            tg = _compose(t, g)
             # a tree edge, t_x.g = t_(x^g), gives the identity
             if tg != wit[y]:
                 if y not in inverse:
@@ -474,6 +472,18 @@ def paired_order(generators: Sequence[tuple], values: Sequence[tuple]) -> int:
     shift = len(generators[0])
     paired = [g + tuple(shift + x for x in v) for g, v in zip(generators, values)]
     return StabChain(shift + len(values[0]), paired).order
+
+
+def point_step(rows: Sequence[tuple]) -> Callable:
+    """``step(x)``: the images of the point x under each row, in order,
+    for ``closure`` and everything that takes its step."""
+    return lambda x: [row[x] for row in rows]
+
+
+def tuple_step(rows: Sequence[tuple]) -> Callable:
+    """``step(t)``: the images of the tuple t of two or more points under
+    each row, in order (``itemgetter`` of one point gives no tuple)."""
+    return lambda t: list(map(itemgetter(*t), rows))
 
 
 def closure(seed: Iterable, step: Callable) -> Iterator:
@@ -567,8 +577,7 @@ def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = No
 def orbit(group: GroupTable, point: int) -> frozenset:
     if not 0 <= point < group.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    gen_rows = [g.images for g in group.generators]
-    return frozenset(closure((point,), lambda x: [row[x] for row in gen_rows]))
+    return frozenset(closure((point,), point_step([g.images for g in group.generators])))
 
 
 def transversal(group: GroupTable, point: int) -> dict:
@@ -578,7 +587,7 @@ def transversal(group: GroupTable, point: int) -> dict:
     if not 0 <= point < group.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
     gens = [g.images for g in group.generators]
-    wit = _witnesses(point, tuple(range(group.degree)), gens, lambda x, g: g[x])
+    wit = _witnesses(point, tuple(range(group.degree)), gens, point_step(gens))
     return {p: Perm(t) for p, t in wit.items()}
 
 
@@ -641,8 +650,7 @@ class Action:
         return self.kernel_size() == 1
 
     def orbit_of(self, point: int) -> frozenset:
-        gen_rows = self.generator_rows()
-        return frozenset(closure((point,), lambda x: [row[x] for row in gen_rows]))
+        return frozenset(closure((point,), point_step(self.generator_rows())))
 
 
 GroupLike = Union[GroupTable, Action]

@@ -20,7 +20,16 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, TransitivityReport, verify_action
-from .perm import Action, GroupLike, GroupTable, Perm, _witnesses, closure, coerce_action
+from .perm import (
+    Action,
+    GroupLike,
+    GroupTable,
+    Perm,
+    _witnesses,
+    closure,
+    coerce_action,
+    tuple_step,
+)
 from .subgroups import BlockSystem, right_cosets
 
 
@@ -37,7 +46,7 @@ def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
                 raise NotInvariant(
                     f"a generator splits block {block} across blocks {sorted(targets)}"
                 )
-        gen_rows.append(tuple(system.block_of[row[block[0]]] for block in system.blocks))
+        gen_rows.append(system.row(row))
     return Action(act.group, system.n_blocks, gen_rows=gen_rows)
 
 
@@ -261,15 +270,14 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     arcs_sorted = sorted(quo.arcs)
     b0, c0 = arcs_sorted[0]
     pattern = induced_bipartite(graph, partition, b0, c0)
-    block_of, blocks = partition.block_of, partition.blocks
+    block_of = partition.block_of
     between: dict = {}
     for u, v in graph.arcs:
         between.setdefault((block_of[u], block_of[v]), set()).add((u, v))
-
-    def on_arcs(arc, row):
-        return tuple(block_of[row[blocks[b][0]]] for b in arc)
-
-    carriers = _witnesses((b0, c0), tuple(range(graph.n)), q.action.generator_rows(), on_arcs)
+    carriers = _witnesses(
+        (b0, c0), tuple(range(graph.n)), q.action.generator_rows(),
+        tuple_step(q.block_action.generator_rows()),
+    )
 
     def carried(arc) -> bool:
         t = carriers.get(arc)

@@ -21,6 +21,7 @@ from .perm import (
     closure,
     is_transitive,
     orbits,
+    point_step,
     schreier_generators,
     transversal,
 )
@@ -141,8 +142,8 @@ class CosetSpace:
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
         gens = [g.images for g in generators]
-        row_of = dict(zip(gens, self.rows(generators)))
-        schreier = schreier_generators(self.group.degree, gens, coset, lambda c, g: row_of[g][c])
+        step = point_step(self.rows(generators))
+        schreier = schreier_generators(self.group.degree, gens, coset, step)
         return GroupTable(self.group.degree, map(Perm, schreier))
 
 
@@ -216,7 +217,7 @@ def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecompositio
     rows = cosets.rows(sub.generators)
     classes = tuple(
         DoubleCoset(cosets.reps[orb[0]], tuple(orb), cosets)
-        for orb in orbits(range(cosets.n_cosets), lambda c: [row[c] for row in rows])
+        for orb in orbits(range(cosets.n_cosets), point_step(rows))
     )
     return DoubleCosetDecomposition(group, sub, classes)
 
@@ -325,6 +326,15 @@ class BlockSystem:
 
     def is_trivial(self) -> bool:
         return len(self.blocks) in (1, self.n_points)
+
+    def image(self, b: int, x: Sequence[int]) -> int:
+        """The block that the point permutation x sends block b to: the
+        block of the image of b's least member."""
+        return self.block_of[x[self.blocks[b][0]]]
+
+    def row(self, x: Sequence[int]) -> tuple:
+        """The row of the point permutation x on the blocks, by ``image``."""
+        return tuple(self.block_of[x[blk[0]]] for blk in self.blocks)
 
 
 def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
