@@ -280,10 +280,11 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
             "orbit_sizes": [len(o) for o in point_orbits],
         }
     )
-    orbit_size = {p: len(orb) for orb in point_orbits for p in orb}
+    # points of one orbit have conjugate stabilisers, so each orbit is
+    # checked at its least point, orbits in order of that point
     bad = next(
-        (p for p in range(group.degree)
-         if orbit_size[p] * group.chain.stabilizer(p).order != len(group)),
+        (orb[0] for orb in point_orbits
+         if len(orb) * group.chain.stabilizer(orb[0]).order != len(group)),
         None,
     )
     cert.claim(
