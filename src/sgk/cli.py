@@ -44,7 +44,7 @@ from .designs import (
     is_flag_transitive,
     validate_design,
 )
-from .errors import CertificationFailed, KitError, NotPolarity
+from .errors import CertificationFailed, KitError, NotPolarity, PointOutOfRange
 from .graphs import Graph, is_connected, s_arc_level, verify_action
 from .io import (
     format_design,
@@ -519,6 +519,8 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
 
 def cmd_lattice(args, cert: Certificate) -> Optional[str]:
     group = _load_group(cert, args.group)
+    if not 1 <= args.base <= group.degree:
+        raise PointOutOfRange(f"base point {args.base} outside 1..{group.degree}")
     pairs = subgroup_block_lattice(group, args.base - 1)
     cert.facts.update(
         {

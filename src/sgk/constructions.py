@@ -198,7 +198,7 @@ def chain_from_seeds(
     for arc, v in sorted(seeds.items()):
         arc = tuple(arc)
         if arc not in graph.arcs:
-            raise InvalidChain(f"seed arc {arc} is not an arc of the graph")
+            raise InvalidChain(f"seed arc {_arc_label(graph, arc)} is not an arc of the graph")
         if not 0 <= v < len(n_part):
             raise InvalidChain(f"seed value {v} is outside N")
         start.append((arc, v))
@@ -217,9 +217,14 @@ def chain_from_seeds(
     if missing:
         raise InvalidChain(
             f"{len(missing)} arcs are in orbits no seed touches, "
-            f"first {min(missing)}"
+            f"first {_arc_label(graph, min(missing))}"
         )
     return NChain.from_map(values)
+
+
+def _arc_label(graph: Graph, arc: tuple) -> str:
+    """An arc as error messages name it, by the labels of its ends."""
+    return "({}, {})".format(*(graph.labels[v] for v in arc))
 
 
 def _twists_for_generators(act: Action, sd: SemidirectGroup) -> tuple:
@@ -601,9 +606,9 @@ def subgraph_graph(
     for v in sub.vertices:
         if not 0 <= v < graph.n:
             raise NotSubgraph(f"vertex {v} is outside the graph")
-    for (u, v) in sub.arcs:
-        if (u, v) not in graph.arcs:
-            raise NotSubgraph(f"({u}, {v}) is not an arc of the graph")
+    for arc in sub.arcs:
+        if arc not in graph.arcs:
+            raise NotSubgraph(f"{_arc_label(graph, arc)} is not an arc of the graph")
     gen_rows = act.generator_rows()
     walk = closure((sub,), lambda s: [s.image(row) for row in gen_rows])
     orbit = {s.key(): s for s in capped(walk, "subgraphs")}

@@ -195,6 +195,28 @@ def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
     assert claims["block-closure"]["counterexample"] == {"system": 0, "block": [1, 2]}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "--group", "{fix}/d6.grp", "--base", "0"],
+     "point-out-of-range: base point 0 outside 1..6"),
+    (["lattice", "--group", "{fix}/d6.grp", "--base", "7"],
+     "point-out-of-range: base point 7 outside 1..6"),
+    (["subgraph-graph", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
+      "--subgraph", "1>3", "--involution", "(1 4)(2 5)(3 6)"],
+     "not-subgraph: (1, 3) is not an arc of the graph"),
+    # a 4-cycle of K4's points reaches 8 of its 12 arcs from one seed
+    (["biggs", "--graph", "{fix}/k4.graph", "--group", "{tmp}/c4.grp", "--n", "{fix}/z2.grp",
+      "--twist", "{tmp}/twist.txt", "--chain", "{tmp}/seed.txt"],
+     "invalid-chain: 4 arcs are in orbits no seed touches, first (1, 3)"),
+], ids=["base-0", "base-past-degree", "subgraph-arc", "unseeded-arc"])
+def test_errors_name_points_one_based(capsys, tmp_path, argv, message):
+    """Every input is 1-based, and so is every point or vertex an error names."""
+    (tmp_path / "c4.grp").write_text("degree: 4\n(1 2 3 4)\n")
+    (tmp_path / "twist.txt").write_text("trivial\n")
+    (tmp_path / "seed.txt").write_text("arc 1 2 (1 2)\n")
+    code, out, err = run(capsys, *(a.format(fix=FIXDIR, tmp=tmp_path) for a in argv))
+    assert (code, out, err) == (1, "", f"sgk: {message}\n")
+
+
 def test_orbitals_command(capsys):
     code, out, _ = run(capsys, "orbitals", "--group", GRP)
     assert code == 0
