@@ -280,8 +280,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
             "orbit_sizes": [len(o) for o in point_orbits],
         }
     )
-    # points of one orbit have conjugate stabilisers, so each orbit is
-    # checked at its least point, orbits in order of that point
+    # an orbit's points have conjugate stabilisers: check at its least point
     bad = next(
         (orb[0] for orb in point_orbits
          if len(orb) * group.chain.stabilizer(orb[0]).order != len(group)),

@@ -705,9 +705,8 @@ def arc_partition_extension(
     h_cosets = base.cosets
     base_arc = (h_cosets.coset_of(group.identity()), h_cosets.coset_of(a))
     gens = [g.images for g in group.generators]
-    walk = _witnesses(
-        base_arc, group.identity().images, gens, tuple_step(base.action.generator_rows())
-    )
+    arc_step = tuple_step(base.action.generator_rows())
+    walk = _witnesses(base_arc, group.identity().images, gens, arc_step)
     witness = {arc: Perm(w) for arc, w in walk.items()}
     certify(set(witness) == base.graph.arcs, "the group walks to every arc")
     k_cosets = model.cosets
@@ -804,18 +803,15 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     """
     n, partition = q.graph.n, q.partition
     gen_rows = list(q.action.generator_rows())
-    carriers = _witnesses(
-        0, tuple(range(q.base.n)), gen_rows, point_step(q.block_action.generator_rows())
-    )
+    block_step = point_step(q.block_action.generator_rows())
+    carriers = _witnesses(0, tuple(range(q.base.n)), gen_rows, block_step)
+    stab_step = point_step([partition.row(h) for h in stab.generators])
     gens: list = []
     w = q.graph.adj[0][0]
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
-        fixing_w = schreier_generators(
-            q.base.n, stab.generators, w,
-            lambda b: [partition.image(b, h) for h in stab.generators],
-        )
+        fixing_w = schreier_generators(q.base.n, stab.generators, w, stab_step)
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue
@@ -888,7 +884,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     back = [_invert(x) for x in normal]
     points = partition.blocks[0]
     pos = {p: i for i, p in enumerate(points)}
-    stab_gens = [_compose(s, back[block_of[s[points[0]]]]) for s in gen_rows]
+    stab_gens = [_compose(s, back[partition.image(0, s)]) for s in gen_rows]
     point_rows = tuple(tuple(pos[h[p]] for p in points) for h in stab_gens)
     block_rows = tuple(partition.row(h) for h in stab_gens)
     nbrs = quo.adj[0]

@@ -202,8 +202,7 @@ def s_arc_level(graph: Graph, group: GroupLike) -> int:
             return s - 1
         walk += (ahead[0],)
         count = graph.n * k * (k - 1) ** (s - 1)
-        images = closure((walk,), tuple_step(gen_rows))
-        if sum(1 for _ in images) < count:
+        if sum(1 for _ in closure((walk,), tuple_step(gen_rows))) < count:
             return s - 1
     return S_ARC_LIMIT
 

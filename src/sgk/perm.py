@@ -403,10 +403,9 @@ class StabChain:
         if point in orbit:
             t, t_inv = orbit[point]
             return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
-        return StabChain(
-            self.degree,
-            schreier_generators(self.degree, self.generators, point, point_step(self.generators)),
-        )
+        gens = self.generators
+        found = schreier_generators(self.degree, gens, point, point_step(gens))
+        return StabChain(self.degree, found)
 
     def elements(self) -> list:
         """Every element's image tuple, in lexicographic order.
@@ -475,14 +474,13 @@ def paired_order(generators: Sequence[tuple], values: Sequence[tuple]) -> int:
 
 
 def point_step(rows: Sequence[tuple]) -> Callable:
-    """``step(x)``: the images of the point x under each row, in order,
-    for ``closure`` and everything that takes its step."""
+    """``step(x)`` for ``closure``: the images of the point x under each row."""
     return lambda x: [row[x] for row in rows]
 
 
 def tuple_step(rows: Sequence[tuple]) -> Callable:
-    """``step(t)``: the images of the tuple t of two or more points under
-    each row, in order (``itemgetter`` of one point gives no tuple)."""
+    """``step(t)`` for ``closure``: the images of t, a tuple of two or more
+    points, under each row."""
     return lambda t: list(map(itemgetter(*t), rows))
 
 

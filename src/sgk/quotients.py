@@ -274,10 +274,8 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     between: dict = {}
     for u, v in graph.arcs:
         between.setdefault((block_of[u], block_of[v]), set()).add((u, v))
-    carriers = _witnesses(
-        (b0, c0), tuple(range(graph.n)), q.action.generator_rows(),
-        tuple_step(q.block_action.generator_rows()),
-    )
+    arc_step = tuple_step(q.block_action.generator_rows())
+    carriers = _witnesses((b0, c0), tuple(range(graph.n)), q.action.generator_rows(), arc_step)
 
     def carried(arc) -> bool:
         t = carriers.get(arc)

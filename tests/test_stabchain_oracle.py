@@ -7,7 +7,12 @@ disjoint blocks (intransitive) and wreath products S_k wr S_m
 (transitive, imprimitive).  Groups of order above LIST_LIMIT are checked
 against sympy only; the rest are listed too, and the chain's listing
 (``GroupTable.elements``) must be the closure listing in the same order.
+Schreier generators are checked on cosets and on blocks as well as on
+points.
 """
+
+import functools
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +21,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from conftest import closure_listing
 from sgk import fixtures as fx
-from sgk.perm import GroupTable, Perm, StabChain
+from sgk.perm import GroupTable, Perm, StabChain, closure, point_step, schreier_generators
+from sgk.subgroups import CosetSpace, all_block_systems
 
 LIST_LIMIT = 2000
 MAX_DEGREE = 12
@@ -130,3 +136,38 @@ def test_least_coset_element_matches_the_listed_coset(group, data):
     assert sub_chain.order == len(sub)
     for g in data.draw(st.lists(pick, min_size=1, max_size=4)):
         assert sub_chain.least_in_coset(g.images) == min((h * g).images for h in sub)
+
+
+def _check_schreier(order, gens, rows, item, fixes):
+    """The Schreier generators of ``item``, under the action that the rows
+    of ``gens`` give, each fix it (``fixes(item, image tuple)``) and
+    generate a group of order |G| over the item's orbit length."""
+    n = len(gens[0])
+    found = schreier_generators(n, gens, item, point_step(rows))
+    assert all(fixes(item, s) for s in found)
+    orbit = list(closure((item,), point_step(rows)))
+    assert StabChain(n, found).order * len(orbit) == order
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(generator_sets(), st.data())
+def test_schreier_generators_on_cosets_and_blocks(group, data):
+    """On the right cosets of a subgroup made of words in the generators,
+    for groups of order up to LIST_LIMIT, and on the blocks of every
+    block system of a transitive group."""
+    n, gens = group
+    table = GroupTable(n, [Perm(g) for g in gens])
+    if table.order <= LIST_LIMIT:
+        letters = st.lists(st.sampled_from(table.generators), min_size=1, max_size=6)
+        words = data.draw(st.lists(letters, min_size=1, max_size=2))
+        sub = GroupTable(n, [functools.reduce(operator.mul, w) for w in words])
+        space = CosetSpace(table, sub)
+        coset = data.draw(st.integers(0, space.n_cosets - 1))
+        _check_schreier(table.order, gens, space.generator_rows(), coset,
+                        lambda c, s: space.rows([Perm(s)])[0][c] == c)
+    if len(list(closure((0,), point_step(gens)))) == n:
+        for system in all_block_systems(table):
+            rows = [system.row(g) for g in gens]
+            for b in range(system.n_blocks):
+                _check_schreier(table.order, gens, rows, b,
+                                lambda b, s: system.image(b, s) == b)
