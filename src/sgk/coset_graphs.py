@@ -189,7 +189,10 @@ class Orbital:
 
 def orbitals(group: GroupLike, domain_size: Optional[int] = None) -> list:
     """Orbits on ordered pairs of a transitive action, by least pair."""
-    act = Action.natural(group) if isinstance(group, GroupTable) else group
+    if isinstance(group, GroupTable):
+        act = Action.natural(group)
+    else:
+        act = group
     if domain_size is not None and domain_size != act.n_points:
         raise DegreeMismatch(
             f"action on {act.n_points} points, expected {domain_size}"
@@ -211,7 +214,10 @@ def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital
         raise DiagonalOrbital("the diagonal orbital has no arcs")
     if not orbital.self_paired:
         raise NotSelfPaired("the orbital is not closed under reversal")
-    act = Action.natural(group) if isinstance(group, GroupTable) else group
+    if isinstance(group, GroupTable):
+        act = Action.natural(group)
+    else:
+        act = group
     n = act.n_points if domain_size is None else domain_size
     if act.n_points != n:
         raise DegreeMismatch(f"action on {act.n_points} points, expected {n}")

@@ -110,17 +110,10 @@ def is_connected(graph: Graph) -> bool:
 def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
     """Orbits of the generator rows on a set of point tuples, which they
     must preserve; sorted, in the order of their first tuple."""
-    universe = set(tuples)
-    images_of = tuple_step(gen_rows)
-
-    def step(t: tuple) -> list:
-        images = images_of(t)
-        for img in images:
-            if img not in universe:
-                raise NotInvariant(f"the action moves {t} off the set")
-        return images
-
-    return orbits(tuples, step)
+    out = orbits(tuples, tuple_step(gen_rows))
+    if sum(map(len, out)) != len(set(tuples)):
+        raise NotInvariant("the action moves some tuple off the set")
+    return out
 
 
 @dataclass(frozen=True)

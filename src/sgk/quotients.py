@@ -38,16 +38,15 @@ def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
     raises NotInvariant when a generator splits a block.  Rows of other
     elements are composed only if someone asks for ``rows``."""
     act = coerce_action(group, system.n_points)
-    gen_rows = []
-    for row in act.generator_rows():
+    gen_rows = act.generator_rows()
+    for row in gen_rows:
         for block in system.blocks:
             targets = {system.block_of[row[v]] for v in block}
             if len(targets) != 1:
                 raise NotInvariant(
                     f"a generator splits block {block} across blocks {sorted(targets)}"
                 )
-        gen_rows.append(system.row(row))
-    return Action(act.group, system.n_blocks, gen_rows=gen_rows)
+    return Action(act.group, system.n_blocks, gen_rows=[system.row(row) for row in gen_rows])
 
 
 @dataclass(frozen=True)

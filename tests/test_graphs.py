@@ -8,6 +8,7 @@ import pytest
 from conftest import brute_force_isomorphic, enumerate_s_arcs, pgl2
 from sgk import graphs
 from sgk.cli import main
+from sgk.errors import NotInvariant
 from sgk.graphs import (
     DirectedSubgraph,
     Graph,
@@ -138,6 +139,14 @@ def test_s_arc_level_walks_one_orbit(capsys, tmp_path, monkeypatch, petersen, pe
     argv = ["verify", "--graph", str(tmp_path / "k12.graph"), "--group", str(tmp_path / "pgl.grp")]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["facts"]["s_arc_transitive_up_to"] == 2
+
+
+def test_tuple_orbits_split_an_invariant_set_and_refuse_another(c6, d6):
+    rows = [g.images for g in d6.generators]
+    arcs = sorted(c6.arcs)
+    assert [len(orb) for orb in tuple_orbits(arcs, rows)] == [12]
+    with pytest.raises(NotInvariant):
+        tuple_orbits(arcs[:6], rows)
 
 
 def test_verify_action_not_automorphisms(k4):
