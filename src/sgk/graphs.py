@@ -195,7 +195,8 @@ def s_arc_level(graph: Graph, group: GroupLike) -> int:
             return s - 1
         walk += (ahead[0],)
         count = graph.n * k * (k - 1) ** (s - 1)
-        if sum(1 for _ in closure((walk,), tuple_step(gen_rows))) < count:
+        images = closure((walk,), tuple_step(gen_rows))
+        if sum(1 for _ in images) < count:
             return s - 1
     return S_ARC_LIMIT
 
