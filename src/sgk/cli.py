@@ -19,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +43,7 @@ from .designs import (
     is_flag_transitive,
     validate_design,
 )
-from .errors import CertificationFailed, KitError, NotPolarity, PointOutOfRange
+from .errors import CertificationFailed, KitError, NotInvariant, NotPolarity, PointOutOfRange
 from .graphs import Graph, is_connected, s_arc_level, verify_action
 from .io import (
     format_design,
@@ -407,15 +406,25 @@ def cmd_orbitals(args, cert: Certificate) -> Optional[str]:
     return None
 
 
+def _blocks_quotient(args, cert: Certificate, graph: Graph, group: GroupTable):
+    """The quotient by ``--blocks``, naming a split block by vertex labels."""
+    blocks_text = _read_text(args.blocks)
+    cert.add_input("blocks", blocks_text)
+    try:
+        return quotient(graph, group, parse_blocks_file(blocks_text, graph.n))
+    except NotInvariant as exc:
+        if exc.vertices:
+            names = ", ".join(graph.labels[v] for v in exc.vertices)
+            raise NotInvariant(f"a generator splits block {{{names}}}") from None
+        raise
+
+
 def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    blocks_text = _read_text(args.blocks)
-    cert.add_input("blocks", blocks_text)
-    partition = parse_blocks_file(blocks_text, graph.n)
-    q = quotient(graph, group, partition)
+    q = _blocks_quotient(args, cert, graph, group)
     qc = certify_quotient(q)
-    act, qact = q.action, q.block_action
+    act, qact, partition = q.action, q.block_action, q.partition
     p = qc.design_params
     cert.facts.update(
         {
@@ -426,7 +435,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
             "nontrivial": qc.nontrivial,
             "cover_class": qc.cover_class,
             "bipartite_uniform": qc.bipartite_uniform,
-            "design": None if p is None else asdict(p),
+            "design": None if p is None else p.asdict(),
             "symmetric": qc.report.symmetric,
         }
     )
@@ -560,7 +569,7 @@ def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     inc, pol = design_from_graph(graph, group)
     params = validate_design(inc)
     ft = is_flag_transitive(inc, group)
-    cert.facts.update(asdict(params), flag_transitive=ft)
+    cert.facts.update(params.asdict(), flag_transitive=ft)
     val = graph.valency()
     cert.claim(
         "graph-design-parameters",
@@ -665,7 +674,7 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
     cert.add_input("design", text)
     inc = parse_design_file(text)
     params = validate_design(inc)
-    cert.facts.update(asdict(params))
+    cert.facts.update(params.asdict())
     cert.claim(
         "design-double-count",
         params.v * params.lam == params.b * params.k,
@@ -946,10 +955,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
     _require_flags(args, ("graph", "blocks"))
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    blocks_text = _read_text(args.blocks)
-    cert.add_input("blocks", blocks_text)
-    partition = parse_blocks_file(blocks_text, graph.n)
-    fx = extract_fibre_data(quotient(graph, group, partition))
+    fx = extract_fibre_data(_blocks_quotient(args, cert, graph, group))
     rb = flag_orbital_reconstruction(fx)
     cert.facts.update(
         {

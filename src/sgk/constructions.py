@@ -7,7 +7,6 @@ arc-partition extensions, and the fibre reconstruction from design data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Sequence
 
@@ -44,6 +43,7 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
+    Record,
     StabChain,
     _compose,
     _invert,
@@ -155,8 +155,7 @@ def trivial_twist(n_part: GroupTable, g_part: GroupTable) -> list:
 # ---- chains ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NChain:
+class NChain(Record):
     """An arc labelling by elements of N, stored as element indices."""
 
     assignment: tuple
@@ -235,8 +234,7 @@ def _twists_for_generators(act: Action, sd: SemidirectGroup) -> tuple:
     return sd.twists
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """What validation saw: the arc orbits and the values that pin the
     whole chain down, one representative per orbit."""
 
@@ -287,8 +285,7 @@ def validate_nchain(
 # ---- covers over chains ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiggsCover:
+class BiggsCover(Record):
     cover: Graph
     action: Action
     sd: SemidirectGroup
@@ -358,8 +355,7 @@ def biggs_cover(
 # ---- three-arc graphs ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreeArcOrbit:
+class ThreeArcOrbit(Record):
     arcs: tuple
     self_paired: bool
     partner: int
@@ -404,8 +400,7 @@ def three_arc_orbits(
     return out
 
 
-@dataclass(frozen=True)
-class ThreeArcGraph:
+class ThreeArcGraph(Record):
     graph: Graph
     vertices: tuple
     action: Action
@@ -575,8 +570,7 @@ def check_three_arc_necessity(q: Quotient, labelling: Sequence[int]) -> bool:
 # ---- subgraph graphs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgraphGraph:
+class SubgraphGraph(Record):
     graph: Graph
     subgraphs: tuple
     action: Action
@@ -651,8 +645,7 @@ def _subgraph_label(graph: Graph, sub: DirectedSubgraph) -> str:
 # ---- arc partition extensions ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcExtension:
+class ArcExtension(Record):
     extension: Graph
     base: CosetGraphResult
     model: CosetGraphResult
@@ -826,8 +819,7 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
         w = min(set(range(n)) - set(listed))
 
 
-@dataclass(frozen=True)
-class FibreExtraction:
+class FibreExtraction(Record):
     """Everything the reconstruction needs, read off an existing cover:
     the quotient it was taken from; N as one element per block,
     ``normal[w]`` carrying block 0 to w; for each generator s of G, the
@@ -941,8 +933,7 @@ def _pairwise(images):
     return lambda pair: list(zip(images(pair[0]), images(pair[1])))
 
 
-@dataclass(frozen=True)
-class FlagReconstruction:
+class FlagReconstruction(Record):
     graph: Graph
     action: Action
     report: TransitivityReport

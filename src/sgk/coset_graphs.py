@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,6 +24,7 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
+    Record,
     closure,
     coerce_action,
     orbits,
@@ -39,8 +39,7 @@ from .subgroups import (
 )
 
 
-@dataclass(frozen=True)
-class CosetGraphSpec:
+class CosetGraphSpec(Record):
     """Group, subgroup, and connecting set for a coset graph."""
 
     group: GroupTable
@@ -111,8 +110,7 @@ def sabidussi_graph(spec: CosetGraphSpec) -> Graph:
     return graph
 
 
-@dataclass(frozen=True)
-class CosetGraphResult:
+class CosetGraphResult(Record):
     graph: Graph
     cosets: CosetSpace
     action: Action
@@ -176,8 +174,7 @@ def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetG
 # ---- orbitals -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orbital:
+class Orbital(Record):
     pairs: tuple
     diagonal: bool
     self_paired: bool
@@ -250,8 +247,7 @@ def orbital_double_coset_map(group: GroupTable, sub: GroupTable) -> list:
 # ---- recognition ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(Record):
     sub: GroupTable
     involution: Perm
     rebuilt: CosetGraphResult

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     AmbiguousBlockAction,
@@ -22,6 +21,7 @@ from .graphs import Graph, verify_action
 from .perm import (
     GroupTable,
     Perm,
+    Record,
     closure,
     coerce_action,
     orbit_map,
@@ -30,8 +30,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Record):
     """Labelled points and blocks with a flag set; repeated blocks are kept
     apart by their labels, so two blocks may carry the same trace."""
 
@@ -73,8 +72,7 @@ class IncidenceStructure:
         )
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(Record):
     v: int
     b: int
     k: int
@@ -180,8 +178,7 @@ def is_flag_transitive(inc: IncidenceStructure, group: GroupTable) -> bool:
     return set(closure((min(inc.flags),), step)) == set(inc.flags)
 
 
-@dataclass(frozen=True)
-class Polarity:
+class Polarity(Record):
     """Mutually inverse maps between points and blocks."""
 
     point_map: tuple

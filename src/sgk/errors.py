@@ -105,6 +105,10 @@ class NoFlippingInvolution(KitError):
 class NotInvariant(KitError):
     code = "not-invariant"
 
+    def __init__(self, message: str, vertices: tuple = ()):
+        super().__init__(message)
+        self.vertices = vertices  # of a block that a generator splits, if given
+
 
 class NotQuotientArc(KitError):
     code = "not-quotient-arc"

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInvariant
-from .perm import Action, GroupLike, closure, coerce_action, orbits, tuple_step
+from .perm import Action, GroupLike, Record, closure, coerce_action, orbits, tuple_step
 
 
 class Graph:
@@ -116,8 +115,7 @@ def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(Record):
     """What ``verify_action`` decides from the generator rows.  The s-arc
     level is ``s_arc_level`` and the kernel is ``Action.kernel_size``;
     each is worked out only where it is printed."""
@@ -283,8 +281,7 @@ def are_isomorphic(a: Graph, b: Graph):
     return tuple(mapping)
 
 
-@dataclass(frozen=True)
-class DirectedSubgraph:
+class DirectedSubgraph(Record):
     """A vertex set plus directed arcs among those vertices."""
 
     vertices: frozenset

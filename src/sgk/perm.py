@@ -37,6 +37,46 @@ def element_cap() -> int:
         raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+class Record:
+    """Base of the frozen result types.  The fields are the class's annotations,
+    after those of the record it extends; equality and hash read them alone."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def asdict(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.asdict() == other.asdict()
+
+    def __hash__(self):
+        return hash(tuple(self.asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in self.asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+
 class Perm:
     """A permutation stored as its tuple of images."""
 

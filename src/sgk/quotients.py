@@ -3,7 +3,6 @@ the dictionary between quotients and overgroup coset graphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .coset_graphs import CosetGraphResult, symmetric_coset_graph
@@ -25,6 +24,7 @@ from .perm import (
     GroupLike,
     GroupTable,
     Perm,
+    Record,
     _witnesses,
     closure,
     coerce_action,
@@ -43,14 +43,12 @@ def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
         for block in system.blocks:
             targets = {system.block_of[row[v]] for v in block}
             if len(targets) != 1:
-                raise NotInvariant(
-                    f"a generator splits block {block} across blocks {sorted(targets)}"
-                )
+                names = ", ".join(str(v + 1) for v in block)
+                raise NotInvariant(f"a generator splits block {{{names}}}", block)
     return Action(act.group, system.n_blocks, gen_rows=[system.row(row) for row in gen_rows])
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Record):
     """One invariant partition of a symmetric graph, taken once: the base
     graph with its action, the partition, the quotient graph, the action
     induced on the blocks and that action's report.  Build it with
@@ -169,8 +167,7 @@ def cover_class(graph: Graph, partition: BlockSystem) -> str:
     return "cover" if hi == 1 else "multicover_proper"
 
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(Record):
     """The design one block sees, with its parameters and the identity of
     its points in the host graph."""
 
@@ -224,8 +221,7 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
     return CrossSection(inc, params, tuple(points))
 
 
-@dataclass(frozen=True)
-class QuotientCertificate:
+class QuotientCertificate(Record):
     """What ``certify_quotient`` found out about ``source``."""
 
     source: Quotient
@@ -286,8 +282,7 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     return QuotientCertificate(q, True, kind, pattern, section.params, uniform)
 
 
-@dataclass(frozen=True)
-class QuotientCosetForm:
+class QuotientCosetForm(Record):
     """The two coset graphs of the quotient dictionary plus the block data
     tying them together."""
 

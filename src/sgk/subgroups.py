@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -16,6 +15,7 @@ from .perm import (
     Action,
     GroupTable,
     Perm,
+    Record,
     StabChain,
     capped,
     closure,
@@ -175,8 +175,7 @@ def core(group: GroupTable, sub: GroupTable) -> GroupTable:
 # ---- double cosets --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(Record):
     """HxH as the numbers of its cosets in ``space``, with its least element
     ``rep``, the first coset's; its elements are composed only on access."""
 
@@ -198,8 +197,7 @@ class DoubleCoset:
         return any(p.is_involution() for p in self.elements)
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
+class DoubleCosetDecomposition(Record):
     group: GroupTable
     sub: GroupTable
     classes: tuple
@@ -287,8 +285,7 @@ def _blocks_through(n: int, gen_rows: Sequence[tuple], point: int) -> list:
     return [frozenset((point,))] + list(closure(sorted(minimal, key=sorted), joins))
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """A partition of the domain into blocks, canonically ordered."""
 
     n_points: int
@@ -387,8 +384,7 @@ def all_block_systems(group: GroupTable) -> list:
     return systems
 
 
-@dataclass(frozen=True)
-class LatticePair:
+class LatticePair(Record):
     """A block B through the base point α and the subgroup G_B =
     {g : α^g ∈ B} it traces out, given by generators, with its order
     |G_α|·|B|."""

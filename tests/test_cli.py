@@ -1,9 +1,11 @@
 """The command line front end: exit codes, certificates, determinism."""
 
 import argparse
-import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -169,6 +171,35 @@ def test_quotient_trivial_partition_is_input_error(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("sgk: trivial-quotient:")
+
+
+@pytest.mark.parametrize("command", (["quotient"], ["extend", "--via", "flags"]))
+def test_a_split_block_is_named_by_vertex_labels(capsys, tmp_path, command):
+    graph = tmp_path / "c6.graph"
+    labels = "".join(f"label {v} {name}\n" for v, name in enumerate("abcdef", 1))
+    graph.write_text((FIXDIR / "c6.graph").read_text() + labels)
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("1 2\n3 4\n5 6\n")
+    code, out, err = run(
+        capsys,
+        *command,
+        "--graph", str(graph),
+        "--group", str(FIXDIR / "d6.grp"),
+        "--blocks", str(blocks),
+    )
+    assert (code, out) == (1, "")
+    assert err == "sgk: not-invariant: a generator splits block {a, b}\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The result types are records that generate no code at import; ``-S``
+    keeps site hooks of the interpreter from loading either module."""
+    probe = "import sys, sgk.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_blocks_and_lattice(capsys):
@@ -345,7 +376,16 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
         row = list(rows[-1])
         row[0], row[1] = row[1], row[0]
         rows[-1] = tuple(row)
-        return dataclasses.replace(bc, action=Action(sd, bc.cover.n, rows))
+        return constructions.BiggsCover(
+            cover=bc.cover,
+            action=Action(sd, bc.cover.n, rows),
+            sd=bc.sd,
+            chain=bc.chain,
+            fibres=bc.fibres,
+            report=bc.report,
+            certificate=bc.certificate,
+            chain_report=bc.chain_report,
+        )
 
     monkeypatch.setattr(cli, "biggs_cover", corrupted)
     k5 = tmp_path / "k5.graph"

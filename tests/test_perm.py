@@ -10,10 +10,13 @@ import random
 import pytest
 
 from conftest import closure_listing
+from sgk.constructions import NChain
+from sgk.designs import DesignParams
 from sgk.errors import CapExceeded, CycleSyntaxError, PointOutOfRange, RepeatedPoint
 from sgk.perm import (
     Action,
     Perm,
+    Record,
     coerce_action,
     enumerate_group,
     group_from_generators,
@@ -22,6 +25,7 @@ from sgk.perm import (
     orbit_map,
     parse_cycles,
 )
+from sgk.subgroups import BlockSystem, double_cosets, stabilizer_subgroup
 
 
 def test_parse_cycles_round_trip():
@@ -225,3 +229,62 @@ def test_orbit_map_clash_and_equivariance(d6):
     # so the walk meets some point with two values
     assert orbit_map(((0, 1),), step) is None
     assert orbit_map(((0, 1), (0, 2)), step) is None
+
+
+def test_record_contract(d6):
+    """The result types are frozen records: built by position or keyword
+    in annotation order, compared and hashed by their declared fields
+    only, within one class, and validated by ``__post_init__``."""
+    p = DesignParams(2, 2, 2, 2, 2)
+    assert p == DesignParams(v=2, b=2, k=2, lam=2, multiplicity=2)
+    assert p == DesignParams(2, 2, k=2, multiplicity=2, lam=2)
+    assert p != DesignParams(2, 2, 2, 2, 1)
+    assert p.asdict() == {"v": 2, "b": 2, "k": 2, "lam": 2, "multiplicity": 2}
+    assert repr(p) == "DesignParams(v=2, b=2, k=2, lam=2, multiplicity=2)"
+    for args, kwargs in [
+        ((2, 2, 2, 2), {}),  # a field missing
+        ((2, 2, 2, 2, 2, 2), {}),  # one too many
+        ((2, 2, 2, 2, 2), {"mu": 1}),  # an unknown field
+        ((2, 2, 2, 2), {"mu": 1}),  # one unknown in place of one missing
+        ((2, 2, 2, 2, 2), {"v": 2}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError):
+            DesignParams(*args, **kwargs)
+    with pytest.raises(AttributeError):
+        p.v = 3
+    with pytest.raises(AttributeError):
+        del p.v
+    assert p.v == 2
+
+    # one class only: same fields and values in another class are unequal
+    class Twin(Record):
+        v: int
+        b: int
+        k: int
+        lam: int
+        multiplicity: int
+
+    assert Twin(2, 2, 2, 2, 2) != p and p != (2, 2, 2, 2, 2)
+
+    # an extending record's fields follow its base's
+    class Flagged(Twin):
+        flag: bool
+
+    assert Flagged(2, 2, 2, 2, 2, True).asdict() == {**p.asdict(), "flag": True}
+
+    # what __post_init__ derives takes no part in equality or hash
+    a, b = NChain((((0, 1), 3),)), NChain(assignment=(((0, 1), 3),))
+    object.__setattr__(b, "_map", {})
+    assert a == b and hash(a) == hash(b) and a.value(0, 1) == 3
+
+    # nor does a filled cached_property
+    dc = double_cosets(d6, stabilizer_subgroup(d6, 0)).classes[1]
+    twin = type(dc)(rep=dc.rep, cosets=dc.cosets, space=dc.space)
+    assert len(dc.elements) == dc.size and "elements" in vars(dc)
+    assert "elements" not in vars(twin)
+    assert dc == twin and hash(dc) == hash(twin)
+
+    # __post_init__ still validates
+    assert BlockSystem(4, ((0, 1), (2, 3))).block_of == (0, 0, 1, 1)
+    with pytest.raises(ValueError, match="two blocks"):
+        BlockSystem(4, ((0, 1), (1, 2, 3)))

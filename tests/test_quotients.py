@@ -46,8 +46,11 @@ def test_quotient_action_rows(c6, d6):
 
 def test_quotient_action_rejects_non_invariant(d6):
     bad = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotInvariant) as err:
         quotient_action(bad, coerce_action(d6, 6))
+    # the split block travels as its vertices, and the message counts from 1
+    assert err.value.vertices == (0, 1)
+    assert str(err.value) == "a generator splits block {1, 2}"
 
 
 def test_c6_antipodal_quotient_is_triangle(c6, d6):
