@@ -843,10 +843,6 @@ class FibreExtraction(Record):
         return self.source.graph
 
     @property
-    def quotient_action(self) -> Action:
-        return self.source.block_action
-
-    @property
     def normal_order(self) -> int:
         return len(self.normal)
 

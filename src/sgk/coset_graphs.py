@@ -1,21 +1,11 @@
-"""Cayley graphs, coset graphs, orbitals, and the double coset dictionary."""
+"""Coset graphs, orbitals, and the double coset dictionary."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .errors import (
-    DegreeMismatch,
-    DiagonalOrbital,
     InsideSubgroup,
-    LoopConnector,
-    NoFlippingInvolution,
-    NotInverseClosed,
     NotInvolution,
-    NotSelfPaired,
-    NotSymmetric,
     NotTransitive,
-    SpecInvariantViolated,
     certify,
 )
 from .graphs import Graph, TransitivityReport, is_connected, verify_action
@@ -26,88 +16,14 @@ from .perm import (
     Perm,
     Record,
     closure,
-    coerce_action,
     orbits,
-    transversal,
     tuple_step,
 )
 from .subgroups import (
     CosetSpace,
     double_cosets,
     right_cosets,
-    stabilizer_subgroup,
 )
-
-
-class CosetGraphSpec(Record):
-    """Group, subgroup, and connecting set for a coset graph."""
-
-    group: GroupTable
-    sub: GroupTable
-    connectors: frozenset
-
-    def validate(self) -> None:
-        if not self.connectors:
-            raise SpecInvariantViolated("the connecting set is empty")
-        for d in self.connectors:
-            if d not in self.group:
-                raise SpecInvariantViolated(
-                    f"connector {d.cycle_string()} is outside the group"
-                )
-            if d in self.sub:
-                raise SpecInvariantViolated(
-                    f"connector {d.cycle_string()} lies in the subgroup"
-                )
-            if d.inverse() not in self.connectors:
-                raise SpecInvariantViolated(
-                    f"connecting set is not inverse closed at {d.cycle_string()}"
-                )
-
-
-def cayley_graph(group: GroupTable, connectors: Sequence[Perm]) -> Graph:
-    """Vertices are the group elements; x joins y when x·y⁻¹ connects.
-
-    Right multiplication is then an action by automorphisms, checked in the
-    tests rather than here.
-    """
-    conn = frozenset(connectors)
-    if not conn:
-        raise SpecInvariantViolated("the connecting set is empty")
-    ident = group.identity()
-    for d in conn:
-        if d not in group:
-            raise SpecInvariantViolated(
-                f"connector {d.cycle_string()} is outside the group"
-            )
-        if d == ident:
-            raise LoopConnector("the identity would join every vertex to itself")
-        if d.inverse() not in conn:
-            raise NotInverseClosed(f"{d.cycle_string()} lacks its inverse")
-    labels = [p.cycle_string() for p in group.elements]
-    arcs = []
-    for i, x in enumerate(group.elements):
-        for d in conn:
-            # x·y⁻¹ = d means y = d⁻¹·x
-            arcs.append((i, group.index(d.inverse() * x)))
-    return Graph(labels, arcs)
-
-
-def _sabidussi(spec: CosetGraphSpec):
-    spec.validate()
-    cosets = right_cosets(spec.group, spec.sub)
-    labels = [rep.cycle_string() for rep in cosets.reps]
-    # Hx joins Hy when x·y⁻¹ = d, so the arcs are the G-orbits of the
-    # arcs (Hd, H); H is coset 0
-    seeds = [(cosets.coset_of(d), 0) for d in spec.connectors]
-    arcs = closure(seeds, tuple_step(cosets.generator_rows()))
-    return Graph(labels, arcs), cosets
-
-
-def sabidussi_graph(spec: CosetGraphSpec) -> Graph:
-    """Coset graph on right cosets of the subgroup: Hx joins Hy exactly
-    when x·y⁻¹ falls in the connecting set."""
-    graph, _ = _sabidussi(spec)
-    return graph
 
 
 class CosetGraphResult(Record):
@@ -122,16 +38,6 @@ class CosetGraphResult(Record):
     @property
     def arc_stabilizer_order(self) -> int:
         return self.arc_stabilizer.order
-
-    @property
-    def connector_class(self) -> tuple:
-        """The connecting set HaH = {g : Hg is adjacent to H}, in element
-        order: the elements h·r of H times the representatives r of the
-        cosets next to H; this lists H."""
-        cosets = self.cosets
-        return tuple(
-            sorted(h * cosets.reps[c] for c in self.graph.adj[0] for h in cosets.sub.elements)
-        )
 
 
 def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetGraphResult:
@@ -151,10 +57,15 @@ def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetG
         raise InsideSubgroup(
             "the involution lies in the subgroup; the graph would have loops"
         )
-    graph, cosets = _sabidussi(CosetGraphSpec(group, sub, frozenset({a})))
+    cosets = right_cosets(group, sub)
+    labels = [rep.cycle_string() for rep in cosets.reps]
+    ha = cosets.coset_of(a)
+    # Hx joins Hy when x·y⁻¹ ∈ HaH, so the arcs are the G-orbit of the
+    # arc (Ha, H); H is coset 0
+    graph = Graph(labels, closure([(ha, 0)], tuple_step(cosets.generator_rows())))
     action = cosets.action()
     report = verify_action(graph, action)
-    arc_stabilizer = cosets.stabilizer(sub.generators, cosets.coset_of(a))
+    arc_stabilizer = cosets.stabilizer(sub.generators, ha)
     valency = graph.valency()
     certify(
         valency == sub.order // arc_stabilizer.order, "valency is |H| / |a⁻¹Ha ∩ H|"
@@ -184,16 +95,12 @@ class Orbital(Record):
         return len(self.pairs)
 
 
-def orbitals(group: GroupLike, domain_size: Optional[int] = None) -> list:
+def orbitals(group: GroupLike) -> list:
     """Orbits on ordered pairs of a transitive action, by least pair."""
     if isinstance(group, GroupTable):
         act = Action.natural(group)
     else:
         act = group
-    if domain_size is not None and domain_size != act.n_points:
-        raise DegreeMismatch(
-            f"action on {act.n_points} points, expected {domain_size}"
-        )
     n = act.n_points
     if len(act.orbit_of(0)) != n:
         raise NotTransitive("orbitals are defined for transitive actions")
@@ -203,25 +110,6 @@ def orbitals(group: GroupLike, domain_size: Optional[int] = None) -> list:
         u, v = pairs[0]
         out.append(Orbital(tuple(pairs), diagonal=(u == v), self_paired=(v, u) in pairs))
     return out
-
-
-def orbital_graph(group: GroupLike, domain_size: Optional[int], orbital: Orbital) -> Graph:
-    """The graph whose arc set is a self paired nondiagonal orbital."""
-    if orbital.diagonal:
-        raise DiagonalOrbital("the diagonal orbital has no arcs")
-    if not orbital.self_paired:
-        raise NotSelfPaired("the orbital is not closed under reversal")
-    if isinstance(group, GroupTable):
-        act = Action.natural(group)
-    else:
-        act = group
-    n = act.n_points if domain_size is None else domain_size
-    if act.n_points != n:
-        raise DegreeMismatch(f"action on {act.n_points} points, expected {n}")
-    # cheap re-check that the orbital really is one orbit of this action
-    if set(closure(orbital.pairs[:1], tuple_step(act.generator_rows()))) != set(orbital.pairs):
-        raise ValueError("the orbital does not match this action")
-    return Graph([str(i + 1) for i in range(n)], orbital.pairs)
 
 
 def orbital_double_coset_map(group: GroupTable, sub: GroupTable) -> list:
@@ -243,49 +131,3 @@ def orbital_double_coset_map(group: GroupTable, sub: GroupTable) -> list:
     certify(len(used) == len(orbs), "every orbital is reached")
     return pairing
 
-
-# ---- recognition ---------------------------------------------------------------
-
-
-class RecognitionResult(Record):
-    sub: GroupTable
-    involution: Perm
-    rebuilt: CosetGraphResult
-    vertex_map: tuple
-    exact: bool
-
-
-def recognize_as_coset_graph(graph: Graph, group: GroupTable) -> RecognitionResult:
-    """Write a symmetric graph as a coset graph on the stabiliser of its
-    first vertex, using the least involution that flips an arc at that
-    vertex.  The returned vertex map is certified to carry arcs exactly
-    onto arcs."""
-    act = coerce_action(group, graph.n)
-    report = verify_action(graph, act)
-    if not report.symmetric:
-        raise NotSymmetric("the action is not symmetric on this graph")
-    sub = stabilizer_subgroup(group, 0)
-    flip = None
-    for p in group.elements:
-        if p.is_involution() and p.images[0] in graph.adj[0]:
-            flip = p
-            break
-    if flip is None:
-        raise NoFlippingInvolution(
-            "no involution carries the base vertex to one of its neighbours"
-        )
-    rebuilt = symmetric_coset_graph(group, sub, flip)
-    wit = transversal(group, 0)
-    vmap = [rebuilt.cosets.coset_of(wit[v]) for v in range(graph.n)]
-    exact = (
-        len(set(vmap)) == graph.n
-        and {(vmap[u], vmap[v]) for (u, v) in graph.arcs} == rebuilt.graph.arcs
-    )
-    certify(exact, "the transversal map is an isomorphism onto the coset graph")
-    return RecognitionResult(
-        sub=sub,
-        involution=flip,
-        rebuilt=rebuilt,
-        vertex_map=tuple(vmap),
-        exact=exact,
-    )

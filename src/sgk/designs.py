@@ -1,4 +1,4 @@
-"""Incidence structures, 1-designs, duals, and polarities."""
+"""Incidence structures, 1-designs, and polarities."""
 
 from __future__ import annotations
 
@@ -103,31 +103,6 @@ def validate_design(inc: IncidenceStructure) -> DesignParams:
     return DesignParams(inc.n_points, inc.n_blocks, k, lam, multiplicity)
 
 
-def dual(inc: IncidenceStructure) -> IncidenceStructure:
-    return IncidenceStructure(
-        point_labels=inc.block_labels,
-        block_labels=inc.point_labels,
-        flags=frozenset((b, p) for p, b in inc.flags),
-    )
-
-
-def reduce_repeated_blocks(inc: IncidenceStructure) -> IncidenceStructure:
-    """Keep the first block of each repeated trace, in block order."""
-    kept = []
-    seen = set()
-    for b in range(inc.n_blocks):
-        t = inc.trace(b)
-        if t not in seen:
-            seen.add(t)
-            kept.append(b)
-    renumber = {b: i for i, b in enumerate(kept)}
-    return IncidenceStructure(
-        point_labels=inc.point_labels,
-        block_labels=tuple(inc.block_labels[b] for b in kept),
-        flags=frozenset((p, renumber[b]) for p, b in inc.flags if b in renumber),
-    )
-
-
 def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
     """The block action induced through traces, one row per permutation.
 
@@ -138,13 +113,14 @@ def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
         raise DegreeMismatch(
             f"group of degree {group.degree} against {inc.n_points} points"
         )
+    labels = inc.block_labels
     trace_index = {}
     for b in range(inc.n_blocks):
         t = inc.trace(b)
         if t in trace_index:
             raise AmbiguousBlockAction(
-                f"blocks {trace_index[t]} and {b} share a trace; "
-                "reduce repeated blocks first"
+                f"blocks {labels[trace_index[t]]} and {labels[b]} share a trace, "
+                "so the block action is not defined"
             )
         trace_index[t] = b
     rows = []
@@ -154,7 +130,7 @@ def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
             img = frozenset(g.images[p] for p in inc.trace(b))
             if img not in trace_index:
                 raise NoBlockAction(
-                    f"{g.cycle_string()} does not carry block {b} to a block"
+                    f"{g.cycle_string()} does not carry block {labels[b]} to a block"
                 )
             row.append(trace_index[img])
         rows.append(tuple(row))
@@ -247,8 +223,8 @@ def graph_from_design(inc: IncidenceStructure, group: GroupTable, pol: Polarity)
     for p in range(inc.n_points):
         if (p, pol.point_map[p]) in inc.flags:
             raise DegenerateDesign(
-                f"point {p} lies on its own polar block; the graph would "
-                "need a loop there"
+                f"point {inc.point_labels[p]} lies on its own polar block; "
+                "the graph would need a loop there"
             )
     arcs = []
     for p in range(inc.n_points):

@@ -64,18 +64,6 @@ class DomainTooLarge(KitError):
 
 # ---- coset graphs and orbitals ---------------------------------------------
 
-class LoopConnector(KitError):
-    code = "loop-connector"
-
-
-class NotInverseClosed(KitError):
-    code = "not-inverse-closed"
-
-
-class SpecInvariantViolated(KitError):
-    code = "spec-invariant-violated"
-
-
 class NotInvolution(KitError):
     code = "not-involution"
 
@@ -88,16 +76,8 @@ class NotSelfPaired(KitError):
     code = "not-self-paired"
 
 
-class DiagonalOrbital(KitError):
-    code = "diagonal-orbital"
-
-
 class NotSymmetric(KitError):
     code = "not-symmetric"
-
-
-class NoFlippingInvolution(KitError):
-    code = "no-flipping-involution"
 
 
 # ---- quotients ---------------------------------------------------------------

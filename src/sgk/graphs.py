@@ -53,9 +53,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.arcs) // 2
 
-    def edges(self) -> list:
-        return sorted((u, v) for u, v in self.arcs if u < v)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -77,9 +74,6 @@ class Graph:
         ]
         return Graph([self.labels[v] for v in vs], arcs), vs
 
-    def relabelled(self, labels: Sequence[str]) -> "Graph":
-        return Graph(labels, self.arcs)
-
     def __repr__(self) -> str:
         return f"<graph: {self.n} vertices, {self.edge_count} edges>"
 
@@ -92,10 +86,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def edgeless_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [])
 
 
 def connected_components(graph: Graph) -> list:

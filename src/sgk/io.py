@@ -4,9 +4,10 @@ Five formats live here: group files (a degree line plus one generator per
 line), graph files (a vertex count with optional labels and an edge list),
 design files (a point count plus named blocks), block files (one block of
 1-based points per line), and the chain and twist files that feed covering
-constructions.  Parsers take whole strings and return kit objects, the
-formatters invert them; opening files is the command line's business, not
-this module's.
+constructions.  Parsers take whole strings and return kit objects; groups,
+graphs and designs also have formatters that invert them, while block,
+chain and twist files are only read.  Opening files is the command line's
+business, not this module's.
 
 Shared conventions: ``#`` starts a comment, blank lines are skipped, and
 points or vertices are numbered from 1 on disk but from 0 in memory.
@@ -14,7 +15,6 @@ Structural mistakes raise ValueError naming the offending line; malformed
 permutations raise the usual cycle parsing errors.
 """
 
-from .constructions import NChain
 from .designs import IncidenceStructure
 from .graphs import Graph
 from .errors import CapExceeded
@@ -29,9 +29,7 @@ __all__ = [
     "parse_design_file",
     "format_design",
     "parse_blocks_file",
-    "format_blocks",
     "parse_chain_seeds",
-    "format_chain",
     "parse_twist_file",
     "parse_subgroup_generators",
     "graph_to_dot",
@@ -187,17 +185,20 @@ def format_design(inc: IncidenceStructure) -> str:
 
 
 def parse_blocks_file(text: str, n_points: int) -> BlockSystem:
-    """One block per line; together the lines must tile 1..n_points."""
+    """One block per line; together the lines must tile 1..n_points, each
+    point on one line once."""
     blocks = []
+    line_of: dict = {}
     for no, line in _content_lines(text):
-        blocks.append(tuple(_index(no, tok, n_points, "point") for tok in line.split()))
+        block = tuple(_index(no, tok, n_points, "point") for tok in line.split())
+        for p in block:
+            if p in line_of:
+                raise ValueError(f"line {no}: point {p + 1} is already on line {line_of[p]}")
+            line_of[p] = no
+        blocks.append(block)
     if not blocks:
         raise ValueError("a blocks file needs at least one line")
     return BlockSystem.from_blocks(n_points, blocks)
-
-
-def format_blocks(system: BlockSystem) -> str:
-    return "\n".join(" ".join(str(p + 1) for p in blk) for blk in system.blocks) + "\n"
 
 
 # ---- chain files ------------------------------------------------------------
@@ -230,14 +231,6 @@ def parse_chain_seeds(text: str, graph: Graph, n_part: GroupTable) -> dict:
     if not seeds:
         raise ValueError("a chain file needs at least one arc line")
     return seeds
-
-
-def format_chain(chain: NChain, n_part: GroupTable) -> str:
-    out = [
-        f"arc {u + 1} {v + 1} {n_part.element(chain.value(u, v)).cycle_string()}"
-        for (u, v) in sorted(chain.arcs())
-    ]
-    return "\n".join(out) + "\n"
 
 
 # ---- twist files ------------------------------------------------------------

@@ -629,11 +629,7 @@ def transversal(group: GroupTable, point: int) -> dict:
     return {p: Perm(t) for p, t in wit.items()}
 
 
-def is_transitive(group: GroupTable, domain_size: Optional[int] = None) -> bool:
-    if domain_size is not None and domain_size != group.degree:
-        raise DegreeMismatch(
-            f"group degree {group.degree} does not match domain size {domain_size}"
-        )
+def is_transitive(group: GroupTable) -> bool:
     return len(orbit(group, 0)) == group.degree
 
 
@@ -683,9 +679,6 @@ class Action:
         if self._is_natural():
             return 1
         return len(self.group) // StabChain(self.n_points, self.generator_rows()).order
-
-    def is_faithful(self) -> bool:
-        return self.kernel_size() == 1
 
     def orbit_of(self, point: int) -> frozenset:
         return frozenset(closure((point,), point_step(self.generator_rows())))

@@ -29,38 +29,11 @@ from .perm import (
 DOMAIN_LIMIT = 512
 
 
-def make_subgroup(parent: GroupTable, elements: Iterable[Perm]) -> GroupTable:
-    """Check that the elements hold the identity, lie in the parent and
-    are closed; the set is closed exactly when the group it generates is
-    no larger than it."""
-    elems = {p.images: p for p in elements}
-    if parent.identity().images not in elems:
-        raise NotASubgroup("the identity is missing")
-    for p in elems.values():
-        if p not in parent:
-            raise NotASubgroup(f"{p.cycle_string()} lies outside the parent group")
-    sub = GroupTable(parent.degree, sorted(elems.values()))
-    if sub.order != len(elems):
-        raise NotASubgroup(
-            f"the set is not closed: its {len(elems)} elements generate "
-            f"a group of order {sub.order}"
-        )
-    return sub
-
-
 def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> GroupTable:
     for g in generators:
         if g not in parent:
             raise NotASubgroup(f"{g.cycle_string()} lies outside the parent group")
     return GroupTable(parent.degree, generators)
-
-
-def trivial_subgroup(parent: GroupTable) -> GroupTable:
-    return GroupTable(parent.degree, ())
-
-
-def full_subgroup(parent: GroupTable) -> GroupTable:
-    return parent
 
 
 def stabilizer_subgroup(parent: GroupTable, point: int) -> GroupTable:
@@ -72,13 +45,6 @@ def stabilizer_subgroup(parent: GroupTable, point: int) -> GroupTable:
     sub = GroupTable(parent.degree, map(Perm, chain.generators))
     sub.chain = chain
     return sub
-
-
-def conjugate_subgroup(group: GroupTable, sub: GroupTable, by: Perm) -> GroupTable:
-    """The subgroup by⁻¹·sub·by, given by the conjugated generators."""
-    if by not in group:
-        raise NotASubgroup(f"{by.cycle_string()} lies outside the parent group")
-    return GroupTable(group.degree, (h.conjugated_by(by) for h in sub.generators))
 
 
 # ---- cosets -------------------------------------------------------------------
@@ -202,10 +168,6 @@ class DoubleCosetDecomposition(Record):
     sub: GroupTable
     classes: tuple
 
-    def class_of(self, perm: Perm) -> int:
-        coset = self.classes[0].space.coset_of(perm)
-        return next(i for i, cls in enumerate(self.classes) if coset in cls.cosets)
-
 
 def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecomposition:
     """Decompose the group into H x H classes, least representatives first:
@@ -255,19 +217,6 @@ def _smallest_block(n: int, gen_rows: Sequence[tuple], points: Iterable[int]) ->
                 queue.append((a, b))
     root = find(first)
     return frozenset(x for x in range(n) if find(x) == root)
-
-
-def minimal_block(group: GroupTable, alpha: int, beta: int) -> frozenset:
-    """Smallest block of imprimitivity containing both seed points."""
-    n = group.degree
-    for p in (alpha, beta):
-        if not 0 <= p < n:
-            raise PointOutOfRange(f"point {p} outside the domain of the group")
-    if alpha == beta:
-        raise ValueError("seed points must differ")
-    if not is_transitive(group):
-        raise NotTransitive("blocks are defined for transitive actions")
-    return _smallest_block(n, [g.images for g in group.generators], (alpha, beta))
 
 
 def _blocks_through(n: int, gen_rows: Sequence[tuple], point: int) -> list:
@@ -344,23 +293,6 @@ def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
         return BlockSystem.from_blocks(group.degree, images)
     except ValueError as exc:
         raise ValueError(f"the set is not a block: {exc}") from None
-
-
-def intermediate_subgroups(group: GroupTable, bottom: GroupTable) -> list:
-    """All subgroups between ``bottom`` and the whole group, by order and
-    then by element list.
-
-    The subgroups containing H = ``bottom`` match the blocks through the
-    coset H in the action on right cosets of H: block B gives the
-    subgroup {g : Hg in B}, which H and the representatives of the
-    cosets in B generate.
-    """
-    cosets = right_cosets(group, bottom)
-    subs = [
-        GroupTable(group.degree, bottom.generators + tuple(cosets.reps[c] for c in sorted(blk)))
-        for blk in _blocks_through(cosets.n_cosets, cosets.generator_rows(), 0)
-    ]
-    return sorted(subs, key=lambda s: (s.order, tuple(p.images for p in s.elements)))
 
 
 def all_block_systems(group: GroupTable) -> list:

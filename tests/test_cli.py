@@ -238,12 +238,42 @@ def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
     (["biggs", "--graph", "{fix}/k4.graph", "--group", "{tmp}/c4.grp", "--n", "{fix}/z2.grp",
       "--twist", "{tmp}/twist.txt", "--chain", "{tmp}/seed.txt"],
      "invalid-chain: 4 arcs are in orbits no seed touches, first (1, 3)"),
-], ids=["base-0", "base-past-degree", "subgraph-arc", "unseeded-arc"])
+    (["design", "polarities", "--design", "{tmp}/square.design", "--group", "{tmp}/swap.grp"],
+     "no-block-action: (1 2) does not carry block east to a block"),
+    (["design", "polarities", "--design", "{tmp}/twice.design", "--group", "{tmp}/c4.grp"],
+     "ambiguous-block-action: blocks a and b share a trace, so the block action is not defined"),
+    (["design", "to-graph", "--design", "{tmp}/singles.design", "--group", "{tmp}/c3.grp"],
+     "degenerate-design: point 1 lies on its own polar block; "
+     "the graph would need a loop there"),
+    (["quotient", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
+      "--blocks", "{tmp}/overlap.txt"],
+     "invalid-input: line 2: point 2 is already on line 1"),
+    (["extend", "--via", "flags", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
+      "--blocks", "{tmp}/overlap.txt"],
+     "invalid-input: line 2: point 2 is already on line 1"),
+    (["quotient", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
+      "--blocks", "{tmp}/repeat.txt"],
+     "invalid-input: line 1: point 1 is already on line 1"),
+], ids=["base-0", "base-past-degree", "subgraph-arc", "unseeded-arc", "no-block-action",
+        "ambiguous-block-action", "degenerate-design", "blocks-overlap", "flags-blocks-overlap",
+        "blocks-repeat"])
 def test_errors_name_points_one_based(capsys, tmp_path, argv, message):
-    """Every input is 1-based, and so is every point or vertex an error names."""
+    """Every input is 1-based, and so is every point or vertex an error
+    names; design errors name blocks and points by their labels."""
     (tmp_path / "c4.grp").write_text("degree: 4\n(1 2 3 4)\n")
     (tmp_path / "twist.txt").write_text("trivial\n")
     (tmp_path / "seed.txt").write_text("arc 1 2 (1 2)\n")
+    (tmp_path / "swap.grp").write_text("degree: 4\n(1 2)\n")
+    (tmp_path / "c3.grp").write_text("degree: 3\n(1 2 3)\n")
+    (tmp_path / "square.design").write_text(
+        "points: 4\nblock north: 1 2\nblock east: 2 3\nblock south: 3 4\nblock west: 4 1\n"
+    )
+    (tmp_path / "twice.design").write_text(
+        "points: 4\nblock a: 1 2\nblock b: 1 2\nblock c: 3 4\nblock d: 3 4\n"
+    )
+    (tmp_path / "singles.design").write_text("points: 3\nblock x: 1\nblock y: 2\nblock z: 3\n")
+    (tmp_path / "overlap.txt").write_text("1 2\n2 3\n4 5 6\n")
+    (tmp_path / "repeat.txt").write_text("1 1 4\n2 5\n3 6\n")
     code, out, err = run(capsys, *(a.format(fix=FIXDIR, tmp=tmp_path) for a in argv))
     assert (code, out, err) == (1, "", f"sgk: {message}\n")
 

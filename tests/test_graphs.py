@@ -16,7 +16,6 @@ from sgk.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    edgeless_graph,
     is_connected,
     s_arc_level,
     tuple_orbits,
@@ -31,7 +30,7 @@ def test_builders():
     assert (k4.n, k4.edge_count, k4.valency()) == (4, 6, 3)
     c5 = cycle_graph(5)
     assert (c5.n, c5.edge_count, c5.valency()) == (5, 5, 2)
-    e3 = edgeless_graph(3)
+    e3 = Graph.from_edges(3, [])
     assert (e3.n, e3.edge_count) == (3, 0)
 
 

@@ -4,11 +4,8 @@ import pytest
 
 from conftest import FIXDIR
 from sgk import fixtures as fx
-from sgk.constructions import constant_chain
 from sgk.graphs import Graph
 from sgk.io import (
-    format_blocks,
-    format_chain,
     format_design,
     format_graph,
     format_group,
@@ -109,23 +106,22 @@ def test_blocks_round_trip():
     from sgk.subgroups import BlockSystem
 
     sysm = BlockSystem.from_blocks(6, [[0, 3], [1, 4], [2, 5]])
-    text = format_blocks(sysm)
-    assert text == "1 4\n2 5\n3 6\n"
-    assert parse_blocks_file(text, 6).blocks == sysm.blocks
+    assert parse_blocks_file("1 4\n2 5\n3 6\n", 6).blocks == sysm.blocks
 
 
 def test_blocks_rejections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 2: point 2 is already on line 1$"):
         parse_blocks_file("1 2\n2 3\n", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: point 1 is already on line 1$"):
+        parse_blocks_file("1 1 3\n2\n", 3)
+    with pytest.raises(ValueError, match="do not cover"):
         parse_blocks_file("1 2\n", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one line"):
         parse_blocks_file("", 3)
 
 
 def test_chain_round_trip(k4, z2):
-    chain = constant_chain(k4, 1)
-    text = format_chain(chain, z2)
+    text = "".join(f"arc {u + 1} {v + 1} (1 2)\n" for u, v in sorted(k4.arcs))
     seeds = parse_chain_seeds(text, k4, z2)
     assert seeds == {arc: 1 for arc in k4.arcs}
 

@@ -188,7 +188,6 @@ def test_natural_action_orbit_and_kernel(d4):
     act = Action.natural(d4)
     assert act.orbit_of(0) == frozenset(range(4))
     assert act.kernel_size() == 1
-    assert act.is_faithful()
 
 
 def test_action_stabilizer_matches_filter(d6):

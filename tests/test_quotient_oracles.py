@@ -20,14 +20,14 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from conftest import enumerate_s_arcs, pgl2  # noqa: E402
 from test_block_oracles import transitive_groups  # noqa: E402
 
-from sgk.coset_graphs import orbital_graph, orbitals  # noqa: E402
+from sgk.coset_graphs import orbitals  # noqa: E402
 from sgk.constructions import (  # noqa: E402
     check_condition_pe,
     three_arc_graph,
     three_arc_orbits,
 )
 from sgk.errors import CertificationFailed  # noqa: E402
-from sgk.graphs import complete_graph  # noqa: E402
+from sgk.graphs import Graph, complete_graph  # noqa: E402
 from sgk.perm import GroupTable, Perm, group_from_generators, is_transitive  # noqa: E402
 from sgk.quotients import (  # noqa: E402
     cross_section_design,
@@ -47,7 +47,8 @@ def _cases(images):
     group = group_from_generators([Perm(g) for g in images], degree=n)
     assume(is_transitive(group))
     systems = [s for s in all_block_systems(group) if not s.is_trivial()]
-    graphs = [orbital_graph(group, n, ob) for ob in orbitals(group)
+    labels = [str(i + 1) for i in range(n)]
+    graphs = [Graph(labels, ob.pairs) for ob in orbitals(group)
               if ob.self_paired and not ob.diagonal]
     assume(systems and graphs)
     return [(group, graph, system) for graph in graphs for system in systems]
@@ -101,7 +102,7 @@ def test_quotients_match_the_oracles(images):
         # the quotient graph against networkx, self-loops dropped
         base = nx.Graph()
         base.add_nodes_from(range(graph.n))
-        base.add_edges_from(graph.edges())
+        base.add_edges_from(graph.arcs)
         expected = set()
         for bu, bv in nx.quotient_graph(base, [set(b) for b in partition.blocks]).edges():
             u, v = partition.block_of[min(bu)], partition.block_of[min(bv)]

@@ -216,7 +216,7 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
     p = cross_section_design(cover, 0).params
     assert (p.v, p.k, p.b) == (2, 2, 3)
     fx = extract_fibre_data(cover)
-    assert fx.quotient is cover.graph and fx.quotient_action is cover.block_action
+    assert fx.quotient is cover.graph and fx.source is cover
     assert fx.normal_order == 4
     labelling = check_condition_pe(tag)
     assert labelling is not None

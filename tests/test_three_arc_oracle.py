@@ -21,7 +21,7 @@ from sgk import constructions  # noqa: E402
 from sgk import fixtures as fx  # noqa: E402
 from sgk.constructions import three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import NotSymmetric  # noqa: E402
-from sgk.graphs import Graph, complete_graph, edgeless_graph  # noqa: E402
+from sgk.graphs import Graph, complete_graph  # noqa: E402
 from sgk.perm import Action, GroupTable, Perm, orbits  # noqa: E402
 
 
@@ -100,7 +100,7 @@ def _cyclic(n):
     pytest.param(fx.petersen_graph(), fx.petersen_group(), 1, id="Petersen-S5"),
     pytest.param(fx.c6_graph(), fx.d6(), 1, id="C6-D6"),
     pytest.param(complete_graph(2), _cyclic(2), 0, id="K2"),
-    pytest.param(edgeless_graph(3), _cyclic(3), 0, id="edgeless"),
+    pytest.param(Graph.from_edges(3, []), _cyclic(3), 0, id="edgeless"),
     pytest.param(Graph([], []), GroupTable(0, []), 0, id="empty"),
 ])
 def test_three_arc_layer_on_symmetric_graphs(graph, group, count, monkeypatch):
