@@ -20,7 +20,6 @@ from .errors import (
 from .graphs import Graph, verify_action
 from .perm import (
     GroupTable,
-    Perm,
     Record,
     closure,
     coerce_action,
@@ -50,6 +49,8 @@ class IncidenceStructure(Record):
             stars[p].add(b)
         object.__setattr__(self, "_traces", tuple(frozenset(t) for t in traces))
         object.__setattr__(self, "_stars", tuple(frozenset(s) for s in stars))
+        # group -> its generators' block rows, built on first use
+        object.__setattr__(self, "_block_rows", {})
 
     @property
     def n_points(self) -> int:
@@ -103,12 +104,15 @@ def validate_design(inc: IncidenceStructure) -> DesignParams:
     return DesignParams(inc.n_points, inc.n_blocks, k, lam, multiplicity)
 
 
-def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
-    """The block action induced through traces, one row per permutation.
+def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> tuple:
+    """The block action of the generators, induced through traces, which
+    decides every law below; built once per design and group.
 
     Needs pairwise distinct traces, otherwise the induced action is not
     well defined; raises NoBlockAction when some image set is not a trace.
     """
+    if group in inc._block_rows:
+        return inc._block_rows[group]
     if group.degree != inc.n_points:
         raise DegreeMismatch(
             f"group of degree {group.degree} against {inc.n_points} points"
@@ -124,7 +128,7 @@ def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
             )
         trace_index[t] = b
     rows = []
-    for g in perms:
+    for g in group.generators:
         row = []
         for b in range(inc.n_blocks):
             img = frozenset(g.images[p] for p in inc.trace(b))
@@ -134,12 +138,8 @@ def _block_action(inc: IncidenceStructure, group: GroupTable, perms) -> list:
                 )
             row.append(trace_index[img])
         rows.append(tuple(row))
+    inc._block_rows[group] = rows = tuple(rows)
     return rows
-
-
-def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> list:
-    """The block action of the generators, which decides every law below."""
-    return _block_action(inc, group, group.generators)
 
 
 def _flag_step(inc: IncidenceStructure, group: GroupTable):
@@ -258,12 +258,16 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     if inc.n_blocks != n:
         return []
     step = _flag_step(inc, group)
-    gens = [g.images for g in group.generators]
-    stab = schreier_generators(group.degree, gens, 0, point_step(gens))
-    stab_rows = _block_action(inc, group, map(Perm, stab))
+    # each generator with its block row after its points, so that every
+    # Schreier generator of the stabiliser of 0 carries its block row too
+    paired = [
+        g.images + tuple(n + b for b in row)
+        for g, row in zip(group.generators, generator_block_rows(inc, group))
+    ]
+    stab = schreier_generators(2 * n, paired, 0, point_step(paired))
     out = []
     for seed in range(n):
-        if any(row[seed] != seed for row in stab_rows):
+        if any(s[n + seed] != n + seed for s in stab):
             continue
         # an equivariant point_map is the orbit of (0, seed) read as a map
         table = orbit_map(((0, seed),), step)

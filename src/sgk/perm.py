@@ -285,7 +285,11 @@ class GroupTable:
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    """Image tuple of a followed by b."""
+    """Image tuple of a followed by b: the package's one composition kernel.
+    ``itemgetter`` with two or more indices gathers the images in C; with
+    one it would return a bare int, and with none it raises."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
     return tuple(map(b.__getitem__, a))
 
 
@@ -457,6 +461,8 @@ class StabChain:
         a point between base points is fixed by whatever fixes the base
         points before it, so two elements first differ at a base point.
         Above the first level c is the identity, so that level is copied.
+        Each transversal element gets one getter, built once per listing,
+        that composes it with every c.
         """
         if not self._base:
             return [tuple(range(self.degree))]
@@ -464,7 +470,8 @@ class StabChain:
         out = [first[p][0] for p in sorted(first)]
         for b in self._base[1:]:
             level = self._levels[b]
-            out = [_compose(level[p][0], c) for c in out for p in sorted(level, key=c.__getitem__)]
+            get = {p: itemgetter(*t) for p, (t, _) in level.items()}
+            out = [get[p](c) for c in out for p in sorted(level, key=c.__getitem__)]
         return out
 
     def least_in_coset(self, g: Sequence[int]) -> tuple:
@@ -600,7 +607,7 @@ def _list_chain(chain: StabChain, cap: Optional[int] = None) -> tuple:
     limit = element_cap() if cap is None else cap
     if chain.order > limit:
         raise CapExceeded(f"group exceeds the element cap of {limit}")
-    return tuple(Perm(im) for im in chain.elements())
+    return tuple(map(Perm, chain.elements()))
 
 
 def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = None) -> GroupTable:

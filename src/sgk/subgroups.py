@@ -17,6 +17,7 @@ from .perm import (
     Perm,
     Record,
     StabChain,
+    _compose,
     capped,
     closure,
     is_transitive,
@@ -66,7 +67,7 @@ class CosetSpace:
         successors = {}
 
         def step(x):
-            successors[x] = [least(tuple(map(g.__getitem__, x))) for g in gens]
+            successors[x] = [least(_compose(x, g)) for g in gens]
             return successors[x]
 
         reps = sorted(capped(closure((tuple(range(group.degree)),), step), "cosets"))
@@ -99,7 +100,7 @@ class CosetSpace:
         """The rows of ``perms``, elements of the group, on the cosets."""
         number, least = self._number, self.sub.least_in_coset
         return [
-            tuple(number[least(tuple(map(p.images.__getitem__, r.images)))] for r in self.reps)
+            tuple(number[least(_compose(r.images, p.images))] for r in self.reps)
             for p in perms
         ]
 

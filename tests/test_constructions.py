@@ -36,7 +36,7 @@ from sgk.graphs import (
     cycle_graph,
 )
 from sgk.perm import Perm, group_from_generators
-from sgk.quotients import certify_quotient, induced_bipartite, quotient
+from sgk.quotients import induced_bipartite, quotient
 from sgk.subgroups import (
     BlockSystem,
     stabilizer_subgroup,

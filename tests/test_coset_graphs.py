@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_force_isomorphic, setwise_stabilizer
+from conftest import setwise_stabilizer
 from sgk.coset_graphs import (
     orbital_double_coset_map,
     orbitals,

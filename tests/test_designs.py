@@ -18,7 +18,7 @@ from sgk.errors import (
     NotUniformBlocks,
     NotUniformPoints,
 )
-from sgk.graphs import Graph, are_isomorphic
+from sgk.graphs import are_isomorphic
 
 
 def block_rows(inc, group):

@@ -4,12 +4,16 @@ Oracles here are independent recomputations: orbit-stabilizer by direct
 counting, products by composing image tables point by point.
 """
 
+import json
 import os
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import closure_listing
+from sgk.cli import main
 from sgk.constructions import NChain
 from sgk.designs import DesignParams
 from sgk.errors import CapExceeded, CycleSyntaxError, PointOutOfRange, RepeatedPoint
@@ -17,6 +21,7 @@ from sgk.perm import (
     Action,
     Perm,
     Record,
+    _compose,
     coerce_action,
     enumerate_group,
     group_from_generators,
@@ -61,6 +66,37 @@ def test_product_is_left_then_right():
     # (p * q)(i) = q(p(i)): apply p first
     assert (p * q).images == tuple(q(p(i)) for i in range(3))
     assert (p * q).cycle_string() == "(1 3 2)"
+
+
+pairs_of_permutations = st.integers(0, 60).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
+
+
+@given(pairs_of_permutations)
+@example(([], []))
+@example(([0], [0]))
+@example(([0, 1], [1, 0]))
+@example(([1, 0], [1, 0]))
+def test_compose_kernel_reads_b_at_a(pair):
+    """The kernel against its definition at every degree up to 60, the
+    degrees below two, where ``itemgetter`` cannot serve, included."""
+    a, b = map(tuple, pair)
+    ab = _compose(a, b)
+    assert type(ab) is tuple and len(ab) == len(a)
+    assert all(ab[i] == b[a[i]] for i in range(len(a)))
+
+
+def test_group_of_degree_one(tmp_path, capsys):
+    """``group`` composes nothing at degree 1, where the chain has no
+    level, so the product of the degree-1 identity is checked too."""
+    path = tmp_path / "one.grp"
+    path.write_text("degree: 1\nid\n")
+    assert main(["group", "--group", str(path)]) == 0
+    facts = json.loads(capsys.readouterr().out)["facts"]
+    assert facts["order"] == 1 and facts["orbit_sizes"] == [1]
+    one = Perm.identity(1)
+    assert (one * one).images == (0,) and one.order() == 1
 
 
 def test_inverse_and_order():

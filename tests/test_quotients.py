@@ -11,7 +11,7 @@ from sgk.errors import (
     TrivialQuotient,
 )
 from sgk.graphs import are_isomorphic, complete_graph, cycle_graph
-from sgk.perm import Action, Perm, coerce_action
+from sgk.perm import Perm, coerce_action
 from sgk.quotients import (
     certify_quotient,
     cover_class,
