@@ -5,21 +5,22 @@ it advertises, and emits a JSON certificate recording input digests, the
 measured facts, and each claim with a witness or a counterexample.
 
 Exit status: 0 when every claim passed, 2 when a claim failed (the
-certificate then carries a concrete counterexample), 1 when the input
-itself was rejected, 3 when the program itself crashed; rejections print
-a stable error code on stderr, crashes ``internal-error`` and the
-exception, and neither writes a certificate.
+certificate then carries a concrete counterexample), 1 when the input or
+the command line itself was rejected, 3 when the program itself crashed;
+rejections print a stable error code (or argparse's usage message) on
+stderr, crashes ``internal-error`` and the exception, and neither writes
+a certificate.
 
 Certificates are deterministic byte for byte apart from ``timing_ms``:
 keys are sorted and every collection is emitted in a canonical order.
 """
 
-import argparse
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .constructions import (
@@ -1034,6 +1035,7 @@ _GRAPH_OUT = (
     ("--out-file", dict(metavar="FILE", help="write the graph there instead")),
     ("--group-out", dict(metavar="FILE", help="write the induced acting group as a group file")),
 )
+_CERTIFICATE = ("--certificate", dict(metavar="FILE", help="write the certificate here"))
 
 
 def _commands() -> tuple:
@@ -1103,30 +1105,67 @@ def _commands() -> tuple:
     )
 
 
-def _add_commands(parser, dest: str, table: tuple, argv: list) -> None:
-    """Subparsers for the entries of ``table``: only the one that ``argv``
-    starts with, or every one when it starts with none of them."""
-    named = [entry for entry in table if argv[:1] == [entry[0]]]
+def _parse_plain(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a command line in the documented form,
+    ``<command> [<mode>] --flag value ...``, read straight off the table;
+    None for any other line (help, an abbreviated, ``=``-joined, repeated
+    or missing flag, a value that is missing, starts with ``-`` or is not
+    of the flag's type or choices), which the full parser then reads."""
+    table, words = _commands(), {}
+    for dest in ("command", "mode"):
+        entry = next((e for e in table if argv[:1] == [e[0]]), None)
+        if entry is None:
+            return None
+        words[dest], argv = argv[0], argv[1:]
+        _, _, handler, claim, arguments = entry
+        if not isinstance(handler, tuple):
+            break
+        table = handler
+    options, given = dict((*arguments, _CERTIFICATE)), {}
+    if len(argv) % 2:
+        return None
+    for flag, value in zip(argv[::2], argv[1::2]):
+        opts = options.get(flag)
+        if opts is None or flag in given or value.startswith("-"):
+            return None
+        if "type" in opts:
+            try:
+                value = opts["type"](value)
+            except ValueError:
+                return None
+        if value not in opts.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(opts.get("required") and flag not in given for flag, opts in options.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, opts.get("default"))
+              for flag, opts in options.items()}
+    return SimpleNamespace(**words, **values, handler=handler, primary_claim=claim)
+
+
+def _add_commands(parser, dest: str, table: tuple) -> None:
+    """A subparser for each entry of ``table``."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    for name, help_text, handler, claim, arguments in named or table:
+    for name, help_text, handler, claim, arguments in table:
         p = sub.add_parser(name, help=help_text)
         if isinstance(handler, tuple):
-            _add_commands(p, "mode", handler, argv[1:] if named else [])
+            _add_commands(p, "mode", handler)
             continue
-        for flag, options in arguments:
+        for flag, options in (*arguments, _CERTIFICATE):
             p.add_argument(flag, **options)
-        p.add_argument("--certificate", metavar="FILE", help="write the certificate here")
         p.set_defaults(handler=handler, primary_claim=claim)
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of the command (and mode) that ``argv`` names, or of
-    every command when it names none."""
+def _build_parser():
+    """The argparse parser of every command, for help and for the lines
+    that ``_parse_plain`` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sgk",
         description="construct and certify symmetric graphs from permutation group data",
     )
-    _add_commands(parser, "command", _commands(), list(argv))
+    _add_commands(parser, "command", _commands())
     return parser
 
 
@@ -1148,10 +1187,13 @@ def _emit(args, cert: Certificate, output: Optional[str]) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = _build_parser(argv).parse_known_args(argv)
-    if extra:
-        # the full parser rejects them too, with every command in its usage line
-        _build_parser().parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # a usage error is a rejected input; exit 2 means a failed claim
+            return 1 if exc.code == 2 else exc.code
     name = args.command
     if getattr(args, "mode", None):
         name = f"{name}-{args.mode}"
