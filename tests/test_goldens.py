@@ -1,8 +1,8 @@
 """The outcome of every job in ``test_unlisted_groups``, pinned.
 
 For each job of ``ladder``, ``construction_jobs`` (with
-``lattice_and_arc_jobs``) and ``biggs_jobs`` (``ladder`` holds
-``quotient_layer_jobs``), ``goldens.json`` holds the exit status, stdout,
+``lattice_and_arc_jobs``), ``biggs_jobs`` and ``group_jobs`` (``ladder``
+holds ``quotient_layer_jobs``), ``goldens.json`` holds the exit status, stdout,
 stderr, the certificate without ``timing_ms``, and the files the job
 writes (``--group-out``, ``--out-file``), with the temporary directory
 and the fixtures directory replaced by placeholders.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from conftest import FIXDIR
 from sgk.cli import main
-from test_unlisted_groups import biggs_jobs, construction_jobs, ladder
+from test_unlisted_groups import biggs_jobs, construction_jobs, group_jobs, ladder
 
 GOLDENS = Path(__file__).with_name("goldens.json")
 WRITES = ("--group-out", "--out-file")
@@ -67,6 +67,7 @@ def outcomes(tmp):
     with contextlib.redirect_stdout(captured.out), contextlib.redirect_stderr(captured.err):
         jobs = ladder(tmp) + construction_jobs(captured, tmp)
         jobs += [argv for argv, _ in biggs_jobs(tmp)]
+        jobs += group_jobs(tmp)
         return [_outcome(captured, tmp, argv) for argv in jobs]
 
 

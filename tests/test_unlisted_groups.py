@@ -94,13 +94,26 @@ def outcome(capsys, tmp_path, argv):
     return code, out, err, doc, written
 
 
-def ladder(tmp_path):
+def ladder_groups(tmp_path):
+    """The group files of the coset ladder by name: the fixtures, then S6,
+    S7 and M11, written into ``tmp_path``."""
     files = {"s6": symmetric_group_file(6), "s7": symmetric_group_file(7), "m11": M11}
     for name, text in files.items():
         (tmp_path / f"{name}.grp").write_text(text)
-    fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "s5", "d4", "d6", "z2", "z6")}
-    fix["oct"] = str(FIXDIR / "octahedron-aut.grp")
-    s6 = str(tmp_path / "s6.grp")
+    groups = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "s5", "d4", "d6", "z2", "z6")}
+    groups["oct"] = str(FIXDIR / "octahedron-aut.grp")
+    groups.update((name, str(tmp_path / f"{name}.grp")) for name in files)
+    return groups
+
+
+def group_jobs(tmp_path):
+    """``group`` on every group of the ladder: the one command that lists G."""
+    return [["group", "--group", g] for g in ladder_groups(tmp_path).values()]
+
+
+def ladder(tmp_path):
+    fix = ladder_groups(tmp_path)
+    s6 = fix["s6"]
     jobs = [
         ["cosetgraph", "--group", fix["s4"], "--subgroup", SUBGROUP_S4, "--involution", "(1 2)"],
         ["cosetgraph", "--group", fix["s5"], "--subgroup", SUBGROUP_S5,
@@ -119,8 +132,7 @@ def ladder(tmp_path):
         ["verify", "--graph", str(FIXDIR / "c6.graph"), "--group", fix["z6"]],
         ["verify", "--graph", str(FIXDIR / "q3.graph"), "--group", fix["s4"]],
     ]
-    groups = list(fix.values()) + [s6, str(tmp_path / "s7.grp"), str(tmp_path / "m11.grp")]
-    jobs += [["orbitals", "--group", g] for g in groups]
+    jobs += [["orbitals", "--group", g] for g in fix.values()]
     return jobs + quotient_layer_jobs(tmp_path)
 
 
