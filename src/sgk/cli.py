@@ -19,6 +19,8 @@ import hashlib
 import json
 import sys
 import time
+from itertools import compress, count
+from operator import attrgetter, ge
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -65,7 +67,6 @@ from .perm import (
     Perm,
     closure,
     coerce_action,
-    enumerate_group,
     orbits,
     paired_order,
     point_step,
@@ -86,7 +87,10 @@ from .coset_graphs import orbitals, symmetric_coset_graph
 CLAIM_INVARIANTS = {
     "orbit-stabilizer": "orbit size times stabilizer order equals the group order at every point",
     "orbit-partition": "orbits are pairwise equal or disjoint and cover the domain",
-    "enumeration-determinism": "re-enumerating the same generators reproduces the element order",
+    "enumeration-determinism": (
+        "the listing of G has |G| entries, the identity first and each image tuple"
+        " less than the next, so it is the one sorted order of G"
+    ),
     "lattice-isomorphism": "subgroup containment matches block containment in both directions",
     "block-closure": "every generator image of a block is a block of the same system",
     "fiber-evaluation": "the setwise stabilizer of a block is transitive on the block",
@@ -298,11 +302,29 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         _tiles(point_orbits, range(group.degree)),
         f"{len(point_orbits)} orbits tile the {group.degree} points",
     )
-    same = enumerate_group(group.degree, group.generators) == group.elements
+    # the one listing of G, held to what every element index relies on
+    elements = group.elements
+    listed = list(map(attrgetter("images"), elements))
+    detail = None
+    if len(listed) != len(group):
+        detail = {"listed": len(listed), "order": len(group)}
+    elif listed[0] != tuple(range(group.degree)):
+        detail = {"first": elements[0].cycle_string()}
+    else:
+        bad = next(compress(count(), map(ge, listed, listed[1:])), None)
+        if bad is not None:
+            detail = {
+                "position": bad + 1,
+                "element": elements[bad].cycle_string(),
+                "next": elements[bad + 1].cycle_string(),
+            }
     cert.claim(
         "enumeration-determinism",
-        same,
-        "a second enumeration lists the same elements in the same order",
+        detail is None,
+        f"one listing of all {len(group)} elements, the identity first,"
+        " each image tuple less than the next"
+        if detail is None
+        else detail,
     )
     return None
 

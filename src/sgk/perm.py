@@ -229,7 +229,11 @@ class GroupTable:
 
     @cached_property
     def elements(self) -> tuple:
-        return _list_chain(self.chain)
+        # CapExceeded, before any element is listed, past the cap
+        limit = element_cap()
+        if self.order > limit:
+            raise CapExceeded(f"group exceeds the element cap of {limit}")
+        return tuple(map(Perm, self.chain.elements()))
 
     @cached_property
     def _pos(self) -> dict:
@@ -589,25 +593,6 @@ def orbits(items: Iterable, step: Callable) -> list:
             seen.update(orb)
             out.append(orb)
     return out
-
-
-def enumerate_group(degree: int, generators: Sequence[Perm], cap: Optional[int] = None) -> tuple:
-    """The elements of the group the generators generate, sorted by image
-    tuple, read off a stabiliser chain (``StabChain.elements``).
-
-    Raises CapExceeded, before listing any element, when the group's order
-    passes the cap (SGK_ELEMENT_CAP, or 200000 by default).
-    """
-    return _list_chain(StabChain(degree, [g.images for g in generators]), cap)
-
-
-def _list_chain(chain: StabChain, cap: Optional[int] = None) -> tuple:
-    """The elements of the chain's group as Perms, sorted by image tuple;
-    CapExceeded, before any is listed, when its order passes the cap."""
-    limit = element_cap() if cap is None else cap
-    if chain.order > limit:
-        raise CapExceeded(f"group exceeds the element cap of {limit}")
-    return tuple(map(Perm, chain.elements()))
 
 
 def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = None) -> GroupTable:

@@ -18,7 +18,7 @@ from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.graphs import complete_graph
 from sgk.io import format_graph, format_group
-from sgk.perm import Action
+from sgk.perm import Action, StabChain
 from sgk.subgroups import BlockSystem
 
 
@@ -683,6 +683,31 @@ def test_broken_cover_is_a_failed_claim(capsys, monkeypatch, tmp_path, command, 
     claim = next(c for c in doc["claims"] if c["id"] == primary)
     assert not claim["pass"]
     assert "symmetric" in claim["counterexample"]
+
+
+def test_enumeration_determinism_catches_two_swapped_entries(capsys, monkeypatch, s4):
+    """A chain listing with two adjacent entries swapped fails its claim
+    at their position; comparing two listings would not see it, since
+    both would be swapped alike."""
+    code, out, err = run(capsys, "group", "--group", GRP)
+    assert code == 0, err
+    claims = {c["id"]: c for c in cert_from(out)["claims"]}
+    assert claims["enumeration-determinism"]["pass"]
+    names = [g.cycle_string() for g in s4.elements]
+    listing = StabChain.elements
+
+    def swapped(chain):
+        out = listing(chain)
+        out[6], out[7] = out[7], out[6]
+        return out
+
+    monkeypatch.setattr(StabChain, "elements", swapped)
+    code, out, err = run(capsys, "group", "--group", GRP)
+    assert code == 2, err
+    claims = {c["id"]: c for c in cert_from(out)["claims"]}
+    assert claims["enumeration-determinism"]["counterexample"] == {
+        "position": 7, "element": names[7], "next": names[6],
+    }
 
 
 def test_crash_is_not_a_counterexample(capsys, monkeypatch, tmp_path):

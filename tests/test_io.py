@@ -19,7 +19,7 @@ from sgk.io import (
     parse_twist_file,
 )
 from sgk.errors import CapExceeded
-from sgk.perm import Perm, enumerate_group
+from sgk.perm import Perm
 
 
 def test_group_round_trip(s4):
@@ -200,7 +200,7 @@ def test_fixture_files_match_builders():
         spec = parse_group_file((FIXDIR / name).read_text())
         built = builder()
         assert spec.degree == built.degree, name
-        assert len(enumerate_group(spec.degree, spec.generators)) == len(built), name
+        assert len(spec) == len(built), name
     graphs = {
         "k4.graph": fx.k4_graph,
         "c6.graph": fx.c6_graph,

@@ -19,11 +19,11 @@ from sgk.designs import DesignParams
 from sgk.errors import CapExceeded, CycleSyntaxError, PointOutOfRange, RepeatedPoint
 from sgk.perm import (
     Action,
+    GroupTable,
     Perm,
     Record,
     _compose,
     coerce_action,
-    enumerate_group,
     group_from_generators,
     is_transitive,
     orbit,
@@ -148,7 +148,7 @@ def test_enumeration_identity_first_and_sorted_start(s4):
 
 
 def test_enumeration_deterministic(s4):
-    again = enumerate_group(4, s4.generators)
+    again = GroupTable(4, s4.generators).elements
     assert [p.images for p in again] == [p.images for p in s4.elements]
 
 
@@ -184,14 +184,13 @@ def test_index_raises_for_outsiders(d4):
 
 def test_element_cap(monkeypatch):
     gens = (Perm.from_cycles("(1 2)", 5), Perm.from_cycles("(1 2 3 4 5)", 5))
-    with pytest.raises(CapExceeded):
-        enumerate_group(5, gens, cap=100)
-    monkeypatch.setenv("SGK_ELEMENT_CAP", "60")
-    with pytest.raises(CapExceeded):
-        enumerate_group(5, gens)
+    for cap in ("100", "60"):
+        monkeypatch.setenv("SGK_ELEMENT_CAP", cap)
+        with pytest.raises(CapExceeded):
+            GroupTable(5, gens).elements
     monkeypatch.setenv("SGK_ELEMENT_CAP", "not-a-number")
     with pytest.raises(ValueError):
-        enumerate_group(5, gens)
+        GroupTable(5, gens).elements
 
 
 def test_chain_listing_matches_closure_then_sort():
@@ -201,16 +200,18 @@ def test_chain_listing_matches_closure_then_sort():
         Perm.from_cycles("(3 7 11 8)(4 10 5 6)", 11),
     )
     for degree, gens, order in ((3, (), 1), (7, s7, 5040), (11, m11, 7920)):
-        listed = [p.images for p in enumerate_group(degree, gens)]
+        listed = [p.images for p in GroupTable(degree, gens).elements]
         assert len(listed) == order
         assert listed == closure_listing(degree, gens)
 
 
-def test_element_cap_is_the_order():
+def test_element_cap_is_the_order(monkeypatch):
     s5 = (Perm.from_cycles("(1 2)", 5), Perm.from_cycles("(1 2 3 4 5)", 5))
-    assert len(enumerate_group(5, s5, cap=120)) == 120
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "120")
+    assert len(GroupTable(5, s5).elements) == 120
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "119")
     with pytest.raises(CapExceeded, match="group exceeds the element cap of 119"):
-        enumerate_group(5, s5, cap=119)
+        GroupTable(5, s5).elements
 
 
 def test_transitivity(s4, z6):
@@ -243,7 +244,7 @@ def test_coerce_action_degree_guard(s4):
 
 def test_cap_env_round_trip(monkeypatch):
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
-    assert len(enumerate_group(4, (Perm.from_cycles("(1 2 3 4)", 4),))) == 4
+    assert len(GroupTable(4, (Perm.from_cycles("(1 2 3 4)", 4),)).elements) == 4
     assert os.environ.get("SGK_ELEMENT_CAP") is None
 
 

@@ -10,9 +10,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import enumerate_s_arcs  # noqa: E402
-from sgk.errors import CapExceeded  # noqa: E402
 from sgk.graphs import Graph, s_arc_level, verify_action  # noqa: E402
-from sgk.perm import Action, Perm, enumerate_group, group_from_generators, orbits  # noqa: E402
+from sgk.perm import Action, Perm, StabChain, group_from_generators, orbits  # noqa: E402
 
 ORDER_CAP = 720
 
@@ -72,9 +71,7 @@ def actions(draw):
         gens.append(Perm(list(head) + [n + x for x in tail]))
     group = group_from_generators(gens[:1], degree=n + m)  # order at most 30
     for k in range(2, len(gens) + 1):
-        try:
-            enumerate_group(n + m, gens[:k], cap=ORDER_CAP)
-        except CapExceeded:
+        if StabChain(n + m, [g.images for g in gens[:k]]).order > ORDER_CAP:
             break
         group = group_from_generators(gens[:k], degree=n + m)
     return Action(group, n, [g.images[:n] for g in group.generators])

@@ -1,5 +1,6 @@
-"""Every command but ``group`` never lists the group, and the commands of
-the quotient and design layers never build a stabiliser chain either.
+"""Every command but ``group`` never lists the group, ``group`` lists it
+once, and the commands of the quotient and design layers never build a
+stabiliser chain either.
 
 With listing made to raise, ``cosetgraph``, ``orbitals``, ``verify``,
 ``quotient``, ``blocks``, ``lattice``, ``threearc``, the three ``design``
@@ -20,7 +21,6 @@ without listing it.
 
 from functools import cached_property
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,7 @@ from conftest import FIXDIR
 from sgk.cli import main
 from sgk.coset_graphs import orbital_double_coset_map
 from sgk.io import parse_group_file
-from sgk.perm import GroupTable, Perm, StabChain, enumerate_group
+from sgk.perm import GroupTable, Perm, StabChain
 from sgk.quotients import quotient_as_coset_graph
 from sgk.subgroups import (
     core,
@@ -48,32 +48,33 @@ def symmetric_group_file(n):
     return f"degree: {n}\n(1 2)\n({' '.join(str(p) for p in range(1, n + 1))})\n"
 
 
+LIST_GROUP = GroupTable.elements.func
+
+
 def _patch_listing(monkeypatch, replacement):
-    """Send every listing, ``GroupTable.elements`` or ``enumerate_group``,
-    to ``replacement(degree, generators, cap=None)``."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "sgk" and hasattr(module, "enumerate_group"):
-            monkeypatch.setattr(module, "enumerate_group", replacement)
-    elements = cached_property(lambda group: replacement(group.degree, group.generators))
+    """Send every listing, ``GroupTable.elements``, to ``replacement(group)``."""
+    elements = cached_property(replacement)
     elements.__set_name__(GroupTable, "elements")
     monkeypatch.setattr(GroupTable, "elements", elements)
 
 
 def forbid_listing(monkeypatch):
-    def refuse(*args, **kwargs):
+    def refuse(group):
         raise AssertionError("a group was listed")
 
     _patch_listing(monkeypatch, refuse)
 
 
 def record_listing(monkeypatch):
-    """Let groups be listed, recording the degree and generators of each;
-    the records come back in a list that fills as commands run."""
+    """Let groups be listed, recording the degree and generators of each
+    listing made; the records come back in a list that fills as commands
+    run."""
     listed = []
 
-    def record(degree, generators, cap=None):
-        listed.append((degree, tuple(generators)))
-        return enumerate_group(degree, generators, cap)
+    def record(group):
+        elements = LIST_GROUP(group)
+        listed.append((group.degree, group.generators))
+        return elements
 
     _patch_listing(monkeypatch, record)
     return listed
@@ -273,6 +274,44 @@ def quotient_layer_jobs(tmp_path):
         ["design", "polarities", "--design", c6_design, "--group", fix["z6"]],
     ]
     return jobs
+
+
+def test_group_lists_its_group_once(capsys, tmp_path, monkeypatch):
+    """``group`` reads ``enumeration-determinism`` off the one listing of
+    G: on S6, S7 and M11, one ``GroupTable`` listing and one walk over
+    the chain's levels."""
+    groups = ladder_groups(tmp_path)
+    listed = record_listing(monkeypatch)
+    walks = []
+    walk = StabChain.elements
+
+    def counted(chain):
+        walks.append(chain.order)
+        return walk(chain)
+
+    monkeypatch.setattr(StabChain, "elements", counted)
+    for name, order in (("s6", 720), ("s7", 5040), ("m11", 7920)):
+        del listed[:], walks[:]
+        code, _, err, doc, _ = outcome(capsys, tmp_path, ["group", "--group", groups[name]])
+        assert code == 0, err
+        assert doc["facts"]["order"] == order and all(c["pass"] for c in doc["claims"])
+        assert len(listed) == 1 and walks == [order], name
+
+
+def test_group_past_the_cap_lists_nothing(capsys, tmp_path, monkeypatch):
+    """Under a cap of 100, the 120 elements of S5 are refused before any
+    is listed: exit 1 with ``cap-exceeded`` and no certificate."""
+    monkeypatch.setenv("SGK_ELEMENT_CAP", "100")
+    listed = record_listing(monkeypatch)
+
+    def refuse(chain):
+        raise AssertionError("a chain was listed")
+
+    monkeypatch.setattr(StabChain, "elements", refuse)
+    code, out, err, doc, _ = outcome(capsys, tmp_path, ["group", "--group", str(FIXDIR / "s5.grp")])
+    assert code == 1 and out == "" and doc is None
+    assert err == "sgk: cap-exceeded: group exceeds the element cap of 100\n"
+    assert listed == []
 
 
 def test_listing_is_never_needed(capsys, tmp_path, monkeypatch):
