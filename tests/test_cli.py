@@ -697,9 +697,9 @@ def test_enumeration_determinism_catches_two_swapped_entries(capsys, monkeypatch
     listing = StabChain.elements
 
     def swapped(chain):
-        out = listing(chain)
-        out[6], out[7] = out[7], out[6]
-        return out
+        listed = listing(chain)
+        listed[6], listed[7] = listed[7], listed[6]
+        return listed
 
     monkeypatch.setattr(StabChain, "elements", swapped)
     code, out, err = run(capsys, "group", "--group", GRP)
