@@ -21,11 +21,11 @@ from .graphs import Graph, verify_action
 from .perm import (
     GroupTable,
     Record,
+    _witnesses,
     closure,
     coerce_action,
     orbit_map,
     point_step,
-    schreier_generators,
 )
 
 
@@ -248,9 +248,11 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
 
     A polarity is pinned down by the image of one point because the group
     moves that point everywhere, and it must send that point to a block
-    the point's stabiliser fixes, which is a block its Schreier generators
-    fix; seeding each such block and extending along the generators finds
-    every candidate.
+    the point's stabiliser fixes; seeding each such block and extending
+    along the generators finds every candidate.  By Schreier's lemma the
+    stabiliser of 0 fixes block c exactly when t_x.g.t_y^-1 does for every
+    edge x -> y = x^g of the orbit of 0, with t_x the witness carrying 0
+    to x read as a block row: when row_g[t_x[c]] == t_y[c].
     """
     if not is_flag_transitive(inc, group):
         raise NotFlagTransitive("the group is not flag transitive on the design")
@@ -258,17 +260,18 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
     if inc.n_blocks != n:
         return []
     step = _flag_step(inc, group)
-    # each generator with its block row after its points, so that every
-    # Schreier generator of the stabiliser of 0 carries its block row too
-    paired = [
-        g.images + tuple(n + b for b in row)
-        for g, row in zip(group.generators, generator_block_rows(inc, group))
-    ]
-    stab = schreier_generators(2 * n, paired, 0, point_step(paired))
+    rows = generator_block_rows(inc, group)
+    points = point_step([g.images for g in group.generators])
+    wit = _witnesses(0, tuple(range(n)), rows, points)
+    fixed = range(n)
+    # deepest edges first: long cycles close there, so most blocks drop early
+    for x in reversed(wit):
+        tx = wit[x]
+        for row, y in zip(rows, points(x)):
+            ty = wit[y]
+            fixed = [c for c in fixed if row[tx[c]] == ty[c]]
     out = []
-    for seed in range(n):
-        if any(s[n + seed] != n + seed for s in stab):
-            continue
+    for seed in fixed:
         # an equivariant point_map is the orbit of (0, seed) read as a map
         table = orbit_map(((0, seed),), step)
         if table is None or len(table) != n or len(set(table.values())) != n:

@@ -138,10 +138,11 @@ def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
     """Decide whether the action is symmetric on the graph.
 
     The generators must carry arcs to arcs, and the orbit of vertex 0
-    decides vertex transitivity.  One orbit split of the arcs decides the
-    rest: the action is arc transitive when there is one arc orbit, and
-    the stabiliser of v is transitive on the neighbours of v exactly when
-    the arcs leaving v lie in one orbit.
+    decides vertex transitivity.  The orbit of one arc decides arc
+    transitivity, which gives local transitivity too.  Otherwise one
+    orbit split of the arcs decides the rest: the stabiliser of v is
+    transitive on the neighbours of v exactly when the arcs leaving v lie
+    in one orbit.
     """
     act = coerce_action(group, graph.n)
     gen_rows = act.generator_rows()
@@ -149,12 +150,15 @@ def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
     vertex_tr = _vertex_transitive(graph, act)
     if not acts:
         return TransitivityReport(False, vertex_tr, False, False)
-    arc_orbits = tuple_orbits(list(graph.arcs), gen_rows)
+    arcs = list(graph.arcs)
+    if not arcs or sum(1 for _ in closure(arcs[:1], tuple_step(gen_rows))) == len(arcs):
+        return TransitivityReport(True, vertex_tr, True, True)
+    arc_orbits = tuple_orbits(arcs, gen_rows)
     orbit_of = {arc: k for k, orb in enumerate(arc_orbits) for arc in orb}
     local = all(
         len({orbit_of[(v, u)] for u in graph.adj[v]}) <= 1 for v in range(graph.n)
     )
-    return TransitivityReport(True, vertex_tr, len(arc_orbits) <= 1, local)
+    return TransitivityReport(True, vertex_tr, False, local)
 
 
 S_ARC_LIMIT = 5

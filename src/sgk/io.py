@@ -148,7 +148,7 @@ def parse_design_file(text: str) -> IncidenceStructure:
     """
     lines = _content_lines(text)
     n = _header_count(lines, "points")
-    names: list = []
+    names: dict = {}
     flags = set()
     for no, line in lines[1:]:
         head, sep, rest = line.partition(":")
@@ -160,8 +160,7 @@ def parse_design_file(text: str) -> IncidenceStructure:
         name = parts[1].strip()
         if name in names:
             raise ValueError(f"line {no}: block name {name!r} repeated")
-        b = len(names)
-        names.append(name)
+        names[name] = b = len(names)
         for tok in rest.split():
             p = _index(no, tok, n, "point")
             if (p, b) in flags:

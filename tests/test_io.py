@@ -96,8 +96,8 @@ def test_design_file_rejections():
         parse_design_file("block A: 1 2\n")
     with pytest.raises(ValueError):
         parse_design_file("points: 3\nblock A: 1 1\n")
-    with pytest.raises(ValueError):
-        parse_design_file("points: 3\nblock A: 1 2\nblock A: 2 3\n")
+    with pytest.raises(ValueError, match="^line 4: block name 'A' repeated$"):
+        parse_design_file("points: 3\nblock A: 1 2\nblock B: 1 3\nblock A: 2 3\n")
     with pytest.raises(ValueError):
         parse_design_file("points: 2\nblock A: 3\n")
 
