@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from itertools import compress, count
-from operator import attrgetter, ge
+from operator import ge
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -302,21 +302,20 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         _tiles(point_orbits, range(group.degree)),
         f"{len(point_orbits)} orbits tile the {group.degree} points",
     )
-    # the one listing of G, held to what every element index relies on
-    elements = group.elements
-    listed = list(map(attrgetter("images"), elements))
+    # the one listing of G, held to what every element number relies on
+    listed = group.elements
     detail = None
     if len(listed) != len(group):
         detail = {"listed": len(listed), "order": len(group)}
     elif listed[0] != tuple(range(group.degree)):
-        detail = {"first": elements[0].cycle_string()}
+        detail = {"first": Perm(listed[0]).cycle_string()}
     else:
         bad = next(compress(count(), map(ge, listed, listed[1:])), None)
         if bad is not None:
             detail = {
                 "position": bad + 1,
-                "element": elements[bad].cycle_string(),
-                "next": elements[bad + 1].cycle_string(),
+                "element": Perm(listed[bad]).cycle_string(),
+                "next": Perm(listed[bad + 1]).cycle_string(),
             }
     cert.claim(
         "enumeration-determinism",

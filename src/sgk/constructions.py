@@ -72,7 +72,8 @@ from .subgroups import BlockSystem
 
 
 def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Perm]) -> tuple:
-    """Extend generator images of N to a full automorphism row, by index.
+    """Extend generator images of N to a full automorphism row, on the
+    numbers of N's elements in its listing.
 
     The extension is checked on every edge of the Cayley graph of N, which
     makes it multiplicative; a clash or a failure to reach a bijection
@@ -88,14 +89,19 @@ def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Per
             raise TwistNotHomomorphism(
                 f"image {img.cycle_string()} lies outside N"
             )
-    mul = n_part.product_index
-    steps = list(zip(n_part.generator_indices(), map(n_part.index, images)))
-    values = orbit_map(((0, 0),), lambda xv: [(mul(xv[0], s), mul(xv[1], v)) for s, v in steps])
+    # listing N first refuses an N past the element cap before the walk
+    number = {x: i for i, x in enumerate(n_part.elements)}
+    steps = [(s.images, img.images) for s, img in zip(gens, images)]
+    identity = tuple(range(n_part.degree))
+    values = orbit_map(
+        ((identity, identity),),
+        lambda xv: [(_compose(xv[0], s), _compose(xv[1], v)) for s, v in steps],
+    )
     if values is None:
         raise TwistNotHomomorphism("generator images contradict each other on N")
     if len(values) != len(n_part) or len(set(values.values())) != len(n_part):
         raise TwistNotHomomorphism("the induced map on N is not a bijection")
-    return tuple(values[i] for i in range(len(n_part)))
+    return tuple(number[values[x]] for x in n_part.elements)
 
 
 class SemidirectGroup(GroupTable):
@@ -107,14 +113,16 @@ class SemidirectGroup(GroupTable):
     factor acting first as everywhere in this package, which is
     associative exactly when ρ(gh) = ρ(g) followed by ρ(h).  The
     generators are N's, (η, 1), then G's, (1, s); ``twists`` holds ρ(s)
-    for each generator s of G as a row on N's element numbers.
+    for each generator s of G as a row on N's element numbers, and
+    ``n_number`` maps each image tuple of N to its number.
     """
 
     def __init__(self, n_part: GroupTable, g_part: GroupTable, twists: Sequence[tuple]):
-        m = len(n_part.elements)
+        number = {x: i for i, x in enumerate(n_part.elements)}
+        m = len(number)
         fixed = tuple(range(m, m + g_part.degree))
         right = [
-            tuple(n_part.product_index(i, n_part.index(eta)) for i in range(m)) + fixed
+            tuple(number[_compose(x, eta.images)] for x in n_part.elements) + fixed
             for eta in n_part.generators
         ]
         twisted = [
@@ -124,6 +132,7 @@ class SemidirectGroup(GroupTable):
         self.n_part = n_part
         self.g_part = g_part
         self.twists = tuple(twists)
+        self.n_number = number
 
 
 def semidirect_product(
@@ -202,10 +211,11 @@ def chain_from_seeds(
             raise InvalidChain(f"seed value {v} is outside N")
         start.append((arc, v))
     gen_pairs = list(zip(act.generator_rows(), _twists_for_generators(act, sd)))
+    number, elements = sd.n_number, n_part.elements
 
     def step(item):
         (u, v), val = item
-        return [((v, u), n_part.inverse_index(val))] + [
+        return [((v, u), number[_invert(elements[val])])] + [
             ((row[u], row[v]), trow[val]) for row, trow in gen_pairs
         ]
 
@@ -260,8 +270,9 @@ def validate_nchain(
             raise InvalidChain(f"no value on arc {arc}")
         if not 0 <= chain.value(*arc) < len(n_part):
             raise InvalidChain(f"value on arc {arc} is outside N")
+    number, elements = sd.n_number, n_part.elements
     for (u, v) in sorted(graph.arcs):
-        if chain.value(v, u) != n_part.inverse_index(chain.value(u, v)):
+        if chain.value(v, u) != number[_invert(elements[chain.value(u, v)])]:
             raise InverseSymmetryViolated(
                 f"value on ({v}, {u}) is not the inverse of the value on ({u}, {v})"
             )
@@ -310,16 +321,17 @@ def biggs_cover(
     chain_report = validate_nchain(graph, group, sd, chain)
     act = coerce_action(group, graph.n)
     n_part = sd.n_part
-    m = len(n_part.elements)
+    number, elements = sd.n_number, n_part.elements
+    m = len(elements)
     labels = []
-    for ni in range(m):
-        stamp = n_part.element(ni).cycle_string()
+    for x in elements:
+        stamp = Perm(x).cycle_string()
         labels.extend(f"{stamp}|{lbl}" for lbl in graph.labels)
     arcs = []
     for (u, v) in graph.arcs:
-        val = chain.value(u, v)
-        for ni in range(m):
-            arcs.append((ni * graph.n + u, n_part.product_index(val, ni) * graph.n + v))
+        row = elements[chain.value(u, v)]
+        for ni, x in enumerate(elements):
+            arcs.append((ni * graph.n + u, number[_compose(row, x)] * graph.n + v))
     cover = Graph(labels, arcs)
     # a generator (η, g) sends (n, u) to (n^ρ(g)·η, u^g): its row on the
     # elements of N, then the row of g on the graph, the identity for N's

@@ -18,7 +18,7 @@ permutations raise the usual cycle parsing errors.
 from .designs import IncidenceStructure
 from .graphs import Graph
 from .errors import CapExceeded
-from .perm import GroupTable, Perm, element_cap
+from .perm import GroupTable, Perm, element_cap, parse_cycles
 from .subgroups import BlockSystem
 
 __all__ = [
@@ -210,6 +210,7 @@ def parse_chain_seeds(text: str, graph: Graph, n_part: GroupTable) -> dict:
     line per arc orbit is enough.
     """
     seeds: dict = {}
+    number: dict = {}
     for no, line in _content_lines(text):
         parts = line.split(None, 3)
         if len(parts) != 4 or parts[0] != "arc":
@@ -222,11 +223,12 @@ def parse_chain_seeds(text: str, graph: Graph, n_part: GroupTable) -> dict:
             )
         if (u, v) in seeds:
             raise ValueError(f"line {no}: arc ({parts[1]}, {parts[2]}) assigned twice")
-        p = Perm.from_cycles(parts[3], n_part.degree)
-        try:
-            seeds[(u, v)] = n_part.index(p)
-        except KeyError:
-            raise ValueError(f"line {no}: {parts[3]} is not an element of N") from None
+        p = parse_cycles(parts[3], n_part.degree)
+        # N is listed and numbered at its first arc line
+        number = number or {x: i for i, x in enumerate(n_part.elements)}
+        if p not in number:
+            raise ValueError(f"line {no}: {parts[3]} is not an element of N")
+        seeds[(u, v)] = number[p]
     if not seeds:
         raise ValueError("a chain file needs at least one arc line")
     return seeds

@@ -107,22 +107,12 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm(_invert(self.images))
 
-    def conjugated_by(self, g: "Perm") -> "Perm":
-        return g.inverse() * self * g
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
     def is_involution(self) -> bool:
         """Order exactly two."""
         return not self.is_identity() and (self * self).is_identity()
-
-    def order(self) -> int:
-        n, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
 
     def cycles(self) -> list:
         """Cycles of length at least two, each starting at its least point."""
@@ -211,11 +201,11 @@ class GroupTable:
     a subgroup is a group on the same points.
 
     Order, membership and least coset elements come from a stabiliser
-    chain (``chain``), built on first use.  The elements are read off that
-    chain on first access of ``elements``, under the element cap, sorted
-    by image tuple; the identity's image tuple is the lexicographic
-    minimum of all permutations, so it always sits at index 0.
-    Everything that indexes elements uses this order.
+    chain (``chain``), built on first use.  The elements are the chain's
+    listing of image tuples, read on first access of ``elements`` under
+    the element cap and sorted; the identity's image tuple is the
+    lexicographic minimum of all permutations, so it always comes first.
+    Whoever numbers elements numbers them in this order.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -233,11 +223,7 @@ class GroupTable:
         limit = element_cap()
         if self.order > limit:
             raise CapExceeded(f"group exceeds the element cap of {limit}")
-        return tuple(map(Perm, self.chain.elements()))
-
-    @cached_property
-    def _pos(self) -> dict:
-        return {p.images: i for i, p in enumerate(self.elements)}
+        return tuple(self.chain.elements())
 
     @cached_property
     def chain(self) -> "StabChain":
@@ -253,8 +239,11 @@ class GroupTable:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, perm) -> bool:
-        return isinstance(perm, Perm) and self.chain.contains(perm.images)
+    def __contains__(self, element) -> bool:
+        """A Perm, or an image tuple of this group's degree, in the group."""
+        if isinstance(element, Perm):
+            element = element.images
+        return isinstance(element, tuple) and self.chain.contains(element)
 
     def __repr__(self) -> str:
         return f"<group of order {len(self)} on {self.degree} points>"
@@ -263,26 +252,8 @@ class GroupTable:
         """The least image tuple in the right coset Hg, H this group."""
         return self.chain.least_in_coset(g)
 
-    def index(self, perm: Perm) -> int:
-        try:
-            return self._pos[perm.images]
-        except KeyError:
-            raise KeyError(f"{perm.cycle_string()} is not in this group") from None
-
-    def element(self, i: int) -> Perm:
-        return self.elements[i]
-
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
-
-    def generator_indices(self) -> tuple:
-        return tuple(self.index(g) for g in self.generators)
-
-    def product_index(self, i: int, j: int) -> int:
-        return self._pos[(self.elements[i] * self.elements[j]).images]
-
-    def inverse_index(self, i: int) -> int:
-        return self._pos[self.elements[i].inverse().images]
 
 
 # ---- stabiliser chains ---------------------------------------------------------
@@ -651,15 +622,16 @@ class Action:
 
     @cached_property
     def rows(self) -> tuple:
+        """The row of each element of the group, in the group's listing order."""
+        elements = self.group.elements
         if self._is_natural():
-            return tuple(p.images for p in self.group)
-        group = self.group
-        steps = list(zip(group.generator_indices(), self._gen_rows))
+            return elements
+        steps = [(g.images, r) for g, r in zip(self.group.generators, self._gen_rows)]
         values = orbit_map(
-            ((0, tuple(range(self.n_points))),),
-            lambda xv: [(group.product_index(xv[0], s), _compose(xv[1], r)) for s, r in steps],
+            ((elements[0], tuple(range(self.n_points))),),
+            lambda xv: [(_compose(xv[0], s), _compose(xv[1], r)) for s, r in steps],
         )
-        return tuple(values[i] for i in range(len(values)))
+        return tuple(values[x] for x in elements)
 
     def generator_rows(self) -> tuple:
         return self._gen_rows

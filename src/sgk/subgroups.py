@@ -156,12 +156,16 @@ class DoubleCoset(Record):
 
     @cached_property
     def elements(self) -> tuple:
+        """The image tuples of HxH, sorted."""
         reps, sub = self.space.reps, self.space.sub
-        return tuple(sorted(h * reps[c] for c in self.cosets for h in sub.elements))
+        return tuple(sorted(
+            _compose(h, reps[c].images) for c in self.cosets for h in sub.elements
+        ))
 
     @property
     def contains_involution(self) -> bool:
-        return any(p.is_involution() for p in self.elements)
+        identity = tuple(range(self.space.group.degree))
+        return any(x != identity and _compose(x, x) == identity for x in self.elements)
 
 
 class DoubleCosetDecomposition(Record):
@@ -270,9 +274,6 @@ class BlockSystem(Record):
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def is_trivial(self) -> bool:
-        return len(self.blocks) in (1, self.n_points)
 
     def image(self, b: int, x: Sequence[int]) -> int:
         """The block that the point permutation x sends block b to: the

@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def setwise_stabilizer(group, points) -> GroupTable:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)
     return GroupTable(
-        group.degree, [g for g in group.elements if frozenset(g(x) for x in pts) == pts]
+        group.degree, [Perm(g) for g in group.elements if frozenset(g[x] for x in pts) == pts]
     )
 
 
@@ -75,7 +76,7 @@ def twist_everywhere(n_part, g_part, twist) -> dict:
             for t, img in zip(n_part.generators, images):
                 f.setdefault((m * t).images, f[m.images] * img)
         gen_maps.append({k: v.images for k, v in f.items()})
-    rho = {g_part.identity().images: {p.images: p.images for p in n_part.elements}}
+    rho = {g_part.identity().images: {p: p for p in n_part.elements}}
     for x in closure([g_part.identity()], lambda y: [y * s for s in g_part.generators]):
         for s, f in zip(g_part.generators, gen_maps):
             rho.setdefault((x * s).images, {n: f[v] for n, v in rho[x.images].items()})
@@ -86,31 +87,31 @@ class SemidirectPairs:
     """Reference N ⋊ G, pair by pair from the listings of N and G.
 
     ``pairs`` holds every (η, g) as image tuples; ``mul`` multiplies them
-    as (n₁, g₁)(n₂, g₂) = (n₁^ρ(g₂)·n₂, g₁g₂); ``perm`` is the permutation
-    a pair makes on the elements of N, numbered as N lists them, followed
-    by the points of G (n ↦ n^ρ(g)·η, p ↦ p^g); ``cover_row`` is its row
-    on the vertices n·|V| + u of a Biggs cover, G acting on V as on its
-    points.
+    as (n₁, g₁)(n₂, g₂) = (n₁^ρ(g₂)·n₂, g₁g₂); ``perm`` is the image tuple
+    of the permutation a pair makes on the elements of N, numbered as N
+    lists them, followed by the points of G (n ↦ n^ρ(g)·η, p ↦ p^g);
+    ``cover_row`` is its row on the vertices n·|V| + u of a Biggs cover,
+    G acting on V as on its points.
     """
 
     def __init__(self, n_part, g_part, twist):
         self.rho = twist_everywhere(n_part, g_part, twist)
-        self.n_elements = [p.images for p in n_part.elements]
+        self.n_elements = list(n_part.elements)
         self.number = {n: i for i, n in enumerate(self.n_elements)}
-        self.pairs = [(eta, g.images) for eta in self.n_elements for g in g_part.elements]
+        self.pairs = [(eta, g) for eta in self.n_elements for g in g_part.elements]
 
     def mul(self, x, y):
         (n1, g1), (n2, g2) = x, y
-        return _product(self.rho[g2][n1], n2), _product(g1, g2)
+        return product(self.rho[g2][n1], n2), product(g1, g2)
 
     def perm(self, x):
         eta, g = x
         m = len(self.n_elements)
-        on_n = [self.number[_product(self.rho[g][n], eta)] for n in self.n_elements]
-        return Perm(on_n + [m + p for p in g])
+        on_n = [self.number[product(self.rho[g][n], eta)] for n in self.n_elements]
+        return tuple(on_n + [m + p for p in g])
 
     def cover_row(self, x, base_n):
-        on_n, g = self.perm(x).images, x[1]
+        on_n, g = self.perm(x), x[1]
         m = len(self.n_elements)
         return tuple(on_n[i] * base_n + g[u] for i in range(m) for u in range(base_n))
 
@@ -126,9 +127,31 @@ def pgl2(q: int) -> GroupTable:
     return GroupTable(q + 1, [Perm(shift), Perm(scale), Perm(flip)])
 
 
-def _product(a, b):
+def product(a, b):
     """Image tuple of a followed by b."""
     return tuple(b[i] for i in a)
+
+
+def inverse(a):
+    """Image tuple of the inverse of a."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def order(a) -> int:
+    """The order of the image tuple a: the lcm of its cycle lengths."""
+    seen, out = set(), 1
+    for start in range(len(a)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = a[x]
+            length += 1
+        if length:
+            out = math.lcm(out, length)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.graphs import complete_graph
 from sgk.io import format_graph, format_group
-from sgk.perm import Action, StabChain
+from sgk.perm import Action, Perm, StabChain
 from sgk.subgroups import BlockSystem
 
 
@@ -693,7 +693,7 @@ def test_enumeration_determinism_catches_two_swapped_entries(capsys, monkeypatch
     assert code == 0, err
     claims = {c["id"]: c for c in cert_from(out)["claims"]}
     assert claims["enumeration-determinism"]["pass"]
-    names = [g.cycle_string() for g in s4.elements]
+    names = [Perm(g).cycle_string() for g in s4.elements]
     listing = StabChain.elements
 
     def swapped(chain):

@@ -67,14 +67,16 @@ def _cases():
 
     def conjugating(g_part):
         """S4 acting on its normal subgroup V4 by conjugation."""
-        return [[a.conjugated_by(s) for a in v4.generators] for s in g_part.generators]
+        return [[s.inverse() * a * s for a in v4.generators] for s in g_part.generators]
 
+    # the position of V4's first generator in its listing
+    v4_first = v4.elements.index(v4.generators[0].images)
     out = {
         "k4-s4-z2": (k4, s4, z2, trivial(z2, s4), {(0, 1): 1}),
-        "k5-s5-v4": (k5, s5, v4, trivial(v4, s5), {(0, 1): v4.index(v4.generators[0])}),
+        "k5-s5-v4": (k5, s5, v4, trivial(v4, s5), {(0, 1): v4_first}),
         # both generators of S4 are odd, so only the identity chain is compatible
         "k4-s4-z3-sign": (k4, s4, z3, [[z3.generators[0].inverse()]] * 2, {(0, 1): 0}),
-        "k4-s4-v4-conj": (k4, s4, v4, conjugating(s4), {(0, 1): v4.index(v4.generators[0])}),
+        "k4-s4-v4-conj": (k4, s4, v4, conjugating(s4), {(0, 1): v4_first}),
         "k8-agl-z2": (complete_graph(8), _group(8, AGL32), z2, trivial(z2, _group(8, AGL32)),
                       {(0, 1): 1}),
     }

@@ -1,9 +1,11 @@
 """The package's export lists: every name in ``sgk.__all__`` resolves, none
 appears twice, every public attribute of the package is exported, and
-every exported function has a caller."""
+every exported function, and every public method and property of an
+exported class, has a reader."""
 
 import ast
 import types
+from functools import cached_property
 from pathlib import Path
 
 import sgk
@@ -51,3 +53,60 @@ def test_every_exported_function_has_a_caller():
         if isinstance(getattr(module, name), types.FunctionType) and name not in read
     )
     assert idle == []
+
+
+def _attributes_read() -> tuple:
+    """The attribute names loaded, and those called, anywhere in the
+    package or the acceptance test."""
+    paths = [
+        *Path(sgk.__file__).parent.glob("*.py"), Path(__file__).with_name("test_acceptance.py")
+    ]
+    loaded, called = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return loaded, called
+
+
+def _members(cls):
+    """(name, is a property) for each public method and property that the
+    class itself defines."""
+    for name, value in vars(cls).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(value, (property, cached_property)):
+            yield name, True
+        elif isinstance(value, (types.FunctionType, classmethod, staticmethod)):
+            yield name, False
+
+
+def idle_members(loaded: set, called: set) -> list:
+    """``Class.name`` of each public method and property of an exported
+    class that nothing reads.  A property is read wherever ``x.name`` is
+    loaded.  So is a method, unless some exported class has a property of
+    that name; then only a call ``x.name(...)`` reads the method, since a
+    bare ``x.name`` would be that property: reading ``group.order`` says
+    nothing of a method ``order`` on permutations."""
+    classes = [v for n in sgk.__all__ if isinstance(v := getattr(sgk, n), type)]
+    properties = {name for cls in classes for name, prop in _members(cls) if prop}
+    return sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, prop in _members(cls)
+        if name not in (loaded if prop or name not in properties else called)
+    )
+
+
+def test_every_method_and_property_of_an_exported_class_has_a_reader():
+    assert idle_members(*_attributes_read()) == []
+
+
+def test_the_member_scan_tells_a_method_from_a_property_of_its_name():
+    """``Graph.degree`` is a method and ``Perm.degree`` a property: a bare
+    ``x.degree`` reads only the property, a call reads the method."""
+    loaded, called = _attributes_read()
+    assert idle_members(loaded, called - {"degree"}) == ["Graph.degree"]
+    assert idle_members(loaded - {"degree"}, called) == ["Perm.degree"]

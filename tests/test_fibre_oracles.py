@@ -114,7 +114,7 @@ def test_normal_subgroup_is_normal_and_regular(inputs, name):
     fx = extract_fibre_data(quotient(graph, group, blocks))
     members = set(fx.normal)
     assert all(tuple(b[i] for i in a) in members for a in members for b in members)
-    for g in group.elements:
+    for g in map(Perm, group.elements):
         inv = g.inverse()
         assert all((inv * Perm(x) * g).images in members for x in members)
     targets = sorted(blocks.block_of[x[blocks.blocks[0][0]]] for x in members)

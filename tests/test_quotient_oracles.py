@@ -46,7 +46,7 @@ def _cases(images):
     assume(GroupTable(n, [Perm(g) for g in images]).order <= ORDER_LIMIT)
     group = group_from_generators([Perm(g) for g in images], degree=n)
     assume(is_transitive(group))
-    systems = [s for s in all_block_systems(group) if not s.is_trivial()]
+    systems = [s for s in all_block_systems(group) if 1 < s.n_blocks < s.n_points]
     labels = [str(i + 1) for i in range(n)]
     graphs = [Graph(labels, ob.pairs) for ob in orbitals(group)
               if ob.self_paired and not ob.diagonal]
@@ -57,7 +57,7 @@ def _cases(images):
 def _block_stabiliser(group, partition, b):
     """Every listed element that fixes block b, as image tuples."""
     blk = set(partition.blocks[b])
-    return [g.images for g in group.elements if {g(p) for p in blk} == blk]
+    return [g for g in group.elements if {g[p] for p in blk} == blk]
 
 
 def _block_image(partition, row, c):
@@ -84,8 +84,8 @@ def _reference_labelling(group, q):
     labelling = {}
     for g in group.elements:
         for m in members:
-            label = _block_image(partition, g.images, table[m])
-            assert labelling.setdefault(g(m), label) == label
+            label = _block_image(partition, g, table[m])
+            assert labelling.setdefault(g[m], label) == label
     return tuple(labelling[v] for v in range(graph.n))
 
 
@@ -162,7 +162,7 @@ def _check_three_arc_graphs(graph, group):
     walks = enumerate_s_arcs(graph, 3)
     for orb in three_arc_orbits(graph, group):
         rep = orb.arcs[0]
-        orbit = {tuple(g(x) for x in rep) for g in group.elements}
+        orbit = {tuple(g[x] for x in rep) for g in group.elements}
         assert orbit == set(orb.arcs)
         if not orb.self_paired:
             continue
@@ -179,5 +179,5 @@ def _check_three_arc_graphs(graph, group):
 def _arc_group(group, tag):
     """The group listed by its action on the arcs of the base graph."""
     index = {a: i for i, a in enumerate(tag.vertices)}
-    rows = {tuple(index[(g(u), g(v))] for u, v in tag.vertices) for g in group.elements}
+    rows = {tuple(index[(g[u], g[v])] for u, v in tag.vertices) for g in group.elements}
     return GroupTable(len(tag.vertices), [Perm(r) for r in sorted(rows)])

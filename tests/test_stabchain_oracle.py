@@ -99,7 +99,7 @@ def _check_against_sympy(n, gens):
     assert chain.order == len(listed)
     assert all(chain.contains(g.images) for g in listed)
     table = GroupTable(n, [Perm(g) for g in gens])
-    assert [g.images for g in table.elements] == [g.images for g in listed]
+    assert list(table.elements) == [g.images for g in listed]
     return chain, listed
 
 

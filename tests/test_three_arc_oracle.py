@@ -29,7 +29,7 @@ def reference_orbits(graph, act) -> list:
     """(orbit, self-paired, partner) for each orbit on 3-arcs: the list of
     every 3-arc, split in its order by the images of each 3-arc not yet
     placed under every listed element."""
-    rows = [p.images[:graph.n] for p in act.group.elements]
+    rows = [p[:graph.n] for p in act.group.elements]
     where, split = {}, []
     for t in enumerate_s_arcs(graph, 3):
         if t not in where:

@@ -38,7 +38,7 @@ def _transitive_on(tuples, rows):
 def reference(graph, act):
     """Every report field and the s-arc level, from all rows of the action:
     each listed element of the group cut down to the graph's points."""
-    rows = [p.images[:graph.n] for p in act.group.elements]
+    rows = [p[:graph.n] for p in act.group.elements]
     acts = all((row[u], row[v]) in graph.arcs for row in rows for (u, v) in graph.arcs)
     vertex_tr = {row[0] for row in rows} == set(range(graph.n)) if graph.n else True
     kernel = sum(1 for row in rows if row == tuple(range(graph.n)))
