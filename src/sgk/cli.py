@@ -65,10 +65,12 @@ from .perm import (
     Action,
     GroupTable,
     Perm,
+    _compose,
     closure,
     coerce_action,
     orbits,
     paired_order,
+    parse_cycles,
     point_step,
     tuple_step,
 )
@@ -209,7 +211,7 @@ def _induced_group_text(act: Action) -> str:
     """
     ident = tuple(range(act.n_points))
     rows = [row for row in dict.fromkeys(act.generator_rows()) if row != ident]
-    return format_group(GroupTable(act.n_points, map(Perm, rows or [ident])))
+    return format_group(GroupTable(act.n_points, rows or [ident]))
 
 
 def _write_group_out(args, act: Action) -> None:
@@ -244,7 +246,7 @@ def _claim_symmetric(cert: Certificate, graph: Graph, act: Action, report) -> No
                 if (row[u], row[v]) not in graph.arcs:
                     detail = {
                         "kind": "generator breaks an arc",
-                        "generator": gen.cycle_string(),
+                        "generator": Perm(gen).cycle_string(),
                         "arc": _arc_pair(graph, u, v),
                         "image": [graph.labels[row[u]], graph.labels[row[v]]],
                     }
@@ -279,7 +281,7 @@ def cmd_group(args, cert: Certificate) -> Optional[str]:
         {
             "degree": group.degree,
             "order": len(group),
-            "generators": [g.cycle_string() for g in group.generators],
+            "generators": [Perm(g).cycle_string() for g in group.generators],
             "transitive": len(point_orbits) == 1,
             "orbit_sizes": [len(o) for o in point_orbits],
         }
@@ -335,7 +337,7 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
         group, parse_subgroup_generators(args.subgroup, group.degree)
     )
     cert.add_input("involution", args.involution)
-    a = Perm.from_cycles(args.involution, group.degree)
+    a = parse_cycles(args.involution, group.degree)
     res = symmetric_coset_graph(group, sub, a)
     g, r = res.graph, res.report
     cert.facts.update(
@@ -370,18 +372,18 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
     cosets = res.cosets
     v_a = cosets.coset_of(a)
     by_action = res.arc_stabilizer
-    by_algebra = cosets.stabilizer([a * h * a for h in sub.generators], 0)
+    by_algebra = cosets.stabilizer([_compose(_compose(a, h), a) for h in sub.generators], 0)
 
-    def fixes_arc(x: Perm) -> bool:
-        return cosets.coset_of(x) == 0 and cosets.coset_of(cosets.reps[v_a] * x) == v_a
+    def fixes_arc(x: tuple) -> bool:
+        return cosets.coset_of(x) == 0 and cosets.coset_of(_compose(cosets.reps[v_a], x)) == v_a
 
     action_only = sorted(
-        x.cycle_string()
+        Perm(x).cycle_string()
         for x in by_action.generators
-        if not (x in sub and a * x * a in sub)
+        if not (x in sub and _compose(_compose(a, x), a) in sub)
     )
     algebra_only = sorted(
-        x.cycle_string() for x in by_algebra.generators if not fixes_arc(x)
+        Perm(x).cycle_string() for x in by_algebra.generators if not fixes_arc(x)
     )
     same = by_action.order == by_algebra.order and not action_only and not algebra_only
     cert.claim(
@@ -472,7 +474,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     for gen, row, qrow in zip(group.generators, act.generator_rows(), qact.generator_rows()):
         for v in range(graph.n):
             if partition.block_of[row[v]] != qrow[partition.block_of[v]]:
-                bad = {"generator": gen.cycle_string(), "vertex": graph.labels[v]}
+                bad = {"generator": Perm(gen).cycle_string(), "vertex": graph.labels[v]}
                 break
         if bad:
             break
@@ -522,7 +524,7 @@ def cmd_blocks(args, cert: Certificate) -> Optional[str]:
             ],
         }
     )
-    gen_rows = [g.images for g in group.generators]
+    gen_rows = group.generators
     block_sets = [{tuple(b) for b in system.blocks} for system in systems]
     bad = _first_bad_block(systems, lambda si, blk: any(
         tuple(sorted(row[p] for p in blk)) not in block_sets[si] for row in gen_rows
@@ -794,12 +796,11 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
             "cover_class": bc.certificate.cover_class,
         }
     )
-    gens = [x.images for x in sd.generators]
-    paired = paired_order(gens, bc.action.generator_rows())
+    paired = paired_order(sd.generators, bc.action.generator_rows())
     cert.claim(
         "biggs-action-law",
         paired == len(sd),
-        f"the {len(gens)} generators paired with their cover rows generate"
+        f"the {len(sd.generators)} generators paired with their cover rows generate"
         f" {paired} elements, as N x G has"
         if paired == len(sd)
         else {"paired_order": paired, "semidirect_order": len(sd)},
@@ -875,7 +876,7 @@ def cmd_subgraph_graph(args, cert: Certificate) -> Optional[str]:
     cert.add_input("subgraph", args.subgraph)
     sub = _parse_directed_subgraph(args.subgraph, graph)
     cert.add_input("involution", args.involution)
-    a = Perm.from_cycles(args.involution, group.degree)
+    a = parse_cycles(args.involution, group.degree)
     from .constructions import subgraph_graph
 
     res = subgraph_graph(graph, group, sub, a)
@@ -933,7 +934,7 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
         group, parse_subgroup_generators(args.over, group.degree)
     )
     cert.add_input("involution", args.involution)
-    a = Perm.from_cycles(args.involution, group.degree)
+    a = parse_cycles(args.involution, group.degree)
     ext = arc_partition_extension(group, sub, over, a)
     base = ext.base.graph
     cert.facts.update(

@@ -51,6 +51,7 @@ from .perm import (
     capped,
     closure,
     coerce_action,
+    is_involution,
     orbit_map,
     orbits,
     paired_order,
@@ -71,7 +72,7 @@ from .subgroups import BlockSystem
 # ---- semidirect products ---------------------------------------------------
 
 
-def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Perm]) -> tuple:
+def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[tuple]) -> tuple:
     """Extend generator images of N to a full automorphism row, on the
     numbers of N's elements in its listing.
 
@@ -87,11 +88,11 @@ def _automorphism_from_generator_images(n_part: GroupTable, images: Sequence[Per
     for img in images:
         if img not in n_part:
             raise TwistNotHomomorphism(
-                f"image {img.cycle_string()} lies outside N"
+                f"image {Perm(img).cycle_string()} lies outside N"
             )
     # listing N first refuses an N past the element cap before the walk
     number = {x: i for i, x in enumerate(n_part.elements)}
-    steps = [(s.images, img.images) for s, img in zip(gens, images)]
+    steps = list(zip(gens, images))
     identity = tuple(range(n_part.degree))
     values = orbit_map(
         ((identity, identity),),
@@ -122,13 +123,13 @@ class SemidirectGroup(GroupTable):
         m = len(number)
         fixed = tuple(range(m, m + g_part.degree))
         right = [
-            tuple(number[_compose(x, eta.images)] for x in n_part.elements) + fixed
+            tuple(number[_compose(x, eta)] for x in n_part.elements) + fixed
             for eta in n_part.generators
         ]
         twisted = [
-            row + tuple(m + p for p in s.images) for row, s in zip(twists, g_part.generators)
+            row + tuple(m + p for p in s) for row, s in zip(twists, g_part.generators)
         ]
-        super().__init__(m + g_part.degree, [Perm(row) for row in right + twisted])
+        super().__init__(m + g_part.degree, right + twisted)
         self.n_part = n_part
         self.g_part = g_part
         self.twists = tuple(twists)
@@ -136,7 +137,7 @@ class SemidirectGroup(GroupTable):
 
 
 def semidirect_product(
-    n_part: GroupTable, g_part: GroupTable, twist: Sequence[Sequence[Perm]]
+    n_part: GroupTable, g_part: GroupTable, twist: Sequence[Sequence[tuple]]
 ) -> SemidirectGroup:
     """Form N ⋊_ρ G from generator data for the twist.
 
@@ -150,7 +151,7 @@ def semidirect_product(
             f"{len(twist)} automorphisms for {len(g_part.generators)} generators of G"
         )
     twists = [_automorphism_from_generator_images(n_part, images) for images in twist]
-    if paired_order([s.images for s in g_part.generators], twists) != len(g_part):
+    if paired_order(g_part.generators, twists) != len(g_part):
         raise TwistNotHomomorphism("the twist does not extend to a homomorphism on G")
     sd = SemidirectGroup(n_part, g_part, twists)
     certify(len(sd) == len(n_part) * len(g_part), "N ⋊ G has |N|·|G| elements")
@@ -337,7 +338,7 @@ def biggs_cover(
     # elements of N, then the row of g on the graph, the identity for N's
     g_rows = [tuple(range(graph.n))] * len(n_part.generators) + list(act.generator_rows())
     action = Action(sd, cover.n, [
-        tuple(x.images[ni] * graph.n + g_row[u] for ni in range(m) for u in range(graph.n))
+        tuple(x[ni] * graph.n + g_row[u] for ni in range(m) for u in range(graph.n))
         for x, g_row in zip(sd.generators, g_rows)
     ])
     report = verify_action(cover, action)
@@ -593,7 +594,7 @@ class SubgraphGraph(Record):
 
 
 def subgraph_graph(
-    graph: Graph, group: GroupLike, sub: DirectedSubgraph, a: Perm
+    graph: Graph, group: GroupLike, sub: DirectedSubgraph, a: tuple
 ) -> SubgraphGraph:
     """The graph on the orbit of a directed subgraph, with Υ^g joined to
     Υ^{ag} for every group element.
@@ -604,10 +605,10 @@ def subgraph_graph(
     """
     act = coerce_action(group, graph.n)
     if a not in act.group:
-        raise NotInvolution(f"{a.cycle_string()} is not in the group")
-    if not a.is_involution():
-        raise NotInvolution(f"{a.cycle_string()} is not an involution")
-    if a.degree != graph.n:
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not in the group")
+    if not is_involution(a):
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not an involution")
+    if len(a) != graph.n:
         raise DegreeMismatch("the involution acts on the wrong number of points")
     for v in sub.vertices:
         if not 0 <= v < graph.n:
@@ -628,7 +629,7 @@ def subgraph_graph(
     )
     # Υ^g joins (Υ^a)^g, so the arcs are the orbit of (Υ, Υ^a) and its reverse
     base_index = where[sub.key()]
-    base_arc = (base_index, where[sub.image(a.images).key()])
+    base_arc = (base_index, where[sub.image(a).key()])
     dropped = base_arc[0] == base_arc[1]
     arcs = [] if dropped else closure((base_arc, base_arc[::-1]), tuple_step(sub_rows))
     out = Graph(labels, arcs)
@@ -670,7 +671,7 @@ class ArcExtension(Record):
 
 
 def arc_partition_extension(
-    group: GroupTable, sub: GroupTable, over: GroupTable, a: Perm
+    group: GroupTable, sub: GroupTable, over: GroupTable, a: tuple
 ) -> ArcExtension:
     """Unfold the coset graph on H into the one on K < H by cutting each
     vertex into r = [H : K] bundles of arcs.
@@ -681,9 +682,9 @@ def arc_partition_extension(
     to collapse back onto the base when bundles at a vertex are merged.
     """
     if a not in group:
-        raise NotInvolution(f"{a.cycle_string()} is not in the group")
-    if not a.is_involution():
-        raise NotInvolution(f"{a.cycle_string()} is not an involution")
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not in the group")
+    if not is_involution(a):
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not an involution")
     if not all(k in sub for k in over.generators):
         raise NoStrictChain("K must sit inside H")
     if a in over:
@@ -702,17 +703,16 @@ def arc_partition_extension(
     kbar = model.arc_stabilizer
     certify(
         kbar.order == bar.order
-        and all(h in over and a * h * a in over for h in bar.generators)
-        and all(k in sub and a * k * a in sub for k in kbar.generators),
+        and all(h in over and _compose(_compose(a, h), a) in over for h in bar.generators)
+        and all(k in sub and _compose(_compose(a, k), a) in sub for k in kbar.generators),
         "the arc stabilizer survives the descent to K",
     )
     # witness one group element per arc, breadth first from (H, Ha)
     h_cosets = base.cosets
-    base_arc = (h_cosets.coset_of(group.identity()), h_cosets.coset_of(a))
-    gens = [g.images for g in group.generators]
+    identity = tuple(range(group.degree))
+    base_arc = (h_cosets.coset_of(identity), h_cosets.coset_of(a))
     arc_step = tuple_step(base.action.generator_rows())
-    walk = _witnesses(base_arc, group.identity().images, gens, arc_step)
-    witness = {arc: Perm(w) for arc, w in walk.items()}
+    witness = _witnesses(base_arc, identity, group.generators, arc_step)
     certify(set(witness) == base.graph.arcs, "the group walks to every arc")
     k_cosets = model.cosets
     bundle_of = {arc: k_cosets.coset_of(w) for arc, w in witness.items()}
@@ -738,7 +738,7 @@ def arc_partition_extension(
             certify(j != blk_i, "no bundle contains a reversed pair")
             ext_arcs.add((blk_i, j))
     labels = [
-        model.cosets.reps[k_cosets.coset_of(witness[blk[0]])].cycle_string()
+        Perm(model.cosets.reps[k_cosets.coset_of(witness[blk[0]])]).cycle_string()
         for blk in blocks
     ]
     extension = Graph(labels, ext_arcs)

@@ -16,6 +16,7 @@ from .perm import (
     Perm,
     Record,
     closure,
+    is_involution,
     orbits,
     tuple_step,
 )
@@ -40,7 +41,7 @@ class CosetGraphResult(Record):
         return self.arc_stabilizer.order
 
 
-def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetGraphResult:
+def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: tuple) -> CosetGraphResult:
     """Coset graph whose connecting set is the double coset HaH of an
     involution outside the subgroup; the canonical shape of a symmetric
     graph, certified on the way out.
@@ -50,15 +51,15 @@ def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: Perm) -> CosetG
     in H, given by its Schreier generators.  Neither G nor H is listed.
     """
     if a not in group:
-        raise NotInvolution(f"{a.cycle_string()} is not in the group")
-    if not a.is_involution():
-        raise NotInvolution(f"{a.cycle_string()} is not an involution")
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not in the group")
+    if not is_involution(a):
+        raise NotInvolution(f"{Perm(a).cycle_string()} is not an involution")
     if a in sub:
         raise InsideSubgroup(
             "the involution lies in the subgroup; the graph would have loops"
         )
     cosets = right_cosets(group, sub)
-    labels = [rep.cycle_string() for rep in cosets.reps]
+    labels = [Perm(rep).cycle_string() for rep in cosets.reps]
     ha = cosets.coset_of(a)
     # Hx joins Hy when x·y⁻¹ ∈ HaH, so the arcs are the G-orbit of the
     # arc (Ha, H); H is coset 0

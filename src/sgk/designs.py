@@ -20,6 +20,7 @@ from .errors import (
 from .graphs import Graph, verify_action
 from .perm import (
     GroupTable,
+    Perm,
     Record,
     _witnesses,
     closure,
@@ -131,10 +132,10 @@ def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> tuple:
     for g in group.generators:
         row = []
         for b in range(inc.n_blocks):
-            img = frozenset(g.images[p] for p in inc.trace(b))
+            img = frozenset(g[p] for p in inc.trace(b))
             if img not in trace_index:
                 raise NoBlockAction(
-                    f"{g.cycle_string()} does not carry block {labels[b]} to a block"
+                    f"{Perm(g).cycle_string()} does not carry block {labels[b]} to a block"
                 )
             row.append(trace_index[img])
         rows.append(tuple(row))
@@ -144,7 +145,7 @@ def generator_block_rows(inc: IncidenceStructure, group: GroupTable) -> tuple:
 
 def _flag_step(inc: IncidenceStructure, group: GroupTable):
     pairs = list(zip(group.generators, generator_block_rows(inc, group)))
-    return lambda flag: [(g.images[flag[0]], row[flag[1]]) for g, row in pairs]
+    return lambda flag: [(g[flag[0]], row[flag[1]]) for g, row in pairs]
 
 
 def is_flag_transitive(inc: IncidenceStructure, group: GroupTable) -> bool:
@@ -183,9 +184,9 @@ def check_polarity(inc: IncidenceStructure, group: GroupTable, pol: Polarity) ->
             raise NotPolarity(f"flag duality fails at point {p}, block {b}")
     for g, row in zip(group.generators, generator_block_rows(inc, group)):
         for p in range(n):
-            if pol.point_map[g.images[p]] != row[pol.point_map[p]]:
+            if pol.point_map[g[p]] != row[pol.point_map[p]]:
                 raise NotPolarity(
-                    f"{g.cycle_string()} does not commute with the polarity"
+                    f"{Perm(g).cycle_string()} does not commute with the polarity"
                 )
 
 
@@ -261,7 +262,7 @@ def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:
         return []
     step = _flag_step(inc, group)
     rows = generator_block_rows(inc, group)
-    points = point_step([g.images for g in group.generators])
+    points = point_step(group.generators)
     wit = _witnesses(0, tuple(range(n)), rows, points)
     fixed = range(n)
     # deepest edges first: long cycles close there, so most blocks drop early

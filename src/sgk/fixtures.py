@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .graphs import Graph, complete_graph, cycle_graph
 from .io import format_graph, format_group
-from .perm import GroupTable, Perm, group_from_generators
+from .perm import GroupTable, group_from_generators, parse_cycles
 
 __all__ = [
     "s4",
@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _group(degree: int, *cycles: str) -> GroupTable:
-    return group_from_generators([Perm.from_cycles(c, degree) for c in cycles])
+    return group_from_generators([parse_cycles(c, degree) for c in cycles])
 
 
 def s4() -> GroupTable:
@@ -102,11 +102,8 @@ def petersen_group() -> GroupTable:
     pos = {p: i for i, p in enumerate(pairs)}
     gens = []
     for cycles in ("(1 2)", "(1 2 3 4 5)"):
-        g = Perm.from_cycles(cycles, 5)
-        images = tuple(
-            pos[tuple(sorted((g.images[a], g.images[b])))] for (a, b) in pairs
-        )
-        gens.append(Perm(images))
+        g = parse_cycles(cycles, 5)
+        gens.append(tuple(pos[tuple(sorted((g[a], g[b])))] for (a, b) in pairs))
     return group_from_generators(gens, 10)
 
 

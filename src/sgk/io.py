@@ -84,7 +84,7 @@ def parse_group_file(text: str) -> GroupTable:
     """A ``degree:`` line followed by one generator per line."""
     lines = _content_lines(text)
     degree = _header_count(lines, "degree")
-    gens = tuple(Perm.from_cycles(line, degree) for _, line in lines[1:])
+    gens = tuple(parse_cycles(line, degree) for _, line in lines[1:])
     if not gens:
         raise ValueError("a group file needs at least one generator line")
     return GroupTable(degree, gens)
@@ -93,7 +93,7 @@ def parse_group_file(text: str) -> GroupTable:
 def format_group(group) -> str:
     """Accepts anything with ``degree`` and ``generators``."""
     out = [f"degree: {group.degree}"]
-    out.extend(g.cycle_string() for g in group.generators)
+    out.extend(Perm(g).cycle_string() for g in group.generators)
     return "\n".join(out) + "\n"
 
 
@@ -268,13 +268,13 @@ def parse_twist_file(text: str, n_part: GroupTable, g_part: GroupTable) -> list:
             src_text, sep, dst_text = entry.partition("->")
             if not sep:
                 raise ValueError(f"line {no}: expected 'src -> dst' in {entry!r}")
-            src = Perm.from_cycles(src_text.strip(), n_part.degree)
+            src = parse_cycles(src_text.strip(), n_part.degree)
             if src != gen:
                 raise ValueError(
-                    f"line {no}: source {src.cycle_string()} is not the "
-                    f"generator {gen.cycle_string()} of N"
+                    f"line {no}: source {Perm(src).cycle_string()} is not the "
+                    f"generator {Perm(gen).cycle_string()} of N"
                 )
-            images.append(Perm.from_cycles(dst_text.strip(), n_part.degree))
+            images.append(parse_cycles(dst_text.strip(), n_part.degree))
         rows.append(images)
     return rows
 
@@ -298,7 +298,7 @@ def parse_subgroup_generators(text: str, degree: int) -> tuple:
             depth -= 1
         cur.append(ch)
     parts.append("".join(cur))
-    gens = tuple(Perm.from_cycles(p.strip(), degree) for p in parts if p.strip())
+    gens = tuple(parse_cycles(p.strip(), degree) for p in parts if p.strip())
     if not gens:
         raise ValueError("no generators in the argument")
     return gens

@@ -1,9 +1,10 @@
 """Permutations of {0, ..., n-1}, permutation groups and their stabiliser chains.
 
-Composition reads left to right: ``(p * q)(i) == q(p(i))``, the right
-action convention, so conjugation ``x ** g`` means ``g⁻¹ x g`` and
-stabilisers transform the way orbits do.  Points are 0-based in memory;
-cycle notation at the text boundary is 1-based.
+A permutation is its tuple of images.  Composition reads left to right:
+``_compose(p, q)[i] == q[p[i]]``, the right action convention, so the
+conjugate of x by g is g⁻¹xg and stabilisers transform the way orbits
+do.  Points are 0-based in memory; cycle notation at the text boundary
+is 1-based, read by ``parse_cycles`` and printed by ``Perm``.
 """
 
 from __future__ import annotations
@@ -78,41 +79,17 @@ class Record:
 
 
 class Perm:
-    """A permutation stored as its tuple of images."""
+    """A permutation's image tuple, wrapped to print as cycles."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         self.images = tuple(images)
 
-    @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Perm":
-        """Parse 1-based cycle notation such as ``(1 2)(3 4)``."""
-        return cls(parse_cycles(text, degree))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
+    # nothing in the package multiplies Perms; clibench's tracer wraps this
+    # method to count products, so it stays
     def __mul__(self, other: "Perm") -> "Perm":
         return Perm(_compose(self.images, other.images))
-
-    def inverse(self) -> "Perm":
-        return Perm(_invert(self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-    def is_involution(self) -> bool:
-        """Order exactly two."""
-        return not self.is_identity() and (self * self).is_identity()
 
     def cycles(self) -> list:
         """Cycles of length at least two, each starting at its least point."""
@@ -140,15 +117,6 @@ class Perm:
         return "".join(
             "(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in cycs
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
 
     def __repr__(self) -> str:
         return f"Perm[{self.cycle_string()}]"
@@ -208,13 +176,13 @@ class GroupTable:
     Whoever numbers elements numbers them in this order.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Perm]):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
         self.degree = degree
-        self.generators = tuple(generators)
+        self.generators = tuple(map(tuple, generators))
         for g in self.generators:
-            if g.degree != degree:
+            if len(g) != degree:
                 raise DegreeMismatch(
-                    f"generator {g.cycle_string()} has degree {g.degree}, expected {degree}"
+                    f"generator {Perm(g).cycle_string()} has degree {len(g)}, expected {degree}"
                 )
 
     @cached_property
@@ -227,7 +195,7 @@ class GroupTable:
 
     @cached_property
     def chain(self) -> "StabChain":
-        return StabChain(self.degree, [g.images for g in self.generators])
+        return StabChain(self.degree, self.generators)
 
     @cached_property
     def order(self) -> int:
@@ -240,9 +208,7 @@ class GroupTable:
         return iter(self.elements)
 
     def __contains__(self, element) -> bool:
-        """A Perm, or an image tuple of this group's degree, in the group."""
-        if isinstance(element, Perm):
-            element = element.images
+        """An image tuple of this group's degree, in the group."""
         return isinstance(element, tuple) and self.chain.contains(element)
 
     def __repr__(self) -> str:
@@ -251,9 +217,6 @@ class GroupTable:
     def least_in_coset(self, g: Sequence[int]) -> tuple:
         """The least image tuple in the right coset Hg, H this group."""
         return self.chain.least_in_coset(g)
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
 
 
 # ---- stabiliser chains ---------------------------------------------------------
@@ -273,6 +236,12 @@ def _invert(a: tuple) -> tuple:
     for src, dst in enumerate(a):
         out[dst] = src
     return tuple(out)
+
+
+def is_involution(x: tuple) -> bool:
+    """Order exactly two."""
+    identity = tuple(range(len(x)))
+    return x != identity and _compose(x, x) == identity
 
 
 def _first_moved(images: tuple, start: int = 0) -> Optional[int]:
@@ -566,30 +535,19 @@ def orbits(items: Iterable, step: Callable) -> list:
     return out
 
 
-def group_from_generators(generators: Sequence[Perm], degree: Optional[int] = None) -> GroupTable:
+def group_from_generators(generators: Sequence[tuple], degree: Optional[int] = None) -> GroupTable:
     gens = tuple(generators)
     if degree is None:
         if not gens:
             raise ValueError("cannot infer a degree from an empty generator list")
-        degree = gens[0].degree
+        degree = len(gens[0])
     return GroupTable(degree, gens)
 
 
 def orbit(group: GroupTable, point: int) -> frozenset:
     if not 0 <= point < group.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
-    return frozenset(closure((point,), point_step([g.images for g in group.generators])))
-
-
-def transversal(group: GroupTable, point: int) -> dict:
-    """For each point in the orbit, one group element carrying ``point``
-    there.  Breadth first with generators in listed order, so reproducible.
-    """
-    if not 0 <= point < group.degree:
-        raise PointOutOfRange(f"point {point} outside the domain of the group")
-    gens = [g.images for g in group.generators]
-    wit = _witnesses(point, tuple(range(group.degree)), gens, point_step(gens))
-    return {p: Perm(t) for p, t in wit.items()}
+    return frozenset(closure((point,), point_step(group.generators)))
 
 
 def is_transitive(group: GroupTable) -> bool:
@@ -615,10 +573,10 @@ class Action:
 
     @classmethod
     def natural(cls, group: GroupTable) -> "Action":
-        return cls(group, group.degree, gen_rows=[g.images for g in group.generators])
+        return cls(group, group.degree, gen_rows=group.generators)
 
     def _is_natural(self) -> bool:
-        return self._gen_rows == tuple(g.images for g in self.group.generators)
+        return self._gen_rows == self.group.generators
 
     @cached_property
     def rows(self) -> tuple:
@@ -626,7 +584,7 @@ class Action:
         elements = self.group.elements
         if self._is_natural():
             return elements
-        steps = [(g.images, r) for g, r in zip(self.group.generators, self._gen_rows)]
+        steps = list(zip(self.group.generators, self._gen_rows))
         values = orbit_map(
             ((elements[0], tuple(range(self.n_points))),),
             lambda xv: [(_compose(xv[0], s), _compose(xv[1], r)) for s, r in steps],

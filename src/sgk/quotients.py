@@ -23,7 +23,6 @@ from .perm import (
     Action,
     GroupLike,
     GroupTable,
-    Perm,
     Record,
     _witnesses,
     closure,
@@ -295,7 +294,7 @@ class QuotientCosetForm(Record):
 
 
 def quotient_as_coset_graph(
-    group: GroupTable, sub: GroupTable, a: Perm, over: GroupTable
+    group: GroupTable, sub: GroupTable, a: tuple, over: GroupTable
 ) -> QuotientCosetForm:
     """Quotient dictionary: the quotient of the coset graph on H by the
     blocks of K-cosets is the coset graph on K, for H < K < G.

@@ -18,22 +18,23 @@ from .perm import (
     Record,
     StabChain,
     _compose,
+    _witnesses,
     capped,
     closure,
+    is_involution,
     is_transitive,
     orbits,
     point_step,
     schreier_generators,
-    transversal,
 )
 
 DOMAIN_LIMIT = 512
 
 
-def subgroup_from_generators(parent: GroupTable, generators: Sequence[Perm]) -> GroupTable:
+def subgroup_from_generators(parent: GroupTable, generators: Sequence[tuple]) -> GroupTable:
     for g in generators:
         if g not in parent:
-            raise NotASubgroup(f"{g.cycle_string()} lies outside the parent group")
+            raise NotASubgroup(f"{Perm(g).cycle_string()} lies outside the parent group")
     return GroupTable(parent.degree, generators)
 
 
@@ -43,7 +44,7 @@ def stabilizer_subgroup(parent: GroupTable, point: int) -> GroupTable:
     if not 0 <= point < parent.degree:
         raise PointOutOfRange(f"point {point} outside the domain of the group")
     chain = parent.chain.stabilizer(point)
-    sub = GroupTable(parent.degree, map(Perm, chain.generators))
+    sub = GroupTable(parent.degree, chain.generators)
     sub.chain = chain
     return sub
 
@@ -63,7 +64,7 @@ class CosetSpace:
     def __init__(self, group: GroupTable, sub: GroupTable):
         self.group, self.sub = group, sub
         least = sub.least_in_coset
-        gens = [g.images for g in group.generators]
+        gens = group.generators
         successors = {}
 
         def step(x):
@@ -72,7 +73,7 @@ class CosetSpace:
 
         reps = sorted(capped(closure((tuple(range(group.degree)),), step), "cosets"))
         self._number = {r: i for i, r in enumerate(reps)}
-        self.reps = tuple(Perm(r) for r in reps)
+        self.reps = tuple(reps)
         self._gen_rows = tuple(
             tuple(self._number[successors[r][k]] for r in reps) for k in range(len(gens))
         )
@@ -81,11 +82,11 @@ class CosetSpace:
     def n_cosets(self) -> int:
         return len(self.reps)
 
-    def coset_of(self, perm: Perm) -> int:
+    def coset_of(self, x: tuple) -> int:
         try:
-            return self._number[self.sub.least_in_coset(perm.images)]
+            return self._number[self.sub.least_in_coset(x)]
         except KeyError:
-            raise KeyError(f"{perm.cycle_string()} is not in this group") from None
+            raise KeyError(f"{Perm(x).cycle_string()} is not in this group") from None
 
     def generator_rows(self) -> tuple:
         """The action of the group's generators, in generator order."""
@@ -96,22 +97,18 @@ class CosetSpace:
         generators are composed on first use."""
         return Action(self.group, len(self.reps), gen_rows=self._gen_rows)
 
-    def rows(self, perms: Sequence[Perm]) -> list:
-        """The rows of ``perms``, elements of the group, on the cosets."""
+    def rows(self, elements: Sequence[tuple]) -> list:
+        """The rows of ``elements``, elements of the group, on the cosets."""
         number, least = self._number, self.sub.least_in_coset
-        return [
-            tuple(number[least(_compose(r.images, p.images))] for r in self.reps)
-            for p in perms
-        ]
+        return [tuple(number[least(_compose(r, x))] for r in self.reps) for x in elements]
 
-    def stabilizer(self, generators: Sequence[Perm], coset: int) -> GroupTable:
+    def stabilizer(self, generators: Sequence[tuple], coset: int) -> GroupTable:
         """The stabiliser of coset number ``coset`` in the group that
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
-        gens = [g.images for g in generators]
         step = point_step(self.rows(generators))
-        schreier = schreier_generators(self.group.degree, gens, coset, step)
-        return GroupTable(self.group.degree, map(Perm, schreier))
+        schreier = schreier_generators(self.group.degree, generators, coset, step)
+        return GroupTable(self.group.degree, schreier)
 
 
 def right_cosets(group: GroupTable, sub: GroupTable) -> CosetSpace:
@@ -128,11 +125,11 @@ def core(group: GroupTable, sub: GroupTable) -> GroupTable:
     cosets = right_cosets(group, sub)
     m = cosets.n_cosets
     paired = [
-        row + tuple(m + x for x in g.images)
+        row + tuple(m + x for x in g)
         for row, g in zip(cosets.generator_rows(), group.generators)
     ]
     kernel = [
-        Perm(x - m for x in g[m:])
+        tuple(x - m for x in g[m:])
         for g in StabChain(m + group.degree, paired).generators
         if g[:m] == tuple(range(m))
     ]
@@ -146,7 +143,7 @@ class DoubleCoset(Record):
     """HxH as the numbers of its cosets in ``space``, with its least element
     ``rep``, the first coset's; its elements are composed only on access."""
 
-    rep: Perm
+    rep: tuple
     cosets: tuple
     space: CosetSpace
 
@@ -159,13 +156,12 @@ class DoubleCoset(Record):
         """The image tuples of HxH, sorted."""
         reps, sub = self.space.reps, self.space.sub
         return tuple(sorted(
-            _compose(h, reps[c].images) for c in self.cosets for h in sub.elements
+            _compose(h, reps[c]) for c in self.cosets for h in sub.elements
         ))
 
     @property
     def contains_involution(self) -> bool:
-        identity = tuple(range(self.space.group.degree))
-        return any(x != identity and _compose(x, x) == identity for x in self.elements)
+        return any(map(is_involution, self.elements))
 
 
 class DoubleCosetDecomposition(Record):
@@ -287,7 +283,7 @@ class BlockSystem(Record):
 
 def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
     """Close one block under the group; the images must tile the domain."""
-    gen_rows = [g.images for g in group.generators]
+    gen_rows = group.generators
     images = closure(
         (frozenset(block),), lambda blk: [frozenset(row[p] for p in blk) for row in gen_rows]
     )
@@ -310,9 +306,9 @@ def all_block_systems(group: GroupTable) -> list:
         )
     if not is_transitive(group):
         raise NotTransitive("block systems are defined for transitive actions")
-    gen_rows = [g.images for g in group.generators]
     systems = [
-        system_from_block(group, blk) for blk in _blocks_through(group.degree, gen_rows, 0)
+        system_from_block(group, blk)
+        for blk in _blocks_through(group.degree, group.generators, 0)
     ]
     systems.sort(key=lambda bs: (len(bs.blocks[0]), bs.blocks))
     return systems
@@ -343,12 +339,11 @@ def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
     stab = group.chain.stabilizer(base_point)
-    carry = transversal(group, base_point)
-    gen_rows = [g.images for g in group.generators]
+    gens = group.generators
+    carry = _witnesses(base_point, tuple(range(group.degree)), gens, point_step(gens))
     pairs = []
-    for blk in _blocks_through(group.degree, gen_rows, base_point):
-        gens = [Perm(g) for g in stab.generators] + [carry[b] for b in sorted(blk)]
-        sub = GroupTable(group.degree, gens)
+    for blk in _blocks_through(group.degree, gens, base_point):
+        sub = GroupTable(group.degree, stab.generators + [carry[b] for b in sorted(blk)])
         pairs.append(LatticePair(sub, tuple(sorted(blk)), base_point, stab.order * len(blk)))
     pairs.sort(key=lambda pr: (len(pr.block), pr.block))
     return pairs
@@ -360,7 +355,7 @@ def lattice_is_order_isomorphic(pairs: Sequence[LatticePair]) -> bool:
     into B′."""
     for a in pairs:
         for b in pairs:
-            sub_le = all(g.images[b.base_point] in b.block for g in a.subgroup.generators)
+            sub_le = all(g[b.base_point] in b.block for g in a.subgroup.generators)
             if sub_le != (set(a.block) <= set(b.block)):
                 return False
     return True

@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from sgk import fixtures as fx
-from sgk.perm import Perm, closure
-from sgk.perm import GroupTable
+from sgk.perm import GroupTable, closure
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"
@@ -35,7 +34,7 @@ def closure_listing(degree, generators):
         step = []
         for x in frontier:
             for g in generators:
-                y = tuple(map(g.images.__getitem__, x))
+                y = tuple(map(g.__getitem__, x))
                 if y not in found:
                     found.add(y)
                     step.append(y)
@@ -59,7 +58,7 @@ def setwise_stabilizer(group, points) -> GroupTable:
     """Reference: every listed element that maps the points onto themselves."""
     pts = frozenset(points)
     return GroupTable(
-        group.degree, [Perm(g) for g in group.elements if frozenset(g[x] for x in pts) == pts]
+        group.degree, [g for g in group.elements if frozenset(g[x] for x in pts) == pts]
     )
 
 
@@ -68,18 +67,19 @@ def twist_everywhere(n_part, g_part, twist) -> dict:
     N's image tuples to image tuples.  Each generator's images extend
     over N by ρ(m·t) = ρ(m)·ρ(t), then ρ(x·s) is ρ(x) followed by ρ(s)
     along G."""
-    identity = n_part.identity()
+    identity = tuple(range(n_part.degree))
     gen_maps = []
     for images in twist:
-        f = {identity.images: identity}
-        for m in list(closure([identity], lambda x: [x * t for t in n_part.generators])):
+        f = {identity: identity}
+        for m in list(closure([identity], lambda x: [product(x, t) for t in n_part.generators])):
             for t, img in zip(n_part.generators, images):
-                f.setdefault((m * t).images, f[m.images] * img)
-        gen_maps.append({k: v.images for k, v in f.items()})
-    rho = {g_part.identity().images: {p: p for p in n_part.elements}}
-    for x in closure([g_part.identity()], lambda y: [y * s for s in g_part.generators]):
+                f.setdefault(product(m, t), product(f[m], img))
+        gen_maps.append(f)
+    g_identity = tuple(range(g_part.degree))
+    rho = {g_identity: {p: p for p in n_part.elements}}
+    for x in closure([g_identity], lambda y: [product(y, s) for s in g_part.generators]):
         for s, f in zip(g_part.generators, gen_maps):
-            rho.setdefault((x * s).images, {n: f[v] for n, v in rho[x.images].items()})
+            rho.setdefault(product(x, s), {n: f[v] for n, v in rho[x].items()})
     return rho
 
 
@@ -121,10 +121,38 @@ def pgl2(q: int) -> GroupTable:
     x ↦ x+1, x ↦ ax (a a primitive root mod q) and x ↦ −1/x."""
     a = next(a for a in range(1, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
     inverse = {x: pow(x, q - 2, q) for x in range(1, q)}
-    shift = [(x + 1) % q for x in range(q)] + [q]
-    scale = [a * x % q for x in range(q)] + [q]
-    flip = [q] + [-inverse[x] % q for x in range(1, q)] + [0]
-    return GroupTable(q + 1, [Perm(shift), Perm(scale), Perm(flip)])
+    shift = tuple((x + 1) % q for x in range(q)) + (q,)
+    scale = tuple(a * x % q for x in range(q)) + (q,)
+    flip = (q,) + tuple(-inverse[x] % q for x in range(1, q)) + (0,)
+    return GroupTable(q + 1, [shift, scale, flip])
+
+
+def psl2(q: int) -> GroupTable:
+    """PSL(2, q), q a prime ≡ 3 mod 4, on the points 0..q-1 of GF(q) and
+    ∞ = q, from x ↦ x+1, x ↦ a²x (a a primitive root mod q) and x ↦ −1/x,
+    each of determinant 1."""
+    shift, scale, flip = pgl2(q).generators
+    return GroupTable(q + 1, [shift, product(scale, scale), flip])
+
+
+def odd_graph(k: int):
+    """The odd graph O_(k+1) and S_(2k+1) acting on it: the vertices are
+    the k-subsets of {0, ..., 2k}, in lexicographic order, joined when
+    disjoint; the group is generated by (1 2) and (1 2 ... 2k+1), each
+    written as its image tuple on the subsets."""
+    from sgk.graphs import Graph
+
+    subsets = list(itertools.combinations(range(2 * k + 1), k))
+    where = {s: i for i, s in enumerate(subsets)}
+    edges = [
+        (where[s], where[t])
+        for s in subsets
+        for t in itertools.combinations(sorted(set(range(2 * k + 1)) - set(s)), k)
+        if s < t
+    ]
+    points = [(1, 0) + tuple(range(2, 2 * k + 1)), tuple(range(1, 2 * k + 1)) + (0,)]
+    gens = [tuple(where[tuple(sorted(g[p] for p in s))] for s in subsets) for g in points]
+    return Graph.from_edges(len(subsets), edges), GroupTable(len(subsets), gens)
 
 
 def product(a, b):

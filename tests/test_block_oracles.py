@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sgk.perm import Perm, group_from_generators, is_transitive, orbit  # noqa: E402
+from sgk.perm import group_from_generators, is_transitive, orbit  # noqa: E402
 from sgk.subgroups import all_block_systems  # noqa: E402
 
 
@@ -56,7 +56,7 @@ def _partition(labels):
 @given(transitive_groups())
 def test_block_systems_match_sympy(images):
     n = len(images[0])
-    group = group_from_generators([Perm(g) for g in images], degree=n)
+    group = group_from_generators([tuple(g) for g in images], degree=n)
     assume(is_transitive(group))
     oracle = sympy_comb.PermutationGroup([sympy_comb.Permutation(g) for g in images])
     systems = all_block_systems(group)
@@ -107,7 +107,7 @@ def intransitive_groups(draw):
 @given(st.one_of(transitive_groups(), intransitive_groups()))
 def test_order_and_orbits_match_sympy(images):
     n = len(images[0])
-    group = group_from_generators([Perm(g) for g in images], degree=n)
+    group = group_from_generators([tuple(g) for g in images], degree=n)
     oracle = sympy_comb.PermutationGroup(
         [sympy_comb.Permutation(g, size=n) for g in images]
     )

@@ -105,8 +105,11 @@ def test_every_method_and_property_of_an_exported_class_has_a_reader():
 
 
 def test_the_member_scan_tells_a_method_from_a_property_of_its_name():
-    """``Graph.degree`` is a method and ``Perm.degree`` a property: a bare
-    ``x.degree`` reads only the property, a call reads the method."""
+    """``StabChain.elements`` is a method, and ``GroupTable.elements`` and
+    ``DoubleCoset.elements`` are properties: a bare ``x.elements`` reads
+    only the properties, a call reads the method."""
     loaded, called = _attributes_read()
-    assert idle_members(loaded, called - {"degree"}) == ["Graph.degree"]
-    assert idle_members(loaded - {"degree"}, called) == ["Perm.degree"]
+    assert idle_members(loaded, called - {"elements"}) == ["StabChain.elements"]
+    assert idle_members(loaded - {"elements"}, called) == [
+        "DoubleCoset.elements", "GroupTable.elements"
+    ]

@@ -19,7 +19,7 @@ from sgk.io import (
     parse_twist_file,
 )
 from sgk.errors import CapExceeded
-from sgk.perm import Perm
+from sgk.perm import parse_cycles
 
 
 def test_group_round_trip(s4):
@@ -147,10 +147,10 @@ def test_twist_file_trivial(z2, s4):
 def test_twist_file_explicit():
     from sgk.perm import group_from_generators
 
-    z3 = group_from_generators([Perm.from_cycles("(1 2 3)", 3)], degree=3)
-    z2g = group_from_generators([Perm.from_cycles("(1 2)", 2)], degree=2)
+    z3 = group_from_generators([parse_cycles("(1 2 3)", 3)], degree=3)
+    z2g = group_from_generators([parse_cycles("(1 2)", 2)], degree=2)
     rows = parse_twist_file("(1 2 3) -> (1 3 2)\n", z3, z2g)
-    assert rows == [[Perm.from_cycles("(1 3 2)", 3)]]
+    assert rows == [[parse_cycles("(1 3 2)", 3)]]
 
 
 def test_twist_file_rejections(z2, s4):
@@ -164,9 +164,9 @@ def test_twist_file_rejections(z2, s4):
 
 def test_subgroup_generator_splitting():
     perms = parse_subgroup_generators("(2 3),(3 4)", 4)
-    assert perms == (Perm.from_cycles("(2 3)", 4), Perm.from_cycles("(3 4)", 4))
+    assert perms == (parse_cycles("(2 3)", 4), parse_cycles("(3 4)", 4))
     single = parse_subgroup_generators("(1 2)(3 4)", 4)
-    assert single == (Perm.from_cycles("(1 2)(3 4)", 4),)
+    assert single == (parse_cycles("(1 2)(3 4)", 4),)
     with pytest.raises(ValueError):
         parse_subgroup_generators("", 4)
 

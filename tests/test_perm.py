@@ -23,8 +23,10 @@ from sgk.perm import (
     Perm,
     Record,
     _compose,
+    _invert,
     coerce_action,
     group_from_generators,
+    is_involution,
     is_transitive,
     orbit,
     orbit_map,
@@ -61,11 +63,13 @@ def test_parse_cycles_rejections():
 
 
 def test_product_is_left_then_right():
-    p = Perm.from_cycles("(1 2)", 3)
-    q = Perm.from_cycles("(2 3)", 3)
-    # (p * q)(i) = q(p(i)): apply p first
-    assert (p * q).images == tuple(q(p(i)) for i in range(3))
-    assert (p * q).cycle_string() == "(1 3 2)"
+    p = parse_cycles("(1 2)", 3)
+    q = parse_cycles("(2 3)", 3)
+    # _compose(p, q)[i] = q[p[i]]: apply p first
+    assert _compose(p, q) == tuple(q[p[i]] for i in range(3))
+    assert Perm(_compose(p, q)).cycle_string() == "(1 3 2)"
+    # Perm's product, which only clibench's tracer calls, agrees
+    assert (Perm(p) * Perm(q)).images == _compose(p, q)
 
 
 pairs_of_permutations = st.integers(0, 60).flatmap(
@@ -95,8 +99,8 @@ def test_group_of_degree_one(tmp_path, capsys):
     assert main(["group", "--group", str(path)]) == 0
     facts = json.loads(capsys.readouterr().out)["facts"]
     assert facts["order"] == 1 and facts["orbit_sizes"] == [1]
-    one = Perm.identity(1)
-    assert (one * one).images == (0,) and order(one.images) == 1
+    one = (0,)
+    assert _compose(one, one) == (0,) and order(one) == 1
 
 
 def test_inverse_and_order():
@@ -105,18 +109,18 @@ def test_inverse_and_order():
         n = rnd.randrange(2, 9)
         images = list(range(n))
         rnd.shuffle(images)
-        p = Perm(images)
-        assert (p * p.inverse()).is_identity()
-        k = order(p.images)
-        acc = Perm.identity(n)
+        p, identity = tuple(images), tuple(range(n))
+        assert _compose(p, _invert(p)) == identity
+        k = order(p)
+        acc = identity
         for _ in range(k):
-            acc = acc * p
-        assert acc.is_identity()
+            acc = _compose(acc, p)
+        assert acc == identity
         for m in range(1, k):
-            acc = Perm.identity(n)
+            acc = identity
             for _ in range(m):
-                acc = acc * p
-            assert not acc.is_identity()
+                acc = _compose(acc, p)
+            assert acc != identity
 
 
 def test_conjugation_law():
@@ -128,22 +132,22 @@ def test_conjugation_law():
         rnd.shuffle(xs)
         gs = list(range(n))
         rnd.shuffle(gs)
-        x, g = Perm(xs), Perm(gs)
-        conj = g.inverse() * x * g
+        x, g = tuple(xs), tuple(gs)
+        conj = _compose(_compose(_invert(g), x), g)
         for i in range(n):
-            assert conj(g(i)) == g(x(i))
+            assert conj[g[i]] == g[x[i]]
 
 
 def test_involution_detection():
-    assert Perm.from_cycles("(1 2)(3 4)", 4).is_involution()
-    assert not Perm.from_cycles("(1 2 3)", 4).is_involution()
-    assert not Perm.identity(4).is_involution()
+    assert is_involution(parse_cycles("(1 2)(3 4)", 4))
+    assert not is_involution(parse_cycles("(1 2 3)", 4))
+    assert not is_involution(tuple(range(4)))
 
 
 def test_enumeration_identity_first_and_sorted_start(s4):
-    assert Perm(s4.elements[0]).is_identity()
+    assert s4.elements[0] == tuple(range(4))
     assert len(s4) == 24
-    assert s4.elements.index(s4.identity().images) == 0
+    assert s4.elements.index(tuple(range(4))) == 0
 
 
 def test_enumeration_deterministic(s4):
@@ -160,15 +164,15 @@ def test_orbit_stabilizer_by_direct_count(s4, d6, z6):
 
 
 def test_group_membership(s4, d4):
-    assert Perm.from_cycles("(1 2 3)", 4) in s4
-    assert Perm.from_cycles("(1 2)", 4) not in d4
+    assert parse_cycles("(1 2 3)", 4) in s4
+    assert parse_cycles("(1 2)", 4) not in d4
 
 
-def test_membership_takes_a_perm_or_an_image_tuple_of_the_degree(s4, d4):
-    """Listed elements are image tuples, and each is a member; so is a
-    Perm.  A tuple of another length, or any other object, is not."""
+def test_membership_takes_an_image_tuple_of_the_degree(s4, d4):
+    """Listed elements are image tuples, and each is a member.  A tuple of
+    another length, or any other object, a Perm among them, is not."""
     assert all(x in d4 for x in d4.elements)
-    assert d4.elements[5] in d4 and Perm(d4.elements[5]) in d4
+    assert d4.elements[5] in d4 and Perm(d4.elements[5]) not in d4
     assert parse_cycles("(1 2)", 4) in s4 and parse_cycles("(1 2)", 4) not in d4
     assert (1, 0) not in s4 and (1, 0, 2, 3, 4) not in s4 and () not in s4
     assert list(d4.elements[5]) not in d4
@@ -176,7 +180,7 @@ def test_membership_takes_a_perm_or_an_image_tuple_of_the_degree(s4, d4):
 
 
 def test_element_cap(monkeypatch):
-    gens = (Perm.from_cycles("(1 2)", 5), Perm.from_cycles("(1 2 3 4 5)", 5))
+    gens = (parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5))
     for cap in ("100", "60"):
         monkeypatch.setenv("SGK_ELEMENT_CAP", cap)
         with pytest.raises(CapExceeded):
@@ -187,10 +191,10 @@ def test_element_cap(monkeypatch):
 
 
 def test_chain_listing_matches_closure_then_sort():
-    s7 = (Perm.from_cycles("(1 2)", 7), Perm.from_cycles("(1 2 3 4 5 6 7)", 7))
+    s7 = (parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7))
     m11 = (
-        Perm.from_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11),
-        Perm.from_cycles("(3 7 11 8)(4 10 5 6)", 11),
+        parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11),
+        parse_cycles("(3 7 11 8)(4 10 5 6)", 11),
     )
     for degree, gens, order in ((3, (), 1), (7, s7, 5040), (11, m11, 7920)):
         listed = list(GroupTable(degree, gens).elements)
@@ -199,7 +203,7 @@ def test_chain_listing_matches_closure_then_sort():
 
 
 def test_element_cap_is_the_order(monkeypatch):
-    s5 = (Perm.from_cycles("(1 2)", 5), Perm.from_cycles("(1 2 3 4 5)", 5))
+    s5 = (parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5))
     monkeypatch.setenv("SGK_ELEMENT_CAP", "120")
     assert len(GroupTable(5, s5).elements) == 120
     monkeypatch.setenv("SGK_ELEMENT_CAP", "119")
@@ -210,7 +214,7 @@ def test_element_cap_is_the_order(monkeypatch):
 def test_transitivity(s4, z6):
     assert is_transitive(s4)
     assert is_transitive(z6)
-    fixer = group_from_generators([Perm.from_cycles("(1 2)", 4)], degree=4)
+    fixer = group_from_generators([parse_cycles("(1 2)", 4)], degree=4)
     assert not is_transitive(fixer)
 
 
@@ -237,14 +241,14 @@ def test_coerce_action_degree_guard(s4):
 
 def test_cap_env_round_trip(monkeypatch):
     monkeypatch.delenv("SGK_ELEMENT_CAP", raising=False)
-    assert len(GroupTable(4, (Perm.from_cycles("(1 2 3 4)", 4),)).elements) == 4
+    assert len(GroupTable(4, (parse_cycles("(1 2 3 4)", 4),)).elements) == 4
     assert os.environ.get("SGK_ELEMENT_CAP") is None
 
 
 def test_orbit_map_clash_and_equivariance(d6):
     """A map carried along the generators commutes with each of them; a
     key that the walk meets with a second value gives None."""
-    rows = [g.images for g in d6.generators]
+    rows = d6.generators
 
     def step(item):
         p, q = item

@@ -25,22 +25,22 @@ from sgk.designs import (
 from sgk.errors import NotPolarity
 from sgk.fixtures import petersen_graph, petersen_group, q3_graph
 from sgk.graphs import Graph, complete_graph, cycle_graph
-from sgk.perm import Perm, group_from_generators, orbit_map, point_step, schreier_generators
+from sgk.perm import group_from_generators, orbit_map, point_step, schreier_generators
 
 
 def _dihedral_gens(n):
-    return [Perm([(i + 1) % n for i in range(n)]), Perm([(-i) % n for i in range(n)])]
+    return [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))]
 
 
 def _symmetric_gens(n):
-    return [Perm([1, 0] + list(range(2, n))), Perm([(i + 1) % n for i in range(n)])]
+    return [(1, 0) + tuple(range(2, n)), tuple((i + 1) % n for i in range(n))]
 
 
 def _q3_gens():
     """The full group of the cube, order 48: a bit flip and two
     permutations of the three bits."""
     def bits(f):
-        return Perm([f(x) for x in range(8)])
+        return tuple(f(x) for x in range(8))
 
     return [
         bits(lambda x: x ^ 1),
@@ -59,8 +59,8 @@ def _relabelled(graph, gens, rnd):
     for g in gens:
         images = [0] * n
         for p in range(n):
-            images[sigma[p]] = sigma[g.images[p]]
-        conj.append(Perm(images))
+            images[sigma[p]] = sigma[g[p]]
+        conj.append(tuple(images))
     rnd.shuffle(conj)
     return moved, group_from_generators(conj, n)
 
@@ -81,7 +81,7 @@ def _paired_seeds(inc, group) -> list:
     fixes, in the action on points and blocks side by side."""
     n = inc.n_points
     paired = [
-        g.images + tuple(n + b for b in row)
+        g + tuple(n + b for b in row)
         for g, row in zip(group.generators, generator_block_rows(inc, group))
     ]
     stab = schreier_generators(2 * n, paired, 0, point_step(paired))

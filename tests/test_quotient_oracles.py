@@ -28,7 +28,7 @@ from sgk.constructions import (  # noqa: E402
 )
 from sgk.errors import CertificationFailed  # noqa: E402
 from sgk.graphs import Graph, complete_graph  # noqa: E402
-from sgk.perm import GroupTable, Perm, group_from_generators, is_transitive  # noqa: E402
+from sgk.perm import GroupTable, group_from_generators, is_transitive  # noqa: E402
 from sgk.quotients import (  # noqa: E402
     cross_section_design,
     quotient,
@@ -43,8 +43,8 @@ def _cases(images):
     """(listed group, orbital graph, block system) for each self-paired
     orbital graph with arcs and each nontrivial block system."""
     n = len(images[0])
-    assume(GroupTable(n, [Perm(g) for g in images]).order <= ORDER_LIMIT)
-    group = group_from_generators([Perm(g) for g in images], degree=n)
+    assume(GroupTable(n, images).order <= ORDER_LIMIT)
+    group = group_from_generators([tuple(g) for g in images], degree=n)
     assume(is_transitive(group))
     systems = [s for s in all_block_systems(group) if 1 < s.n_blocks < s.n_points]
     labels = [str(i + 1) for i in range(n)]
@@ -133,14 +133,14 @@ def test_quotients_match_the_oracles(images):
 
 def _symmetric(n):
     return group_from_generators(
-        [Perm([1, 0] + list(range(2, n))), Perm(list(range(1, n)) + [0])], degree=n
+        [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)], degree=n
     )
 
 
 def _alternating(n):
-    three = Perm([1, 2, 0] + list(range(3, n)))
-    long = list(range(1, n)) + [0] if n % 2 else [0] + list(range(2, n)) + [1]
-    return group_from_generators([three, Perm(long)], degree=n)
+    three = (1, 2, 0) + tuple(range(3, n))
+    long = tuple(range(1, n)) + (0,) if n % 2 else (0,) + tuple(range(2, n)) + (1,)
+    return group_from_generators([three, long], degree=n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -180,4 +180,4 @@ def _arc_group(group, tag):
     """The group listed by its action on the arcs of the base graph."""
     index = {a: i for i, a in enumerate(tag.vertices)}
     rows = {tuple(index[(g[u], g[v])] for u, v in tag.vertices) for g in group.elements}
-    return GroupTable(len(tag.vertices), [Perm(r) for r in sorted(rows)])
+    return GroupTable(len(tag.vertices), sorted(rows))

@@ -11,7 +11,7 @@ from sgk.errors import (
     TrivialQuotient,
 )
 from sgk.graphs import are_isomorphic, complete_graph, cycle_graph
-from sgk.perm import Perm, coerce_action
+from sgk.perm import coerce_action, parse_cycles
 from sgk.quotients import (
     certify_quotient,
     cover_class,
@@ -77,9 +77,9 @@ def test_q3_antipodal_gives_k4(q3):
     # fold the cube along its space diagonal pairs
     from sgk.perm import group_from_generators
 
-    xor1 = Perm([v ^ 1 for v in range(8)])
-    swap01 = Perm([(v & 4) | ((v & 1) << 1) | ((v & 2) >> 1) for v in range(8)])
-    swap12 = Perm([(v & 1) | ((v & 2) << 1) | ((v & 4) >> 1) for v in range(8)])
+    xor1 = tuple(v ^ 1 for v in range(8))
+    swap01 = tuple((v & 4) | ((v & 1) << 1) | ((v & 2) >> 1) for v in range(8))
+    swap12 = tuple((v & 1) | ((v & 2) << 1) | ((v & 4) >> 1) for v in range(8))
     group = group_from_generators([xor1, swap01, swap12], degree=8)
     assert len(group) == 48
     part = BlockSystem.from_blocks(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
@@ -144,12 +144,12 @@ def test_cross_section_crash_is_not_a_certification_failure(c6, d6, monkeypatch)
 
 
 def test_quotient_as_coset_graph_d6(d6):
-    h = subgroup_from_generators(d6, (Perm.from_cycles("(2 6)(3 5)", 6),))
+    h = subgroup_from_generators(d6, (parse_cycles("(2 6)(3 5)", 6),))
     k = subgroup_from_generators(
         d6,
-        (Perm.from_cycles("(2 6)(3 5)", 6), Perm.from_cycles("(1 4)(2 5)(3 6)", 6)),
+        (parse_cycles("(2 6)(3 5)", 6), parse_cycles("(1 4)(2 5)(3 6)", 6)),
     )
-    a = Perm.from_cycles("(1 2)(3 6)(4 5)", 6)
+    a = parse_cycles("(1 2)(3 6)(4 5)", 6)
     form = quotient_as_coset_graph(d6, h, a, k)
     assert form.exact
     assert form.base.graph.n == 6
@@ -159,21 +159,21 @@ def test_quotient_as_coset_graph_d6(d6):
 
 
 def test_quotient_as_coset_graph_refuses_degenerate(d6):
-    h = subgroup_from_generators(d6, (Perm.from_cycles("(2 6)(3 5)", 6),))
+    h = subgroup_from_generators(d6, (parse_cycles("(2 6)(3 5)", 6),))
     k = subgroup_from_generators(
         d6,
-        (Perm.from_cycles("(2 6)(3 5)", 6), Perm.from_cycles("(1 4)(2 5)(3 6)", 6)),
+        (parse_cycles("(2 6)(3 5)", 6), parse_cycles("(1 4)(2 5)(3 6)", 6)),
     )
-    inside = Perm.from_cycles("(1 4)(2 3)(5 6)", 6)
-    assert inside in k or inside.images in set(k.elements)
+    inside = parse_cycles("(1 4)(2 3)(5 6)", 6)
+    assert inside in k or inside in set(k.elements)
     with pytest.raises(DegenerateQuotient):
         quotient_as_coset_graph(d6, h, inside, k)
 
 
 def test_quotient_as_coset_graph_needs_nesting(d6):
-    h = subgroup_from_generators(d6, (Perm.from_cycles("(2 6)(3 5)", 6),))
-    other = subgroup_from_generators(d6, (Perm.from_cycles("(1 4)(2 5)(3 6)", 6),))
-    a = Perm.from_cycles("(1 2)(3 6)(4 5)", 6)
+    h = subgroup_from_generators(d6, (parse_cycles("(2 6)(3 5)", 6),))
+    other = subgroup_from_generators(d6, (parse_cycles("(1 4)(2 5)(3 6)", 6),))
+    a = parse_cycles("(1 2)(3 6)(4 5)", 6)
     with pytest.raises(NotNested):
         quotient_as_coset_graph(d6, h, a, other)
 

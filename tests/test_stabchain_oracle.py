@@ -12,16 +12,15 @@ points.
 """
 
 import functools
-import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from conftest import closure_listing
+from conftest import closure_listing, product
 from sgk import fixtures as fx
-from sgk.perm import GroupTable, Perm, StabChain, closure, point_step, schreier_generators
+from sgk.perm import GroupTable, StabChain, closure, point_step, schreier_generators
 from sgk.subgroups import CosetSpace, all_block_systems
 
 LIST_LIMIT = 2000
@@ -78,8 +77,8 @@ def generator_sets(draw):
 
 
 def _listed(n, gens):
-    """The elements, by closure, as Perms sorted by image tuple."""
-    return [Perm(images) for images in closure_listing(n, [Perm(g) for g in gens])]
+    """The elements' image tuples, by closure, sorted."""
+    return closure_listing(n, gens)
 
 
 def _sympy(gens):
@@ -97,16 +96,16 @@ def _check_against_sympy(n, gens):
         return chain, None
     listed = _listed(n, gens)
     assert chain.order == len(listed)
-    assert all(chain.contains(g.images) for g in listed)
-    table = GroupTable(n, [Perm(g) for g in gens])
-    assert list(table.elements) == [g.images for g in listed]
+    assert all(chain.contains(g) for g in listed)
+    table = GroupTable(n, gens)
+    assert list(table.elements) == listed
     return chain, listed
 
 
 @pytest.mark.parametrize("index", range(len(FIXTURES)))
 def test_fixture_chains_match_sympy(index):
     group = FIXTURES[index]
-    _check_against_sympy(group.degree, [g.images for g in group.generators])
+    _check_against_sympy(group.degree, group.generators)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -118,7 +117,7 @@ def test_chain_matches_sympy_and_the_listing(group, data):
     for images in data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=5)):
         member = oracle.contains(Permutation(list(images)))
         if listed is not None:
-            assert member == any(g.images == images for g in listed)
+            assert member == any(g == images for g in listed)
         assert chain.contains(images) == member
 
 
@@ -131,11 +130,11 @@ def test_least_coset_element_matches_the_listed_coset(group, data):
     elements = _listed(n, gens)
     pick = st.sampled_from(elements)
     sub_gens = data.draw(st.lists(pick, min_size=1, max_size=2))
-    sub = _listed(n, [h.images for h in sub_gens])
-    sub_chain = StabChain(n, [h.images for h in sub_gens])
+    sub = _listed(n, sub_gens)
+    sub_chain = StabChain(n, sub_gens)
     assert sub_chain.order == len(sub)
     for g in data.draw(st.lists(pick, min_size=1, max_size=4)):
-        assert sub_chain.least_in_coset(g.images) == min((h * g).images for h in sub)
+        assert sub_chain.least_in_coset(g) == min(product(h, g) for h in sub)
 
 
 def _check_schreier(order, gens, rows, item, fixes):
@@ -156,15 +155,15 @@ def test_schreier_generators_on_cosets_and_blocks(group, data):
     for groups of order up to LIST_LIMIT, and on the blocks of every
     block system of a transitive group."""
     n, gens = group
-    table = GroupTable(n, [Perm(g) for g in gens])
+    table = GroupTable(n, gens)
     if table.order <= LIST_LIMIT:
         letters = st.lists(st.sampled_from(table.generators), min_size=1, max_size=6)
         words = data.draw(st.lists(letters, min_size=1, max_size=2))
-        sub = GroupTable(n, [functools.reduce(operator.mul, w) for w in words])
+        sub = GroupTable(n, [functools.reduce(product, w) for w in words])
         space = CosetSpace(table, sub)
         coset = data.draw(st.integers(0, space.n_cosets - 1))
         _check_schreier(table.order, gens, space.generator_rows(), coset,
-                        lambda c, s: space.rows([Perm(s)])[0][c] == c)
+                        lambda c, s: space.rows([s])[0][c] == c)
     if len(list(closure((0,), point_step(gens)))) == n:
         for system in all_block_systems(table):
             rows = [system.row(g) for g in gens]

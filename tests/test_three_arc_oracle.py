@@ -22,7 +22,7 @@ from sgk import fixtures as fx  # noqa: E402
 from sgk.constructions import three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import NotSymmetric  # noqa: E402
 from sgk.graphs import Graph, complete_graph  # noqa: E402
-from sgk.perm import Action, GroupTable, Perm, orbits  # noqa: E402
+from sgk.perm import Action, GroupTable, orbits  # noqa: E402
 
 
 def reference_orbits(graph, act) -> list:
@@ -90,7 +90,7 @@ def test_three_arc_layer_matches_the_split(case):
 
 
 def _cyclic(n):
-    return GroupTable(n, [Perm(list(range(1, n)) + [0])])
+    return GroupTable(n, [tuple(range(1, n)) + (0,)])
 
 
 @pytest.mark.parametrize("graph, group, count", [

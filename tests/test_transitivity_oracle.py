@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import enumerate_s_arcs  # noqa: E402
 from sgk.graphs import Graph, s_arc_level, verify_action  # noqa: E402
-from sgk.perm import Action, Perm, StabChain, group_from_generators, orbits  # noqa: E402
+from sgk.perm import Action, StabChain, group_from_generators, orbits  # noqa: E402
 
 ORDER_CAP = 720
 
@@ -68,13 +68,13 @@ def actions(draw):
     for _ in range(draw(st.integers(1, 3))):
         head = draw(st.permutations(range(n)))
         tail = draw(st.permutations(range(m)))
-        gens.append(Perm(list(head) + [n + x for x in tail]))
+        gens.append(tuple(head) + tuple(n + x for x in tail))
     group = group_from_generators(gens[:1], degree=n + m)  # order at most 30
     for k in range(2, len(gens) + 1):
-        if StabChain(n + m, [g.images for g in gens[:k]]).order > ORDER_CAP:
+        if StabChain(n + m, gens[:k]).order > ORDER_CAP:
             break
         group = group_from_generators(gens[:k], degree=n + m)
-    return Action(group, n, [g.images[:n] for g in group.generators])
+    return Action(group, n, [g[:n] for g in group.generators])
 
 
 @st.composite
