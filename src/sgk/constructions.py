@@ -526,7 +526,8 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
         return None
     gen_rows = act.generator_rows()
     block_step = point_step(q.block_action.generator_rows())
-    stab = schreier_generators(graph.n, gen_rows, 0, block_step)
+    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
+    stab = schreier_generators(gen_rows, carrier, block_step)
 
     def step(item):
         m, c = item
@@ -537,7 +538,6 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     if rho0 is None:
         return None
     # carry the block-0 labelling everywhere along a transversal
-    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
     labelling = [-1] * graph.n
     for row in carrier.values():
         for m in members:
@@ -638,7 +638,9 @@ def subgraph_graph(
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
     # the stabiliser of the base subgraph, from its Schreier generators, times
     # the kernel of the action on the graph, which fixes every subgraph
-    stab_gens = schreier_generators(graph.n, gen_rows, base_index, point_step(sub_rows))
+    sub_step = point_step(sub_rows)
+    walk = _witnesses(base_index, tuple(range(graph.n)), gen_rows, sub_step)
+    stab_gens = schreier_generators(gen_rows, walk, sub_step)
     stab = StabChain(graph.n, stab_gens).order * act.kernel_size()
     certify(
         stab * len(subgraphs) == len(act.group),
@@ -789,10 +791,11 @@ def _semiregular_closure(gens: list, conjugators: list, partition: BlockSystem) 
     return orbit_map(((0, tuple(range(len(gens[0])))),), step)
 
 
-def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
+def _regular_normal_subgroup(q: Quotient, stab: StabChain, carriers: dict) -> dict:
     """A normal subgroup N regular on the quotient's vertices, as its
     element n_w carrying block 0 to w for each block w; ``stab`` is the
-    chain of the stabiliser G_B of block 0.
+    chain of the stabiliser G_B of block 0, and ``carriers`` the witness
+    walk from block 0 that gave it.
 
     N meets each coset G_B·t of a carrier t from block 0 to block w in
     n_w alone.  Conjugating n_w by G_B gives the n_v on the orbit of w,
@@ -808,15 +811,14 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain) -> dict:
     """
     n, partition = q.graph.n, q.partition
     gen_rows = list(q.action.generator_rows())
-    block_step = point_step(q.block_action.generator_rows())
-    carriers = _witnesses(0, tuple(range(q.base.n)), gen_rows, block_step)
     stab_step = point_step([partition.row(h) for h in stab.generators])
     gens: list = []
     w = q.graph.adj[0][0]
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
-        fixing_w = schreier_generators(q.base.n, stab.generators, w, stab_step)
+        to_w = _witnesses(w, tuple(range(q.base.n)), stab.generators, stab_step)
+        fixing_w = schreier_generators(stab.generators, to_w, stab_step)
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue
@@ -878,8 +880,9 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
     gen_rows = q.action.generator_rows()
     block_step = point_step(q.block_action.generator_rows())
-    stab = StabChain(graph.n, schreier_generators(graph.n, gen_rows, 0, block_step))
-    by_block = _regular_normal_subgroup(q, stab)
+    walk = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
+    stab = StabChain(graph.n, schreier_generators(gen_rows, walk, block_step))
+    by_block = _regular_normal_subgroup(q, stab, walk)
     normal = tuple(by_block[w] for w in range(quo.n))
     back = [_invert(x) for x in normal]
     points = partition.blocks[0]

@@ -391,9 +391,9 @@ class StabChain:
         if point in orbit:
             t, t_inv = orbit[point]
             return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
-        gens = self.generators
-        found = schreier_generators(self.degree, gens, point, point_step(gens))
-        return StabChain(self.degree, found)
+        gens, step = self.generators, point_step(self.generators)
+        walk = _witnesses(point, identity, gens, step)
+        return StabChain(self.degree, schreier_generators(gens, walk, step))
 
     def elements(self) -> list:
         """Every element's image tuple, in lexicographic order.
@@ -429,23 +429,22 @@ class StabChain:
         return g
 
 
-def schreier_generators(degree: int, generators: Sequence[tuple], point, step: Callable) -> list:
-    """Image tuples that generate the stabiliser of ``point`` in the group
-    that the image tuples ``generators`` generate, acting as ``step``
-    says: ``step(x)[k]`` is the image of x under ``generators[k]``, as
+def schreier_generators(generators: Sequence[tuple], walk: dict, step: Callable) -> list:
+    """Image tuples that generate the stabiliser of the start of ``walk``,
+    the ``_witnesses`` of ``generators`` acting as ``step`` says:
+    ``step(x)[k]`` is the image of x under ``generators[k]``, as
     ``closure`` takes it.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1,
     for x in the orbit and g a generator, generate the stabiliser; each is
     kept once, and the identity not at all."""
-    wit = _witnesses(point, tuple(range(degree)), generators, step)
     inverse: dict = {}
     found: dict = {}
-    for x, t in wit.items():
+    for x, t in walk.items():
         for g, y in zip(generators, step(x)):
             tg = _compose(t, g)
             # a tree edge, t_x.g = t_(x^g), gives the identity
-            if tg != wit[y]:
+            if tg != walk[y]:
                 if y not in inverse:
-                    inverse[y] = _invert(wit[y])
+                    inverse[y] = _invert(walk[y])
                 found[_compose(tg, inverse[y])] = None
     return list(found)
 

@@ -107,7 +107,8 @@ class CosetSpace:
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
         step = point_step(self.rows(generators))
-        schreier = schreier_generators(self.group.degree, generators, coset, step)
+        walk = _witnesses(coset, tuple(range(self.group.degree)), generators, step)
+        schreier = schreier_generators(generators, walk, step)
         return GroupTable(self.group.degree, schreier)
 
 
@@ -186,53 +187,42 @@ def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecompositio
 # ---- blocks of imprimitivity ----------------------------------------------------
 
 
-def _smallest_block(n: int, gen_rows: Sequence[tuple], points: Iterable[int]) -> frozenset:
-    """Smallest block of imprimitivity containing every one of ``points``.
+def _blocks_through(group: GroupTable, point: int) -> tuple:
+    """The Schreier generators of G_α, α = ``point``, and every block of a
+    transitive group through α, each mapped to the t's that make it.
 
-    Union-find closure (Atkinson): merge the points into one class, then
-    propagate every merge through the generators until the partition is
-    a congruence; the class of the points is the block.
+    A block through α is α^H for some H ⊇ G_α, so the least block through
+    α and b is the orbit of α under G_α and a t carrying α to b.  G_α fixes
+    that block, so one b per G_α-suborbit finds them all.  Every block is
+    the join of those it contains, and the join of two is the orbit of α
+    under G_α and the t's of both.  One witness walk gives the t's and,
+    by Schreier's lemma, G_α.
     """
-    parent = list(range(n))
+    gens, step = group.generators, point_step(group.generators)
+    carry = _witnesses(point, tuple(range(group.degree)), gens, step)
+    stab = tuple(schreier_generators(gens, carry, step))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def block(ts: tuple) -> frozenset:
+        return frozenset(closure((point,), point_step(stab + ts)))
 
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
-    first, *rest = points
-    queue = [(first, p) for p in rest if union(first, p)]
-    while queue:
-        u, v = queue.pop()
-        for row in gen_rows:
-            a, b = row[u], row[v]
-            if union(a, b):
-                queue.append((a, b))
-    root = find(first)
-    return frozenset(x for x in range(n) if find(x) == root)
-
-
-def _blocks_through(n: int, gen_rows: Sequence[tuple], point: int) -> list:
-    """Every block of a transitive action that contains ``point``.
-
-    Each block B through the point is the join of the minimal blocks
-    {point, b} for b in B, so closing the minimal blocks under joins with
-    one another reaches them all; the singleton is added by hand.
-    """
-    minimal = {_smallest_block(n, gen_rows, (point, b)) for b in range(n) if b != point}
+    minimal: dict = {}
+    for suborbit in orbits(carry, point_step(stab))[1:]:
+        ts = (carry[suborbit[0]],)
+        minimal.setdefault(block(ts), ts)
+    found = {frozenset((point,)): (), **minimal}
 
     def joins(blk: frozenset) -> list:
-        return [_smallest_block(n, gen_rows, sorted(blk | m)) for m in minimal if not m <= blk]
+        out = []
+        for m, ts in minimal.items():
+            if not m <= blk:
+                both = found[blk] + ts
+                out.append(block(both))
+                found.setdefault(out[-1], both)
+        return out
 
-    return [frozenset((point,))] + list(closure(sorted(minimal, key=sorted), joins))
+    for _ in closure(minimal, joins):
+        pass
+    return stab, found
 
 
 class BlockSystem(Record):
@@ -306,10 +296,7 @@ def all_block_systems(group: GroupTable) -> list:
         )
     if not is_transitive(group):
         raise NotTransitive("block systems are defined for transitive actions")
-    systems = [
-        system_from_block(group, blk)
-        for blk in _blocks_through(group.degree, group.generators, 0)
-    ]
+    systems = [system_from_block(group, blk) for blk in _blocks_through(group, 0)[1]]
     systems.sort(key=lambda bs: (len(bs.blocks[0]), bs.blocks))
     return systems
 
@@ -329,22 +316,22 @@ def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     """Subgroups above the stabiliser of ``base_point``, paired with the
     block each one traces out; containment matches containment both ways.
 
-    Each block B through the base point α gives G_B = ⟨G_α, t_β : β ∈ B⟩,
-    t_β an element carrying α to β, of order |G_α|·|B|: G_α comes from
-    the group's chain, so no subgroup needs a chain of its own.  Listed
-    by block size, then block.
+    Each block B through the base point α gives G_B = ⟨G_α, t's⟩, the t's
+    those that ``_blocks_through`` made B from, of order |G_α|·|B|: |G_α|
+    comes from a chain of G_α's Schreier generators, so neither G nor any
+    G_B needs a chain of its own.  Listed by block size, then block.
     """
     if not 0 <= base_point < group.degree:
         raise PointOutOfRange(f"point {base_point} outside the domain of the group")
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
-    stab = group.chain.stabilizer(base_point)
-    gens = group.generators
-    carry = _witnesses(base_point, tuple(range(group.degree)), gens, point_step(gens))
-    pairs = []
-    for blk in _blocks_through(group.degree, gens, base_point):
-        sub = GroupTable(group.degree, stab.generators + [carry[b] for b in sorted(blk)])
-        pairs.append(LatticePair(sub, tuple(sorted(blk)), base_point, stab.order * len(blk)))
+    stab, blocks = _blocks_through(group, base_point)
+    order = StabChain(group.degree, stab).order
+    pairs = [
+        LatticePair(GroupTable(group.degree, stab + ts), tuple(sorted(blk)), base_point,
+                    order * len(blk))
+        for blk, ts in blocks.items()
+    ]
     pairs.sort(key=lambda pr: (len(pr.block), pr.block))
     return pairs
 

@@ -1,6 +1,10 @@
 """Groups checked against sympy on generators drawn by hypothesis: group
 order and point orbits on transitive and intransitive groups, primitivity
-and the minimal block systems on transitive ones."""
+and the minimal block systems on transitive ones.  Every block through a
+point, and the order of the subgroup each traces out, are checked against
+a brute-force search over the subsets of the domain."""
+
+import itertools
 
 import pytest
 
@@ -10,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sgk.perm import group_from_generators, is_transitive, orbit  # noqa: E402
-from sgk.subgroups import all_block_systems  # noqa: E402
+from sgk.subgroups import all_block_systems, subgroup_block_lattice  # noqa: E402
 
 
 @st.composite
@@ -72,6 +76,57 @@ def test_block_systems_match_sympy(images):
     }
     expected = {_partition(labels) for labels in oracle.minimal_blocks(randomized=False)}
     assert minimal == expected
+
+
+def _tiles(images, subset, n):
+    """The images of ``subset`` under the group the generators ``images``
+    generate, found breadth first, are disjoint and cover the domain."""
+    seen, frontier = {subset}, [subset]
+    while frontier:
+        found = {frozenset(g[p] for p in s) for s in frontier for g in images}
+        frontier = list(found - seen)
+        seen |= found
+    return sum(map(len, seen)) == n and len(frozenset().union(*seen)) == n
+
+
+def _brute_force_blocks(images, base):
+    """Every subset containing ``base`` whose images tile the domain."""
+    n = len(images[0])
+    others = [p for p in range(n) if p != base]
+    subsets = (
+        frozenset((base,) + rest)
+        for k in range(n)
+        for rest in itertools.combinations(others, k)
+    )
+    return {s for s in subsets if _tiles(images, s, n)}
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(transitive_groups(), st.data())
+def test_block_lattice_matches_brute_force(images, data):
+    """The blocks through a random base point of every block system, and
+    the lattice's blocks there with their subgroups' orders |G|/n·|B|."""
+    n = len(images[0])
+    group = group_from_generators([tuple(g) for g in images], degree=n)
+    assume(is_transitive(group))
+    base = data.draw(st.integers(0, n - 1))
+    expected = _brute_force_blocks(images, base)
+    through = {
+        frozenset(blk)
+        for system in all_block_systems(group)
+        for blk in system.blocks
+        if base in blk
+    }
+    assert through == expected
+    pairs = subgroup_block_lattice(group, base)
+    assert {frozenset(p.block) for p in pairs} == expected
+    order = sympy_comb.PermutationGroup([sympy_comb.Permutation(g) for g in images]).order()
+    assert all(p.order == order // n * len(p.block) for p in pairs)
 
 
 @st.composite

@@ -25,7 +25,13 @@ from sgk.designs import (
 from sgk.errors import NotPolarity
 from sgk.fixtures import petersen_graph, petersen_group, q3_graph
 from sgk.graphs import Graph, complete_graph, cycle_graph
-from sgk.perm import group_from_generators, orbit_map, point_step, schreier_generators
+from sgk.perm import (
+    _witnesses,
+    group_from_generators,
+    orbit_map,
+    point_step,
+    schreier_generators,
+)
 
 
 def _dihedral_gens(n):
@@ -84,7 +90,8 @@ def _paired_seeds(inc, group) -> list:
         g + tuple(n + b for b in row)
         for g, row in zip(group.generators, generator_block_rows(inc, group))
     ]
-    stab = schreier_generators(2 * n, paired, 0, point_step(paired))
+    step = point_step(paired)
+    stab = schreier_generators(paired, _witnesses(0, tuple(range(2 * n)), paired, step), step)
     return [c for c in range(n) if all(s[n + c] == n + c for s in stab)]
 
 

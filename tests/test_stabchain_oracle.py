@@ -20,7 +20,14 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from conftest import closure_listing, product
 from sgk import fixtures as fx
-from sgk.perm import GroupTable, StabChain, closure, point_step, schreier_generators
+from sgk.perm import (
+    GroupTable,
+    StabChain,
+    _witnesses,
+    closure,
+    point_step,
+    schreier_generators,
+)
 from sgk.subgroups import CosetSpace, all_block_systems
 
 LIST_LIMIT = 2000
@@ -142,7 +149,8 @@ def _check_schreier(order, gens, rows, item, fixes):
     of ``gens`` give, each fix it (``fixes(item, image tuple)``) and
     generate a group of order |G| over the item's orbit length."""
     n = len(gens[0])
-    found = schreier_generators(n, gens, item, point_step(rows))
+    step = point_step(rows)
+    found = schreier_generators(gens, _witnesses(item, tuple(range(n)), gens, step), step)
     assert all(fixes(item, s) for s in found)
     orbit = list(closure((item,), point_step(rows)))
     assert StabChain(n, found).order * len(orbit) == order

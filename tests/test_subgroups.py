@@ -6,7 +6,7 @@ import pytest
 
 from conftest import inverse, product, setwise_stabilizer
 from sgk.errors import NotASubgroup, NotTransitive
-from sgk.perm import group_from_generators, parse_cycles
+from sgk.perm import GroupTable, group_from_generators, parse_cycles
 from sgk.subgroups import (
     BlockSystem,
     all_block_systems,
@@ -184,6 +184,22 @@ def test_lattice_s4_natural(s4):
     assert lattice_is_order_isomorphic(pairs)
     assert sorted(p.subgroup.order for p in pairs) == [6, 24]
     assert sorted(len(p.block) for p in pairs) == [1, 4]
+
+
+def test_lattice_generators_give_the_stated_orders(s4, oct_aut):
+    """Each G_B's generators carry the base point into B and generate a
+    group of order |G|/n·|B|, the order the pair states: on D_n for
+    n <= 40 at the first and last point, S4 at its third point and the
+    octahedron's group."""
+    cases = [(_dihedral(n), base) for n in range(3, 41) for base in (0, n - 1)]
+    for group, base in cases + [(s4, 2), (oct_aut, 0)]:
+        pairs = subgroup_block_lattice(group, base)
+        assert lattice_is_order_isomorphic(pairs)
+        for pair in pairs:
+            gens = pair.subgroup.generators
+            assert all(g[base] in pair.block for g in gens), (group, base, pair.block)
+            expect = group.order // group.degree * len(pair.block)
+            assert GroupTable(group.degree, gens).order == pair.order == expect
 
 
 def test_fiber_evaluation(d6):

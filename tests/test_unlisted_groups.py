@@ -15,8 +15,8 @@ S9 run under the default element cap, while the cap still bounds the
 number of cosets, the orbit of a subgraph and the candidates tried for a
 regular normal subgroup.  With chains made to raise, ``quotient``,
 ``blocks``, ``threearc`` and the three ``design`` commands give the same
-outcome as with chains allowed.  The subgroup helpers answer on S10
-without listing it.
+outcome as with chains allowed, and ``lattice`` builds one chain, of the
+point stabiliser.  The subgroup helpers answer on S10 without listing it.
 """
 
 from functools import cached_property
@@ -46,6 +46,12 @@ M11 = "degree: 11\n(1 2 3 4 5 6 7 8 9 10 11)\n(3 7 11 8)(4 10 5 6)\n"
 
 def symmetric_group_file(n):
     return f"degree: {n}\n(1 2)\n({' '.join(str(p) for p in range(1, n + 1))})\n"
+
+
+def dihedral_group_file(n):
+    """D_n on the n-gon: the rotation and the reflection fixing point 1."""
+    reflection = "".join(f"({i} {n + 2 - i})" for i in range(2, n // 2 + 2) if i < n + 2 - i)
+    return f"degree: {n}\n({' '.join(str(p) for p in range(1, n + 1))})\n{reflection}\n"
 
 
 LIST_GROUP = GroupTable.elements.func
@@ -183,10 +189,15 @@ def construction_jobs(capsys, tmp_path):
 
 def lattice_and_arc_jobs(tmp_path):
     """``lattice`` and ``extend --via arcs`` on the desk inputs, with a
-    group that is not transitive and the three chains ``extend`` refuses."""
+    group that is not transitive and the three chains ``extend`` refuses;
+    ``blocks`` and ``lattice`` on D12 and D36, whose block lattices are
+    those of the divisors of 12 and 36."""
     fix = {name: str(FIXDIR / f"{name}.grp") for name in ("s4", "s5", "d4", "d6")}
     octahedron = str(FIXDIR / "octahedron-aut.grp")
     (tmp_path / "split.grp").write_text("degree: 4\n(1 2)\n(3 4)\n")
+    for n in (12, 36):
+        (tmp_path / f"d{n}.grp").write_text(dihedral_group_file(n))
+    d12, d36 = str(tmp_path / "d12.grp"), str(tmp_path / "d36.grp")
     arcs = ["extend", "--via", "arcs", "--group", octahedron]
     return [
         ["lattice", "--group", fix["d4"]],
@@ -196,6 +207,10 @@ def lattice_and_arc_jobs(tmp_path):
         ["lattice", "--group", fix["s5"]],
         # not transitive: rejected either way
         ["lattice", "--group", str(tmp_path / "split.grp")],
+        ["blocks", "--group", d12],
+        ["blocks", "--group", d36],
+        ["lattice", "--group", d12, "--base", "5"],
+        ["lattice", "--group", d36],
         arcs + ["--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
                 "--involution", "(1 2)(4 5)", "--out", "edges", "--group-out",
                 str(tmp_path / "induced.grp")],
@@ -489,6 +504,24 @@ def test_quotient_and_design_commands_build_no_chain(capsys, tmp_path, monkeypat
     monkeypatch.setattr(StabChain, "__init__", refuse)
     for argv, expect in zip(jobs, allowed):
         assert outcome(capsys, tmp_path, argv) == expect, argv
+
+
+def test_lattice_builds_only_a_chain_of_the_point_stabiliser(capsys, tmp_path, monkeypatch):
+    """``lattice`` on D36 at its fifth point reads |G_α| = 2 off the one
+    chain it builds, of G_α's Schreier generators; G and the G_B are
+    given by generators alone."""
+    (tmp_path / "d36.grp").write_text(dihedral_group_file(36))
+    built = []
+    init = StabChain.__init__
+
+    def record(chain, degree, generators):
+        init(chain, degree, generators)
+        built.append(chain.order)
+
+    monkeypatch.setattr(StabChain, "__init__", record)
+    code, *_ = outcome(capsys, tmp_path, ["lattice", "--group", str(tmp_path / "d36.grp"),
+                                          "--base", "5"])
+    assert code == 0 and built == [2]
 
 
 def test_subgroup_helpers_never_list_the_group(monkeypatch):
