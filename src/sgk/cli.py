@@ -710,9 +710,7 @@ def cmd_design_validate(args, cert: Certificate) -> Optional[str]:
 def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    # one report on the base graph serves both the orbits and the graph
-    report = verify_action(graph, group)
-    orbs = three_arc_orbits(graph, group, report)
+    orbs = three_arc_orbits(graph, group)
     cert.facts.update(
         {
             "orbit_count": len(orbs),
@@ -735,8 +733,9 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         )
         return None
     if not 0 <= args.orbit_index < len(orbs):
-        raise ValueError(f"orbit index {args.orbit_index} outside 0..{len(orbs) - 1}")
-    tag = three_arc_graph(graph, group, orbs[args.orbit_index], report)
+        where = f" outside 0..{len(orbs) - 1}" if orbs else ": there are no 3-arc orbits"
+        raise ValueError(f"orbit index {args.orbit_index}{where}")
+    tag = three_arc_graph(graph, group, orbs[args.orbit_index])
     cert.facts.update(
         {
             "orbit_index": args.orbit_index,

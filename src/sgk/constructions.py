@@ -56,13 +56,14 @@ from .perm import (
     orbits,
     paired_order,
     point_step,
-    schreier_generators,
+    stabilizer,
     tuple_step,
 )
 from .quotients import (
     Quotient,
     QuotientCertificate,
     certify_quotient,
+    cross_section_design,
     quotient,
     quotient_is_nontrivial,
 )
@@ -347,7 +348,7 @@ def biggs_cover(
         cover.n, [[ni * graph.n + u for ni in range(m)] for u in range(graph.n)]
     )
     certificate = certify_quotient(
-        quotient(cover, action, fibres, report), allow_trivial=not graph.arcs
+        quotient(cover, action, fibres), allow_trivial=not graph.arcs
     )
     certify(
         certificate.quotient.arcs == graph.arcs,
@@ -378,9 +379,7 @@ class ThreeArcOrbit(Record):
         return len(self.arcs)
 
 
-def three_arc_orbits(
-    graph: Graph, group: GroupLike, report: Optional[TransitivityReport] = None
-) -> list:
+def three_arc_orbits(graph: Graph, group: GroupLike) -> list:
     """Orbits on 3-arcs, each with its reversal partner worked out.
 
     The orbits are sorted and listed in the order of their least 3-arc.
@@ -388,14 +387,9 @@ def three_arc_orbits(
     of 0 on its neighbours, so the least 3-arc of each orbit runs through
     the base arc (0, a), a the least neighbour of 0: the orbits of those
     3-arcs, taken in lex order, are all of them in that order.
-
-    ``report``, when given, must be ``verify_action(graph, group)``; it
-    spares a caller that holds it the second verification.
     """
     act = coerce_action(group, graph.n)
-    if report is None:
-        report = verify_action(graph, act)
-    if not report.symmetric:
+    if not verify_action(graph, act).symmetric:
         raise NotSymmetric("three-arc data needs a symmetric graph")
     if not graph.arcs:
         return []
@@ -423,9 +417,7 @@ class ThreeArcGraph(Record):
     reverse_adjacent: bool
 
 
-def three_arc_graph(
-    graph: Graph, group: GroupLike, orbit, report: Optional[TransitivityReport] = None
-) -> ThreeArcGraph:
+def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     """The graph on the arcs of a symmetric graph, joined through a
     self-paired orbit on 3-arcs: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′)
     lies in the orbit.
@@ -433,13 +425,9 @@ def three_arc_graph(
     Grouping the vertices by initial vertex gives back the original
     graph, which is certified along with symmetry of the induced action;
     the certified quotient stays on the result's ``certificate``.
-    ``report``, when given, must be ``verify_action(graph, group)``; it
-    spares a caller that holds it the second verification.
     """
     act = coerce_action(group, graph.n)
-    if report is None:
-        report = verify_action(graph, act)
-    if not report.symmetric:
+    if not verify_action(graph, act).symmetric:
         raise NotSymmetric("three-arc graphs are built over symmetric graphs")
     delta = frozenset(
         tuple(t) for t in (orbit.arcs if isinstance(orbit, ThreeArcOrbit) else orbit)
@@ -481,7 +469,7 @@ def three_arc_graph(
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(quotient(taggraph, action, partition, tag_report))
+    certificate = certify_quotient(quotient(taggraph, action, partition))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",
@@ -526,12 +514,11 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
         return None
     gen_rows = act.generator_rows()
     block_step = point_step(q.block_action.generator_rows())
-    carrier = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
-    stab = schreier_generators(gen_rows, carrier, block_step)
+    carrier, stab = stabilizer(0, graph.n, gen_rows, block_step)
 
     def step(item):
         m, c = item
-        return [(row[m], partition.image(c, row)) for row in stab]
+        return [(row[m], partition.image(c, row)) for row in stab.generators]
 
     tables = (orbit_map(((members[0], c),), step) for c in nbrs)
     rho0 = next((t for t in tables if t is not None and sorted(t.values()) == sorted(nbrs)), None)
@@ -638,10 +625,8 @@ def subgraph_graph(
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
     # the stabiliser of the base subgraph, from its Schreier generators, times
     # the kernel of the action on the graph, which fixes every subgraph
-    sub_step = point_step(sub_rows)
-    walk = _witnesses(base_index, tuple(range(graph.n)), gen_rows, sub_step)
-    stab_gens = schreier_generators(gen_rows, walk, sub_step)
-    stab = StabChain(graph.n, stab_gens).order * act.kernel_size()
+    stab = stabilizer(base_index, graph.n, gen_rows, point_step(sub_rows))[1].order
+    stab *= act.kernel_size()
     certify(
         stab * len(subgraphs) == len(act.group),
         "the point stabilizer is the stabilizer of the subgraph",
@@ -817,8 +802,7 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain, carriers: dict) -> di
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
-        to_w = _witnesses(w, tuple(range(q.base.n)), stab.generators, stab_step)
-        fixing_w = schreier_generators(stab.generators, to_w, stab_step)
+        fixing_w = stabilizer(w, q.base.n, stab.generators, stab_step)[1].generators
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue
@@ -868,8 +852,9 @@ class FibreExtraction(Record):
 
 def extract_fibre_data(q: Quotient) -> FibreExtraction:
     """Read the reconstruction data off the quotient of a symmetric cover
-    by its fibres: the design a fibre sees, the stabilizer's action on
-    that fibre, and the orbital of flag pairs the arcs trace out.
+    by its fibres: the design a fibre sees (``cross_section_design`` of
+    block 0), the stabilizer's action on that fibre, and the orbital of
+    flag pairs the arcs trace out.
 
     Everything is derived from generators: N from the search above, and
     G_B from the images s·n_(0^s)⁻¹ of G's generators under G → G/N ≅
@@ -880,9 +865,8 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
     gen_rows = q.action.generator_rows()
     block_step = point_step(q.block_action.generator_rows())
-    walk = _witnesses(0, tuple(range(graph.n)), gen_rows, block_step)
-    stab = StabChain(graph.n, schreier_generators(gen_rows, walk, block_step))
-    by_block = _regular_normal_subgroup(q, stab, walk)
+    walk, stab = stabilizer(0, graph.n, gen_rows, block_step)
+    by_block = _regular_normal_subgroup(q, stab.chain, walk)
     normal = tuple(by_block[w] for w in range(quo.n))
     back = [_invert(x) for x in normal]
     points = partition.blocks[0]
@@ -892,17 +876,6 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     block_rows = tuple(partition.row(h) for h in stab_gens)
     nbrs = quo.adj[0]
     eta = {c: j for j, c in enumerate(nbrs)}
-    flags = frozenset(
-        (pos[p], eta[c])
-        for p in points
-        for c in nbrs
-        if any(block_of[w] == c for w in graph.adj[p])
-    )
-    design = IncidenceStructure(
-        point_labels=tuple(graph.labels[p] for p in points),
-        block_labels=tuple(quo.labels[c] for c in nbrs),
-        flags=flags,
-    )
     vertex_code = tuple((pos[back[block_of[u]][u]], block_of[u]) for u in range(graph.n))
 
     def flag(u, v):
@@ -921,7 +894,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     return FibreExtraction(
         source=q,
         points=points,
-        design=design,
+        design=cross_section_design(q, 0).design,
         normal=normal,
         stabilizer_order=stab.order,
         point_rows=point_rows,

@@ -147,7 +147,7 @@ def parse_cycles(text: str, degree: int) -> tuple:
             raise CycleSyntaxError(f"unclosed cycle in {text!r}")
         points = []
         for tok in stripped[pos + 1 : end].replace(",", " ").split():
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise CycleSyntaxError(f"bad point {tok!r} in {text!r}")
             p = int(tok) - 1
             if not 0 <= p < degree:
@@ -391,9 +391,7 @@ class StabChain:
         if point in orbit:
             t, t_inv = orbit[point]
             return StabChain(self.degree, [_compose(_compose(t_inv, g), t) for g in g0])
-        gens, step = self.generators, point_step(self.generators)
-        walk = _witnesses(point, identity, gens, step)
-        return StabChain(self.degree, schreier_generators(gens, walk, step))
+        return stabilizer(point, self.degree, self.generators, point_step(self.generators))[1].chain
 
     def elements(self) -> list:
         """Every element's image tuple, in lexicographic order.
@@ -429,24 +427,25 @@ class StabChain:
         return g
 
 
-def schreier_generators(generators: Sequence[tuple], walk: dict, step: Callable) -> list:
-    """Image tuples that generate the stabiliser of the start of ``walk``,
-    the ``_witnesses`` of ``generators`` acting as ``step`` says:
-    ``step(x)[k]`` is the image of x under ``generators[k]``, as
-    ``closure`` takes it.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1,
-    for x in the orbit and g a generator, generate the stabiliser; each is
-    kept once, and the identity not at all."""
+def stabilizer(start, degree: int, gens: Sequence[tuple], step: Callable) -> tuple:
+    """The ``_witnesses`` walk of ``gens`` from ``start``, acting as ``step``
+    says, and the stabiliser of ``start`` in the group they generate:
+    ``step(x)[k]`` is the image of x under ``gens[k]``, as ``closure``
+    takes it.  Schreier's lemma: the elements t_x.g.t_(x^g)^-1, for x in
+    the orbit and g a generator, generate the stabiliser; each is kept
+    once, and the identity not at all."""
+    walk = _witnesses(start, tuple(range(degree)), gens, step)
     inverse: dict = {}
     found: dict = {}
     for x, t in walk.items():
-        for g, y in zip(generators, step(x)):
+        for g, y in zip(gens, step(x)):
             tg = _compose(t, g)
             # a tree edge, t_x.g = t_(x^g), gives the identity
             if tg != walk[y]:
                 if y not in inverse:
                     inverse[y] = _invert(walk[y])
                 found[_compose(tg, inverse[y])] = None
-    return list(found)
+    return walk, GroupTable(degree, found)
 
 
 def paired_order(generators: Sequence[tuple], values: Sequence[tuple]) -> int:

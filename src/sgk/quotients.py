@@ -62,29 +62,20 @@ class Quotient(Record):
     report: TransitivityReport
 
 
-def quotient(
-    graph: Graph,
-    group: GroupLike,
-    partition: BlockSystem,
-    report: Optional[TransitivityReport] = None,
-) -> Quotient:
+def quotient(graph: Graph, group: GroupLike, partition: BlockSystem) -> Quotient:
     """The quotient of a symmetric graph by an invariant partition.
 
     Vertices are the blocks; two blocks are adjacent when any arc joins
     them.  Arcs inside a block are discarded, not marked.  The induced
     action on the result is certified symmetric, which the invariance of
-    the partition guarantees.  ``report``, when given, must be
-    ``verify_action(graph, group)``; it spares a caller that holds it the
-    second verification.
+    the partition guarantees.
     """
     if partition.n_points != graph.n:
         raise NotInvariant(
             f"partition of {partition.n_points} points against a graph on {graph.n}"
         )
     act = coerce_action(group, graph.n)
-    if report is None:
-        report = verify_action(graph, act)
-    if not report.symmetric:
+    if not verify_action(graph, act).symmetric:
         raise NotSymmetric("quotients are taken of symmetric graphs only")
     qact = quotient_action(partition, act)
     labels = tuple(
@@ -255,10 +246,7 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     graph, partition, quo = q.base, q.partition, q.graph
     if not quotient_is_nontrivial(graph, partition):
         if not allow_trivial:
-            raise TrivialQuotient(
-                "some arc stays inside a block (or there are no arcs); "
-                "pass allow_trivial to certify anyway"
-            )
+            raise TrivialQuotient("some arc stays inside a block (or there are no arcs)")
         return QuotientCertificate(q, False, None, None, None, None)
     kind = cover_class(graph, partition)
     arcs_sorted = sorted(quo.arcs)

@@ -18,14 +18,13 @@ from .perm import (
     Record,
     StabChain,
     _compose,
-    _witnesses,
     capped,
     closure,
     is_involution,
     is_transitive,
     orbits,
     point_step,
-    schreier_generators,
+    stabilizer,
 )
 
 DOMAIN_LIMIT = 512
@@ -107,9 +106,7 @@ class CosetSpace:
         ``generators``, elements of the group, generate, as the subgroup
         its Schreier generators generate."""
         step = point_step(self.rows(generators))
-        walk = _witnesses(coset, tuple(range(self.group.degree)), generators, step)
-        schreier = schreier_generators(generators, walk, step)
-        return GroupTable(self.group.degree, schreier)
+        return stabilizer(coset, self.group.degree, generators, step)[1]
 
 
 def right_cosets(group: GroupTable, sub: GroupTable) -> CosetSpace:
@@ -188,7 +185,7 @@ def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecompositio
 
 
 def _blocks_through(group: GroupTable, point: int) -> tuple:
-    """The Schreier generators of G_α, α = ``point``, and every block of a
+    """G_α, α = ``point``, from its Schreier generators, and every block of a
     transitive group through α, each mapped to the t's that make it.
 
     A block through α is α^H for some H ⊇ G_α, so the least block through
@@ -198,9 +195,9 @@ def _blocks_through(group: GroupTable, point: int) -> tuple:
     under G_α and the t's of both.  One witness walk gives the t's and,
     by Schreier's lemma, G_α.
     """
-    gens, step = group.generators, point_step(group.generators)
-    carry = _witnesses(point, tuple(range(group.degree)), gens, step)
-    stab = tuple(schreier_generators(gens, carry, step))
+    gens = group.generators
+    carry, g_alpha = stabilizer(point, group.degree, gens, point_step(gens))
+    stab = g_alpha.generators
 
     def block(ts: tuple) -> frozenset:
         return frozenset(closure((point,), point_step(stab + ts)))
@@ -222,7 +219,7 @@ def _blocks_through(group: GroupTable, point: int) -> tuple:
 
     for _ in closure(minimal, joins):
         pass
-    return stab, found
+    return g_alpha, found
 
 
 class BlockSystem(Record):
@@ -326,10 +323,9 @@ def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
     stab, blocks = _blocks_through(group, base_point)
-    order = StabChain(group.degree, stab).order
     pairs = [
-        LatticePair(GroupTable(group.degree, stab + ts), tuple(sorted(blk)), base_point,
-                    order * len(blk))
+        LatticePair(GroupTable(group.degree, stab.generators + ts), tuple(sorted(blk)),
+                    base_point, stab.order * len(blk))
         for blk, ts in blocks.items()
     ]
     pairs.sort(key=lambda pr: (len(pr.block), pr.block))

@@ -173,7 +173,30 @@ def test_quotient_trivial_partition_is_input_error(capsys, tmp_path):
         "--blocks", str(blocks),
     )
     assert code == 1
-    assert err.startswith("sgk: trivial-quotient:")
+    # the library's allow_trivial has no command-line flag, so the message names none
+    assert err == "sgk: trivial-quotient: some arc stays inside a block (or there are no arcs)\n"
+
+
+def test_orbit_index_on_a_graph_without_three_arcs(capsys, tmp_path):
+    """K2 under S2 has arcs but no 3-arcs: an orbit index says that there
+    are no orbits, not that it lies outside 0..-1."""
+    (tmp_path / "k2.graph").write_text("vertices: 2\nedge 1 2\n")
+    (tmp_path / "s2.grp").write_text("degree: 2\n(1 2)\n")
+    argv = ["threearc", "--graph", str(tmp_path / "k2.graph"), "--group", str(tmp_path / "s2.grp")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and cert_from(out)["facts"]["orbit_count"] == 0
+    code, _, err = run(capsys, *argv, "--orbit-index", "0")
+    assert code == 1
+    assert err == "sgk: invalid-input: orbit index 0: there are no 3-arc orbits\n"
+
+
+def test_a_non_ascii_digit_is_a_syntax_error(capsys, tmp_path):
+    """``str.isdigit`` holds for a superscript two, which ``int`` refuses;
+    a point is ASCII digits or bad cycle syntax."""
+    (tmp_path / "sup.grp").write_text("degree: 2\n(1 \u00b2)\n", encoding="utf-8")
+    code, _, err = run(capsys, "group", "--group", str(tmp_path / "sup.grp"))
+    assert code == 1
+    assert err.startswith("sgk: syntax: bad point ")
 
 
 @pytest.mark.parametrize("command", (["quotient"], ["extend", "--via", "flags"]))

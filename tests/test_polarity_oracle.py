@@ -25,13 +25,7 @@ from sgk.designs import (
 from sgk.errors import NotPolarity
 from sgk.fixtures import petersen_graph, petersen_group, q3_graph
 from sgk.graphs import Graph, complete_graph, cycle_graph
-from sgk.perm import (
-    _witnesses,
-    group_from_generators,
-    orbit_map,
-    point_step,
-    schreier_generators,
-)
+from sgk.perm import group_from_generators, orbit_map, point_step, stabilizer
 
 
 def _dihedral_gens(n):
@@ -90,8 +84,7 @@ def _paired_seeds(inc, group) -> list:
         g + tuple(n + b for b in row)
         for g, row in zip(group.generators, generator_block_rows(inc, group))
     ]
-    step = point_step(paired)
-    stab = schreier_generators(paired, _witnesses(0, tuple(range(2 * n)), paired, step), step)
+    stab = stabilizer(0, 2 * n, paired, point_step(paired))[1].generators
     return [c for c in range(n) if all(s[n + c] == n + c for s in stab)]
 
 
@@ -153,8 +146,8 @@ def test_polarities_compose_only_rows_of_length_n(monkeypatch):
         raise AssertionError("find_polarities built Schreier generators")
 
     monkeypatch.setattr(perm, "_compose", recording_compose)
-    monkeypatch.setattr(perm, "schreier_generators", refuse)
-    monkeypatch.setattr(designs, "schreier_generators", refuse, raising=False)
+    monkeypatch.setattr(perm, "stabilizer", refuse)
+    monkeypatch.setattr(designs, "stabilizer", refuse, raising=False)
     assert len(find_polarities(inc, group)) == 2
     assert lengths and max(lengths) <= inc.n_points
 

@@ -26,7 +26,7 @@ from sgk.perm import (
     _witnesses,
     closure,
     point_step,
-    schreier_generators,
+    stabilizer,
 )
 from sgk.subgroups import CosetSpace, all_block_systems
 
@@ -147,10 +147,13 @@ def test_least_coset_element_matches_the_listed_coset(group, data):
 def _check_schreier(order, gens, rows, item, fixes):
     """The Schreier generators of ``item``, under the action that the rows
     of ``gens`` give, each fix it (``fixes(item, image tuple)``) and
-    generate a group of order |G| over the item's orbit length."""
+    generate a group of order |G| over the item's orbit length; the walk
+    that comes with them is the witness walk from ``item``."""
     n = len(gens[0])
     step = point_step(rows)
-    found = schreier_generators(gens, _witnesses(item, tuple(range(n)), gens, step), step)
+    walk, stab = stabilizer(item, n, gens, step)
+    assert walk == _witnesses(item, tuple(range(n)), gens, step)
+    found = stab.generators
     assert all(fixes(item, s) for s in found)
     orbit = list(closure((item,), point_step(rows)))
     assert StabChain(n, found).order * len(orbit) == order
