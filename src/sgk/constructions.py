@@ -796,13 +796,14 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain, carriers: dict) -> di
     """
     n, partition = q.graph.n, q.partition
     gen_rows = list(q.action.generator_rows())
-    stab_step = point_step([partition.row(h) for h in stab.generators])
+    stab_gens = stab.generators
+    stab_step = point_step([partition.row(h) for h in stab_gens])
     gens: list = []
     w = q.graph.adj[0][0]
     while True:
         least = stab.least_in_coset(carriers[w])
-        walk = closure((least,), lambda y: [_compose(h, y) for h in stab.generators])
-        fixing_w = stabilizer(w, q.base.n, stab.generators, stab_step)[1].generators
+        walk = closure((least,), lambda y: [_compose(h, y) for h in stab_gens])
+        fixing_w = stabilizer(w, q.base.n, stab_gens, stab_step)[1].generators
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue

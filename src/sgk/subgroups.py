@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -185,27 +187,42 @@ def double_cosets(group: GroupTable, sub: GroupTable) -> DoubleCosetDecompositio
 
 
 def _blocks_through(group: GroupTable, point: int) -> tuple:
-    """G_α, α = ``point``, from its Schreier generators, and every block of a
-    transitive group through α, each mapped to the t's that make it.
+    """The witness walk from α = ``point``, G_α from its Schreier
+    generators, and every block of a transitive group through α, each
+    mapped to the t's that make it.
 
     A block through α is α^H for some H ⊇ G_α, so the least block through
     α and b is the orbit of α under G_α and a t carrying α to b.  G_α fixes
-    that block, so one b per G_α-suborbit finds them all.  Every block is
-    the join of those it contains, and the join of two is the orbit of α
-    under G_α and the t's of both.  One witness walk gives the t's and,
-    by Schreier's lemma, G_α.
+    that block, so one b per G_α-suborbit finds them all; and once t is
+    walked, no suborbit through α^(t^k) is, for k prime to the length L of
+    t's cycle through α: some k′ ≡ k (mod L) is prime to t's order, so
+    t^k′ carries α there and ⟨G_α, t^k′⟩ = ⟨G_α, t⟩.  Every block is the
+    join of those it contains, and the join of two is the larger where one
+    holds the other, else the orbit of α under G_α and the t's of both.  A
+    proper block has at most n/2 points, and both sizes divide the join's:
+    a walk past n/2 points is the whole domain, and so is a join of blocks
+    whose sizes have their least common multiple past n/2.  One witness
+    walk gives the t's and, by Schreier's lemma, G_α.
     """
-    gens = group.generators
-    carry, g_alpha = stabilizer(point, group.degree, gens, point_step(gens))
+    n, gens = group.degree, group.generators
+    carry, g_alpha = stabilizer(point, n, gens, point_step(gens))
     stab = g_alpha.generators
+    half, whole = n // 2, frozenset(carry)
 
     def block(ts: tuple) -> frozenset:
-        return frozenset(closure((point,), point_step(stab + ts)))
+        blk = frozenset(islice(closure((point,), point_step(stab + ts)), half + 1))
+        return whole if len(blk) > half else blk
 
+    done: set = set()
     minimal: dict = {}
     for suborbit in orbits(carry, point_step(stab))[1:]:
-        ts = (carry[suborbit[0]],)
-        minimal.setdefault(block(ts), ts)
+        if done.isdisjoint(suborbit):
+            t = carry[suborbit[0]]
+            minimal.setdefault(block((t,)), (t,))
+            cycle = [t[point]]
+            while cycle[-1] != point:
+                cycle.append(t[cycle[-1]])
+            done.update(b for k, b in enumerate(cycle, 1) if gcd(k, len(cycle)) == 1)
     found = {frozenset((point,)): (), **minimal}
 
     def joins(blk: frozenset) -> list:
@@ -213,13 +230,18 @@ def _blocks_through(group: GroupTable, point: int) -> tuple:
         for m, ts in minimal.items():
             if not m <= blk:
                 both = found[blk] + ts
-                out.append(block(both))
+                if blk < m:
+                    out.append(m)
+                elif lcm(len(blk), len(m)) > half:
+                    out.append(whole)
+                else:
+                    out.append(block(both))
                 found.setdefault(out[-1], both)
         return out
 
     for _ in closure(minimal, joins):
         pass
-    return g_alpha, found
+    return carry, g_alpha, found
 
 
 class BlockSystem(Record):
@@ -280,12 +302,26 @@ def system_from_block(group: GroupTable, block: Iterable[int]) -> BlockSystem:
         raise ValueError(f"the set is not a block: {exc}") from None
 
 
+def _carried_system(carry: dict, block: frozenset) -> BlockSystem:
+    """The system of a block B through α, read off the t_x that carry α
+    to each point x: x's block is B^(t_x), taken at each point not yet
+    placed.  ``BlockSystem`` checks that the blocks tile the domain."""
+    placed: set = set()
+    blocks = []
+    for x, t in carry.items():
+        if x not in placed:
+            blocks.append([t[p] for p in block])
+            placed.update(blocks[-1])
+    return BlockSystem.from_blocks(len(carry), blocks)
+
+
 def all_block_systems(group: GroupTable) -> list:
     """Every invariant partition of a transitive action, the trivial two
     included, ordered by block size and then by blocks.
 
     A system is fixed by its block through point 0, and those blocks come
-    from joins of minimal blocks (see ``_blocks_through``).
+    from joins of minimal blocks (see ``_blocks_through``); each system is
+    read off the carriers of that walk.
     """
     if group.degree > DOMAIN_LIMIT:
         raise DomainTooLarge(
@@ -293,7 +329,8 @@ def all_block_systems(group: GroupTable) -> list:
         )
     if not is_transitive(group):
         raise NotTransitive("block systems are defined for transitive actions")
-    systems = [system_from_block(group, blk) for blk in _blocks_through(group, 0)[1]]
+    carry, _, found = _blocks_through(group, 0)
+    systems = [_carried_system(carry, blk) for blk in found]
     systems.sort(key=lambda bs: (len(bs.blocks[0]), bs.blocks))
     return systems
 
@@ -322,7 +359,7 @@ def subgroup_block_lattice(group: GroupTable, base_point: int = 0) -> list:
         raise PointOutOfRange(f"point {base_point} outside the domain of the group")
     if not is_transitive(group):
         raise NotTransitive("the lattice correspondence needs a transitive action")
-    stab, blocks = _blocks_through(group, base_point)
+    _, stab, blocks = _blocks_through(group, base_point)
     pairs = [
         LatticePair(GroupTable(group.degree, stab.generators + ts), tuple(sorted(blk)),
                     base_point, stab.order * len(blk))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import inverse, product, setwise_stabilizer
 from sgk.errors import NotASubgroup, NotTransitive
-from sgk.perm import GroupTable, group_from_generators, parse_cycles
+from sgk import subgroups
+from sgk.perm import GroupTable, closure, group_from_generators, parse_cycles
 from sgk.subgroups import (
     BlockSystem,
     all_block_systems,
@@ -164,6 +165,42 @@ def test_dihedral_block_systems_count_divisors():
     for n in range(3, 41):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         assert len(all_block_systems(_dihedral(n))) == len(divisors), n
+
+
+def _relabelled(group, seed):
+    """The group with its points renamed at random and its generators
+    listed in a random order."""
+    rnd = random.Random(seed)
+    n = group.degree
+    label = list(range(n))
+    rnd.shuffle(label)
+    back = [0] * n
+    for i, r in enumerate(label):
+        back[r] = i
+    gens = [tuple(label[g[back[x]]] for x in range(n)) for g in group.generators]
+    rnd.shuffle(gens)
+    return group_from_generators(gens, degree=n)
+
+
+@pytest.mark.parametrize("n", [360, 720])
+def test_block_search_work_follows_the_blocks(monkeypatch, n):
+    """On a relabelled D_n the block walks yield at most 5·n·d(n) points
+    in all: one walk per block found, not per suborbit, each stopped once
+    it passes n/2 points, and no walk for a join decided by size alone.
+    Walking every suborbit in full yields 9.4·n·d(n) on D_360 and
+    12.0·n·d(n) on D_720."""
+    yielded = []
+
+    def counting(seed, step):
+        for x in closure(seed, step):
+            yielded.append(x)
+            yield x
+
+    monkeypatch.setattr(subgroups, "closure", counting)
+    n_divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+    found = subgroups._blocks_through(_relabelled(_dihedral(n), n), 0)[-1]
+    assert len(found) == n_divisors
+    assert len(yielded) <= 5 * n * n_divisors
 
 
 def test_lattice_d4_is_chain(d4):
