@@ -22,7 +22,6 @@ from .errors import (
     NotInvariant,
     NotInvolution,
     NotSelfPaired,
-    NotSelfPairedOrbital,
     NotSemidirect,
     NotSubgraph,
     NotSymmetric,
@@ -62,9 +61,9 @@ from .perm import (
 from .quotients import (
     Quotient,
     QuotientCertificate,
+    _quotient,
     certify_quotient,
     cross_section_design,
-    quotient,
     quotient_is_nontrivial,
 )
 from .subgroups import BlockSystem
@@ -348,7 +347,7 @@ def biggs_cover(
         cover.n, [[ni * graph.n + u for ni in range(m)] for u in range(graph.n)]
     )
     certificate = certify_quotient(
-        quotient(cover, action, fibres), allow_trivial=not graph.arcs
+        _quotient(cover, action, fibres), allow_trivial=not graph.arcs
     )
     certify(
         certificate.quotient.arcs == graph.arcs,
@@ -469,7 +468,7 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(quotient(taggraph, action, partition))
+    certificate = certify_quotient(_quotient(taggraph, action, partition))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",
@@ -822,17 +821,15 @@ class FibreExtraction(Record):
     """Everything the reconstruction needs, read off an existing cover:
     the quotient it was taken from; N as one element per block,
     ``normal[w]`` carrying block 0 to w; for each generator s of G, the
-    rows on the fibre points and on the blocks of its image s·n_(0^s)⁻¹
-    in G_B; the order of G_B; the fibre design with its flag orbital Δ;
-    and each vertex's fibre coordinates."""
+    row on the fibre points of its image s·n_(0^s)⁻¹ in G_B; the order of
+    G_B; the fibre design with its flag orbital Δ; and each vertex's
+    fibre coordinates."""
 
     source: Quotient
-    points: tuple
     design: IncidenceStructure
     normal: tuple
     stabilizer_order: int
     point_rows: tuple
-    block_rows: tuple
     eta: dict
     delta: frozenset
     vertex_code: tuple
@@ -859,7 +856,10 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
 
     Everything is derived from generators: N from the search above, and
     G_B from the images s·n_(0^s)⁻¹ of G's generators under G → G/N ≅
-    G_B."""
+    G_B.  Δ is read off the arcs: the flag pair an arc's ends see,
+    carried back to block 0 by N, moves with the arc by the arc-moving
+    element's image in G_B, so the pairs of all arcs are the G_B-orbit of
+    one, and self paired as the arcs are."""
     graph, partition = q.base, q.partition
     quo, block_of = q.graph, partition.block_of
     if not quotient_is_nontrivial(graph, partition):
@@ -873,10 +873,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     points = partition.blocks[0]
     pos = {p: i for i, p in enumerate(points)}
     stab_gens = [_compose(s, back[partition.image(0, s)]) for s in gen_rows]
-    point_rows = tuple(tuple(pos[h[p]] for p in points) for h in stab_gens)
-    block_rows = tuple(partition.row(h) for h in stab_gens)
-    nbrs = quo.adj[0]
-    eta = {c: j for j, c in enumerate(nbrs)}
+    eta = {c: j for j, c in enumerate(quo.adj[0])}
     vertex_code = tuple((pos[back[block_of[u]][u]], block_of[u]) for u in range(graph.n))
 
     def flag(u, v):
@@ -885,37 +882,16 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
         x = back[block_of[u]]
         return pos[x[u]], eta[block_of[x[v]]]
 
-    u, v = min(graph.arcs)
-    images = _flag_images(point_rows, block_rows, nbrs, eta)
-    delta = frozenset(closure(((flag(u, v), flag(v, u)),), _pairwise(images)))
-    certify(
-        all((b, a) in delta for (a, b) in delta),
-        "the orbital of flag pairs is self paired",
-    )
     return FibreExtraction(
         source=q,
-        points=points,
         design=cross_section_design(q, 0).design,
         normal=normal,
         stabilizer_order=stab.order,
-        point_rows=point_rows,
-        block_rows=block_rows,
+        point_rows=tuple(tuple(pos[h[p]] for p in points) for h in stab_gens),
         eta=eta,
-        delta=delta,
+        delta=frozenset((flag(u, v), flag(v, u)) for u, v in graph.arcs),
         vertex_code=vertex_code,
     )
-
-
-def _flag_images(point_rows, block_rows, nbrs, eta):
-    """The images of a flag (fibre point, neighbour number) under each
-    generator of G_B, given by its rows on the fibre points and on the
-    blocks."""
-    moves = list(zip(point_rows, block_rows))
-    return lambda f: [(prow[f[0]], eta[qrow[nbrs[f[1]]]]) for prow, qrow in moves]
-
-
-def _pairwise(images):
-    return lambda pair: list(zip(images(pair[0]), images(pair[1])))
 
 
 class FlagReconstruction(Record):
@@ -930,66 +906,41 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
 
     The group must split as N·G_B, N normal and regular on the quotient;
     with the fibre coordinates pinned to block 0, a pair of fibre points
-    spans an arc exactly when the quotient pair is an arc, both
-    transported incidences are flags, and the flag pair lies in the
-    orbital.  Each generator s of G acts on the rebuilt cover by (x, v) ↦
-    (row_s[x], v^s), row_s the fibre row of s·n_(0^s)⁻¹; every input check
-    is made on generators.
+    spans an arc exactly when the quotient pair is an arc and the pair of
+    transported flags lies in the orbital.  Each generator s of G acts on
+    the rebuilt cover by (x, v) ↦ (row_s[x], v^s), row_s the fibre row of
+    s·n_(0^s)⁻¹.
+
+    The record is taken as ``extract_fibre_data`` made it, and no fact of
+    it is proved again: ``quotient`` certified the quotient symmetric; N's
+    search made N normal and regular, so the fibre rows are G_B's rows;
+    ``cross_section_design`` certified G_B flag transitive on the design;
+    Δ is one self-paired G_B-orbit of flag pairs because it is read off
+    the arcs.  The rebuilt cover is certified symmetric on the way out.
     """
     q, design, eta = fx.source, fx.design, fx.eta
     quo = q.graph
-    if not q.report.symmetric:
-        raise NotSymmetric("reconstruction starts from a symmetric quotient")
-    gen_rows = q.action.generator_rows()
-    qrows = q.block_action.generator_rows()
-    if len(fx.point_rows) != len(gen_rows):
-        raise ValueError("need one fibre row per generator of the group")
     npoints = design.n_points
-    for row in fx.point_rows:
-        if len(row) != npoints or sorted(row) != list(range(npoints)):
-            raise ValueError("fibre rows must permute the design points")
-    if paired_order(gen_rows, fx.point_rows) != StabChain(q.base.n, gen_rows).order:
-        raise ValueError("fibre rows do not compose as the stabilizer does")
-    nbrs = quo.adj[0]
-    if sorted(eta) != sorted(nbrs) or sorted(eta.values()) != list(range(design.n_blocks)):
-        raise ValueError("eta must pair the base's neighbours with the blocks")
-    images = _flag_images(fx.point_rows, fx.block_rows, nbrs, eta)
-    # the stabilizer must preserve the design through the transported blocks
-    for flag in design.flags:
-        if any(moved not in design.flags for moved in images(flag)):
-            raise NotInvariant("the stabilizer does not preserve the fibre design")
-    delta = fx.delta
-    for f1, f2 in delta:
-        if f1 not in design.flags or f2 not in design.flags:
-            raise NotSelfPairedOrbital("the orbital contains non-flags")
-        if (f2, f1) not in delta:
-            raise NotSelfPairedOrbital("the orbital is not self paired")
-    if set(closure((min(delta),), _pairwise(images))) != delta:
-        raise NotSelfPairedOrbital(
-            "the set given is not a single orbit of the stabilizer"
-        )
     labels = []
     for x in range(npoints):
         labels.extend(f"{design.point_labels[x]}|{label}" for label in quo.labels)
+    # the point pairs of Δ, by the neighbour numbers of their flags
+    pairs: Dict[tuple, list] = {}
+    for (x, jc), (y, jd) in fx.delta:
+        pairs.setdefault((jc, jd), []).append((x, y))
     back = [_invert(row) for row in fx.normal_block_rows]
-    arcs = []
-    for (p, b) in quo.arcs:
-        jc, jd = eta[back[p][b]], eta[back[b][p]]
-        for x in range(npoints):
-            if (x, jc) not in design.flags:
-                continue
-            for y in range(npoints):
-                if (y, jd) not in design.flags:
-                    continue
-                if ((x, jc), (y, jd)) in delta:
-                    arcs.append((x * quo.n + p, y * quo.n + b))
+    arcs = [
+        (x * quo.n + p, y * quo.n + b)
+        for p, b in quo.arcs
+        for x, y in pairs.get((eta[back[p][b]], eta[back[b][p]]), ())
+    ]
     cover = Graph(labels, arcs)
     action = Action(
         q.block_action.group,
         cover.n,
         gen_rows=[
             tuple(prow[x] * quo.n + qrow[v] for x in range(npoints) for v in range(quo.n))
-            for prow, qrow in zip(fx.point_rows, qrows)
+            for prow, qrow in zip(fx.point_rows, q.block_action.generator_rows())
         ],
     )
     report = verify_action(cover, action)

@@ -172,7 +172,3 @@ class DegenerateInvolution(KitError):
 
 class NotSemidirect(KitError):
     code = "not-semidirect"
-
-
-class NotSelfPairedOrbital(KitError):
-    code = "not-self-paired-orbital"

@@ -77,6 +77,12 @@ def quotient(graph: Graph, group: GroupLike, partition: BlockSystem) -> Quotient
     act = coerce_action(group, graph.n)
     if not verify_action(graph, act).symmetric:
         raise NotSymmetric("quotients are taken of symmetric graphs only")
+    return _quotient(graph, act, partition)
+
+
+def _quotient(graph: Graph, act: Action, partition: BlockSystem) -> Quotient:
+    """``quotient`` for a caller that has just certified the graph
+    symmetric under ``act`` and built the partition on its vertices."""
     qact = quotient_action(partition, act)
     labels = tuple(
         f"B{i}:{graph.labels[block[0]]}" for i, block in enumerate(partition.blocks)
@@ -180,7 +186,7 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
         raise TrivialQuotient("cross sections are cut through nontrivial quotients")
     if not 0 <= b < partition.n_blocks:
         raise NotQuotientArc(f"no block numbered {b}")
-    neighbours = [c for c in range(quo.n) if quo.has_arc(b, c)]
+    neighbours = quo.adj[b]
     points = list(partition.blocks[b])
     where = {p: i for i, p in enumerate(points)}
     col_of = {c: j for j, c in enumerate(neighbours)}
@@ -309,7 +315,7 @@ def quotient_as_coset_graph(
     for v in range(base.graph.n):
         blocks[k_cosets.coset_of(base.cosets.reps[v])].append(v)
     partition = BlockSystem.from_blocks(base.graph.n, blocks)
-    quo = quotient(base.graph, base.action, partition).graph
+    quo = _quotient(base.graph, base.action, partition).graph
     # a block holds the H-cosets filling one K-coset; send it there
     vertex_map = tuple(
         k_cosets.coset_of(base.cosets.reps[block[0]]) for block in partition.blocks

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXDIR, REPO, pgl2
-from sgk import cli, constructions
+from sgk import cli, constructions, coset_graphs, designs, graphs, quotients
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.graphs import complete_graph
@@ -140,6 +140,33 @@ def test_verify_asymmetric_pair_exits_two(capsys):
     failing = [c for c in doc["claims"] if not c["pass"]]
     assert failing
     assert "counterexample" in failing[0]
+
+
+@pytest.mark.parametrize(
+    "group, kind, detail",
+    [
+        ((FIXDIR / "z6.grp").read_text(), "two arcs in different orbits",
+         {"arc": ["1", "2"], "unreached_arc": ["1", "6"]}),
+        ("degree: 6\n(1 2)\n", "generator breaks an arc",
+         {"arc": ["1", "6"], "generator": "(1 2)", "image": ["2", "6"]}),
+        ("degree: 6\n(2 6)(3 5)\n", "vertex orbit is proper",
+         {"orbit_of_first_vertex": ["1"]}),
+    ],
+    ids=["rotations", "transposition", "reflection"],
+)
+def test_verify_names_each_kind_of_symmetric_action_counterexample(
+    capsys, tmp_path, group, kind, detail
+):
+    """C6 fails symmetry three ways: Z6 is not locally transitive, (1 2)
+    is no automorphism, and one reflection leaves vertex 1 alone."""
+    (tmp_path / "g.grp").write_text(group)
+    code, out, _ = run(
+        capsys, "verify", "--graph", str(FIXDIR / "c6.graph"), "--group", str(tmp_path / "g.grp")
+    )
+    assert code == 2
+    failing = [c for c in cert_from(out)["claims"] if not c["pass"]]
+    assert [c["id"] for c in failing] == ["symmetric-action"]
+    assert failing[0]["counterexample"] == {"kind": kind, **detail}
 
 
 def test_quotient_command(capsys, tmp_path):
@@ -418,6 +445,38 @@ def test_biggs_command(capsys, tmp_path):
     assert doc["facts"]["semidirect_order"] == 48
     assert doc["facts"]["cover_class"] == "cover"
     assert doc["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, verified",
+    [
+        (["biggs", "--n", str(FIXDIR / "z2.grp"), "--twist", "trivial", "--chain", "chain"],
+         [8, 4]),
+        (["threearc", "--orbit-index", "0"], [4, 4, 12, 4]),
+    ],
+    ids=["biggs", "threearc"],
+)
+def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, argv, verified):
+    """A construction that has just certified its graph symmetric takes
+    its quotient without verifying the graph again.  ``verify_action``
+    runs on the sizes listed: for ``biggs`` on K4 the cover and its
+    quotient; for ``threearc --orbit-index 0`` K4 twice (orbit listing
+    and construction), the three-arc graph and its quotient."""
+    (tmp_path / "trivial").write_text("trivial\n")
+    (tmp_path / "chain").write_text("arc 1 2 (1 2)\n")
+    argv = [str(tmp_path / a) if a in ("trivial", "chain") else a for a in argv]
+    seen = []
+    real = graphs.verify_action
+
+    def counted(graph, group):
+        seen.append(graph.n)
+        return real(graph, group)
+
+    for module in (graphs, cli, constructions, quotients, coset_graphs, designs):
+        monkeypatch.setattr(module, "verify_action", counted)
+    code, _, _ = run(capsys, argv[0], "--graph", GRAPH, "--group", GRP, *argv[1:])
+    assert code == 0
+    assert seen == verified
 
 
 def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """The fibre pipeline against oracles built outside it: networkx's
-isomorphism test for the extract-then-reconstruct round trip, and brute
-force over the listed group for the regular normal subgroup N and for the
-Biggs covers the round trips start from.
+isomorphism test for the extract-then-reconstruct round trip; brute
+force over the listed group for the regular normal subgroup N, for the
+flag orbital Δ as one G_B-orbit, and for the Biggs covers the round trips
+start from; and a point-by-point search for the rebuilt arcs.
 
 The inputs are K4 × Z2 under S4 × Z2, the double covers of C_n under
 D_n × Z2, the cycles C_n and 2K2 under D_n and D4 by singleton blocks,
@@ -131,3 +132,48 @@ def test_biggs_projection_is_a_covering(name):
     for x in range(bc.cover.n):
         below = [y % graph.n for y in bc.cover.adj[x]]
         assert sorted(below) == sorted(graph.adj[x % graph.n])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_flag_orbital_is_the_block_stabiliser_orbit_of_one_pair(inputs, name):
+    """Δ read off every arc equals the orbit of the least arc's flag pair
+    under G_B, listed here by brute force as the elements fixing block 0."""
+    graph, group, blocks = inputs[name]
+    fx = extract_fibre_data(quotient(graph, group, blocks))
+    points, nbrs = blocks.blocks[0], fx.quotient.adj[0]
+    back = [_invert(x) for x in fx.normal]
+
+    def flag(u, v):
+        """The flag (fibre point, neighbour number) that u sees towards v,
+        both carried back to block 0 by the element of N that takes u's
+        block there."""
+        x = back[blocks.block_of[u]]
+        return points.index(x[u]), fx.eta[blocks.block_of[x[v]]]
+
+    u, v = min(graph.arcs)
+    pair = (flag(u, v), flag(v, u))
+    orbit = {
+        tuple((points.index(g[points[p]]), fx.eta[blocks.image(nbrs[j], g)]) for p, j in pair)
+        for g in group.elements
+        if blocks.image(0, g) == 0
+    }
+    assert fx.delta == orbit
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rebuilt_arcs_match_the_pointwise_search(inputs, name):
+    """For each quotient arc (p, b), every pair of fibre points whose
+    transported flags form a pair in Δ, tried one pair at a time."""
+    graph, group, blocks = inputs[name]
+    fx = extract_fibre_data(quotient(graph, group, blocks))
+    quo, flags, eta = fx.quotient, fx.design.flags, fx.eta
+    back = [_invert(row) for row in fx.normal_block_rows]
+    npoints = fx.design.n_points
+    arcs = set()
+    for p, b in quo.arcs:
+        jc, jd = eta[back[p][b]], eta[back[b][p]]
+        for x in range(npoints):
+            for y in range(npoints):
+                if (x, jc) in flags and (y, jd) in flags and ((x, jc), (y, jd)) in fx.delta:
+                    arcs.add((x * quo.n + p, y * quo.n + b))
+    assert flag_orbital_reconstruction(fx).graph.arcs == arcs

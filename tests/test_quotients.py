@@ -206,7 +206,7 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
         (quotients, "quotient"),
         (quotients, "quotient_action"),
         (quotients, "verify_action"),
-        (constructions, "quotient"),
+        (constructions, "_quotient"),
         (constructions, "verify_action"),
     ):
         monkeypatch.setattr(module, name, derive)
