@@ -5,26 +5,23 @@ it advertises, and emits a JSON certificate recording input digests, the
 measured facts, and each claim with a witness or a counterexample.
 
 Exit status: 0 when every claim passed, 2 when a claim failed (the
-certificate then carries a concrete counterexample), 1 when the input or
-the command line itself was rejected, 3 when the program itself crashed;
-rejections print a stable error code (or argparse's usage message) on
-stderr, crashes ``internal-error`` and the exception, and neither writes
-a certificate.
+certificate then carries a concrete counterexample), 1 when the input, an
+output path or the command line itself was rejected, 3 when the program
+itself crashed; rejections print a stable error code (or argparse's usage
+message) on stderr, crashes ``internal-error`` and the exception, and
+neither writes a certificate.
 
 Certificates are deterministic byte for byte apart from ``timing_ms``:
 keys are sorted and every collection is emitted in a canonical order.
 """
 
-import hashlib
-import json
 import sys
-import time
 from itertools import compress, count
 from operator import ge
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
+from .claims import CLAIM_INVARIANTS, Certificate
 from .constructions import (
     arc_partition_extension,
     biggs_cover,
@@ -84,99 +81,25 @@ from .subgroups import (
 )
 from .coset_graphs import orbitals, symmetric_coset_graph
 
-# Each certificate claim cites one of these invariants by id; the text is
-# the statement the claim checks.  Subcommands may only emit ids from here.
-CLAIM_INVARIANTS = {
-    "orbit-stabilizer": "orbit size times stabilizer order equals the group order at every point",
-    "orbit-partition": "orbits are pairwise equal or disjoint and cover the domain",
-    "enumeration-determinism": (
-        "the listing of G has |G| entries, the identity first and each image tuple"
-        " less than the next, so it is the one sorted order of G"
-    ),
-    "lattice-isomorphism": "subgroup containment matches block containment in both directions",
-    "block-closure": "every generator image of a block is a block of the same system",
-    "fiber-evaluation": "the setwise stabilizer of a block is transitive on the block",
-    "symmetric-action": "the group acts as automorphisms, vertex and locally transitively",
-    "symmetric-iff-arc-transitive": "symmetric and arc-transitive agree when no vertex is isolated",
-    "valency-law": "vertex degree equals |H| / |a^-1Ha n H| at every vertex",
-    "arc-stabilizer-law": (
-        "the stabilizer of the base arc and a^-1Ha n H have equal orders"
-        " and each contains the other's generators"
-    ),
-    "rank-consistency": "the orbital count equals the point stabilizer's orbit count",
-    "quotient-symmetry": "the induced action on the quotient passes the full symmetric report",
-    "fiber-transitivity": "the regular normal subgroup is transitive on the quotient vertices",
-    "design-double-count": "v times lambda equals b times k",
-    "quotient-homomorphism": (
-        "the block map intertwines the two actions at every element and vertex;"
-        " in an extension it collapses the arcs onto the base arcs"
-    ),
-    "cover-arithmetic": "cover vertex counts and valencies multiply out exactly",
-    "graph-design-parameters": "the neighbourhood design has v = b and k = lambda = valency",
-    "polarity-commutation": "the polarity commutes with every group element",
-    "design-round-trip": "rebuilding the graph from its design data returns an isomorphic graph",
-    "flag-transitivity-propagates": "flag transitivity forces point and block transitivity",
-    "biggs-action-law": (
-        "the generators of N x G paired with their cover rows generate a group of the"
-        " same order as N x G, so acting by a product equals acting by its factors in order"
-    ),
-    "biggs-valency-preservation": "the cover valency equals the base valency",
-    "biggs-fiber-matching": "every adjacent fibre pair induces a perfect matching",
-    "three-arc-identification": "vertices are the base arcs and the initial-vertex quotient is the base",
-    "chain-determinacy": "one seed per arc orbit determines the whole chain",
-    "subgraph-graph-transitivity": "the action on subgraph images is vertex and arc transitive",
-    "extension-counting": "vertices scale by r, valency divides by r, edge count is preserved",
-}
-
-
-class Certificate:
-    """Accumulates inputs, facts, and claims for one invocation."""
-
-    def __init__(self, construction: str):
-        self.construction = construction
-        self.inputs: dict = {}
-        self.facts: dict = {}
-        self.claims: list = []
-        self._start = time.perf_counter()
-
-    def add_input(self, name: str, text: str) -> None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.inputs[name] = f"sha256:{digest}"
-
-    def claim(self, cid: str, passed: bool, detail) -> None:
-        if cid not in CLAIM_INVARIANTS:
-            raise AssertionError(f"unknown claim id {cid}")
-        entry = {"id": cid, "pass": bool(passed)}
-        if passed:
-            entry["witness"] = detail
-        else:
-            entry["counterexample"] = detail
-        self.claims.append(entry)
-
-    @property
-    def ok(self) -> bool:
-        return all(c["pass"] for c in self.claims)
-
-    def render(self) -> str:
-        doc = {
-            "construction": self.construction,
-            "inputs": self.inputs,
-            "facts": self.facts,
-            "claims": self.claims,
-            "ok": self.ok,
-            "timing_ms": round((time.perf_counter() - self._start) * 1000.0, 3),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
+__all__ = ["CLAIM_INVARIANTS", "main"]
 
 # ---- plumbing ----------------------------------------------------------------
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load_group(cert: Certificate, path: str, name: str = "group") -> GroupTable:
@@ -217,7 +140,7 @@ def _induced_group_text(act: Action) -> str:
 def _write_group_out(args, act: Action) -> None:
     path = getattr(args, "group_out", None)
     if path:
-        Path(path).write_text(_induced_group_text(act))
+        _write_text(path, _induced_group_text(act))
 
 
 def _tiles(parts, domain) -> bool:
@@ -1192,17 +1115,19 @@ def _build_parser():
 
 def _emit(args, cert: Certificate, output: Optional[str]) -> None:
     """The output to ``--out-file`` or stdout, and the certificate to
-    ``--certificate``, or to stdout when the output did not go there."""
+    ``--certificate``, or to stdout when the output did not go there.
+    Both files are written first, so a run refused for a path it cannot
+    write prints nothing."""
     out_file = getattr(args, "out_file", None)
     if output is not None and out_file:
-        Path(out_file).write_text(output)
-    elif output is not None:
-        sys.stdout.write(output)
+        _write_text(out_file, output)
     text = cert.render()
     cert_path = getattr(args, "certificate", None)
     if cert_path:
-        Path(cert_path).write_text(text)
-    elif output is None or out_file:
+        _write_text(cert_path, text)
+    if output is not None and not out_file:
+        sys.stdout.write(output)
+    elif not cert_path:
         sys.stdout.write(text)
 
 
@@ -1223,6 +1148,10 @@ def main(argv=None) -> int:
     cert = Certificate(name)
     try:
         output = args.handler(args, cert)
+    except CertificationFailed as exc:
+        # a construction tripped one of its own postconditions
+        cert.claim(args.primary_claim, False, str(exc))
+        output = None
     except KitError as exc:
         print(f"sgk: {exc.code}: {exc}", file=sys.stderr)
         return 1
@@ -1233,16 +1162,15 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"sgk: invalid-input: {msg}", file=sys.stderr)
         return 1
-    except CertificationFailed as exc:
-        # a construction tripped one of its own postconditions
-        cert.claim(args.primary_claim, False, str(exc))
-        _emit(args, cert, None)
-        return 2
     except Exception as exc:
         # a crash is neither bad input nor a counterexample
         print(f"sgk: internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _emit(args, cert, output)
+    try:
+        _emit(args, cert, output)
+    except ValueError as exc:
+        print(f"sgk: invalid-input: {exc}", file=sys.stderr)
+        return 1
     return 0 if cert.ok else 2
 
 

@@ -33,9 +33,12 @@ def element_cap() -> int:
     if raw is None or not raw.strip():
         return DEFAULT_ELEMENT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
+        cap = -1  # refused below, with the negative values
+    if cap >= 0:
+        return cap
+    raise ValueError(f"{_CAP_ENV} must be a non-negative integer, got {raw!r}")
 
 
 class Record:

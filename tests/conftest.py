@@ -116,10 +116,15 @@ class SemidirectPairs:
         return tuple(on_n[i] * base_n + g[u] for i in range(m) for u in range(base_n))
 
 
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group mod the prime q."""
+    return next(a for a in range(1, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
+
+
 def pgl2(q: int) -> GroupTable:
     """PGL(2, q), q prime, on the points 0..q-1 of GF(q) and ∞ = q, from
     x ↦ x+1, x ↦ ax (a a primitive root mod q) and x ↦ −1/x."""
-    a = next(a for a in range(1, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
+    a = primitive_root(q)
     inverse = {x: pow(x, q - 2, q) for x in range(1, q)}
     shift = tuple((x + 1) % q for x in range(q)) + (q,)
     scale = tuple(a * x % q for x in range(q)) + (q,)
@@ -153,6 +158,49 @@ def odd_graph(k: int):
     points = [(1, 0) + tuple(range(2, 2 * k + 1)), tuple(range(1, 2 * k + 1)) + (0,)]
     gens = [tuple(where[tuple(sorted(g[p] for p in s))] for s in subsets) for g in points]
     return Graph.from_edges(len(subsets), edges), GroupTable(len(subsets), gens)
+
+
+def pg2_incidence(q: int):
+    """The incidence graph of the projective plane PG(2, q), q prime, with
+    the generator rows of PGL(3, q) on its vertices and the polarity.
+
+    Vertices 0..N-1 are the points, N = q² + q + 1, as row vectors of
+    GF(q)³ with first nonzero coordinate 1, in lexicographic order; vertex
+    N + i is the line {x : x·p_i = 0}, whose normal vector is point i.  A
+    matrix A moves p to pA and each line onto the line through the images
+    of its points.  PGL(3, q) is generated by the elementary
+    transvections I + E_ij and diag(a, 1, 1), a a primitive root mod q;
+    the polarity swaps point i with line N + i."""
+    from sgk.graphs import Graph
+
+    def normalised(v):
+        scale = pow(next(x for x in v if x), q - 2, q)
+        return tuple(x * scale % q for x in v)
+
+    points = sorted({normalised(v) for v in itertools.product(range(q), repeat=3) if any(v)})
+    n = len(points)
+    where = {p: i for i, p in enumerate(points)}
+    on_line = [
+        frozenset(i for i, p in enumerate(points) if sum(x * y for x, y in zip(p, u)) % q == 0)
+        for u in points
+    ]
+    line_of = {pts: n + j for j, pts in enumerate(on_line)}
+    matrices = [
+        [[int(r == c) + int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+        for i in range(3) for j in range(3) if i != j
+    ]
+    matrices.append([[primitive_root(q), 0, 0], [0, 1, 0], [0, 0, 1]])
+    collineations = []
+    for m in matrices:
+        on_points = [
+            where[normalised([sum(p[r] * m[r][c] for r in range(3)) % q for c in range(3)])]
+            for p in points
+        ]
+        on_lines = [line_of[frozenset(on_points[i] for i in pts)] for pts in on_line]
+        collineations.append(tuple(on_points + on_lines))
+    polarity = tuple(range(n, 2 * n)) + tuple(range(n))
+    edges = [(i, n + j) for j, pts in enumerate(on_line) for i in pts]
+    return Graph.from_edges(2 * n, edges), collineations, polarity
 
 
 def product(a, b):

@@ -1,6 +1,7 @@
 """The command line front end: exit codes, certificates, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,11 +10,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXDIR, REPO, pgl2
 from sgk import cli, constructions, coset_graphs, designs, graphs, quotients
+from sgk.claims import Certificate
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
 from sgk.graphs import complete_graph
@@ -244,15 +246,64 @@ def test_a_split_block_is_named_by_vertex_labels(capsys, tmp_path, command):
     assert err == "sgk: not-invariant: a generator splits block {a, b}\n"
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    """The result types are records that generate no code at import; ``-S``
-    keeps site hooks of the interpreter from loading either module."""
-    probe = "import sys, sgk.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _run_python_bare(probe: str) -> subprocess.CompletedProcess:
+    """``probe`` in a fresh interpreter with the package on its path;
+    ``-S`` keeps site hooks of the interpreter from loading any module."""
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_importing_the_cli_loads_neither_hashlib_pathlib_dataclasses_nor_inspect():
+    """The result types are records that generate no code at import, the
+    input digest comes from the interpreter's built-in SHA-256, not from
+    OpenSSL through hashlib, and files are opened without pathlib."""
+    heavy = ["_hashlib", "dataclasses", "hashlib", "inspect", "pathlib"]
+    done = _run_python_bare(f"import sys, sgk.cli; print(sorted(set({heavy}) & set(sys.modules)))")
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def _sha256_of_text(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",))))
+@example("\r")
+@example("degree: 2\r\n(1 2)\r\n")
+@example("caf\u00e9 \u00b2 \u2192")
+@example("\U0001d11e\U0001f600\r")
+def test_the_input_digest_is_the_sha256_of_the_utf8_text(text):
+    cert = Certificate("group")
+    cert.add_input("group", text)
+    assert cert.inputs == {"group": _sha256_of_text(text)}
+
+
+def test_the_input_digest_falls_back_to_hashlib(tmp_path):
+    """An interpreter built without its own SHA-256 modules digests the
+    inputs through hashlib, to the same value."""
+    path, cert_path = FIXDIR / "s4.grp", tmp_path / "c.json"
+    done = _run_python_bare(
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; import sgk.cli; "
+        f"code = sgk.cli.main(['group', '--group', {str(path)!r}, '--certificate', {str(cert_path)!r}]); "
+        "print(code, 'hashlib' in sys.modules)"
+    )
+    assert (done.returncode, done.stdout) == (0, "0 True\n"), done.stderr
+    doc = json.loads(cert_path.read_text())
+    assert doc["inputs"] == {"group": _sha256_of_text(path.read_text())}
+
+
+@pytest.mark.parametrize("flag", ["--certificate", "--out-file", "--group-out"])
+def test_an_unwritable_output_path_is_a_rejected_input(capsys, tmp_path, flag):
+    """Exit 1 with the reason, in the form of an unreadable input, and
+    nothing on stdout, not even the graph asked for there."""
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(
+        capsys, "cosetgraph", "--group", str(FIXDIR / "s4.grp"), "--subgroup", "(2 3),(3 4)",
+        "--involution", "(1 2)", "--out", "edges", flag, str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"sgk: invalid-input: cannot write {target}: No such file or directory\n"
 
 
 def test_blocks_and_lattice(capsys):

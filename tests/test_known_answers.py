@@ -9,15 +9,22 @@
 - PGL(2, q) is sharply 3-transitive on the projective line, so it acts
   regularly on the 2-arcs of K_(q+1) and the q − 1 ways to continue a
   2-arc fall into q − 1 orbits of 3-arcs.
+- The incidence graph of the projective plane PG(2, q), q prime, is
+  4-arc transitive and not 5-arc transitive under PGL(3, q) extended by
+  a polarity (Weiss 1981; Biggs, *Algebraic Graph Theory*); that group
+  has order 2q³(q³−1)(q²−1), twice |PGL(3, q)|.  For q = 2 the graph is
+  the Heawood graph.  PGL(3, q) alone keeps points and lines apart, so
+  it is not vertex transitive and s = 0: a negative control.
 """
 
 import math
 
 import pytest
 
-from conftest import odd_graph, pgl2, psl2
+from conftest import odd_graph, pg2_incidence, pgl2, psl2
 from sgk.constructions import three_arc_orbits
 from sgk.graphs import complete_graph, s_arc_level
+from sgk.perm import GroupTable
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -42,3 +49,20 @@ def test_complete_graphs_under_pgl2_have_q_minus_one_three_arc_orbits(q):
     orbits = three_arc_orbits(complete_graph(q + 1), group)
     assert len(orbits) == q - 1
     assert {orbit.size for orbit in orbits} == {group.order}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_projective_plane_incidence_graphs_are_four_arc_transitive(q):
+    graph, collineations, polarity = pg2_incidence(q)
+    assert graph.n == 2 * (q * q + q + 1) and graph.valency() == q + 1
+    group = GroupTable(graph.n, [*collineations, polarity])
+    assert group.order == 2 * q**3 * (q**3 - 1) * (q * q - 1)
+    assert s_arc_level(graph, group) == 4
+    assert s_arc_level(graph, GroupTable(graph.n, collineations)) == 0
+
+
+def test_the_fano_plane_incidence_graph_is_the_heawood_graph():
+    nx = pytest.importorskip("networkx")
+    graph, _, _ = pg2_incidence(2)
+    edges = [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
+    assert nx.is_isomorphic(nx.Graph(edges), nx.heawood_graph())

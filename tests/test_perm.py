@@ -185,9 +185,10 @@ def test_element_cap(monkeypatch):
         monkeypatch.setenv("SGK_ELEMENT_CAP", cap)
         with pytest.raises(CapExceeded):
             GroupTable(5, gens).elements
-    monkeypatch.setenv("SGK_ELEMENT_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        GroupTable(5, gens).elements
+    for raw in ("not-a-number", "-1"):
+        monkeypatch.setenv("SGK_ELEMENT_CAP", raw)
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            GroupTable(5, gens).elements
 
 
 def test_chain_listing_matches_closure_then_sort():
