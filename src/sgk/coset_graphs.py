@@ -9,17 +9,8 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, TransitivityReport, is_connected, verify_action
-from .perm import (
-    Action,
-    GroupLike,
-    GroupTable,
-    Perm,
-    Record,
-    closure,
-    is_involution,
-    orbits,
-    tuple_step,
-)
+from .groups import Action, GroupLike, GroupTable
+from .perm import Perm, Record, closure, is_involution, orbits, tuple_step
 from .subgroups import (
     CosetSpace,
     double_cosets,

@@ -18,16 +18,8 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, verify_action
-from .perm import (
-    GroupTable,
-    Perm,
-    Record,
-    _witnesses,
-    closure,
-    coerce_action,
-    orbit_map,
-    point_step,
-)
+from .groups import GroupTable, coerce_action
+from .perm import Perm, Record, _witnesses, closure, orbit_map, point_step
 
 
 class IncidenceStructure(Record):

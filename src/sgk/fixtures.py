@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .graphs import Graph, complete_graph, cycle_graph
 from .io import format_graph, format_group
-from .perm import GroupTable, group_from_generators, parse_cycles
+from .groups import GroupTable, group_from_generators
+from .perm import parse_cycles
 
 __all__ = [
     "s4",

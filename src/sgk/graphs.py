@@ -6,7 +6,8 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInvariant
-from .perm import Action, GroupLike, Record, closure, coerce_action, orbits, tuple_step
+from .groups import Action, GroupLike, coerce_action
+from .perm import Record, closure, orbits, tuple_step
 
 
 class Graph:

@@ -18,7 +18,8 @@ permutations raise the usual cycle parsing errors.
 from .designs import IncidenceStructure
 from .graphs import Graph
 from .errors import CapExceeded
-from .perm import GroupTable, Perm, element_cap, parse_cycles
+from .groups import GroupTable
+from .perm import Perm, element_cap, parse_cycles
 from .subgroups import BlockSystem
 
 __all__ = [

@@ -19,16 +19,8 @@ from .errors import (
     certify,
 )
 from .graphs import Graph, TransitivityReport, verify_action
-from .perm import (
-    Action,
-    GroupLike,
-    GroupTable,
-    Record,
-    _witnesses,
-    closure,
-    coerce_action,
-    tuple_step,
-)
+from .groups import Action, GroupLike, GroupTable, coerce_action
+from .perm import Record, _witnesses, closure, tuple_step
 from .subgroups import BlockSystem, right_cosets
 
 

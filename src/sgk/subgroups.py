@@ -13,21 +13,8 @@ from .errors import (
     NotTransitive,
     PointOutOfRange,
 )
-from .perm import (
-    Action,
-    GroupTable,
-    Perm,
-    Record,
-    StabChain,
-    _compose,
-    capped,
-    closure,
-    is_involution,
-    is_transitive,
-    orbits,
-    point_step,
-    stabilizer,
-)
+from .groups import Action, GroupTable, StabChain, is_transitive, stabilizer
+from .perm import Perm, Record, _compose, capped, closure, is_involution, orbits, point_step
 
 DOMAIN_LIMIT = 512
 

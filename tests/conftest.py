@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from sgk import fixtures as fx
-from sgk.perm import GroupTable, closure
+from sgk.groups import GroupTable
+from sgk.perm import closure
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"

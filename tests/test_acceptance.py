@@ -12,17 +12,14 @@ import itertools
 import random
 
 from conftest import SemidirectPairs, brute_force_isomorphic
-from sgk.constructions import (
-    biggs_cover,
+from sgk.arc_graphs import (
     check_condition_pe,
     check_three_arc_necessity,
-    constant_chain,
-    semidirect_product,
     subgraph_graph,
     three_arc_graph,
     three_arc_orbits,
-    trivial_twist,
 )
+from sgk.constructions import biggs_cover, constant_chain, semidirect_product, trivial_twist
 from sgk.coset_graphs import orbital_double_coset_map, orbitals, symmetric_coset_graph
 from sgk.designs import (
     IncidenceStructure,
@@ -40,7 +37,8 @@ from sgk.graphs import (
     connected_components,
     cycle_graph,
 )
-from sgk.perm import Action, Perm, _compose, _invert, group_from_generators, parse_cycles
+from sgk.groups import Action, group_from_generators
+from sgk.perm import Perm, _compose, _invert, parse_cycles
 from sgk.quotients import induced_bipartite, quotient, quotient_action, quotient_as_coset_graph
 from sgk.subgroups import (
     BlockSystem,

@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sgk.perm import group_from_generators, is_transitive, orbit  # noqa: E402
+from sgk.groups import group_from_generators, is_transitive, orbit  # noqa: E402
 from sgk.subgroups import all_block_systems, subgroup_block_lattice  # noqa: E402
 
 

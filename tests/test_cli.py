@@ -14,13 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXDIR, REPO, pgl2
-from sgk import cli, constructions, coset_graphs, designs, graphs, quotients
+import sgk
+from sgk import arc_graphs, cli, cli_covers, cli_groups, constructions, graphs
 from sgk.claims import Certificate
 from sgk.cli import CLAIM_INVARIANTS, main
 from sgk.errors import CertificationFailed
-from sgk.graphs import complete_graph
+from sgk.graphs import Graph, complete_graph
 from sgk.io import format_graph, format_group
-from sgk.perm import Action, Perm, StabChain
+from sgk.groups import Action, StabChain
+from sgk.perm import Perm
 from sgk.subgroups import BlockSystem
 
 
@@ -28,6 +30,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind ``replacement`` wherever a loaded ``sgk`` module binds
+    ``original``, so that no module importing it by name keeps it."""
+    for name, module in list(sys.modules.items()):
+        if name == "sgk" or name.startswith("sgk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def cert_from(out):
@@ -258,10 +270,19 @@ def _run_python_bare(probe: str) -> subprocess.CompletedProcess:
 def test_importing_the_cli_loads_neither_hashlib_pathlib_dataclasses_nor_inspect():
     """The result types are records that generate no code at import, the
     input digest comes from the interpreter's built-in SHA-256, not from
-    OpenSSL through hashlib, and files are opened without pathlib."""
+    OpenSSL through hashlib, and files are opened without pathlib.  Every
+    module of the package but ``fixtures`` is loaded, and so compiled,
+    before ``main`` runs."""
     heavy = ["_hashlib", "dataclasses", "hashlib", "inspect", "pathlib"]
-    done = _run_python_bare(f"import sys, sgk.cli; print(sorted(set({heavy}) & set(sys.modules)))")
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    package = sorted(
+        f"sgk.{path.stem}" for path in (REPO / "src" / "sgk").glob("*.py")
+        if path.stem not in ("__init__", "fixtures")
+    )
+    done = _run_python_bare(
+        f"import sys, sgk.cli; print(sorted(set({heavy}) & set(sys.modules)),"
+        f" sorted(set({package}) - set(sys.modules)))"
+    )
+    assert (done.returncode, done.stdout) == (0, "[] []\n"), done.stderr
 
 
 def _sha256_of_text(text: str) -> str:
@@ -323,7 +344,7 @@ def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
     first block of the first one."""
     pairs = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
     halves = BlockSystem.from_blocks(6, [[0, 1, 2], [3, 4, 5]])
-    monkeypatch.setattr(cli, "all_block_systems", lambda group: [pairs, halves])
+    monkeypatch.setattr(cli_groups, "all_block_systems", lambda group: [pairs, halves])
     code, out, _ = run(capsys, "blocks", "--group", str(FIXDIR / "d6.grp"))
     assert code == 2
     claims = {c["id"]: c for c in cert_from(out)["claims"]}
@@ -523,8 +544,7 @@ def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, 
         seen.append(graph.n)
         return real(graph, group)
 
-    for module in (graphs, cli, constructions, quotients, coset_graphs, designs):
-        monkeypatch.setattr(module, "verify_action", counted)
+    _patch_everywhere(monkeypatch, real, counted)
     code, _, _ = run(capsys, argv[0], "--graph", GRAPH, "--group", GRP, *argv[1:])
     assert code == 0
     assert seen == verified
@@ -534,7 +554,7 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
     """The law is decided on the generators: swap two images in one
     generator's cover row, after the cover's own checks, and the pairs of
     generators and rows generate more than N⋊G, so the claim fails."""
-    real = cli.biggs_cover
+    real = cli_covers.biggs_cover
 
     def corrupted(graph, group, sd, chain):
         bc = real(graph, group, sd, chain)
@@ -553,7 +573,7 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
             chain_report=bc.chain_report,
         )
 
-    monkeypatch.setattr(cli, "biggs_cover", corrupted)
+    monkeypatch.setattr(cli_covers, "biggs_cover", corrupted)
     k5 = tmp_path / "k5.graph"
     edges = "".join(f"edge {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6))
     k5.write_text("vertices: 5\n" + edges)
@@ -577,6 +597,70 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
     assert doc["facts"]["semidirect_order"] == 480
     law = next(c for c in doc["claims"] if c["id"] == "biggs-action-law")
     assert not law["pass"]
+
+
+def _drop_the_last_orbital(real):
+    return lambda group: real(group)[:-1]
+
+
+def _swap_two_lattice_blocks(real):
+    """The blocks of the second and third pairs exchanged, each pair
+    keeping its subgroup: D6's {1, 4} and {1, 3, 5}."""
+
+    def swapped(group, base_point=0):
+        pairs = list(real(group, base_point))
+        a, b = pairs[1], pairs[2]
+        pairs[1] = type(a)(**dict(a.asdict(), block=b.block))
+        pairs[2] = type(b)(**dict(b.asdict(), block=a.block))
+        return pairs
+
+    return swapped
+
+
+def _design_of_the_antipodal_matching(real):
+    """The neighbourhood design of C6's antipodal matching, which D6
+    keeps too, in place of that of C6: valency 1, not 2."""
+    matching = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
+    return lambda graph, group: real(matching, group)
+
+
+def _count_each_bundle_twice(real):
+    """The extension as built, with r = [H : K] read as twice itself."""
+
+    def doubled(group, sub, over, a):
+        ext = real(group, sub, over, a)
+        return type(ext)(**dict(ext.asdict(), r=2 * ext.r))
+
+    return doubled
+
+
+CLAIM_FAULTS = [
+    ("rank-consistency", "orbitals", _drop_the_last_orbital,
+     ["orbitals", "--group", "{fix}/d6.grp"]),
+    ("lattice-isomorphism", "subgroup_block_lattice", _swap_two_lattice_blocks,
+     ["lattice", "--group", "{fix}/d6.grp"]),
+    ("graph-design-parameters", "design_from_graph", _design_of_the_antipodal_matching,
+     ["design", "from-graph", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp"]),
+    ("extension-counting", "arc_partition_extension", _count_each_bundle_twice,
+     ["extend", "--via", "arcs", "--group", "{fix}/octahedron-aut.grp",
+      "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+      "--involution", "(1 2)(4 5)"]),
+]
+
+
+@pytest.mark.parametrize("claim, name, fault, argv", CLAIM_FAULTS, ids=[c[0] for c in CLAIM_FAULTS])
+def test_a_fault_in_the_library_makes_its_claim_false(capsys, monkeypatch, claim, name, fault, argv):
+    """The command passes as it is, and exits 2 with the claim false once
+    the library function ``name`` returns a wrong answer."""
+    argv = [a.format(fix=FIXDIR) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert {c["id"]: c["pass"] for c in cert_from(out)["claims"]}[claim]
+    real = getattr(sgk, name)
+    _patch_everywhere(monkeypatch, real, fault(real))
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert not {c["id"]: c["pass"] for c in cert_from(out)["claims"]}[claim]
 
 
 def test_subgraph_graph_command(capsys):
@@ -802,6 +886,7 @@ def test_broken_cover_is_a_failed_claim(capsys, monkeypatch, tmp_path, command, 
         return real(labels, [arc for arc in arcs if arc not in ((u, v), (v, u))])
 
     monkeypatch.setattr(constructions, "Graph", broken)
+    monkeypatch.setattr(arc_graphs, "Graph", broken)
     if command == "biggs":
         twist = tmp_path / "twist.txt"
         twist.write_text("trivial\n")

@@ -4,22 +4,22 @@ two extension routes."""
 import pytest
 
 from conftest import SemidirectPairs, inverse, order, product
-from sgk.constructions import (
-    arc_partition_extension,
-    biggs_cover,
-    chain_from_seeds,
+from sgk.arc_graphs import (
     check_condition_pe,
     check_three_arc_necessity,
-    constant_chain,
-    extract_fibre_data,
-    flag_orbital_reconstruction,
-    semidirect_product,
     subgraph_graph,
     three_arc_graph,
     three_arc_orbits,
+)
+from sgk.constructions import (
+    biggs_cover,
+    chain_from_seeds,
+    constant_chain,
+    semidirect_product,
     trivial_twist,
     validate_nchain,
 )
+from sgk.extensions import arc_partition_extension, extract_fibre_data, flag_orbital_reconstruction
 from sgk.errors import (
     DegenerateInvolution,
     NoStrictChain,
@@ -35,7 +35,8 @@ from sgk.graphs import (
     connected_components,
     cycle_graph,
 )
-from sgk.perm import Perm, group_from_generators, parse_cycles
+from sgk.groups import group_from_generators
+from sgk.perm import Perm, parse_cycles
 from sgk.quotients import induced_bipartite, quotient
 from sgk.subgroups import (
     BlockSystem,

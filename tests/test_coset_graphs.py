@@ -14,7 +14,8 @@ from sgk.errors import (
     NotTransitive,
 )
 from sgk.graphs import Graph, are_isomorphic, complete_graph
-from sgk.perm import GroupTable, group_from_generators, is_involution, parse_cycles
+from sgk.groups import GroupTable, group_from_generators
+from sgk.perm import is_involution, parse_cycles
 from sgk.subgroups import (
     double_cosets,
     right_cosets,

@@ -31,14 +31,8 @@ from sgk.constructions import biggs_cover, chain_from_seeds, semidirect_product 
 from sgk.coset_graphs import orbitals  # noqa: E402
 from sgk.graphs import Graph, complete_graph, cycle_graph  # noqa: E402
 from sgk.io import format_graph, parse_graph_file  # noqa: E402
-from sgk.perm import (  # noqa: E402
-    GroupTable,
-    Perm,
-    closure,
-    group_from_generators,
-    is_transitive,
-    parse_cycles,
-)
+from sgk.groups import GroupTable, group_from_generators, is_transitive  # noqa: E402
+from sgk.perm import Perm, closure, parse_cycles  # noqa: E402
 
 AGL32 = ("(1 2)(3 4)(5 6)(7 8)", "(2 5 3)(4 6 7)", "(3 4)(7 8)")
 V4 = ("(1 2)(3 4)", "(1 3)(2 4)")

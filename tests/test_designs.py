@@ -161,7 +161,7 @@ def test_find_polarities_k4(k4, s4):
 
 def test_find_polarities_needs_flag_transitivity():
     from sgk.errors import NotFlagTransitive
-    from sgk.perm import group_from_generators
+    from sgk.groups import group_from_generators
 
     triv = group_from_generators([tuple(range(7))], degree=7)
     with pytest.raises(NotFlagTransitive):
@@ -169,7 +169,7 @@ def test_find_polarities_needs_flag_transitivity():
 
 
 def _dihedral(n):
-    from sgk.perm import group_from_generators
+    from sgk.groups import group_from_generators
 
     return group_from_generators(
         [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))]
@@ -254,7 +254,7 @@ def test_check_polarity_matches_its_definition_off_flag_transitivity():
     the trivial group, with the maps p -> c ± p: the minus signs respect
     incidence, and under the trivial group every map commutes."""
     from sgk.designs import Polarity
-    from sgk.perm import group_from_generators
+    from sgk.groups import group_from_generators
 
     lines = [tuple((i + d) % 7 for d in (0, 1, 3)) for i in range(7)]
     inc = IncidenceStructure(

@@ -15,16 +15,11 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from sgk.constructions import (  # noqa: E402
-    biggs_cover,
-    constant_chain,
-    extract_fibre_data,
-    flag_orbital_reconstruction,
-    semidirect_product,
-    trivial_twist,
-)
+from sgk.constructions import biggs_cover, constant_chain, semidirect_product, trivial_twist  # noqa: E402
+from sgk.extensions import extract_fibre_data, flag_orbital_reconstruction  # noqa: E402
 from sgk.graphs import Graph, complete_graph, cycle_graph  # noqa: E402
-from sgk.perm import _compose, _invert, group_from_generators, parse_cycles  # noqa: E402
+from sgk.groups import group_from_generators  # noqa: E402
+from sgk.perm import _compose, _invert, parse_cycles  # noqa: E402
 from sgk.quotients import quotient  # noqa: E402
 from sgk.subgroups import BlockSystem  # noqa: E402
 

@@ -22,7 +22,8 @@ from sgk.graphs import (
     verify_action,
 )
 from sgk.io import format_graph, format_group
-from sgk.perm import Action, GroupTable, group_from_generators, parse_cycles
+from sgk.groups import Action, GroupTable, group_from_generators
+from sgk.perm import parse_cycles
 
 
 def test_builders():

@@ -13,7 +13,8 @@ import pytest
 import sgk
 from conftest import FIXDIR
 from sgk import cli
-from sgk.perm import GroupTable, Perm, parse_cycles
+from sgk.groups import GroupTable
+from sgk.perm import Perm, parse_cycles
 
 M11 = ("(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)")
 SRC = Path(sgk.__file__).parent

@@ -145,7 +145,7 @@ def test_twist_file_trivial(z2, s4):
 
 
 def test_twist_file_explicit():
-    from sgk.perm import group_from_generators
+    from sgk.groups import group_from_generators
 
     z3 = group_from_generators([parse_cycles("(1 2 3)", 3)], degree=3)
     z2g = group_from_generators([parse_cycles("(1 2)", 2)], degree=2)

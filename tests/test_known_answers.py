@@ -22,9 +22,9 @@ import math
 import pytest
 
 from conftest import odd_graph, pg2_incidence, pgl2, psl2
-from sgk.constructions import three_arc_orbits
+from sgk.arc_graphs import three_arc_orbits
 from sgk.graphs import complete_graph, s_arc_level
-from sgk.perm import GroupTable
+from sgk.groups import GroupTable
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -17,21 +17,15 @@ from sgk.cli import main
 from sgk.constructions import NChain
 from sgk.designs import DesignParams
 from sgk.errors import CapExceeded, CycleSyntaxError, PointOutOfRange, RepeatedPoint
-from sgk.perm import (
+from sgk.groups import (
     Action,
     GroupTable,
-    Perm,
-    Record,
-    _compose,
-    _invert,
     coerce_action,
     group_from_generators,
-    is_involution,
     is_transitive,
     orbit,
-    orbit_map,
-    parse_cycles,
 )
+from sgk.perm import Perm, Record, _compose, _invert, is_involution, orbit_map, parse_cycles
 from sgk.subgroups import BlockSystem, double_cosets, stabilizer_subgroup
 
 

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from sgk import designs, perm
+from sgk import designs, groups, perm
 from sgk.designs import (
     Polarity,
     check_polarity,
@@ -25,7 +25,8 @@ from sgk.designs import (
 from sgk.errors import NotPolarity
 from sgk.fixtures import petersen_graph, petersen_group, q3_graph
 from sgk.graphs import Graph, complete_graph, cycle_graph
-from sgk.perm import group_from_generators, orbit_map, point_step, stabilizer
+from sgk.groups import group_from_generators, stabilizer
+from sgk.perm import orbit_map, point_step
 
 
 def _dihedral_gens(n):
@@ -146,7 +147,8 @@ def test_polarities_compose_only_rows_of_length_n(monkeypatch):
         raise AssertionError("find_polarities built Schreier generators")
 
     monkeypatch.setattr(perm, "_compose", recording_compose)
-    monkeypatch.setattr(perm, "stabilizer", refuse)
+    monkeypatch.setattr(groups, "_compose", recording_compose)
+    monkeypatch.setattr(groups, "stabilizer", refuse)
     monkeypatch.setattr(designs, "stabilizer", refuse, raising=False)
     assert len(find_polarities(inc, group)) == 2
     assert lengths and max(lengths) <= inc.n_points

@@ -21,14 +21,10 @@ from conftest import enumerate_s_arcs, pgl2  # noqa: E402
 from test_block_oracles import transitive_groups  # noqa: E402
 
 from sgk.coset_graphs import orbitals  # noqa: E402
-from sgk.constructions import (  # noqa: E402
-    check_condition_pe,
-    three_arc_graph,
-    three_arc_orbits,
-)
+from sgk.arc_graphs import check_condition_pe, three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import CertificationFailed  # noqa: E402
 from sgk.graphs import Graph, complete_graph  # noqa: E402
-from sgk.perm import GroupTable, group_from_generators, is_transitive  # noqa: E402
+from sgk.groups import GroupTable, group_from_generators, is_transitive  # noqa: E402
 from sgk.quotients import (  # noqa: E402
     cross_section_design,
     quotient,

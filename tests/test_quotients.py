@@ -11,7 +11,8 @@ from sgk.errors import (
     TrivialQuotient,
 )
 from sgk.graphs import are_isomorphic, complete_graph, cycle_graph
-from sgk.perm import coerce_action, parse_cycles
+from sgk.groups import coerce_action
+from sgk.perm import parse_cycles
 from sgk.quotients import (
     certify_quotient,
     cover_class,
@@ -75,7 +76,7 @@ def test_k4_singleton_quotient_is_identity_cover(k4, s4):
 
 def test_q3_antipodal_gives_k4(q3):
     # fold the cube along its space diagonal pairs
-    from sgk.perm import group_from_generators
+    from sgk.groups import group_from_generators
 
     xor1 = tuple(v ^ 1 for v in range(8))
     swap01 = tuple((v & 4) | ((v & 1) << 1) | ((v & 2) >> 1) for v in range(8))
@@ -182,18 +183,15 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
     """Given a Quotient, none of its five consumers derives it again: with
     every way of taking a quotient or a symmetry report made to raise,
     each still answers."""
-    from sgk import constructions, quotients
-    from sgk.constructions import (
-        biggs_cover,
+    from sgk import arc_graphs, constructions, extensions, quotients
+    from sgk.arc_graphs import (
         check_condition_pe,
         check_three_arc_necessity,
-        constant_chain,
-        extract_fibre_data,
-        semidirect_product,
         three_arc_graph,
         three_arc_orbits,
-        trivial_twist,
     )
+    from sgk.constructions import biggs_cover, constant_chain, semidirect_product, trivial_twist
+    from sgk.extensions import extract_fibre_data
 
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     cover = biggs_cover(k4, s4, sd, constant_chain(k4, 1)).certificate.source
@@ -208,6 +206,9 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
         (quotients, "verify_action"),
         (constructions, "_quotient"),
         (constructions, "verify_action"),
+        (arc_graphs, "_quotient"),
+        (arc_graphs, "verify_action"),
+        (extensions, "verify_action"),
     ):
         monkeypatch.setattr(module, name, derive)
     qc = certify_quotient(cover)

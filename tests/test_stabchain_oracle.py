@@ -20,14 +20,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from conftest import closure_listing, product
 from sgk import fixtures as fx
-from sgk.perm import (
-    GroupTable,
-    StabChain,
-    _witnesses,
-    closure,
-    point_step,
-    stabilizer,
-)
+from sgk.groups import GroupTable, StabChain, stabilizer
+from sgk.perm import _witnesses, closure, point_step
 from sgk.subgroups import CosetSpace, all_block_systems
 
 LIST_LIMIT = 2000

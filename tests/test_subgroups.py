@@ -7,7 +7,8 @@ import pytest
 from conftest import inverse, product, setwise_stabilizer
 from sgk.errors import NotASubgroup, NotTransitive
 from sgk import subgroups
-from sgk.perm import GroupTable, closure, group_from_generators, parse_cycles
+from sgk.groups import GroupTable, group_from_generators
+from sgk.perm import closure, parse_cycles
 from sgk.subgroups import (
     BlockSystem,
     all_block_systems,

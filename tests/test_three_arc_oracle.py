@@ -17,12 +17,13 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import enumerate_s_arcs, pgl2  # noqa: E402
 from test_transitivity_oracle import actions, graphs_for, reference  # noqa: E402
 
-from sgk import constructions  # noqa: E402
+from sgk import arc_graphs, graphs  # noqa: E402
 from sgk import fixtures as fx  # noqa: E402
-from sgk.constructions import three_arc_graph, three_arc_orbits  # noqa: E402
+from sgk.arc_graphs import three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import NotSymmetric  # noqa: E402
 from sgk.graphs import Graph, complete_graph  # noqa: E402
-from sgk.perm import Action, GroupTable, orbits  # noqa: E402
+from sgk.groups import Action, GroupTable  # noqa: E402
+from sgk.perm import orbits  # noqa: E402
 
 
 def reference_orbits(graph, act) -> list:
@@ -110,5 +111,6 @@ def test_three_arc_layer_on_symmetric_graphs(graph, group, count, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a list of 3-arcs was split")
 
-    monkeypatch.setattr(constructions, "tuple_orbits", refuse)
+    monkeypatch.setattr(graphs, "tuple_orbits", refuse)
+    monkeypatch.setattr(arc_graphs, "tuple_orbits", refuse, raising=False)
     assert len(check_against_references(graph, Action.natural(group))) == count

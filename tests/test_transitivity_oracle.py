@@ -11,7 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import enumerate_s_arcs  # noqa: E402
 from sgk.graphs import Graph, s_arc_level, verify_action  # noqa: E402
-from sgk.perm import Action, StabChain, group_from_generators, orbits  # noqa: E402
+from sgk.groups import Action, StabChain, group_from_generators  # noqa: E402
+from sgk.perm import orbits  # noqa: E402
 
 ORDER_CAP = 720
 

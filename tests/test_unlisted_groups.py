@@ -29,7 +29,8 @@ from conftest import FIXDIR
 from sgk.cli import main
 from sgk.coset_graphs import orbital_double_coset_map
 from sgk.io import parse_group_file
-from sgk.perm import GroupTable, StabChain, parse_cycles
+from sgk.groups import GroupTable, StabChain
+from sgk.perm import parse_cycles
 from sgk.quotients import quotient_as_coset_graph
 from sgk.subgroups import (
     core,
