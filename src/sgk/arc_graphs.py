@@ -34,8 +34,8 @@ from .perm import (
 from .quotients import (
     Quotient,
     QuotientCertificate,
-    _quotient,
     certify_quotient,
+    quotient,
     quotient_is_nontrivial,
 )
 from .subgroups import BlockSystem
@@ -54,7 +54,7 @@ class ThreeArcOrbit(Record):
         return len(self.arcs)
 
 
-def three_arc_orbits(graph: Graph, group: GroupLike) -> list:
+def three_arc_orbits(report: TransitivityReport) -> list:
     """Orbits on 3-arcs, each with its reversal partner worked out.
 
     The orbits are sorted and listed in the order of their least 3-arc.
@@ -63,15 +63,15 @@ def three_arc_orbits(graph: Graph, group: GroupLike) -> list:
     the base arc (0, a), a the least neighbour of 0: the orbits of those
     3-arcs, taken in lex order, are all of them in that order.
     """
-    act = coerce_action(group, graph.n)
-    if not verify_action(graph, act).symmetric:
+    if not report.symmetric:
         raise NotSymmetric("three-arc data needs a symmetric graph")
+    graph = report.graph
     if not graph.arcs:
         return []
     adj = graph.adj
     a = adj[0][0]
     seeds = [(0, a, y, z) for y in adj[a] if y != 0 for z in adj[y] if z != a]
-    walk_orbits = orbits(seeds, tuple_step(act.generator_rows()))
+    walk_orbits = orbits(seeds, tuple_step(report.action.generator_rows()))
     where = {t: idx for idx, orb in enumerate(walk_orbits) for t in orb}
     out = []
     for idx, orb in enumerate(walk_orbits):
@@ -92,7 +92,7 @@ class ThreeArcGraph(Record):
     reverse_adjacent: bool
 
 
-def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
+def three_arc_graph(report: TransitivityReport, orbit) -> ThreeArcGraph:
     """The graph on the arcs of a symmetric graph, joined through a
     self-paired orbit on 3-arcs: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′)
     lies in the orbit.
@@ -101,9 +101,9 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     graph, which is certified along with symmetry of the induced action;
     the certified quotient stays on the result's ``certificate``.
     """
-    act = coerce_action(group, graph.n)
-    if not verify_action(graph, act).symmetric:
+    if not report.symmetric:
         raise NotSymmetric("three-arc graphs are built over symmetric graphs")
+    graph, act = report.graph, report.action
     delta = frozenset(
         tuple(t) for t in (orbit.arcs if isinstance(orbit, ThreeArcOrbit) else orbit)
     )
@@ -144,7 +144,7 @@ def three_arc_graph(graph: Graph, group: GroupLike, orbit) -> ThreeArcGraph:
     partition = BlockSystem.from_blocks(
         len(averts), _initial_vertex_blocks(graph, averts)
     )
-    certificate = certify_quotient(_quotient(taggraph, action, partition))
+    certificate = certify_quotient(quotient(tag_report, partition))
     certify(
         certificate.quotient.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",

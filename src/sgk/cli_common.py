@@ -6,7 +6,7 @@ from typing import Optional
 
 from .claims import Certificate
 from .errors import NotInvariant
-from .graphs import Graph
+from .graphs import Graph, TransitivityReport, verify_action
 from .groups import Action, GroupTable
 from .io import (
     format_graph,
@@ -81,8 +81,9 @@ def _arc_pair(graph: Graph, u: int, v: int) -> list:
     return [graph.labels[u], graph.labels[v]]
 
 
-def _claim_symmetric(cert: Certificate, graph: Graph, act: Action, report) -> None:
-    """The symmetric-action claim with a concrete counterexample on failure."""
+def _claim_symmetric(cert: Certificate, report: TransitivityReport) -> None:
+    """The symmetric-action claim for a report, with a counterexample on failure."""
+    graph, act = report.graph, report.action
     if report.symmetric:
         cert.claim(
             "symmetric-action",
@@ -125,8 +126,9 @@ def _blocks_quotient(args, cert: Certificate, graph: Graph, group: GroupTable):
     """The quotient by ``--blocks``, naming a split block by vertex labels."""
     blocks_text = _read_text(args.blocks)
     cert.add_input("blocks", blocks_text)
+    partition = parse_blocks_file(blocks_text, graph.n)
     try:
-        return quotient(graph, group, parse_blocks_file(blocks_text, graph.n))
+        return quotient(verify_action(graph, group), partition)
     except NotInvariant as exc:
         if exc.vertices:
             names = ", ".join(graph.labels[v] for v in exc.vertices)

@@ -1,6 +1,7 @@
 """The command handlers for covers, three-arc and subgraph graphs, and
 extensions."""
 
+from collections import Counter
 from typing import Optional
 
 from .arc_graphs import (
@@ -22,18 +23,18 @@ from .cli_common import (
 )
 from .constructions import biggs_cover, chain_from_seeds, semidirect_product
 from .extensions import arc_partition_extension, extract_fibre_data, flag_orbital_reconstruction
-from .graphs import DirectedSubgraph, Graph, is_connected
+from .graphs import DirectedSubgraph, Graph, is_connected, verify_action
 from .groups import paired_order
 from .io import parse_chain_seeds, parse_subgroup_generators, parse_twist_file
 from .perm import orbits, parse_cycles, point_step
-from .quotients import induced_bipartite
 from .subgroups import subgroup_from_generators
 
 
 def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    orbs = three_arc_orbits(graph, group)
+    report = verify_action(graph, group)
+    orbs = three_arc_orbits(report)
     cert.facts.update(
         {
             "orbit_count": len(orbs),
@@ -58,7 +59,7 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     if not 0 <= args.orbit_index < len(orbs):
         where = f" outside 0..{len(orbs) - 1}" if orbs else ": there are no 3-arc orbits"
         raise ValueError(f"orbit index {args.orbit_index}{where}")
-    tag = three_arc_graph(graph, group, orbs[args.orbit_index])
+    tag = three_arc_graph(report, orbs[args.orbit_index])
     cert.facts.update(
         {
             "orbit_index": args.orbit_index,
@@ -82,7 +83,7 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         f"{tag.graph.n} vertices = arcs of the base; initial-vertex collapse"
         " returns the base arcs",
     )
-    _claim_symmetric(cert, tag.graph, tag.action, tag.report)
+    _claim_symmetric(cert, tag.report)
     labelling = check_condition_pe(tag.certificate.source)
     cert.facts["pe_labelling_found"] = labelling is not None
     if labelling is not None:
@@ -132,15 +133,16 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
         cover.valency() == graph.valency(),
         f"valency {graph.valency()} preserved",
     )
-    bad = None
+    # one pass over the arcs: two adjacent fibres meet in a perfect matching
+    # when each vertex of either has exactly one neighbour in the other
     quo = bc.certificate.quotient
-    for b, c in sorted(quo.arcs):
-        if b > c:
-            continue
-        pattern = induced_bipartite(cover, bc.fibres, b, c)
-        if pattern.valency() != 1 or pattern.n != 2 * len(bc.fibres.blocks[b]):
-            bad = {"fibres": [b + 1, c + 1]}
-            break
+    fibre_of = bc.fibres.block_of
+    meets = Counter((u, fibre_of[v]) for u, v in cover.arcs)
+    unmatched = {
+        tuple(sorted((fibre_of[u], c)))
+        for u in range(cover.n) for c in quo.adj[fibre_of[u]] if meets[u, c] != 1
+    }
+    bad = {"fibres": [b + 1 for b in min(unmatched)]} if unmatched else None
     cert.claim(
         "biggs-fiber-matching",
         bad is None,
@@ -163,7 +165,7 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
         cover.n == fibre * quo.n and cover.valency() == quo.valency(),
         f"{cover.n} = {fibre} x {quo.n}, valency {quo.valency()} kept",
     )
-    _claim_symmetric(cert, cover, bc.action, bc.report)
+    _claim_symmetric(cert, bc.report)
     _write_group_out(args, bc.action)
     return _graph_output(cover, args)
 
@@ -267,9 +269,10 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
             "exact_model": ext.exact,
         }
     )
+    # degree by degree: an extension that is not regular fails, not crashes
     counting = (
         ext.extension.n == ext.r * base.n
-        and base.valency() == ext.r * ext.extension.valency()
+        and all(base.valency() == ext.r * len(nbrs) for nbrs in ext.extension.adj)
         and ext.extension.edge_count == base.edge_count
     )
     cert.claim(
@@ -287,7 +290,7 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
         collapsed == set(base.arcs),
         "collapsing bundle heads carries extension arcs onto the base arcs",
     )
-    _claim_symmetric(cert, ext.model.graph, ext.model.action, ext.model.report)
+    _claim_symmetric(cert, ext.model.report)
     _write_group_out(args, ext.model.action)
     return _graph_output(ext.extension, args)
 
@@ -327,6 +330,6 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
         len(sweep) == 1,
         f"the normal subgroup is transitive on all {qn} quotient vertices",
     )
-    _claim_symmetric(cert, rb.graph, rb.action, rb.report)
+    _claim_symmetric(cert, rb.report)
     _write_group_out(args, rb.action)
     return _graph_output(rb.graph, args)

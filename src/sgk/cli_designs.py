@@ -22,7 +22,7 @@ from .designs import (
 )
 from .errors import KitError, NotPolarity
 from .graphs import verify_action
-from .groups import Action, coerce_action
+from .groups import Action
 from .io import format_design, parse_design_file
 from .perm import Perm, closure, point_step
 from .quotients import certify_quotient
@@ -91,7 +91,7 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
 def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    inc, pol = design_from_graph(graph, group)
+    inc, pol = design_from_graph(verify_action(graph, group))
     params = validate_design(inc)
     ft = is_flag_transitive(inc, group)
     cert.facts.update(params.asdict(), flag_transitive=ft)
@@ -116,7 +116,7 @@ def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:
             pt and bt,
             {"point_transitive": pt, "block_transitive": bt},
         )
-    rebuilt = graph_from_design(inc, group, pol)
+    rebuilt = graph_from_design(inc, group, pol).graph
     cert.claim(
         "design-round-trip",
         rebuilt.labels == graph.labels and rebuilt.arcs == graph.arcs,
@@ -138,14 +138,13 @@ def cmd_design_to_graph(args, cert: Certificate) -> Optional[str]:
             f"polarity index {args.polarity_index} outside 0..{len(pols) - 1}"
         )
     pol = pols[args.polarity_index]
-    graph = graph_from_design(inc, group, pol)
-    report = verify_action(graph, group)
+    report = graph_from_design(inc, group, pol)
     cert.facts.update(
         {
             "polarities": len(pols),
             "polarity_index": args.polarity_index,
-            "vertices": graph.n,
-            "valency": graph.valency(),
+            "vertices": report.graph.n,
+            "valency": report.graph.valency(),
             "symmetric": report.symmetric,
         }
     )
@@ -156,8 +155,8 @@ def cmd_design_to_graph(args, cert: Certificate) -> Optional[str]:
         )
     except KitError as exc:
         cert.claim("polarity-commutation", False, str(exc))
-    _claim_symmetric(cert, graph, coerce_action(group, graph.n), report)
-    return _graph_output(graph, args)
+    _claim_symmetric(cert, report)
+    return _graph_output(report.graph, args)
 
 
 def cmd_design_polarities(args, cert: Certificate) -> Optional[str]:

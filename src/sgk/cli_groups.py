@@ -10,7 +10,7 @@ from .cli_common import _claim_symmetric, _graph_output, _load_graph, _load_grou
 from .coset_graphs import orbitals, symmetric_coset_graph
 from .errors import PointOutOfRange
 from .graphs import is_connected, s_arc_level, verify_action
-from .groups import Action, coerce_action
+from .groups import Action
 from .io import parse_subgroup_generators
 from .perm import Perm, _compose, orbits, parse_cycles, point_step
 from .subgroups import (
@@ -109,7 +109,7 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
             "vertex_transitive": r.vertex_transitive,
             "arc_transitive": r.arc_transitive,
             "locally_transitive": r.locally_transitive,
-            "s_arc_transitive_up_to": s_arc_level(g, res.action),
+            "s_arc_transitive_up_to": s_arc_level(r),
             "symmetric": r.symmetric,
         }
     )
@@ -272,8 +272,7 @@ def cmd_lattice(args, cert: Certificate) -> Optional[str]:
 def cmd_verify(args, cert: Certificate) -> Optional[str]:
     graph = _load_graph(cert, args.graph)
     group = _load_group(cert, args.group)
-    act = coerce_action(group, graph.n)
-    report = verify_action(graph, act)
+    report = verify_action(graph, group)
     cert.facts.update(
         {
             "vertices": graph.n,
@@ -284,12 +283,12 @@ def cmd_verify(args, cert: Certificate) -> Optional[str]:
             "vertex_transitive": report.vertex_transitive,
             "arc_transitive": report.arc_transitive,
             "locally_transitive": report.locally_transitive,
-            "s_arc_transitive_up_to": s_arc_level(graph, act),
-            "kernel_order": act.kernel_size(),
+            "s_arc_transitive_up_to": s_arc_level(report),
+            "kernel_order": report.action.kernel_size(),
             "symmetric": report.symmetric,
         }
     )
-    _claim_symmetric(cert, graph, act, report)
+    _claim_symmetric(cert, report)
     isolated = any(not graph.adj[v] for v in range(graph.n))
     if not isolated:
         cert.claim(

@@ -19,7 +19,7 @@ from .errors import (
 from .graphs import Graph, TransitivityReport, tuple_orbits, verify_action
 from .groups import Action, GroupLike, GroupTable, coerce_action, paired_order
 from .perm import Perm, Record, _compose, _invert, orbit_map
-from .quotients import QuotientCertificate, _quotient, certify_quotient
+from .quotients import QuotientCertificate, certify_quotient, quotient
 from .subgroups import BlockSystem
 
 
@@ -301,7 +301,7 @@ def biggs_cover(
         cover.n, [[ni * graph.n + u for ni in range(m)] for u in range(graph.n)]
     )
     certificate = certify_quotient(
-        _quotient(cover, action, fibres), allow_trivial=not graph.arcs
+        quotient(report, fibres), allow_trivial=not graph.arcs
     )
     certify(
         certificate.quotient.arcs == graph.arcs,

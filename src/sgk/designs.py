@@ -17,8 +17,8 @@ from .errors import (
     NotUniformPoints,
     certify,
 )
-from .graphs import Graph, verify_action
-from .groups import GroupTable, coerce_action
+from .graphs import Graph, TransitivityReport, verify_action
+from .groups import GroupTable
 from .perm import Perm, Record, _witnesses, closure, orbit_map, point_step
 
 
@@ -182,14 +182,13 @@ def check_polarity(inc: IncidenceStructure, group: GroupTable, pol: Polarity) ->
                 )
 
 
-def design_from_graph(graph: Graph, group: GroupTable) -> tuple:
-    """One block per vertex carrying its neighbourhood, plus the canonical
-    polarity matching each vertex with its own block.
+def design_from_graph(report: TransitivityReport) -> tuple:
+    """One block per vertex of the report's graph carrying its neighbourhood,
+    plus the canonical polarity matching each vertex with its own block.
 
     Returns (design, polarity).
     """
-    act = coerce_action(group, graph.n)
-    report = verify_action(graph, act)
+    graph = report.graph
     if not report.symmetric:
         raise NotSymmetric("the design construction needs a symmetric graph")
     if any(len(graph.adj[v]) == 0 for v in range(graph.n)):
@@ -206,8 +205,11 @@ def design_from_graph(graph: Graph, group: GroupTable) -> tuple:
     return inc, pol
 
 
-def graph_from_design(inc: IncidenceStructure, group: GroupTable, pol: Polarity) -> Graph:
-    """Join p to q when q lies in the block the polarity assigns to p.
+def graph_from_design(
+    inc: IncidenceStructure, group: GroupTable, pol: Polarity
+) -> TransitivityReport:
+    """Join p to q when q lies in the block the polarity assigns to p, and
+    return the report that certifies the group symmetric on that graph.
 
     The polarity makes the arc set symmetric; degeneracy (a point on its
     own polar block) would create loops and is refused.
@@ -233,7 +235,7 @@ def graph_from_design(inc: IncidenceStructure, group: GroupTable, pol: Polarity)
         ),
         "neighbourhoods of the rebuilt graph are the polar traces",
     )
-    return graph
+    return report
 
 
 def find_polarities(inc: IncidenceStructure, group: GroupTable) -> list:

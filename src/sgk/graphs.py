@@ -107,10 +107,13 @@ def tuple_orbits(tuples: Sequence[tuple], gen_rows: Sequence[tuple]) -> list:
 
 
 class TransitivityReport(Record):
-    """What ``verify_action`` decides from the generator rows.  The s-arc
-    level is ``s_arc_level`` and the kernel is ``Action.kernel_size``;
-    each is worked out only where it is printed."""
+    """What ``verify_action`` decides from the generator rows, with the
+    graph and action it decided on; a construction taking a report reads
+    both off it.  The s-arc level is ``s_arc_level`` and the kernel is
+    ``Action.kernel_size``; each is worked out only where it is printed."""
 
+    graph: Graph
+    action: Action
     acts_as_automorphisms: bool
     vertex_transitive: bool
     arc_transitive: bool
@@ -131,10 +134,6 @@ def _preserves_arcs(graph: Graph, gen_rows: Sequence[tuple]) -> bool:
     return all((row[u], row[v]) in arcs for row in gen_rows for (u, v) in arcs)
 
 
-def _vertex_transitive(graph: Graph, act: Action) -> bool:
-    return not graph.n or len(act.orbit_of(0)) == graph.n
-
-
 def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
     """Decide whether the action is symmetric on the graph.
 
@@ -148,37 +147,37 @@ def verify_action(graph: Graph, group: GroupLike) -> TransitivityReport:
     act = coerce_action(group, graph.n)
     gen_rows = act.generator_rows()
     acts = _preserves_arcs(graph, gen_rows)
-    vertex_tr = _vertex_transitive(graph, act)
+    vertex_tr = not graph.n or len(act.orbit_of(0)) == graph.n
     if not acts:
-        return TransitivityReport(False, vertex_tr, False, False)
+        return TransitivityReport(graph, act, False, vertex_tr, False, False)
     arcs = list(graph.arcs)
     if not arcs or sum(1 for _ in closure(arcs[:1], tuple_step(gen_rows))) == len(arcs):
-        return TransitivityReport(True, vertex_tr, True, True)
+        return TransitivityReport(graph, act, True, vertex_tr, True, True)
     arc_orbits = tuple_orbits(arcs, gen_rows)
     orbit_of = {arc: k for k, orb in enumerate(arc_orbits) for arc in orb}
     local = all(
         len({orbit_of[(v, u)] for u in graph.adj[v]}) <= 1 for v in range(graph.n)
     )
-    return TransitivityReport(True, vertex_tr, False, local)
+    return TransitivityReport(graph, act, True, vertex_tr, False, local)
 
 
 S_ARC_LIMIT = 5
 
 
-def s_arc_level(graph: Graph, group: GroupLike) -> int:
+def s_arc_level(report: TransitivityReport) -> int:
     """The largest s up to ``S_ARC_LIMIT`` such that the action is
     transitive on the s-arcs and on the shorter ones.
 
-    0 when a generator breaks an arc or the action is not vertex
-    transitive.  Otherwise the graph is k-regular with n·k·(k−1)^(s−1)
-    s-arcs, and the walk extends one s-arc by the least neighbour that
-    is not a step back, stopping at the first s whose orbit falls short
-    of that count or that has no s-arc.
+    0 when the report finds a generator breaking an arc or the action not
+    vertex transitive.  Otherwise the graph is k-regular with
+    n·k·(k−1)^(s−1) s-arcs, and the walk extends one s-arc by the least
+    neighbour that is not a step back, stopping at the first s whose
+    orbit falls short of that count or that has no s-arc.
     """
-    act = coerce_action(group, graph.n)
-    gen_rows = act.generator_rows()
-    if not graph.n or not (_preserves_arcs(graph, gen_rows) and _vertex_transitive(graph, act)):
+    graph = report.graph
+    if not graph.n or not (report.acts_as_automorphisms and report.vertex_transitive):
         return 0
+    step = tuple_step(report.action.generator_rows())
     k = len(graph.adj[0])
     walk = (0,)
     for s in range(1, S_ARC_LIMIT + 1):
@@ -188,8 +187,7 @@ def s_arc_level(graph: Graph, group: GroupLike) -> int:
             return s - 1
         walk += (ahead[0],)
         count = graph.n * k * (k - 1) ** (s - 1)
-        images = closure((walk,), tuple_step(gen_rows))
-        if sum(1 for _ in images) < count:
+        if sum(1 for _ in closure((walk,), step)) < count:
             return s - 1
     return S_ARC_LIMIT
 

@@ -54,27 +54,22 @@ class Quotient(Record):
     report: TransitivityReport
 
 
-def quotient(graph: Graph, group: GroupLike, partition: BlockSystem) -> Quotient:
-    """The quotient of a symmetric graph by an invariant partition.
+def quotient(report: TransitivityReport, partition: BlockSystem) -> Quotient:
+    """The quotient of a symmetric graph by an invariant partition, taken
+    from the report that certified the graph symmetric under its action.
 
     Vertices are the blocks; two blocks are adjacent when any arc joins
     them.  Arcs inside a block are discarded, not marked.  The induced
     action on the result is certified symmetric, which the invariance of
     the partition guarantees.
     """
+    graph, act = report.graph, report.action
     if partition.n_points != graph.n:
         raise NotInvariant(
             f"partition of {partition.n_points} points against a graph on {graph.n}"
         )
-    act = coerce_action(group, graph.n)
-    if not verify_action(graph, act).symmetric:
+    if not report.symmetric:
         raise NotSymmetric("quotients are taken of symmetric graphs only")
-    return _quotient(graph, act, partition)
-
-
-def _quotient(graph: Graph, act: Action, partition: BlockSystem) -> Quotient:
-    """``quotient`` for a caller that has just certified the graph
-    symmetric under ``act`` and built the partition on its vertices."""
     qact = quotient_action(partition, act)
     labels = tuple(
         f"B{i}:{graph.labels[block[0]]}" for i, block in enumerate(partition.blocks)
@@ -82,9 +77,9 @@ def _quotient(graph: Graph, act: Action, partition: BlockSystem) -> Quotient:
     block_of = partition.block_of
     arcs = {(block_of[u], block_of[v]) for u, v in graph.arcs if block_of[u] != block_of[v]}
     quo = Graph(labels, sorted(arcs))
-    report = verify_action(quo, qact)
-    certify(report.symmetric, "the induced action on the quotient is symmetric")
-    return Quotient(graph, act, partition, quo, qact, report)
+    quo_report = verify_action(quo, qact)
+    certify(quo_report.symmetric, "the induced action on the quotient is symmetric")
+    return Quotient(graph, act, partition, quo, qact, quo_report)
 
 
 def quotient_is_nontrivial(graph: Graph, partition: BlockSystem) -> bool:
@@ -307,7 +302,7 @@ def quotient_as_coset_graph(
     for v in range(base.graph.n):
         blocks[k_cosets.coset_of(base.cosets.reps[v])].append(v)
     partition = BlockSystem.from_blocks(base.graph.n, blocks)
-    quo = _quotient(base.graph, base.action, partition).graph
+    quo = quotient(base.report, partition).graph
     # a block holds the H-cosets filling one K-coset; send it there
     vertex_map = tuple(
         k_cosets.coset_of(base.cosets.reps[block[0]]) for block in partition.blocks

@@ -36,6 +36,7 @@ from sgk.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
+    verify_action,
 )
 from sgk.groups import Action, group_from_generators
 from sgk.perm import Perm, _compose, _invert, parse_cycles
@@ -164,20 +165,21 @@ def test_criterion_04(capsys, k4, s4, z2, q3):
 
 
 def test_criterion_05(capsys, k4, s4):
-    orbs = three_arc_orbits(k4, s4)
+    report = verify_action(k4, s4)
+    orbs = three_arc_orbits(report)
     ok = len(orbs) == 2 and all(ob.size == 24 and ob.self_paired for ob in orbs)
     if ok:
         for ob in orbs:
-            t = three_arc_graph(k4, s4, ob)
-            quo = quotient(t.graph, t.action, t.partition).graph
-            labelling = check_condition_pe(quotient(t.graph, t.action, t.partition))
+            t = three_arc_graph(report, ob)
+            quo = quotient(t.report, t.partition).graph
+            labelling = check_condition_pe(quotient(t.report, t.partition))
             ok = ok and (
                 t.graph.n == 12
                 and t.graph.valency() == 2
                 and t.report.symmetric
                 and quo.arcs == k4.arcs
                 and labelling is not None
-                and check_three_arc_necessity(quotient(t.graph, t.action, t.partition), labelling)
+                and check_three_arc_necessity(quotient(t.report, t.partition), labelling)
             )
     _report(capsys, 5, ok, "both 3-arc graphs of K4: 12 vertices, 2-regular, quotient back to K4, labelling found")
 
@@ -185,10 +187,10 @@ def test_criterion_05(capsys, k4, s4):
 def test_criterion_06(capsys, k4, s4, c6, d6, petersen, petersen_group):
     ok = True
     for graph, group in ((k4, s4), (c6, d6), (petersen, petersen_group)):
-        inc, pol = design_from_graph(graph, group)
+        inc, pol = design_from_graph(verify_action(graph, group))
         p = validate_design(inc)
         check_polarity(inc, group, pol)
-        rebuilt = graph_from_design(inc, group, pol)
+        rebuilt = graph_from_design(inc, group, pol).graph
         ok = ok and (
             p.v == p.b == graph.n
             and p.k == p.lam == graph.valency()

@@ -519,34 +519,51 @@ def test_biggs_command(capsys, tmp_path):
     assert doc["ok"]
 
 
+COUNTED_RUNS = [
+    ("verify_action", ["biggs", "--graph", GRAPH, "--group", GRP, "--n", "{fix}/z2.grp",
+                       "--twist", "{tmp}/trivial", "--chain", "{tmp}/chain"], [8, 4]),
+    ("verify_action", ["threearc", "--graph", GRAPH, "--group", GRP, "--orbit-index", "0"],
+     [4, 12, 4]),
+    ("verify_action", ["design", "to-graph", "--design", "{tmp}/c6.design",
+                       "--group", "{fix}/d6.grp"], [6]),
+    ("_preserves_arcs", ["verify", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp"], [6]),
+    ("_preserves_arcs", ["cosetgraph", "--group", GRP, "--subgroup", "(2 3),(3 4)",
+                         "--involution", "(1 2)"], [4]),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, verified",
-    [
-        (["biggs", "--n", str(FIXDIR / "z2.grp"), "--twist", "trivial", "--chain", "chain"],
-         [8, 4]),
-        (["threearc", "--orbit-index", "0"], [4, 4, 12, 4]),
-    ],
-    ids=["biggs", "threearc"],
+    "name, argv, verified",
+    COUNTED_RUNS,
+    ids=["biggs", "threearc", "design-to-graph", "verify", "cosetgraph"],
 )
-def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, argv, verified):
-    """A construction that has just certified its graph symmetric takes
-    its quotient without verifying the graph again.  ``verify_action``
-    runs on the sizes listed: for ``biggs`` on K4 the cover and its
-    quotient; for ``threearc --orbit-index 0`` K4 twice (orbit listing
-    and construction), the three-arc graph and its quotient."""
+def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, name, argv, verified):
+    """Each graph is verified once, and whatever needs its symmetry takes
+    the report that verification made.  ``graphs.<name>`` runs on the
+    graph sizes listed: ``verify_action`` for ``biggs`` on K4 on the cover
+    and its quotient, for ``threearc --orbit-index 0`` on K4, the
+    three-arc graph and its quotient, for ``design to-graph`` on C6's
+    design on the rebuilt C6 alone; the arc-preservation test once for
+    ``verify`` on C6 and ``cosetgraph`` on K4, whose s-arc level reads
+    the report."""
     (tmp_path / "trivial").write_text("trivial\n")
     (tmp_path / "chain").write_text("arc 1 2 (1 2)\n")
-    argv = [str(tmp_path / a) if a in ("trivial", "chain") else a for a in argv]
+    code, _, err = run(
+        capsys, "design", "from-graph", "--graph", str(FIXDIR / "c6.graph"),
+        "--group", str(FIXDIR / "d6.grp"), "--out-file", str(tmp_path / "c6.design"),
+    )
+    assert code == 0, err
+    argv = [a.format(fix=FIXDIR, tmp=tmp_path) for a in argv]
     seen = []
-    real = graphs.verify_action
+    real = getattr(graphs, name)
 
-    def counted(graph, group):
+    def counted(graph, *rest):
         seen.append(graph.n)
-        return real(graph, group)
+        return real(graph, *rest)
 
     _patch_everywhere(monkeypatch, real, counted)
-    code, _, _ = run(capsys, argv[0], "--graph", GRAPH, "--group", GRP, *argv[1:])
-    assert code == 0
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
     assert seen == verified
 
 
@@ -599,6 +616,34 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
     assert not law["pass"]
 
 
+def test_biggs_fiber_matching_catches_two_swapped_cover_edges(capsys, tmp_path, monkeypatch):
+    """The K4 cover with its edges {id|1, (1 2)|2} and {id|2, (1 2)|3}
+    swapped for {id|1, id|2} and {(1 2)|2, (1 2)|3}: every degree is
+    kept, but id|2 meets fibre 1 twice and fibre 3 not at all, so the
+    fibre matching is the one claim that fails, at fibres 1 and 2."""
+    real = cli_covers.biggs_cover
+
+    def swapped(graph, group, sd, chain):
+        bc = real(graph, group, sd, chain)
+        arcs = bc.cover.arcs - {(0, 5), (5, 0), (1, 6), (6, 1)}
+        arcs |= {(0, 1), (1, 0), (5, 6), (6, 5)}
+        cover = Graph(bc.cover.labels, arcs)
+        assert cover.valency() == bc.cover.valency()
+        return type(bc)(**dict(bc.asdict(), cover=cover))
+
+    monkeypatch.setattr(cli_covers, "biggs_cover", swapped)
+    (tmp_path / "trivial").write_text("trivial\n")
+    (tmp_path / "chain").write_text("arc 1 2 (1 2)\n")
+    code, out, err = run(
+        capsys, "biggs", "--graph", GRAPH, "--group", GRP, "--n", str(FIXDIR / "z2.grp"),
+        "--twist", str(tmp_path / "trivial"), "--chain", str(tmp_path / "chain"),
+    )
+    assert code == 2, err
+    failed = [c for c in cert_from(out)["claims"] if not c["pass"]]
+    assert [c["id"] for c in failed] == ["biggs-fiber-matching"]
+    assert failed[0]["counterexample"] == {"fibres": [1, 2]}
+
+
 def _drop_the_last_orbital(real):
     return lambda group: real(group)[:-1]
 
@@ -621,7 +666,7 @@ def _design_of_the_antipodal_matching(real):
     """The neighbourhood design of C6's antipodal matching, which D6
     keeps too, in place of that of C6: valency 1, not 2."""
     matching = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    return lambda graph, group: real(matching, group)
+    return lambda report: real(graphs.verify_action(matching, report.action))
 
 
 def _count_each_bundle_twice(real):
@@ -634,21 +679,40 @@ def _count_each_bundle_twice(real):
     return doubled
 
 
+def _drop_one_extension_edge(real):
+    """The extension as built, less its least edge: no longer regular."""
+
+    def dropped(group, sub, over, a):
+        ext = real(group, sub, over, a)
+        u, v = min(ext.extension.arcs)
+        arcs = ext.extension.arcs - {(u, v), (v, u)}
+        return type(ext)(**dict(ext.asdict(), extension=Graph(ext.extension.labels, arcs)))
+
+    return dropped
+
+
+EXTEND_OCTAHEDRON = [
+    "extend", "--via", "arcs", "--group", "{fix}/octahedron-aut.grp",
+    "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+    "--involution", "(1 2)(4 5)",
+]
+
 CLAIM_FAULTS = [
-    ("rank-consistency", "orbitals", _drop_the_last_orbital,
-     ["orbitals", "--group", "{fix}/d6.grp"]),
-    ("lattice-isomorphism", "subgroup_block_lattice", _swap_two_lattice_blocks,
-     ["lattice", "--group", "{fix}/d6.grp"]),
-    ("graph-design-parameters", "design_from_graph", _design_of_the_antipodal_matching,
-     ["design", "from-graph", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp"]),
-    ("extension-counting", "arc_partition_extension", _count_each_bundle_twice,
-     ["extend", "--via", "arcs", "--group", "{fix}/octahedron-aut.grp",
-      "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
-      "--involution", "(1 2)(4 5)"]),
+    pytest.param("rank-consistency", "orbitals", _drop_the_last_orbital,
+                 ["orbitals", "--group", "{fix}/d6.grp"], id="rank-consistency"),
+    pytest.param("lattice-isomorphism", "subgroup_block_lattice", _swap_two_lattice_blocks,
+                 ["lattice", "--group", "{fix}/d6.grp"], id="lattice-isomorphism"),
+    pytest.param("graph-design-parameters", "design_from_graph", _design_of_the_antipodal_matching,
+                 ["design", "from-graph", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp"],
+                 id="graph-design-parameters"),
+    pytest.param("extension-counting", "arc_partition_extension", _count_each_bundle_twice,
+                 EXTEND_OCTAHEDRON, id="extension-counting"),
+    pytest.param("extension-counting", "arc_partition_extension", _drop_one_extension_edge,
+                 EXTEND_OCTAHEDRON, id="extension-counting-irregular"),
 ]
 
 
-@pytest.mark.parametrize("claim, name, fault, argv", CLAIM_FAULTS, ids=[c[0] for c in CLAIM_FAULTS])
+@pytest.mark.parametrize("claim, name, fault, argv", CLAIM_FAULTS)
 def test_a_fault_in_the_library_makes_its_claim_false(capsys, monkeypatch, claim, name, fault, argv):
     """The command passes as it is, and exits 2 with the claim false once
     the library function ``name`` returns a wrong answer."""

@@ -19,6 +19,7 @@ from sgk.constructions import (
     trivial_twist,
     validate_nchain,
 )
+from sgk.designs import design_from_graph
 from sgk.extensions import arc_partition_extension, extract_fibre_data, flag_orbital_reconstruction
 from sgk.errors import (
     DegenerateInvolution,
@@ -26,14 +27,17 @@ from sgk.errors import (
     NotCompatible,
     NotInvolution,
     NotSemidirect,
+    NotSymmetric,
     TwistNotHomomorphism,
 )
 from sgk.graphs import (
     DirectedSubgraph,
+    Graph,
     are_isomorphic,
     complete_graph,
     connected_components,
     cycle_graph,
+    verify_action,
 )
 from sgk.groups import group_from_generators
 from sgk.perm import Perm, parse_cycles
@@ -280,7 +284,7 @@ def test_biggs_action_is_homomorphism(k4, s4, z2):
 
 
 def test_three_arc_orbits_k4(k4, s4):
-    orbs = three_arc_orbits(k4, s4)
+    orbs = three_arc_orbits(verify_action(k4, s4))
     assert len(orbs) == 2
     assert [ob.size for ob in orbs] == [24, 24]
     assert all(ob.self_paired for ob in orbs)
@@ -291,9 +295,10 @@ def test_three_arc_orbits_k4(k4, s4):
 
 
 def test_three_arc_graph_triangle_orbit(k4, s4):
-    orbs = three_arc_orbits(k4, s4)
+    report = verify_action(k4, s4)
+    orbs = three_arc_orbits(report)
     closed = [ob for ob in orbs if min(ob.arcs)[0] == min(ob.arcs)[3]][0]
-    t = three_arc_graph(k4, s4, closed)
+    t = three_arc_graph(report, closed)
     assert t.graph.n == 12
     assert t.graph.valency() == 2
     assert t.report.symmetric
@@ -302,9 +307,10 @@ def test_three_arc_graph_triangle_orbit(k4, s4):
 
 
 def test_three_arc_graph_path_orbit(k4, s4):
-    orbs = three_arc_orbits(k4, s4)
+    report = verify_action(k4, s4)
+    orbs = three_arc_orbits(report)
     open_walk = [ob for ob in orbs if min(ob.arcs)[0] != min(ob.arcs)[3]][0]
-    t = three_arc_graph(k4, s4, open_walk)
+    t = three_arc_graph(report, open_walk)
     assert t.graph.n == 12
     assert t.graph.valency() == 2
     comps = connected_components(t.graph)
@@ -312,8 +318,9 @@ def test_three_arc_graph_path_orbit(k4, s4):
 
 
 def test_three_arc_partition_collapses_to_base(k4, s4):
-    for ob in three_arc_orbits(k4, s4):
-        t = three_arc_graph(k4, s4, ob)
+    report = verify_action(k4, s4)
+    for ob in three_arc_orbits(report):
+        t = three_arc_graph(report, ob)
         assert t.partition.n_blocks == k4.n
         collapsed = set()
         for u, v in t.graph.arcs:
@@ -324,33 +331,70 @@ def test_three_arc_partition_collapses_to_base(k4, s4):
 
 
 def test_three_arc_c6(c6, d6):
-    orbs = three_arc_orbits(c6, d6)
+    report = verify_action(c6, d6)
+    orbs = three_arc_orbits(report)
     assert len(orbs) == 1
     assert orbs[0].size == 12
-    t = three_arc_graph(c6, d6, orbs[0])
+    t = three_arc_graph(report, orbs[0])
     assert t.graph.n == 12
     assert t.graph.valency() == 1
+
+
+ANTIPODAL6 = BlockSystem.from_blocks(6, [[0, 3], [1, 4], [2, 5]])
+
+REFUSALS = [
+    (lambda report: quotient(report, ANTIPODAL6), "quotients are taken of symmetric graphs only"),
+    (three_arc_orbits, "three-arc data needs a symmetric graph"),
+    (lambda report: three_arc_graph(report, [(0, 1, 2, 3)]),
+     "three-arc graphs are built over symmetric graphs"),
+    (design_from_graph, "the design construction needs a symmetric graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", REFUSALS,
+    ids=["quotient", "three_arc_orbits", "three_arc_graph", "design_from_graph"],
+)
+def test_each_construction_refuses_a_report_that_is_not_symmetric(c6, z6, build, message):
+    """C6 under its rotations alone is vertex transitive but not locally
+    transitive; a construction handed that report refuses it."""
+    report = verify_action(c6, z6)
+    assert not report.symmetric
+    with pytest.raises(NotSymmetric) as exc:
+        build(report)
+    assert str(exc.value) == message
+
+
+def test_design_from_graph_refuses_isolated_vertices(z6):
+    """An edgeless graph is symmetric under any transitive group, and its
+    neighbourhood design would have empty blocks."""
+    report = verify_action(Graph.from_edges(6, []), z6)
+    assert report.symmetric
+    with pytest.raises(NotSymmetric) as exc:
+        design_from_graph(report)
+    assert str(exc.value) == "isolated vertices would give empty blocks"
 
 
 def test_three_arc_orbits_empty_when_too_short():
     single = complete_graph(2)
     z2_on_2 = group_from_generators([parse_cycles("(1 2)", 2)], degree=2)
-    assert three_arc_orbits(single, z2_on_2) == []
+    assert three_arc_orbits(verify_action(single, z2_on_2)) == []
 
 
 def test_condition_pe_on_k4_tags(k4, s4):
-    for ob in three_arc_orbits(k4, s4):
-        t = three_arc_graph(k4, s4, ob)
-        labelling = check_condition_pe(quotient(t.graph, t.action, t.partition))
+    report = verify_action(k4, s4)
+    for ob in three_arc_orbits(report):
+        t = three_arc_graph(report, ob)
+        labelling = check_condition_pe(quotient(t.report, t.partition))
         assert labelling is not None
         assert labelling == tuple(v for (_, v) in t.vertices)
-        assert check_three_arc_necessity(quotient(t.graph, t.action, t.partition), labelling)
+        assert check_three_arc_necessity(quotient(t.report, t.partition), labelling)
 
 
 def test_condition_pe_rejects_covers(q3, k4, s4, z2, d6, c6):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    assert check_condition_pe(quotient(bc.cover, bc.action, bc.fibres)) is None
+    assert check_condition_pe(quotient(bc.report, bc.fibres)) is None
 
 
 def test_necessity_counterexample():
@@ -360,7 +404,7 @@ def test_necessity_counterexample():
     )
     part = BlockSystem.from_blocks(4, [[0, 2], [1, 3]])
     labelling = (1, 0, 1, 0)
-    assert not check_three_arc_necessity(quotient(c4, d4g, part), labelling)
+    assert not check_three_arc_necessity(quotient(verify_action(c4, d4g), part), labelling)
 
 
 # ---- subgraph graphs -----------------------------------------------------------
@@ -494,7 +538,7 @@ def test_arc_extension_needs_strict_chain(s4):
 def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    fx = extract_fibre_data(quotient(bc.cover, bc.action, bc.fibres))
+    fx = extract_fibre_data(quotient(bc.report, bc.fibres))
     assert fx.normal_order == 4
     assert fx.stabilizer_order == 12
     assert len(fx.delta) == 6
@@ -511,7 +555,7 @@ def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
 
 def test_extract_trivial_fibres_k4(k4, s4):
     singles = BlockSystem.from_blocks(4, [[v] for v in range(4)])
-    fx = extract_fibre_data(quotient(k4, s4, singles))
+    fx = extract_fibre_data(quotient(verify_action(k4, s4), singles))
     rb = flag_orbital_reconstruction(fx)
     assert are_isomorphic(rb.graph, k4) is not None
 
@@ -523,4 +567,4 @@ def test_extract_needs_regular_normal_subgroup():
     )
     part = BlockSystem.from_blocks(4, [[0, 2], [1, 3]])
     with pytest.raises(NotSemidirect):
-        extract_fibre_data(quotient(c4, d4g, part))
+        extract_fibre_data(quotient(verify_action(c4, d4g), part))

@@ -19,7 +19,7 @@ from sgk.errors import (
     NotUniformBlocks,
     NotUniformPoints,
 )
-from sgk.graphs import are_isomorphic
+from sgk.graphs import are_isomorphic, verify_action
 
 
 def block_rows(inc, group):
@@ -83,43 +83,43 @@ def test_repeated_blocks_multiplicity():
 
 
 def test_design_from_graph_k4(k4, s4):
-    inc, pol = design_from_graph(k4, s4)
+    inc, pol = design_from_graph(verify_action(k4, s4))
     p = validate_design(inc)
     assert (p.v, p.b, p.k, p.lam, p.multiplicity) == (4, 4, 3, 3, 1)
     check_polarity(inc, s4, pol)
-    rebuilt = graph_from_design(inc, s4, pol)
+    rebuilt = graph_from_design(inc, s4, pol).graph
     assert rebuilt.arcs == k4.arcs
 
 
 def test_design_from_graph_c6(c6, d6):
-    inc, pol = design_from_graph(c6, d6)
+    inc, pol = design_from_graph(verify_action(c6, d6))
     p = validate_design(inc)
     assert (p.v, p.b, p.k, p.lam) == (6, 6, 2, 2)
-    rebuilt = graph_from_design(inc, d6, pol)
+    rebuilt = graph_from_design(inc, d6, pol).graph
     assert are_isomorphic(rebuilt, c6) is not None
 
 
 def test_design_from_graph_petersen(petersen, petersen_group):
-    inc, pol = design_from_graph(petersen, petersen_group)
+    inc, pol = design_from_graph(verify_action(petersen, petersen_group))
     p = validate_design(inc)
     assert (p.v, p.b, p.k, p.lam) == (10, 10, 3, 3)
     assert is_flag_transitive(inc, petersen_group)
-    rebuilt = graph_from_design(inc, petersen_group, pol)
+    rebuilt = graph_from_design(inc, petersen_group, pol).graph
     assert rebuilt.arcs == petersen.arcs
 
 
 def test_design_from_graph_needs_symmetry(c6, z6):
     with pytest.raises(NotSymmetric):
-        design_from_graph(c6, z6)
+        design_from_graph(verify_action(c6, z6))
 
 
 def test_flag_transitivity(s4, k4):
-    inc, _ = design_from_graph(k4, s4)
+    inc, _ = design_from_graph(verify_action(k4, s4))
     assert is_flag_transitive(inc, s4)
 
 
 def test_block_rows_is_homomorphism(s4, k4):
-    inc, _ = design_from_graph(k4, s4)
+    inc, _ = design_from_graph(verify_action(k4, s4))
     rows = block_rows(inc, s4)
     number = {x: i for i, x in enumerate(s4.elements)}
     for i, x in enumerate(s4.elements):
@@ -129,7 +129,7 @@ def test_block_rows_is_homomorphism(s4, k4):
 
 
 def test_polarity_commutation_details(k4, s4):
-    inc, pol = design_from_graph(k4, s4)
+    inc, pol = design_from_graph(verify_action(k4, s4))
     rows = block_rows(inc, s4)
     for i, g in enumerate(s4.elements):
         for p in range(4):
@@ -137,7 +137,7 @@ def test_polarity_commutation_details(k4, s4):
 
 
 def test_graph_from_design_refuses_absolute_points(s4, k4):
-    inc, pol = design_from_graph(k4, s4)
+    inc, pol = design_from_graph(verify_action(k4, s4))
     # swapping two polar images puts a point on its own block
     from sgk.designs import Polarity
 
@@ -152,7 +152,7 @@ def test_graph_from_design_refuses_absolute_points(s4, k4):
 
 
 def test_find_polarities_k4(k4, s4):
-    inc, _ = design_from_graph(k4, s4)
+    inc, _ = design_from_graph(verify_action(k4, s4))
     pols = find_polarities(inc, s4)
     assert len(pols) >= 1
     for pol in pols:
@@ -233,7 +233,7 @@ def test_polarities_match_their_definition(k4, s4, c6, d6):
 
     rnd = random.Random(11)
     for graph, group in _polarity_cases(k4, s4, c6, d6):
-        inc, _ = design_from_graph(graph, group)
+        inc, _ = design_from_graph(verify_action(graph, group))
         got = [(pol.point_map, pol.block_map) for pol in find_polarities(inc, group)]
         assert got == _reference_polarities(inc, group)
         maps = [list(g) for g in group.elements]

@@ -17,7 +17,7 @@ nx = pytest.importorskip("networkx")
 
 from sgk.constructions import biggs_cover, constant_chain, semidirect_product, trivial_twist  # noqa: E402
 from sgk.extensions import extract_fibre_data, flag_orbital_reconstruction  # noqa: E402
-from sgk.graphs import Graph, complete_graph, cycle_graph  # noqa: E402
+from sgk.graphs import Graph, complete_graph, cycle_graph, verify_action  # noqa: E402
 from sgk.groups import group_from_generators  # noqa: E402
 from sgk.perm import _compose, _invert, parse_cycles  # noqa: E402
 from sgk.quotients import quotient  # noqa: E402
@@ -94,7 +94,7 @@ def _nx(graph):
 @pytest.mark.parametrize("name", NAMES)
 def test_round_trip_is_isomorphic(inputs, name):
     graph, group, blocks = inputs[name]
-    fx = extract_fibre_data(quotient(graph, group, blocks))
+    fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
     rb = flag_orbital_reconstruction(fx)
     assert rb.graph.n == graph.n
     assert nx.is_isomorphic(_nx(rb.graph), _nx(graph))
@@ -106,7 +106,7 @@ def test_normal_subgroup_is_normal_and_regular(inputs, name):
     """Brute force over every listed element: N is closed, normal, and
     carries block 0 to each block by exactly one element."""
     graph, group, blocks = inputs[name]
-    fx = extract_fibre_data(quotient(graph, group, blocks))
+    fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
     members = set(fx.normal)
     assert all(tuple(b[i] for i in a) in members for a in members for b in members)
     for g in group.elements:
@@ -134,7 +134,7 @@ def test_flag_orbital_is_the_block_stabiliser_orbit_of_one_pair(inputs, name):
     """Δ read off every arc equals the orbit of the least arc's flag pair
     under G_B, listed here by brute force as the elements fixing block 0."""
     graph, group, blocks = inputs[name]
-    fx = extract_fibre_data(quotient(graph, group, blocks))
+    fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
     points, nbrs = blocks.blocks[0], fx.quotient.adj[0]
     back = [_invert(x) for x in fx.normal]
 
@@ -160,7 +160,7 @@ def test_rebuilt_arcs_match_the_pointwise_search(inputs, name):
     """For each quotient arc (p, b), every pair of fibre points whose
     transported flags form a pair in Δ, tried one pair at a time."""
     graph, group, blocks = inputs[name]
-    fx = extract_fibre_data(quotient(graph, group, blocks))
+    fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
     quo, flags, eta = fx.quotient, fx.design.flags, fx.eta
     back = [_invert(row) for row in fx.normal_block_rows]
     npoints = fx.design.n_points

@@ -86,7 +86,7 @@ def test_verify_action_full_symmetric(k4, s4):
     assert report.vertex_transitive
     assert report.arc_transitive
     assert report.locally_transitive
-    assert s_arc_level(k4, s4) == 2
+    assert s_arc_level(verify_action(k4, s4)) == 2
     assert Action.natural(s4).kernel_size() == 1
 
 
@@ -94,7 +94,7 @@ def test_verify_action_cycle(c6, d6, z6):
     full = verify_action(c6, d6)
     assert full.symmetric
     # a cycle is s-arc transitive as far as we look
-    assert s_arc_level(c6, d6) == 5
+    assert s_arc_level(verify_action(c6, d6)) == 5
     half = verify_action(c6, z6)
     assert half.vertex_transitive
     assert not half.arc_transitive
@@ -127,13 +127,14 @@ def test_s_arc_level_walks_one_orbit(capsys, tmp_path, monkeypatch, petersen, pe
     cases += [(petersen, petersen_group), (Graph([], []), GroupTable(0, []))]
     expected = [_split_level(graph, group) for graph, group in cases]
     assert expected == [2, 2, 2, 5, 5, 3, 0]
+    reports = [verify_action(graph, group) for graph, group in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the s-arcs were listed or split")
 
     with monkeypatch.context() as m:
         m.setattr(graphs, "tuple_orbits", refuse)
-        assert [s_arc_level(graph, group) for graph, group in cases] == expected
+        assert [s_arc_level(report) for report in reports] == expected
     (tmp_path / "k12.graph").write_text(format_graph(complete_graph(12)))
     (tmp_path / "pgl.grp").write_text(format_group(pgl2(11)))
     argv = ["verify", "--graph", str(tmp_path / "k12.graph"), "--group", str(tmp_path / "pgl.grp")]

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FIXDIR
 from sgk import fixtures as fx
-from sgk.graphs import Graph
+from sgk.graphs import Graph, verify_action
 from sgk.io import (
     format_design,
     format_graph,
@@ -83,7 +83,7 @@ def test_graph_file_rejections():
 def test_design_round_trip(k4, s4):
     from sgk.designs import design_from_graph
 
-    inc, _ = design_from_graph(k4, s4)
+    inc, _ = design_from_graph(verify_action(k4, s4))
     text = format_design(inc)
     again = parse_design_file(text)
     assert again.flags == inc.flags

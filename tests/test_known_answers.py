@@ -23,7 +23,7 @@ import pytest
 
 from conftest import odd_graph, pg2_incidence, pgl2, psl2
 from sgk.arc_graphs import three_arc_orbits
-from sgk.graphs import complete_graph, s_arc_level
+from sgk.graphs import complete_graph, s_arc_level, verify_action
 from sgk.groups import GroupTable
 
 
@@ -32,21 +32,21 @@ def test_odd_graphs_are_three_arc_transitive(k):
     graph, group = odd_graph(k)
     assert graph.n == math.comb(2 * k + 1, k) and graph.valency() == k + 1
     assert group.order == math.factorial(2 * k + 1)
-    assert s_arc_level(graph, group) == 3
+    assert s_arc_level(verify_action(graph, group)) == 3
 
 
 @pytest.mark.parametrize("q", [7, 11, 19, 23])
 def test_complete_graphs_under_psl2_are_only_arc_transitive(q):
     group = psl2(q)
     assert group.order == q * (q * q - 1) // 2
-    assert s_arc_level(complete_graph(q + 1), group) == 1
+    assert s_arc_level(verify_action(complete_graph(q + 1), group)) == 1
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_complete_graphs_under_pgl2_have_q_minus_one_three_arc_orbits(q):
     group = pgl2(q)
     assert group.order == q * (q * q - 1)
-    orbits = three_arc_orbits(complete_graph(q + 1), group)
+    orbits = three_arc_orbits(verify_action(complete_graph(q + 1), group))
     assert len(orbits) == q - 1
     assert {orbit.size for orbit in orbits} == {group.order}
 
@@ -57,8 +57,8 @@ def test_projective_plane_incidence_graphs_are_four_arc_transitive(q):
     assert graph.n == 2 * (q * q + q + 1) and graph.valency() == q + 1
     group = GroupTable(graph.n, [*collineations, polarity])
     assert group.order == 2 * q**3 * (q**3 - 1) * (q * q - 1)
-    assert s_arc_level(graph, group) == 4
-    assert s_arc_level(graph, GroupTable(graph.n, collineations)) == 0
+    assert s_arc_level(verify_action(graph, group)) == 4
+    assert s_arc_level(verify_action(graph, GroupTable(graph.n, collineations))) == 0
 
 
 def test_the_fano_plane_incidence_graph_is_the_heawood_graph():

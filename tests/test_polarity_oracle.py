@@ -24,7 +24,7 @@ from sgk.designs import (
 )
 from sgk.errors import NotPolarity
 from sgk.fixtures import petersen_graph, petersen_group, q3_graph
-from sgk.graphs import Graph, complete_graph, cycle_graph
+from sgk.graphs import Graph, complete_graph, cycle_graph, verify_action
 from sgk.groups import group_from_generators, stabilizer
 from sgk.perm import orbit_map, point_step
 
@@ -114,7 +114,7 @@ CASES = list(_cases())
 
 @pytest.mark.parametrize("graph,group", [c for _, c in CASES], ids=[name for name, _ in CASES])
 def test_polarities_match_the_paired_schreier_generators(graph, group, monkeypatch):
-    inc, _ = design_from_graph(graph, group)
+    inc, _ = design_from_graph(verify_action(graph, group))
     seeds = _paired_seeds(inc, group)
     tried = []
 
@@ -135,7 +135,7 @@ def test_polarities_compose_only_rows_of_length_n(monkeypatch):
     """No Schreier generator is built, and every product the walk takes
     is of block rows, never of rows on points and blocks together."""
     group = group_from_generators(_dihedral_gens(30))
-    inc, _ = design_from_graph(cycle_graph(30), group)
+    inc, _ = design_from_graph(verify_action(cycle_graph(30), group))
     lengths = []
     compose = perm._compose
 
@@ -160,7 +160,7 @@ def test_long_cycles_have_their_known_polarities(n, shifts):
     with the antipodal map v -> v + n/2 too; block v is N(v)."""
     graph = cycle_graph(n)
     group = group_from_generators(_dihedral_gens(n))
-    inc, _ = design_from_graph(graph, group)
+    inc, _ = design_from_graph(verify_action(graph, group))
     pols = find_polarities(inc, group)
     want = [tuple((v + s) % n for v in range(n)) for s in shifts]
     assert [pol.point_map for pol in pols] == want

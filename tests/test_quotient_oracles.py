@@ -23,7 +23,7 @@ from test_block_oracles import transitive_groups  # noqa: E402
 from sgk.coset_graphs import orbitals  # noqa: E402
 from sgk.arc_graphs import check_condition_pe, three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import CertificationFailed  # noqa: E402
-from sgk.graphs import Graph, complete_graph  # noqa: E402
+from sgk.graphs import Graph, complete_graph, verify_action  # noqa: E402
 from sgk.groups import GroupTable, group_from_generators, is_transitive  # noqa: E402
 from sgk.quotients import (  # noqa: E402
     cross_section_design,
@@ -94,7 +94,7 @@ def _reference_labelling(group, q):
 @given(transitive_groups())
 def test_quotients_match_the_oracles(images):
     for group, graph, partition in _cases(images):
-        q = quotient(graph, group, partition)
+        q = quotient(verify_action(graph, group), partition)
         # the quotient graph against networkx, self-loops dropped
         base = nx.Graph()
         base.add_nodes_from(range(graph.n))
@@ -156,13 +156,14 @@ def test_three_arc_graphs_of_k8_under_pgl27():
 
 def _check_three_arc_graphs(graph, group):
     walks = enumerate_s_arcs(graph, 3)
-    for orb in three_arc_orbits(graph, group):
+    report = verify_action(graph, group)
+    for orb in three_arc_orbits(report):
         rep = orb.arcs[0]
         orbit = {tuple(g[x] for x in rep) for g in group.elements}
         assert orbit == set(orb.arcs)
         if not orb.self_paired:
             continue
-        tag = three_arc_graph(graph, group, orb)
+        tag = three_arc_graph(report, orb)
         # the walk (v,u,x,y) joins the arc (u,v) to the arc (x,y)
         expected = {((u, v), (x, y)) for (v, u, x, y) in walks if (v, u, x, y) in orbit}
         got = {(tag.vertices[i], tag.vertices[j]) for i, j in tag.graph.arcs}

@@ -10,7 +10,7 @@ from sgk.errors import (
     NotQuotientArc,
     TrivialQuotient,
 )
-from sgk.graphs import are_isomorphic, complete_graph, cycle_graph
+from sgk.graphs import are_isomorphic, complete_graph, cycle_graph, verify_action
 from sgk.groups import coerce_action
 from sgk.perm import parse_cycles
 from sgk.quotients import (
@@ -55,7 +55,7 @@ def test_quotient_action_rejects_non_invariant(d6):
 
 
 def test_c6_antipodal_quotient_is_triangle(c6, d6):
-    qc = certify_quotient(quotient(c6, d6, _antipodal6()))
+    qc = certify_quotient(quotient(verify_action(c6, d6), _antipodal6()))
     assert qc.nontrivial
     assert are_isomorphic(qc.quotient, complete_graph(3)) is not None
     assert qc.cover_class == "cover"
@@ -66,7 +66,7 @@ def test_c6_antipodal_quotient_is_triangle(c6, d6):
 
 
 def test_k4_singleton_quotient_is_identity_cover(k4, s4):
-    qc = certify_quotient(quotient(k4, s4, _singletons(4)))
+    qc = certify_quotient(quotient(verify_action(k4, s4), _singletons(4)))
     assert qc.nontrivial
     assert qc.cover_class == "cover"
     assert qc.quotient.arcs == k4.arcs
@@ -84,7 +84,7 @@ def test_q3_antipodal_gives_k4(q3):
     group = group_from_generators([xor1, swap01, swap12], degree=8)
     assert len(group) == 48
     part = BlockSystem.from_blocks(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
-    qc = certify_quotient(quotient(q3, group, part))
+    qc = certify_quotient(quotient(verify_action(q3, group), part))
     assert are_isomorphic(qc.quotient, complete_graph(4)) is not None
     assert qc.cover_class == "cover"
 
@@ -92,8 +92,8 @@ def test_q3_antipodal_gives_k4(q3):
 def test_trivial_quotient_raises(c6, d6):
     part = BlockSystem.from_blocks(6, [[0, 1, 2, 3, 4, 5]])
     with pytest.raises(TrivialQuotient):
-        certify_quotient(quotient(c6, d6, part))
-    qc = certify_quotient(quotient(c6, d6, part), allow_trivial=True)
+        certify_quotient(quotient(verify_action(c6, d6), part))
+    qc = certify_quotient(quotient(verify_action(c6, d6), part), allow_trivial=True)
     assert not qc.nontrivial
     assert qc.cover_class is None
     assert qc.design_params is None
@@ -110,7 +110,7 @@ def test_cover_class_multicover(c6, d6):
     # halving a hexagon: each vertex sees two of the three opposite members
     part = BlockSystem.from_blocks(6, [[0, 2, 4], [1, 3, 5]])
     assert cover_class(c6, part) == "multicover_proper"
-    qc = certify_quotient(quotient(c6, d6, part))
+    qc = certify_quotient(quotient(verify_action(c6, d6), part))
     assert qc.cover_class == "multicover_proper"
     assert qc.quotient.n == 2 and qc.quotient.edge_count == 1
 
@@ -126,7 +126,7 @@ def test_induced_bipartite_pattern(c6, petersen):
 
 
 def test_cross_section_design(c6, d6):
-    section = cross_section_design(quotient(c6, coerce_action(d6, 6), _antipodal6()), 0)
+    section = cross_section_design(quotient(verify_action(c6, d6), _antipodal6()), 0)
     p = section.params
     assert (p.v, p.k, p.lam, p.b) == (2, 2, 2, 2)
     assert p.v * p.lam == p.b * p.k
@@ -140,7 +140,7 @@ def test_cross_section_crash_is_not_a_certification_failure(c6, d6, monkeypatch)
 
     monkeypatch.setattr(quotients, "validate_design", crash)
     with pytest.raises(RecursionError) as info:
-        cross_section_design(quotient(c6, coerce_action(d6, 6), _antipodal6()), 0)
+        cross_section_design(quotient(verify_action(c6, d6), _antipodal6()), 0)
     assert not isinstance(info.value, CertificationFailed)
 
 
@@ -195,7 +195,8 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
 
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     cover = biggs_cover(k4, s4, sd, constant_chain(k4, 1)).certificate.source
-    tag = three_arc_graph(k4, s4, three_arc_orbits(k4, s4)[0]).certificate.source
+    report = verify_action(k4, s4)
+    tag = three_arc_graph(report, three_arc_orbits(report)[0]).certificate.source
 
     def derive(*args, **kwargs):
         raise AssertionError("a consumer derived its quotient again")
@@ -204,9 +205,9 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
         (quotients, "quotient"),
         (quotients, "quotient_action"),
         (quotients, "verify_action"),
-        (constructions, "_quotient"),
+        (constructions, "quotient"),
         (constructions, "verify_action"),
-        (arc_graphs, "_quotient"),
+        (arc_graphs, "quotient"),
         (arc_graphs, "verify_action"),
         (extensions, "verify_action"),
     ):

@@ -21,7 +21,7 @@ from sgk import arc_graphs, graphs  # noqa: E402
 from sgk import fixtures as fx  # noqa: E402
 from sgk.arc_graphs import three_arc_graph, three_arc_orbits  # noqa: E402
 from sgk.errors import NotSymmetric  # noqa: E402
-from sgk.graphs import Graph, complete_graph  # noqa: E402
+from sgk.graphs import Graph, complete_graph, verify_action  # noqa: E402
 from sgk.groups import Action, GroupTable  # noqa: E402
 from sgk.perm import orbits  # noqa: E402
 
@@ -54,11 +54,11 @@ def pairwise_arcs(graph, delta) -> set:
 
 
 def check_against_references(graph, act) -> list:
-    got = three_arc_orbits(graph, act)
+    got = three_arc_orbits(verify_action(graph, act))
     assert [(o.arcs, o.self_paired, o.partner) for o in got] == reference_orbits(graph, act)
     for orb in got:
         if orb.self_paired:
-            tag = three_arc_graph(graph, act, orb)
+            tag = three_arc_graph(verify_action(graph, act), orb)
             assert set(tag.graph.arcs) == pairwise_arcs(graph, set(orb.arcs))
     return got
 
@@ -87,7 +87,7 @@ def test_three_arc_layer_matches_the_split(case):
         check_against_references(graph, act)
     else:
         with pytest.raises(NotSymmetric):
-            three_arc_orbits(graph, act)
+            three_arc_orbits(verify_action(graph, act))
 
 
 def _cyclic(n):

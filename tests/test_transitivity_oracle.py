@@ -113,4 +113,4 @@ def test_report_and_s_arc_level_match_the_definitions(case):
         report.locally_transitive,
         act.kernel_size(),
     )
-    assert (fields, s_arc_level(graph, act)) == reference(graph, act)
+    assert (fields, s_arc_level(report)) == reference(graph, act)
