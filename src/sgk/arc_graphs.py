@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 from .constructions import _arc_label
 from .errors import (
     DegreeMismatch,
-    NotInvariant,
     NotInvolution,
     NotSelfPaired,
     NotSubgraph,
@@ -92,10 +91,11 @@ class ThreeArcGraph(Record):
     reverse_adjacent: bool
 
 
-def three_arc_graph(report: TransitivityReport, orbit) -> ThreeArcGraph:
+def three_arc_graph(report: TransitivityReport, orbit: ThreeArcOrbit) -> ThreeArcGraph:
     """The graph on the arcs of a symmetric graph, joined through a
-    self-paired orbit on 3-arcs: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′)
-    lies in the orbit.
+    self-paired orbit on 3-arcs, one that ``three_arc_orbits`` listed for
+    the same report: (σ,τ) meets (σ′,τ′) when (τ,σ,σ′,τ′) lies in the
+    orbit.
 
     Grouping the vertices by initial vertex gives back the original
     graph, which is certified along with symmetry of the induced action;
@@ -104,22 +104,12 @@ def three_arc_graph(report: TransitivityReport, orbit) -> ThreeArcGraph:
     if not report.symmetric:
         raise NotSymmetric("three-arc graphs are built over symmetric graphs")
     graph, act = report.graph, report.action
-    delta = frozenset(
-        tuple(t) for t in (orbit.arcs if isinstance(orbit, ThreeArcOrbit) else orbit)
-    )
-    for t in delta:
-        if len(t) != 4:
-            raise NotSelfPaired(f"{t} is not a 3-arc")
-    if not delta:
-        raise NotSelfPaired("the orbit is empty")
-    for t in delta:
-        if tuple(reversed(t)) not in delta:
-            raise NotSelfPaired(f"the reversal of {t} is missing from the orbit")
+    if not orbit.self_paired:
+        least = ", ".join(graph.labels[x] for x in min(orbit.arcs))
+        raise NotSelfPaired(
+            f"the orbit of ({least}) is not self-paired: its reversals form orbit {orbit.partner}"
+        )
     gen_rows = act.generator_rows()
-    step = tuple_step(gen_rows)
-    for t in delta:
-        if any(img not in delta for img in step(t)):
-            raise NotInvariant("the set given is not a union of orbits")
     averts = sorted(graph.arcs)
     index = {a: i for i, a in enumerate(averts)}
     labels = [f"({graph.labels[u]},{graph.labels[v]})" for (u, v) in averts]
@@ -127,7 +117,7 @@ def three_arc_graph(report: TransitivityReport, orbit) -> ThreeArcGraph:
     # (σ′, τ′) is not an arc joins nothing
     arcs = sorted(
         (index[(sigma, tau)], index[(s2, t2)])
-        for tau, sigma, s2, t2 in delta
+        for tau, sigma, s2, t2 in orbit.arcs
         if (sigma, tau) in index and (s2, t2) in index
     )
     taggraph = Graph(labels, arcs)

@@ -223,10 +223,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"sgk: invalid-input: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"sgk: invalid-input: {msg}", file=sys.stderr)
-        return 1
     except Exception as exc:
         # a crash is neither bad input nor a counterexample
         print(f"sgk: internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -130,7 +130,6 @@ def _blocks_quotient(args, cert: Certificate, graph: Graph, group: GroupTable):
     try:
         return quotient(verify_action(graph, group), partition)
     except NotInvariant as exc:
-        if exc.vertices:
-            names = ", ".join(graph.labels[v] for v in exc.vertices)
-            raise NotInvariant(f"a generator splits block {{{names}}}") from None
-        raise
+        # the partition has the graph's size, so the refusal names a block
+        names = ", ".join(graph.labels[v] for v in exc.vertices)
+        raise NotInvariant(f"a generator splits block {{{names}}}") from None

@@ -86,7 +86,8 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
     _claim_symmetric(cert, tag.report)
     labelling = check_condition_pe(tag.certificate.source)
     cert.facts["pe_labelling_found"] = labelling is not None
-    if labelling is not None:
+    # the necessity argument reads 3-arcs, so it needs valency at least 2
+    if labelling is not None and tag.graph.valency() >= 2:
         cert.facts["three_arc_necessity"] = check_three_arc_necessity(
             tag.certificate.source, labelling
         )

@@ -137,9 +137,6 @@ class NChain(Record):
     def has(self, u: int, v: int) -> bool:
         return (u, v) in self._map
 
-    def arcs(self):
-        return self._map.keys()
-
 
 def constant_chain(graph: Graph, n_index: int) -> NChain:
     return NChain.from_map({arc: n_index for arc in graph.arcs})

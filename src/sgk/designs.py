@@ -88,8 +88,6 @@ def validate_design(inc: IncidenceStructure) -> DesignParams:
     if len(degrees) != 1:
         raise NotUniformPoints(f"point degrees vary: {sorted(degrees)}")
     lam = degrees.pop()
-    if lam == 0:
-        raise NotUniformPoints("points lie in no blocks")
     counts = Counter(inc.trace(b) for b in range(inc.n_blocks))
     multiplicity = math.gcd(*counts.values())
     # double counting flags: v·λ and b·k both equal the flag count

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInvariant
@@ -226,8 +225,6 @@ def are_isomorphic(a: Graph, b: Graph):
         return None
     ca, cb = _joint_refinement(a, b)
     if ca is None:
-        return None
-    if Counter(ca) != Counter(cb):
         return None
     by_colour: dict = {}
     for w, c in enumerate(cb):

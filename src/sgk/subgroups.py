@@ -71,10 +71,8 @@ class CosetSpace:
         return len(self.reps)
 
     def coset_of(self, x: tuple) -> int:
-        try:
-            return self._number[self.sub.least_in_coset(x)]
-        except KeyError:
-            raise KeyError(f"{Perm(x).cycle_string()} is not in this group") from None
+        """The number of the coset of ``x``, an element of the group."""
+        return self._number[self.sub.least_in_coset(x)]
 
     def generator_rows(self) -> tuple:
         """The action of the group's generators, in generator order."""

@@ -351,6 +351,11 @@ def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
     assert claims["block-closure"]["counterexample"] == {"system": 0, "block": [1, 2]}
 
 
+A4 = "degree: 4\n(1 2 3)\n(2 3 4)\n"
+OCTAHEDRON_H = "(2 3)(5 6),(2 5)(3 6),(3 6)"
+SUBGRAPH_K4 = ["subgraph-graph", "--graph", "{fix}/k4.graph", "--group", "{fix}/s4.grp"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["lattice", "--group", "{fix}/d6.grp", "--base", "0"],
      "point-out-of-range: base point 0 outside 1..6"),
@@ -379,12 +384,40 @@ def test_block_closure_names_the_first_failing_system(capsys, monkeypatch):
     (["quotient", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
       "--blocks", "{tmp}/repeat.txt"],
      "invalid-input: line 1: point 1 is already on line 1"),
+    (["cosetgraph", "--group", "{fix}/d6.grp", "--subgroup", "(2 6)(3 5)",
+      "--involution", "(1 2)"],
+     "not-involution: (1 2) is not in the group"),
+    (["extend", "--via", "arcs", "--group", "{fix}/octahedron-aut.grp",
+      "--subgroup", OCTAHEDRON_H, "--over", OCTAHEDRON_H, "--involution", "(1 2)(4 5)"],
+     "no-strict-chain: K must sit strictly inside H"),
+    (["design", "to-graph", "--design", "{tmp}/c6.design", "--group", "{fix}/d6.grp",
+      "--polarity-index", "9"],
+     "invalid-input: polarity index 9 outside 0..1"),
+    (["design", "to-graph", "--design", "{tmp}/void.design", "--group", "{tmp}/s2.grp"],
+     "not-polarity: the design admits no equivariant polarity"),
+    (SUBGRAPH_K4 + ["--subgraph", "1>x", "--involution", "(1 2)"],
+     "invalid-input: expected numbers in '1>x'"),
+    (SUBGRAPH_K4 + ["--subgraph", ",", "--involution", "(1 2)"],
+     "invalid-input: the subgraph needs at least one arc"),
+    (SUBGRAPH_K4 + ["--subgraph", ", 1>9", "--involution", "(1 2)"],
+     "invalid-input: arc '1>9' outside 1..4"),
+    (["subgraph-graph", "--graph", "{fix}/k4.graph", "--group", "{tmp}/a4.grp",
+      "--subgraph", "1>2", "--involution", "(1 2)"],
+     "not-involution: (1 2) is not in the group"),
+    # A4's orbits 0 and 2 on K4's 3-arcs are each other's reversal
+    (["threearc", "--graph", "{fix}/k4.graph", "--group", "{tmp}/a4.grp", "--orbit-index", "0"],
+     "not-self-paired: the orbit of (1, 2, 3, 1) is not self-paired: its reversals form orbit 2"),
 ], ids=["base-0", "base-past-degree", "subgraph-arc", "unseeded-arc", "no-block-action",
         "ambiguous-block-action", "degenerate-design", "blocks-overlap", "flags-blocks-overlap",
-        "blocks-repeat"])
+        "blocks-repeat", "cosetgraph-involution-outside", "extend-over-is-subgroup",
+        "polarity-index", "no-polarity", "subgraph-number", "subgraph-empty", "subgraph-range",
+        "subgraph-involution-outside", "threearc-not-self-paired"])
 def test_errors_name_points_one_based(capsys, tmp_path, argv, message):
     """Every input is 1-based, and so is every point or vertex an error
-    names; design errors name blocks and points by their labels."""
+    names; design errors name blocks and points by their labels.  Each
+    refusal exits 1 with its code and message.  The two points of
+    ``void.design`` share one block and leave the other empty, so no
+    point map onto the blocks is a bijection."""
     (tmp_path / "c4.grp").write_text("degree: 4\n(1 2 3 4)\n")
     (tmp_path / "twist.txt").write_text("trivial\n")
     (tmp_path / "seed.txt").write_text("arc 1 2 (1 2)\n")
@@ -399,8 +432,30 @@ def test_errors_name_points_one_based(capsys, tmp_path, argv, message):
     (tmp_path / "singles.design").write_text("points: 3\nblock x: 1\nblock y: 2\nblock z: 3\n")
     (tmp_path / "overlap.txt").write_text("1 2\n2 3\n4 5 6\n")
     (tmp_path / "repeat.txt").write_text("1 1 4\n2 5\n3 6\n")
+    (tmp_path / "a4.grp").write_text(A4)
+    (tmp_path / "s2.grp").write_text("degree: 2\n(1 2)\n")
+    (tmp_path / "c6.design").write_text(
+        "points: 6\nblock N(1): 2 6\nblock N(2): 1 3\nblock N(3): 2 4\n"
+        "block N(4): 3 5\nblock N(5): 4 6\nblock N(6): 1 5\n"
+    )
+    (tmp_path / "void.design").write_text("points: 2\nblock line: 1 2\nblock void:\n")
     code, out, err = run(capsys, *(a.format(fix=FIXDIR, tmp=tmp_path) for a in argv))
     assert (code, out, err) == (1, "", f"sgk: {message}\n")
+
+
+def test_threearc_on_a_self_paired_orbit_of_valency_one(capsys, tmp_path):
+    """A4's self-paired orbits on K4's 3-arcs give three-arc graphs of
+    valency 1: built, certified and labelled, without the necessity fact,
+    which needs valency at least 2."""
+    (tmp_path / "a4.grp").write_text(A4)
+    for index in (1, 3):
+        code, out, err = run(capsys, "threearc", "--graph", GRAPH,
+                             "--group", str(tmp_path / "a4.grp"), "--orbit-index", str(index))
+        assert (code, err) == (0, "")
+        facts = cert_from(out)["facts"]
+        assert (facts["vertices"], facts["valency"]) == (12, 1)
+        assert facts["pe_labelling_found"] is True
+        assert "three_arc_necessity" not in facts
 
 
 def test_orbitals_command(capsys):
@@ -1005,6 +1060,17 @@ def test_crash_is_not_a_counterexample(capsys, monkeypatch, tmp_path):
     assert not cert_path.exists()
 
 
+def test_a_stray_key_error_is_an_internal_error(capsys, monkeypatch):
+    """No parser raises KeyError, so one that escapes a handler is a
+    fault of the program, not a rejected input."""
+    def lookup(args, cert):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_group", lookup)
+    code, out, err = run(capsys, "group", "--group", GRP)
+    assert (code, out, err) == (3, "", "sgk: internal-error: KeyError: 'missing'\n")
+
+
 def test_header_count_past_the_cap_is_rejected_before_allocating(capsys, tmp_path):
     import tracemalloc
 
@@ -1235,3 +1301,9 @@ def test_every_primary_claim_is_in_the_vocabulary():
     assert len(LEAVES) == 15
     for argv, claim in LEAVES:
         assert claim in CLAIM_INVARIANTS, argv
+
+
+def test_a_claim_outside_the_vocabulary_is_refused():
+    with pytest.raises(AssertionError) as exc:
+        Certificate("group").claim("no-such-claim", True, "")
+    assert str(exc.value) == "unknown claim id no-such-claim"

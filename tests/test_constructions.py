@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SemidirectPairs, inverse, order, product
 from sgk.arc_graphs import (
+    ThreeArcOrbit,
     check_condition_pe,
     check_three_arc_necessity,
     subgraph_graph,
@@ -12,6 +13,7 @@ from sgk.arc_graphs import (
     three_arc_orbits,
 )
 from sgk.constructions import (
+    NChain,
     biggs_cover,
     chain_from_seeds,
     constant_chain,
@@ -22,13 +24,21 @@ from sgk.constructions import (
 from sgk.designs import design_from_graph
 from sgk.extensions import arc_partition_extension, extract_fibre_data, flag_orbital_reconstruction
 from sgk.errors import (
+    CertificationFailed,
     DegenerateInvolution,
+    DegreeMismatch,
+    InvalidChain,
+    InverseSymmetryViolated,
     NoStrictChain,
     NotCompatible,
     NotInvolution,
+    NotSelfPaired,
     NotSemidirect,
+    NotSubgraph,
     NotSymmetric,
+    TrivialQuotient,
     TwistNotHomomorphism,
+    ValencyTooSmall,
 )
 from sgk.graphs import (
     DirectedSubgraph,
@@ -39,7 +49,7 @@ from sgk.graphs import (
     cycle_graph,
     verify_action,
 )
-from sgk.groups import group_from_generators
+from sgk.groups import Action, GroupTable, group_from_generators
 from sgk.perm import Perm, parse_cycles
 from sgk.quotients import induced_bipartite, quotient
 from sgk.subgroups import (
@@ -108,6 +118,36 @@ def test_semidirect_twist_must_extend(z2):
     with pytest.raises(TwistNotHomomorphism) as err:
         semidirect_product(z5, z2, squared)
     assert "homomorphism" in str(err.value)
+
+
+def _z4_by_two_generators():
+    """Z4 generated by a 4-cycle and by its square."""
+    return group_from_generators(
+        [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)(2 4)", 4)], degree=4
+    )
+
+
+TWIST_REFUSALS = [
+    (lambda z2, s4: semidirect_product(z2, s4, trivial_twist(z2, s4) + [[(1, 0)]]),
+     "3 automorphisms for 2 generators of G"),
+    (lambda z2, s4: semidirect_product(z2, s4, [[(1, 0), (1, 0)]] * 2),
+     "2 images for 1 generators of N"),
+    (lambda z2, s4: semidirect_product(
+        GroupTable(3, [(1, 0, 2)]), z2, [[parse_cycles("(2 3)", 3)]]),
+     "image (2 3) lies outside N"),
+    # the square of the 4-cycle must go where the 4-cycle's image squares to
+    (lambda z2, s4: semidirect_product(
+        _z4_by_two_generators(), z2, [[parse_cycles("(1 2 3 4)", 4)] * 2]),
+     "generator images contradict each other on N"),
+]
+
+
+@pytest.mark.parametrize("build, message", TWIST_REFUSALS,
+                         ids=["rows-for-G", "images-for-N", "image-outside-N", "contradiction"])
+def test_a_twist_that_is_no_homomorphism_is_refused_by_name(z2, s4, build, message):
+    with pytest.raises(TwistNotHomomorphism) as exc:
+        build(z2, s4)
+    assert str(exc.value) == message
 
 
 def _cyclic(m):
@@ -206,8 +246,6 @@ def test_constant_chain_validates(k4, s4, z2):
 
 def test_mixed_chain_rejected(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
-    from sgk.constructions import NChain
-
     values = {arc: (1 if arc == (0, 1) or arc == (1, 0) else 0) for arc in k4.arcs}
     with pytest.raises(NotCompatible):
         validate_nchain(k4, s4, sd, NChain.from_map(values))
@@ -217,6 +255,49 @@ def test_chain_from_seeds_propagates(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     chain = chain_from_seeds(k4, s4, sd, {(0, 1): 1})
     assert chain.assignment == constant_chain(k4, 1).assignment
+
+
+def _a4():
+    return group_from_generators(
+        [parse_cycles("(1 2 3)", 4), parse_cycles("(2 3 4)", 4)], degree=4
+    )
+
+
+def _constant_except(graph, value, changed):
+    """The constant chain ``value`` with the arcs of ``changed`` reset."""
+    return NChain.from_map({**{arc: value for arc in graph.arcs}, **changed})
+
+
+CHAIN_REFUSALS = [
+    (lambda k4, s4, sd: chain_from_seeds(k4, s4, sd, {(0, 0): 1}),
+     InvalidChain, "seed arc (1, 1) is not an arc of the graph"),
+    (lambda k4, s4, sd: chain_from_seeds(k4, s4, sd, {(0, 1): 2}),
+     InvalidChain, "seed value 2 is outside N"),
+    # N = Z2 is abelian, so the reverse of (1, 2) carries the same value
+    (lambda k4, s4, sd: chain_from_seeds(k4, s4, sd, {(0, 1): 0, (1, 0): 1}),
+     NotCompatible, "propagation assigns two values to some arc"),
+    (lambda k4, s4, sd: chain_from_seeds(k4, _a4(), sd, {(0, 1): 1}),
+     DegreeMismatch, "the twist was built over a different group"),
+    (lambda k4, s4, sd: validate_nchain(
+        k4, s4, sd, NChain.from_map({arc: 0 for arc in k4.arcs if arc != (2, 3)})),
+     InvalidChain, "no value on arc (2, 3)"),
+    (lambda k4, s4, sd: validate_nchain(k4, s4, sd, _constant_except(k4, 0, {(2, 3): 2})),
+     InvalidChain, "value on arc (2, 3) is outside N"),
+    (lambda k4, s4, sd: validate_nchain(k4, s4, sd, _constant_except(k4, 0, {(0, 1): 1})),
+     InverseSymmetryViolated, "value on (1, 0) is not the inverse of the value on (0, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message", CHAIN_REFUSALS,
+    ids=["seed-arc", "seed-value", "seeds-clash", "other-group", "missing-arc",
+         "value-outside-N", "not-inverse"],
+)
+def test_a_chain_that_is_no_chain_is_refused_by_name(k4, s4, z2, build, error, message):
+    sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
+    with pytest.raises(error) as exc:
+        build(k4, s4, sd)
+    assert str(exc.value) == message
 
 
 # ---- Biggs covers ------------------------------------------------------------
@@ -340,12 +421,66 @@ def test_three_arc_c6(c6, d6):
     assert t.graph.valency() == 1
 
 
+def test_three_arc_graph_names_an_orbit_that_is_not_self_paired(k4):
+    """A4 splits K4's 3-arcs into four orbits; orbits 0 and 2 are each
+    other's reversal, and the refusal names the least 3-arc by labels."""
+    orbs = three_arc_orbits(verify_action(k4, _a4()))
+    assert [(ob.self_paired, ob.partner) for ob in orbs] == [
+        (False, 2), (True, 1), (False, 0), (True, 3)]
+    with pytest.raises(NotSelfPaired) as exc:
+        three_arc_graph(verify_action(k4, _a4()), orbs[0])
+    assert str(exc.value) == (
+        "the orbit of (1, 2, 3, 1) is not self-paired: its reversals form orbit 2"
+    )
+
+
+def test_three_arc_graph_of_an_orbit_of_another_group_fails_certification(k4, s4):
+    """An A4-orbit is no union of S4-orbits; the three-arc graph it would
+    give is not symmetric under S4, which certification catches."""
+    orbit = three_arc_orbits(verify_action(k4, _a4()))[1]
+    with pytest.raises(CertificationFailed) as exc:
+        three_arc_graph(verify_action(k4, s4), orbit)
+    assert "the arc action is symmetric on the three-arc graph" in str(exc.value)
+
+
+def test_a_self_paired_orbit_of_valency_one_has_a_labelling_but_no_necessity(k4):
+    """A4's self-paired orbits on K4 give three-arc graphs of valency 1:
+    the labelling exists, and the necessity argument, which reads 3-arcs,
+    refuses the graph."""
+    report = verify_action(k4, _a4())
+    for ob in three_arc_orbits(report):
+        if not ob.self_paired:
+            continue
+        tag = three_arc_graph(report, ob)
+        assert (tag.graph.n, tag.graph.valency()) == (12, 1)
+        source = tag.certificate.source
+        labelling = check_condition_pe(source)
+        assert labelling is not None
+        with pytest.raises(ValencyTooSmall) as exc:
+            check_three_arc_necessity(source, labelling)
+        assert str(exc.value) == "the necessity argument needs valency at least 2"
+
+
+def test_labelling_tests_refuse_what_is_not_a_labelling(k4, s4):
+    report = verify_action(k4, s4)
+    one_block = quotient(report, BlockSystem.from_blocks(4, [range(4)]))
+    with pytest.raises(TrivialQuotient) as exc:
+        check_condition_pe(one_block)
+    assert str(exc.value) == "the labelling test applies to nontrivial quotients"
+    source = three_arc_graph(report, three_arc_orbits(report)[0]).certificate.source
+    with pytest.raises(ValueError) as exc:
+        check_three_arc_necessity(source, (0,))
+    assert str(exc.value) == "one quotient vertex per graph vertex is required"
+    # each vertex named by its own block: no arc (C, B) of the quotient has C = B
+    assert not check_three_arc_necessity(source, source.partition.block_of)
+
+
 ANTIPODAL6 = BlockSystem.from_blocks(6, [[0, 3], [1, 4], [2, 5]])
 
 REFUSALS = [
     (lambda report: quotient(report, ANTIPODAL6), "quotients are taken of symmetric graphs only"),
     (three_arc_orbits, "three-arc data needs a symmetric graph"),
-    (lambda report: three_arc_graph(report, [(0, 1, 2, 3)]),
+    (lambda report: three_arc_graph(report, ThreeArcOrbit(((0, 1, 2, 3),), True, 0)),
      "three-arc graphs are built over symmetric graphs"),
     (design_from_graph, "the design construction needs a symmetric graph"),
 ]
@@ -486,6 +621,19 @@ def test_subgraph_graph_needs_involution(k4, s4):
         subgraph_graph(k4, s4, tri, parse_cycles("(1 2 3)", 4))
 
 
+def test_subgraph_graph_refuses_what_does_not_fit_the_graph(k4, s4):
+    tri = DirectedSubgraph.make([0, 2, 3], [(2, 3), (3, 0), (0, 2)])
+    # Z2 on five points, acting on K4's four vertices by its generator's row
+    z2_on_5 = GroupTable(5, [(1, 0, 2, 3, 4)])
+    action = Action(z2_on_5, 4, gen_rows=[(1, 0, 2, 3)])
+    with pytest.raises(DegreeMismatch) as exc:
+        subgraph_graph(k4, action, tri, (1, 0, 2, 3, 4))
+    assert str(exc.value) == "the involution acts on the wrong number of points"
+    with pytest.raises(NotSubgraph) as exc:
+        subgraph_graph(k4, s4, DirectedSubgraph.make([0, 9], [(0, 9)]), (1, 0, 2, 3))
+    assert str(exc.value) == "vertex 9 is outside the graph"
+
+
 # ---- arc partition extensions --------------------------------------------------
 
 
@@ -498,13 +646,14 @@ def _octahedron_setup(oct_aut):
     return h, k, a
 
 
-def test_arc_extension_octahedron(oct_aut):
+def test_arc_extension_octahedron(oct_aut, octahedron):
     h, k, a = _octahedron_setup(oct_aut)
     ext = arc_partition_extension(oct_aut, h, k, a)
     assert ext.r == 2
     assert ext.extension.n == 12
     assert ext.extension.valency() == 2
     assert ext.base.graph.n == 6
+    assert are_isomorphic(ext.base.graph, octahedron) is not None
     assert ext.base.valency == 4
     assert ext.extension.edge_count == ext.base.graph.edge_count
     assert ext.exact
@@ -530,6 +679,17 @@ def test_arc_extension_needs_strict_chain(s4):
     k = subgroup_from_generators(s4, (parse_cycles("(3 4)", 4),))
     with pytest.raises(NoStrictChain):
         arc_partition_extension(s4, h, k, parse_cycles("(1 2)", 4))
+
+
+@pytest.mark.parametrize("involution, message", [
+    ("(1 2)", "(1 2) is not in the group"),
+    ("(1 2 3)(4 5 6)", "(1 2 3)(4 5 6) is not an involution"),
+])
+def test_arc_extension_needs_an_involution_of_the_group(oct_aut, involution, message):
+    h, k, _ = _octahedron_setup(oct_aut)
+    with pytest.raises(NotInvolution) as exc:
+        arc_partition_extension(oct_aut, h, k, parse_cycles(involution, 6))
+    assert str(exc.value) == message
 
 
 # ---- fibre extraction and reconstruction ---------------------------------------

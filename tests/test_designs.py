@@ -5,6 +5,7 @@ import pytest
 from conftest import product
 from sgk.designs import (
     IncidenceStructure,
+    Polarity,
     check_polarity,
     design_from_graph,
     find_polarities,
@@ -14,12 +15,14 @@ from sgk.designs import (
 )
 from sgk.errors import (
     DegenerateDesign,
+    DegreeMismatch,
     NotPolarity,
     NotSymmetric,
     NotUniformBlocks,
     NotUniformPoints,
 )
 from sgk.graphs import are_isomorphic, verify_action
+from sgk.groups import GroupTable
 
 
 def block_rows(inc, group):
@@ -67,6 +70,36 @@ def test_validate_rejects_nonuniform():
     inc = IncidenceStructure(("1", "2"), ("A", "B"), flags)
     with pytest.raises((NotUniformBlocks, NotUniformPoints)):
         validate_design(inc)
+
+
+def _incidence(n_points, traces):
+    """Points 1..n_points and one block per trace, named B1, B2, ..."""
+    return IncidenceStructure(
+        tuple(str(p + 1) for p in range(n_points)),
+        tuple(f"B{b + 1}" for b in range(len(traces))),
+        frozenset((p, b) for b, trace in enumerate(traces) for p in trace),
+    )
+
+
+@pytest.mark.parametrize("inc, error, message", [
+    (_incidence(1, []), NotUniformBlocks, "there are no blocks at all"),
+    (_incidence(2, [(), ()]), NotUniformBlocks, "blocks are empty"),
+    (_incidence(3, [(0, 1), (0, 2)]), NotUniformPoints, "point degrees vary: [1, 2]"),
+], ids=["no-blocks", "empty-blocks", "point-degrees"])
+def test_validate_names_what_is_not_uniform(inc, error, message):
+    with pytest.raises(error) as exc:
+        validate_design(inc)
+    assert str(exc.value) == message
+
+
+def test_flags_stay_inside_the_points_and_blocks():
+    with pytest.raises(ValueError) as exc:
+        IncidenceStructure(("1",), ("A",), frozenset({(1, 0)}))
+    assert str(exc.value) == "flag point 1 out of range"
+    with pytest.raises(ValueError) as exc:
+        IncidenceStructure(("1",), ("A",), frozenset({(0, 1)}))
+    assert str(exc.value) == "flag block 1 out of range"
+    assert repr(_fano()) == "<incidence structure: 7 points, 7 blocks, 21 flags>"
 
 
 def test_repeated_blocks_multiplicity():
@@ -149,6 +182,42 @@ def test_graph_from_design_refuses_absolute_points(s4, k4):
     crooked = Polarity(tuple(pm), tuple(bm))
     with pytest.raises((DegenerateDesign, NotPolarity, Exception)):
         graph_from_design(inc, s4, crooked)
+
+
+def test_check_polarity_names_maps_that_are_no_polarity(k4, s4):
+    inc, _ = design_from_graph(verify_action(k4, s4))
+    with pytest.raises(NotPolarity) as exc:
+        check_polarity(_incidence(2, [(0, 1)]), GroupTable(2, [(1, 0)]), Polarity((0, 0), (0,)))
+    assert str(exc.value) == "point and block counts differ"
+    with pytest.raises(NotPolarity) as exc:
+        check_polarity(inc, s4, Polarity((0, 1, 2), (0, 1, 2, 3)))
+    assert str(exc.value) == "maps have the wrong length"
+    # an entry of -1 indexes from the end: the point side reads as inverse,
+    # the block side does not
+    with pytest.raises(NotPolarity) as exc:
+        check_polarity(inc, s4, Polarity((-1, 1, 2, 0), (3, 1, 2, 0)))
+    assert str(exc.value) == "maps are not mutually inverse at block 3"
+
+
+def test_a_group_on_other_points_has_no_block_action(s4):
+    with pytest.raises(DegreeMismatch) as exc:
+        find_polarities(_fano(), s4)
+    assert str(exc.value) == "group of degree 4 against 7 points"
+
+
+def test_designs_without_polarities(s4):
+    """No flags is no flag transitivity.  The six pairs of four points
+    have more blocks than points; two points on one block, beside an empty
+    block, have as many, but the block orbit misses the empty one, so no
+    point map is a bijection."""
+    assert not is_flag_transitive(_incidence(1, [()]), GroupTable(1, [(0,)]))
+    pairs = _incidence(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert is_flag_transitive(pairs, s4)
+    assert find_polarities(pairs, s4) == []
+    line_and_void = _incidence(2, [(0, 1), ()])
+    swap = GroupTable(2, [(1, 0)])
+    assert is_flag_transitive(line_and_void, swap)
+    assert find_polarities(line_and_void, swap) == []
 
 
 def test_find_polarities_k4(k4, s4):

@@ -215,6 +215,19 @@ def test_same_size_non_isomorphic_pair():
     assert not brute_force_isomorphic(k33, prism)
 
 
+def test_graphs_refuse_arcs_they_cannot_hold():
+    with pytest.raises(ValueError) as exc:
+        Graph(["a", "b"], [(0, 1)])
+    assert str(exc.value) == "arc (0, 1) has no reverse"
+    with pytest.raises(ValueError) as exc:
+        cycle_graph(2)
+    assert str(exc.value) == "a cycle needs at least 3 vertices"
+    with pytest.raises(ValueError) as exc:
+        DirectedSubgraph.make([0], [(0, 1)])
+    assert str(exc.value) == "arc (0, 1) leaves the vertex set"
+    assert repr(complete_graph(4)) == "<graph: 4 vertices, 6 edges>"
+
+
 def test_directed_subgraph_identity():
     sub = DirectedSubgraph.make([0, 2, 3], [(2, 3), (3, 0), (0, 2)])
     assert sub.key() == DirectedSubgraph.make([3, 0, 2], [(0, 2), (2, 3), (3, 0)]).key()

@@ -162,6 +162,32 @@ def test_twist_file_rejections(z2, s4):
         parse_twist_file("(2 1) -> (1 2)\nxx\n", z2, s4)
 
 
+@pytest.mark.parametrize("parse, message", [
+    (lambda: parse_group_file(""), "empty file, expected a 'degree:' line"),
+    (lambda: parse_group_file("degree: x\n(1 2)\n"), "line 1: 'x' is not a count"),
+    (lambda: parse_graph_file("vertices: 2\nedge 1 x\n"), "line 2: 'x' is not a vertex number"),
+    (lambda: parse_graph_file("vertices: 2\nlabel 1\n"),
+     "line 2: expected 'label <vertex> <text>'"),
+    (lambda: parse_graph_file("vertices: 2\nedge 1\n"), "line 2: expected 'edge <u> <v>'"),
+    (lambda: parse_design_file("points: 2\nblok A: 1\n"),
+     "line 2: expected 'block <name>: <points>'"),
+    (lambda: parse_design_file("points: 2\nblock : 1\n"), "line 2: the block needs a name"),
+    (lambda: parse_design_file("points: 2\n"), "a design file needs at least one block line"),
+    (lambda: parse_chain_seeds("# no arcs\n", fx.k4_graph(), fx.z2()),
+     "a chain file needs at least one arc line"),
+    (lambda: parse_twist_file("(1 2) -> (1 2); (1 2) -> (1 2)\n", fx.z2(), fx.z2()),
+     "line 1: 2 entries for 1 generators of N"),
+    (lambda: parse_twist_file("id -> (1 2)\n", fx.z2(), fx.z2()),
+     "line 1: source id is not the generator (1 2) of N"),
+], ids=["group-empty", "group-count", "graph-vertex", "graph-label", "graph-edge",
+        "design-line", "design-name", "design-no-block", "chain-no-arc", "twist-entries",
+        "twist-source"])
+def test_each_format_names_the_line_it_refuses(parse, message):
+    with pytest.raises(ValueError) as exc:
+        parse()
+    assert str(exc.value) == message
+
+
 def test_subgroup_generator_splitting():
     perms = parse_subgroup_generators("(2 3),(3 4)", 4)
     assert perms == (parse_cycles("(2 3)", 4), parse_cycles("(3 4)", 4))
@@ -186,7 +212,7 @@ def test_dot_quoting():
     assert "\\\\" in dot
 
 
-def test_fixture_files_match_builders():
+def test_fixture_files_match_builders(tmp_path):
     mapping = {
         "s4.grp": fx.s4,
         "s5.grp": fx.s5,
@@ -210,6 +236,11 @@ def test_fixture_files_match_builders():
     for name, builder in graphs.items():
         g = parse_graph_file((FIXDIR / name).read_text())
         assert g.arcs == builder().arcs, name
+    # the files themselves are what write_all writes, byte for byte
+    written = fx.write_all(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in FIXDIR.iterdir())
+    for path in written:
+        assert path.read_bytes() == (FIXDIR / path.name).read_bytes(), path.name
 
 
 @pytest.mark.parametrize(

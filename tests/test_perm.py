@@ -16,7 +16,13 @@ from conftest import closure_listing, order
 from sgk.cli import main
 from sgk.constructions import NChain
 from sgk.designs import DesignParams
-from sgk.errors import CapExceeded, CycleSyntaxError, PointOutOfRange, RepeatedPoint
+from sgk.errors import (
+    CapExceeded,
+    CycleSyntaxError,
+    DegreeMismatch,
+    PointOutOfRange,
+    RepeatedPoint,
+)
 from sgk.groups import (
     Action,
     GroupTable,
@@ -232,6 +238,35 @@ def test_coerce_action_degree_guard(s4):
     assert act.n_points == 4
     with pytest.raises(Exception):
         coerce_action(s4, 5)
+
+
+def test_cycle_syntax_between_and_inside_cycles():
+    assert parse_cycles("(1 2) (3 4)", 4) == (1, 0, 3, 2)
+    assert repr(Perm((1, 0, 3, 2))) == "Perm[(1 2)(3 4)]"
+    with pytest.raises(CycleSyntaxError) as exc:
+        parse_cycles("x(1 2)", 2)
+    assert str(exc.value) == "expected '(' at position 0 in 'x(1 2)'"
+    with pytest.raises(CycleSyntaxError) as exc:
+        parse_cycles("(1 2)()", 2)
+    assert str(exc.value) == "empty cycle in '(1 2)()'"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda s4: GroupTable(3, [(1, 0)]), DegreeMismatch,
+     "generator (1 2) has degree 2, expected 3"),
+    (lambda s4: group_from_generators([]), ValueError,
+     "cannot infer a degree from an empty generator list"),
+    (lambda s4: orbit(s4, 4), PointOutOfRange, "point 4 outside the domain of the group"),
+    (lambda s4: stabilizer_subgroup(s4, 4), PointOutOfRange,
+     "point 4 outside the domain of the group"),
+    (lambda s4: coerce_action(s4.generators, 4), TypeError,
+     "expected a GroupTable or an Action"),
+], ids=["generator-degree", "no-generators", "orbit-point", "stabilizer-point", "not-a-group"])
+def test_groups_refuse_what_they_cannot_act_on(s4, build, error, message):
+    with pytest.raises(error) as exc:
+        build(s4)
+    assert str(exc.value) == message
+    assert repr(s4) == "<group of order 24 on 4 points>"
 
 
 def test_cap_env_round_trip(monkeypatch):

@@ -10,7 +10,7 @@ from sgk.errors import (
     NotQuotientArc,
     TrivialQuotient,
 )
-from sgk.graphs import are_isomorphic, complete_graph, cycle_graph, verify_action
+from sgk.graphs import Graph, are_isomorphic, complete_graph, cycle_graph, verify_action
 from sgk.groups import coerce_action
 from sgk.perm import parse_cycles
 from sgk.quotients import (
@@ -104,6 +104,32 @@ def test_quotient_is_nontrivial_flags(c6):
     assert not quotient_is_nontrivial(
         c6, BlockSystem.from_blocks(6, [[0, 1, 2, 3, 4, 5]])
     )
+    assert not quotient_is_nontrivial(Graph.from_edges(2, []), BlockSystem(2, ((0,), (1,))))
+
+
+def test_readers_of_a_quotient_refuse_a_trivial_one(c6, d6):
+    """Halving C6 into two paths keeps an arc inside each block."""
+    halves = BlockSystem.from_blocks(6, [[0, 1, 2], [3, 4, 5]])
+    one_block = quotient(verify_action(c6, d6), BlockSystem.from_blocks(6, [range(6)]))
+    with pytest.raises(TrivialQuotient) as exc:
+        cover_class(c6, halves)
+    assert str(exc.value) == "cover classification needs a nontrivial quotient"
+    with pytest.raises(TrivialQuotient) as exc:
+        cross_section_design(one_block, 0)
+    assert str(exc.value) == "cross sections are cut through nontrivial quotients"
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda c6, q: induced_bipartite(c6, q.partition, 0, 3), "no blocks numbered 0 and 3"),
+    (lambda c6, q: induced_bipartite(c6, BlockSystem(6, tuple((v,) for v in range(6))), 0, 2),
+     "blocks 0 and 2 are not adjacent in the quotient"),
+    (lambda c6, q: cross_section_design(q, 3), "no block numbered 3"),
+], ids=["bipartite-block", "bipartite-adjacency", "section-block"])
+def test_readers_of_a_quotient_name_a_block_it_lacks(c6, d6, read, message):
+    q = quotient(verify_action(c6, d6), _antipodal6())
+    with pytest.raises(NotQuotientArc) as exc:
+        read(c6, q)
+    assert str(exc.value) == message
 
 
 def test_cover_class_multicover(c6, d6):
@@ -144,6 +170,23 @@ def test_cross_section_crash_is_not_a_certification_failure(c6, d6, monkeypatch)
     assert not isinstance(info.value, CertificationFailed)
 
 
+def test_a_cross_section_that_is_no_design_is_a_certification_failure(c6, d6, monkeypatch):
+    """A symmetric graph's cross sections are uniform; were one not, the
+    fault is the program's, not the input's."""
+    from sgk import quotients
+    from sgk.errors import NotUniformBlocks
+
+    def uneven(inc):
+        raise NotUniformBlocks("block sizes vary: [1, 2]")
+
+    monkeypatch.setattr(quotients, "validate_design", uneven)
+    with pytest.raises(CertificationFailed) as info:
+        cross_section_design(quotient(verify_action(c6, d6), _antipodal6()), 0)
+    assert str(info.value) == (
+        "certification failed: cross section is not uniform (block sizes vary: [1, 2])"
+    )
+
+
 def test_quotient_as_coset_graph_d6(d6):
     h = subgroup_from_generators(d6, (parse_cycles("(2 6)(3 5)", 6),))
     k = subgroup_from_generators(
@@ -177,6 +220,18 @@ def test_quotient_as_coset_graph_needs_nesting(d6):
     a = parse_cycles("(1 2)(3 6)(4 5)", 6)
     with pytest.raises(NotNested):
         quotient_as_coset_graph(d6, h, a, other)
+    with pytest.raises(NotNested) as exc:
+        quotient_as_coset_graph(d6, h, a, h)
+    assert str(exc.value) == "the containment H < K must be strict"
+    with pytest.raises(NotNested) as exc:
+        quotient_as_coset_graph(d6, h, a, d6)
+    assert str(exc.value) == "K must be a proper subgroup; one block is no quotient"
+
+
+def test_quotient_partition_has_the_graph_size(k4, s4):
+    with pytest.raises(NotInvariant) as exc:
+        quotient(verify_action(k4, s4), _antipodal6())
+    assert str(exc.value) == "partition of 6 points against a graph on 4"
 
 
 def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch):

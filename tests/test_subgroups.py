@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import inverse, product, setwise_stabilizer
-from sgk.errors import NotASubgroup, NotTransitive
+from sgk.errors import DomainTooLarge, NotASubgroup, NotTransitive, PointOutOfRange
 from sgk import subgroups
 from sgk.groups import GroupTable, group_from_generators
 from sgk.perm import closure, parse_cycles
@@ -248,3 +248,27 @@ def test_fiber_evaluation(d6):
             swept = {g[blk[0]] for g in stab.elements}
             assert swept == set(blk)
 
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((1, 0), (2, 3)), "blocks must be nonempty sorted tuples"),
+    (((0, 1), (2, 4)), "point 4 outside the domain"),
+    (((2, 3), (0, 1)), "blocks must be listed by least member"),
+], ids=["unsorted", "outside", "order"])
+def test_a_block_system_is_a_canonical_partition(blocks, message):
+    with pytest.raises(ValueError) as exc:
+        BlockSystem(4, blocks)
+    assert str(exc.value) == message
+
+
+def test_block_walks_refuse_what_they_cannot_take(s4, d4):
+    with pytest.raises(NotASubgroup) as exc:
+        right_cosets(d4, GroupTable(4, [parse_cycles("(1 2)", 4)]))
+    assert str(exc.value) == "the subgroup does not live inside this group"
+    with pytest.raises(PointOutOfRange) as exc:
+        subgroup_block_lattice(s4, 4)
+    assert str(exc.value) == "point 4 outside the domain of the group"
+    # refused from the degree alone, before the group is walked
+    with pytest.raises(DomainTooLarge) as exc:
+        all_block_systems(GroupTable(513, [tuple(range(1, 513)) + (0,)]))
+    assert str(exc.value) == "domain of size 513 exceeds the limit 512"
