@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 
 from .constructions import _arc_label
 from .errors import (
-    DegreeMismatch,
     NotInvolution,
     NotSelfPaired,
     NotSubgraph,
@@ -18,7 +17,7 @@ from .errors import (
     certify,
 )
 from .graphs import DirectedSubgraph, Graph, TransitivityReport, verify_action
-from .groups import Action, GroupLike, coerce_action, stabilizer
+from .groups import Action, GroupTable, coerce_action, stabilizer
 from .perm import (
     Perm,
     Record,
@@ -81,12 +80,11 @@ def three_arc_orbits(report: TransitivityReport) -> list:
     return out
 
 
-class ThreeArcGraph(Record):
-    graph: Graph
+class ThreeArcGraph(TransitivityReport):
+    """The three-arc graph's report on the base arcs listed in ``vertices``,
+    with the certificate of its quotient by initial vertex."""
+
     vertices: tuple
-    action: Action
-    report: TransitivityReport
-    partition: BlockSystem
     certificate: QuotientCertificate
     reverse_adjacent: bool
 
@@ -136,12 +134,12 @@ def three_arc_graph(report: TransitivityReport, orbit: ThreeArcOrbit) -> ThreeAr
     )
     certificate = certify_quotient(quotient(tag_report, partition))
     certify(
-        certificate.quotient.arcs == graph.arcs,
+        certificate.source.graph.arcs == graph.arcs,
         "grouping arcs by initial vertex returns the original graph",
     )
     return ThreeArcGraph(
-        taggraph, tuple(averts), action, tag_report, partition, certificate,
-        reverse_adjacent,
+        **tag_report.asdict(), vertices=tuple(averts), certificate=certificate,
+        reverse_adjacent=reverse_adjacent,
     )
 
 
@@ -169,7 +167,7 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     product of generators found carrying block 0 there; an equivariant
     labelling does not depend on that choice.
     """
-    graph, act, partition = q.base, q.action, q.partition
+    graph, act, partition = q.source.graph, q.source.action, q.partition
     quo, block_of, blocks = q.graph, partition.block_of, partition.blocks
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("the labelling test applies to nontrivial quotients")
@@ -178,7 +176,7 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     if len(members) != len(nbrs):
         return None
     gen_rows = act.generator_rows()
-    block_step = point_step(q.block_action.generator_rows())
+    block_step = point_step(q.action.generator_rows())
     carrier, stab = stabilizer(0, graph.n, gen_rows, block_step)
 
     def step(item):
@@ -198,7 +196,7 @@ def check_condition_pe(q: Quotient) -> Optional[tuple]:
     certify(
         all(
             labelling[row[v]] == qrow[labelling[v]]
-            for row, qrow in zip(gen_rows, q.block_action.generator_rows())
+            for row, qrow in zip(gen_rows, q.action.generator_rows())
             for v in range(graph.n)
         ),
         "the labelling commutes with the whole group",
@@ -215,7 +213,7 @@ def check_three_arc_necessity(q: Quotient, labelling: Sequence[int]) -> bool:
     the quotient under the labelling: an arc from v_{BC} to v_{DE} must
     make (C,B,D,E) a 3-arc, which is exactly what membership in a
     three-arc graph requires."""
-    graph, partition, quo = q.base, q.partition, q.graph
+    graph, partition, quo = q.source.graph, q.partition, q.graph
     valency = graph.valency()
     if valency is None or valency < 2:
         raise ValencyTooSmall("the necessity argument needs valency at least 2")
@@ -235,33 +233,33 @@ def check_three_arc_necessity(q: Quotient, labelling: Sequence[int]) -> bool:
 # ---- subgraph graphs -------------------------------------------------------
 
 
-class SubgraphGraph(Record):
-    graph: Graph
+class SubgraphGraph(TransitivityReport):
+    """The subgraph graph's report on the orbit listed in ``subgraphs``."""
+
     subgraphs: tuple
-    action: Action
-    report: TransitivityReport
-    base_index: int
     stabilizer_order: int
     dropped_loops: bool
 
 
 def subgraph_graph(
-    graph: Graph, group: GroupLike, sub: DirectedSubgraph, a: tuple
+    graph: Graph, group: GroupTable, sub: DirectedSubgraph, a: tuple
 ) -> SubgraphGraph:
     """The graph on the orbit of a directed subgraph, with Υ^g joined to
     Υ^{ag} for every group element.
 
-    When the involution fixes the subgraph those pairs are loops; they
-    are dropped, which leaves the orbit edgeless, so the involution must
-    move the subgraph for the construction to say anything.
+    The group acts on its own points, the graph's vertices, since the
+    involution moves a subgraph by its image tuple; an ``Action`` is
+    refused.  When the involution fixes the subgraph those pairs are loops;
+    they are dropped, which leaves the orbit edgeless, so the involution
+    must move the subgraph for the construction to say anything.
     """
+    if isinstance(group, Action):
+        raise TypeError("subgraph graphs take a group on the graph's vertices, not an Action")
     act = coerce_action(group, graph.n)
-    if a not in act.group:
+    if a not in group:
         raise NotInvolution(f"{Perm(a).cycle_string()} is not in the group")
     if not is_involution(a):
         raise NotInvolution(f"{Perm(a).cycle_string()} is not an involution")
-    if len(a) != graph.n:
-        raise DegreeMismatch("the involution acts on the wrong number of points")
     for v in sub.vertices:
         if not 0 <= v < graph.n:
             raise NotSubgraph(f"vertex {v} is outside the graph")
@@ -284,19 +282,18 @@ def subgraph_graph(
     base_arc = (base_index, where[sub.image(a).key()])
     dropped = base_arc[0] == base_arc[1]
     arcs = [] if dropped else closure((base_arc, base_arc[::-1]), tuple_step(sub_rows))
-    out = Graph(labels, arcs)
-    action = Action(act.group, n, gen_rows=sub_rows)
-    report = verify_action(out, action)
+    report = verify_action(Graph(labels, arcs), Action(group, n, gen_rows=sub_rows))
     certify(report.symmetric, "the group is symmetric on the subgraph graph")
-    # the stabiliser of the base subgraph, from its Schreier generators, times
-    # the kernel of the action on the graph, which fixes every subgraph
+    # the stabiliser of the base subgraph, from its Schreier generators; the
+    # group acts faithfully on its own points
     stab = stabilizer(base_index, graph.n, gen_rows, point_step(sub_rows))[1].order
-    stab *= act.kernel_size()
     certify(
-        stab * len(subgraphs) == len(act.group),
+        stab * len(subgraphs) == len(group),
         "the point stabilizer is the stabilizer of the subgraph",
     )
-    return SubgraphGraph(out, subgraphs, action, report, base_index, stab, dropped)
+    return SubgraphGraph(
+        **report.asdict(), subgraphs=subgraphs, stabilizer_order=stab, dropped_loops=dropped
+    )
 
 
 def _subgraph_label(graph: Graph, sub: DirectedSubgraph) -> str:

@@ -69,12 +69,10 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
             "reverse_adjacent": tag.reverse_adjacent,
         }
     )
-    initial = [tag.vertices[blk[0]][0] for blk in tag.partition.blocks]
+    q = tag.certificate.source
+    initial = [tag.vertices[blk[0]][0] for blk in q.partition.blocks]
     collapsed = {
-        (
-            initial[tag.partition.block_of[u]],
-            initial[tag.partition.block_of[v]],
-        )
+        (initial[q.partition.block_of[u]], initial[q.partition.block_of[v]])
         for u, v in tag.graph.arcs
     }
     cert.claim(
@@ -83,14 +81,12 @@ def cmd_threearc(args, cert: Certificate) -> Optional[str]:
         f"{tag.graph.n} vertices = arcs of the base; initial-vertex collapse"
         " returns the base arcs",
     )
-    _claim_symmetric(cert, tag.report)
-    labelling = check_condition_pe(tag.certificate.source)
+    _claim_symmetric(cert, tag)
+    labelling = check_condition_pe(q)
     cert.facts["pe_labelling_found"] = labelling is not None
     # the necessity argument reads 3-arcs, so it needs valency at least 2
     if labelling is not None and tag.graph.valency() >= 2:
-        cert.facts["three_arc_necessity"] = check_three_arc_necessity(
-            tag.certificate.source, labelling
-        )
+        cert.facts["three_arc_necessity"] = check_three_arc_necessity(q, labelling)
     _write_group_out(args, tag.action)
     return _graph_output(tag.graph, args)
 
@@ -108,12 +104,13 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
     seeds = parse_chain_seeds(chain_text, graph, n_part)
     chain = chain_from_seeds(graph, group, sd, seeds)
     bc = biggs_cover(graph, group, sd, chain)
-    cover = bc.cover
+    q = bc.certificate.source
+    cover, quo, fibres = bc.graph, q.graph, q.partition
     cert.facts.update(
         {
             "base_vertices": graph.n,
             "cover_vertices": cover.n,
-            "fibres": bc.fibres.n_blocks,
+            "fibres": fibres.n_blocks,
             "semidirect_order": len(sd),
             "valency": cover.valency(),
             "connected": is_connected(cover),
@@ -136,8 +133,7 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
     )
     # one pass over the arcs: two adjacent fibres meet in a perfect matching
     # when each vertex of either has exactly one neighbour in the other
-    quo = bc.certificate.quotient
-    fibre_of = bc.fibres.block_of
+    fibre_of = fibres.block_of
     meets = Counter((u, fibre_of[v]) for u, v in cover.arcs)
     unmatched = {
         tuple(sorted((fibre_of[u], c)))
@@ -160,13 +156,13 @@ def cmd_biggs(args, cert: Certificate) -> Optional[str]:
         again.assignment == chain.assignment,
         f"{len(rep_seeds)} orbit seeds rebuild all {len(chain.assignment)} arc values",
     )
-    fibre = len(bc.fibres.blocks[0])
+    fibre = len(fibres.blocks[0])
     cert.claim(
         "cover-arithmetic",
         cover.n == fibre * quo.n and cover.valency() == quo.valency(),
         f"{cover.n} = {fibre} x {quo.n}, valency {quo.valency()} kept",
     )
-    _claim_symmetric(cert, bc.report)
+    _claim_symmetric(cert, bc)
     _write_group_out(args, bc.action)
     return _graph_output(cover, args)
 
@@ -218,12 +214,8 @@ def cmd_subgraph_graph(args, cert: Certificate) -> Optional[str]:
     )
     cert.claim(
         "subgraph-graph-transitivity",
-        res.report.vertex_transitive
-        and (res.report.arc_transitive or not res.graph.arcs),
-        {
-            "vertex_transitive": res.report.vertex_transitive,
-            "arc_transitive": res.report.arc_transitive,
-        },
+        res.vertex_transitive and (res.arc_transitive or not res.graph.arcs),
+        {"vertex_transitive": res.vertex_transitive, "arc_transitive": res.arc_transitive},
     )
     _write_group_out(args, res.action)
     return _graph_output(res.graph, args)
@@ -262,38 +254,38 @@ def _extend_arcs(args, cert: Certificate) -> Optional[str]:
         {
             "r": ext.r,
             "base_vertices": base.n,
-            "extension_vertices": ext.extension.n,
+            "extension_vertices": ext.graph.n,
             "base_valency": base.valency(),
-            "extension_valency": ext.extension.valency(),
+            "extension_valency": ext.graph.valency(),
             "block_valency": ext.block_valency,
-            "edges": ext.extension.edge_count,
+            "edges": ext.graph.edge_count,
             "exact_model": ext.exact,
         }
     )
     # degree by degree: an extension that is not regular fails, not crashes
     counting = (
-        ext.extension.n == ext.r * base.n
-        and all(base.valency() == ext.r * len(nbrs) for nbrs in ext.extension.adj)
-        and ext.extension.edge_count == base.edge_count
+        ext.graph.n == ext.r * base.n
+        and all(base.valency() == ext.r * len(nbrs) for nbrs in ext.graph.adj)
+        and ext.graph.edge_count == base.edge_count
     )
     cert.claim(
         "extension-counting",
         counting,
-        f"{ext.extension.n} = {ext.r} x {base.n}; "
-        f"{base.valency()} = {ext.r} x {ext.extension.valency()}; "
-        f"{ext.extension.edge_count} edges on both levels",
+        f"{ext.graph.n} = {ext.r} x {base.n}; "
+        f"{base.valency()} = {ext.r} x {ext.graph.valency()}; "
+        f"{ext.graph.edge_count} edges on both levels",
     )
     collapsed = {
-        (ext.head_map[u], ext.head_map[v]) for u, v in ext.extension.arcs
+        (ext.head_map[u], ext.head_map[v]) for u, v in ext.graph.arcs
     }
     cert.claim(
         "quotient-homomorphism",
         collapsed == set(base.arcs),
         "collapsing bundle heads carries extension arcs onto the base arcs",
     )
-    _claim_symmetric(cert, ext.model.report)
-    _write_group_out(args, ext.model.action)
-    return _graph_output(ext.extension, args)
+    _claim_symmetric(cert, ext)
+    _write_group_out(args, ext.action)
+    return _graph_output(ext.graph, args)
 
 
 def _extend_flags(args, cert: Certificate) -> Optional[str]:
@@ -304,7 +296,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
     rb = flag_orbital_reconstruction(fx)
     cert.facts.update(
         {
-            "quotient_vertices": fx.quotient.n,
+            "quotient_vertices": fx.source.graph.n,
             "fibre_points": fx.design.n_points,
             "design_blocks": fx.design.n_blocks,
             "flag_orbital_size": len(fx.delta),
@@ -313,7 +305,7 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
             "stabilizer_order": fx.stabilizer_order,
         }
     )
-    qn = fx.quotient.n
+    qn = fx.source.graph.n
     remap = [code[0] * qn + code[1] for code in fx.vertex_code]
     exact = (
         sorted(remap) == list(range(rb.graph.n))
@@ -331,6 +323,6 @@ def _extend_flags(args, cert: Certificate) -> Optional[str]:
         len(sweep) == 1,
         f"the normal subgroup is transitive on all {qn} quotient vertices",
     )
-    _claim_symmetric(cert, rb.report)
+    _claim_symmetric(cert, rb)
     _write_group_out(args, rb.action)
     return _graph_output(rb.graph, args)

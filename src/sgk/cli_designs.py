@@ -33,24 +33,24 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     group = _load_group(cert, args.group)
     q = _blocks_quotient(args, cert, graph, group)
     qc = certify_quotient(q)
-    act, qact, partition = q.action, q.block_action, q.partition
+    act, qact, partition = q.source.action, q.action, q.partition
     p = qc.design_params
     cert.facts.update(
         {
             "base_vertices": graph.n,
             "blocks": partition.n_blocks,
-            "quotient_vertices": qc.quotient.n,
-            "quotient_valency": qc.quotient.valency(),
+            "quotient_vertices": q.graph.n,
+            "quotient_valency": q.graph.valency(),
             "nontrivial": qc.nontrivial,
             "cover_class": qc.cover_class,
             "bipartite_uniform": qc.bipartite_uniform,
             "design": None if p is None else p.asdict(),
-            "symmetric": qc.report.symmetric,
+            "symmetric": q.symmetric,
         }
     )
     cert.claim(
         "quotient-symmetry",
-        qc.report.symmetric,
+        q.symmetric,
         "the induced action is symmetric on the quotient",
     )
     # on the generators, which gives it for every element by induction on
@@ -77,15 +77,15 @@ def cmd_quotient(args, cert: Certificate) -> Optional[str]:
     if qc.cover_class == "cover":
         fibre = len(partition.blocks[0])
         ok = (
-            graph.n == fibre * qc.quotient.n
-            and graph.valency() == qc.quotient.valency()
+            graph.n == fibre * q.graph.n
+            and graph.valency() == q.graph.valency()
         )
         cert.claim(
             "cover-arithmetic",
             ok,
-            f"{graph.n} = {fibre} x {qc.quotient.n}, valency {graph.valency()} kept",
+            f"{graph.n} = {fibre} x {q.graph.n}, valency {graph.valency()} kept",
         )
-    return _graph_output(qc.quotient, args)
+    return _graph_output(q.graph, args)
 
 
 def cmd_design_from_graph(args, cert: Certificate) -> Optional[str]:

@@ -94,23 +94,23 @@ def cmd_cosetgraph(args, cert: Certificate) -> Optional[str]:
     cert.add_input("involution", args.involution)
     a = parse_cycles(args.involution, group.degree)
     res = symmetric_coset_graph(group, sub, a)
-    g, r = res.graph, res.report
+    g = res.graph
     cert.facts.update(
         {
             "vertices": g.n,
             "valency": res.valency,
             "arc_stabilizer_order": res.arc_stabilizer_order,
             "kernel_order": res.action.kernel_size(),
-            "connected": res.connected,
+            "connected": is_connected(g),
             # HaH is the union of the cosets next to H
             "connector_class_size": sub.order * len(g.adj[0]),
             "group_order": len(group),
             "subgroup_order": sub.order,
-            "vertex_transitive": r.vertex_transitive,
-            "arc_transitive": r.arc_transitive,
-            "locally_transitive": r.locally_transitive,
-            "s_arc_transitive_up_to": s_arc_level(r),
-            "symmetric": r.symmetric,
+            "vertex_transitive": res.vertex_transitive,
+            "arc_transitive": res.arc_transitive,
+            "locally_transitive": res.locally_transitive,
+            "s_arc_transitive_up_to": s_arc_level(res),
+            "symmetric": res.symmetric,
         }
     )
     expect = sub.order // res.arc_stabilizer_order

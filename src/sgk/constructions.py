@@ -248,15 +248,13 @@ def validate_nchain(
 # ---- covers over chains ----------------------------------------------------
 
 
-class BiggsCover(Record):
-    cover: Graph
-    action: Action
-    sd: SemidirectGroup
+class BiggsCover(TransitivityReport):
+    """The cover's report under N ⋊ G, with the chain, its validation
+    report and the certificate of the quotient by the fibres."""
+
     chain: NChain
-    fibres: BlockSystem
-    report: TransitivityReport
-    certificate: QuotientCertificate
     chain_report: ChainReport
+    certificate: QuotientCertificate
 
 
 def biggs_cover(
@@ -267,8 +265,7 @@ def biggs_cover(
     Vertices are N × V; the copy of (v₁, v₂) at n₁ runs to n₂ = φ(v₁,v₂)·n₁,
     so walking an edge multiplies the chain value in from the left.  The
     semidirect product acts by (n, v) ↦ (n^{ρ(g)}·η, v^g), and the whole
-    bundle of cover facts is certified on the way out; the result keeps
-    the chain's validation report and the certified fibre quotient.
+    bundle of cover facts is certified on the way out.
     """
     chain_report = validate_nchain(graph, group, sd, chain)
     act = coerce_action(group, graph.n)
@@ -301,7 +298,7 @@ def biggs_cover(
         quotient(report, fibres), allow_trivial=not graph.arcs
     )
     certify(
-        certificate.quotient.arcs == graph.arcs,
+        certificate.source.graph.arcs == graph.arcs,
         "collapsing the fibres returns the base graph",
     )
     if graph.arcs:
@@ -313,4 +310,6 @@ def biggs_cover(
             cover.valency() == graph.valency(),
             "the cover keeps the valency of the base",
         )
-    return BiggsCover(cover, action, sd, chain, fibres, report, certificate, chain_report)
+    return BiggsCover(
+        **report.asdict(), chain=chain, chain_report=chain_report, certificate=certificate
+    )

@@ -8,7 +8,7 @@ from .errors import (
     NotTransitive,
     certify,
 )
-from .graphs import Graph, TransitivityReport, is_connected, verify_action
+from .graphs import Graph, TransitivityReport, verify_action
 from .groups import Action, GroupLike, GroupTable
 from .perm import Perm, Record, closure, is_involution, orbits, tuple_step
 from .subgroups import (
@@ -18,14 +18,13 @@ from .subgroups import (
 )
 
 
-class CosetGraphResult(Record):
-    graph: Graph
+class CosetGraphResult(TransitivityReport):
+    """The coset graph's report under the coset action, with its cosets,
+    valency and arc stabiliser a⁻¹Ha ∩ H."""
+
     cosets: CosetSpace
-    action: Action
-    report: TransitivityReport
     valency: int
     arc_stabilizer: GroupTable
-    connected: bool
 
     @property
     def arc_stabilizer_order(self) -> int:
@@ -55,8 +54,7 @@ def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: tuple) -> Coset
     # Hx joins Hy when x·y⁻¹ ∈ HaH, so the arcs are the G-orbit of the
     # arc (Ha, H); H is coset 0
     graph = Graph(labels, closure([(ha, 0)], tuple_step(cosets.generator_rows())))
-    action = cosets.action()
-    report = verify_action(graph, action)
+    report = verify_action(graph, cosets.action())
     arc_stabilizer = cosets.stabilizer(sub.generators, ha)
     valency = graph.valency()
     certify(
@@ -64,13 +62,7 @@ def symmetric_coset_graph(group: GroupTable, sub: GroupTable, a: tuple) -> Coset
     )
     certify(report.symmetric, "a double coset of an involution gives a symmetric graph")
     return CosetGraphResult(
-        graph=graph,
-        cosets=cosets,
-        action=action,
-        report=report,
-        valency=valency,
-        arc_stabilizer=arc_stabilizer,
-        connected=is_connected(graph),
+        **report.asdict(), cosets=cosets, valency=valency, arc_stabilizer=arc_stabilizer
     )
 
 

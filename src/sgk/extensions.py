@@ -39,8 +39,10 @@ from .subgroups import BlockSystem
 # ---- arc partition extensions ----------------------------------------------
 
 
-class ArcExtension(Record):
-    extension: Graph
+class ArcExtension(TransitivityReport):
+    """The extension's report under G on the bundles of base arcs in
+    ``blocks``; ``vertex_map`` sends each bundle to its K-coset in ``model``."""
+
     base: CosetGraphResult
     model: CosetGraphResult
     blocks: tuple
@@ -61,6 +63,8 @@ def arc_partition_extension(
     them by K-cosets and joining bundles that share a reversed arc builds
     the extension, which is certified to match the coset graph on K and
     to collapse back onto the base when bundles at a vertex are merged.
+    G acts on the bundles by the model's rows carried back along the
+    bundles' K-cosets, and is certified symmetric on the extension.
     """
     if a not in group:
         raise NotInvolution(f"{Perm(a).cycle_string()} is not in the group")
@@ -131,6 +135,12 @@ def arc_partition_extension(
     mapped = {(vertex_map[i], vertex_map[j]) for (i, j) in extension.arcs}
     exact = mapped == model.graph.arcs
     certify(exact, "the extension is the coset graph on K")
+    bundle_at = {c: i for i, c in enumerate(vertex_map)}
+    action = Action(model.action.group, extension.n, gen_rows=[
+        tuple(bundle_at[row[c]] for c in vertex_map) for row in model.action.generator_rows()
+    ])
+    report = verify_action(extension, action)
+    certify(report.symmetric, "G is symmetric on the extension")
     head_map = tuple(heads)
     collapsed = {(head_map[i], head_map[j]) for (i, j) in extension.arcs}
     certify(
@@ -146,7 +156,8 @@ def arc_partition_extension(
         "base and extension have the same number of edges",
     )
     return ArcExtension(
-        extension, base, model, blocks, head_map, vertex_map, r, v, exact
+        **report.asdict(), base=base, model=model, blocks=blocks, head_map=head_map,
+        vertex_map=vertex_map, r=r, block_valency=v, exact=exact,
     )
 
 
@@ -189,7 +200,7 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain, carriers: dict) -> di
     a coset's walk passes the element cap.
     """
     n, partition = q.graph.n, q.partition
-    gen_rows = list(q.action.generator_rows())
+    gen_rows = list(q.source.action.generator_rows())
     stab_gens = stab.generators
     stab_step = point_step([partition.row(h) for h in stab_gens])
     gens: list = []
@@ -197,7 +208,7 @@ def _regular_normal_subgroup(q: Quotient, stab: StabChain, carriers: dict) -> di
     while True:
         least = stab.least_in_coset(carriers[w])
         walk = closure((least,), lambda y: [_compose(h, y) for h in stab_gens])
-        fixing_w = stabilizer(w, q.base.n, stab_gens, stab_step)[1].generators
+        fixing_w = stabilizer(w, q.source.graph.n, stab_gens, stab_step)[1].generators
         for x in capped(walk, "candidates for N"):
             if any(_compose(x, h) != _compose(h, x) for h in fixing_w):
                 continue
@@ -230,10 +241,6 @@ class FibreExtraction(Record):
     vertex_code: tuple
 
     @property
-    def quotient(self) -> Graph:
-        return self.source.graph
-
-    @property
     def normal_order(self) -> int:
         return len(self.normal)
 
@@ -255,12 +262,12 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     carried back to block 0 by N, moves with the arc by the arc-moving
     element's image in G_B, so the pairs of all arcs are the G_B-orbit of
     one, and self paired as the arcs are."""
-    graph, partition = q.base, q.partition
+    graph, partition = q.source.graph, q.partition
     quo, block_of = q.graph, partition.block_of
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("fibre data lives over a nontrivial quotient")
-    gen_rows = q.action.generator_rows()
-    block_step = point_step(q.block_action.generator_rows())
+    gen_rows = q.source.action.generator_rows()
+    block_step = point_step(q.action.generator_rows())
     walk, stab = stabilizer(0, graph.n, gen_rows, block_step)
     by_block = _regular_normal_subgroup(q, stab.chain, walk)
     normal = tuple(by_block[w] for w in range(quo.n))
@@ -289,13 +296,7 @@ def extract_fibre_data(q: Quotient) -> FibreExtraction:
     )
 
 
-class FlagReconstruction(Record):
-    graph: Graph
-    action: Action
-    report: TransitivityReport
-
-
-def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
+def flag_orbital_reconstruction(fx: FibreExtraction) -> TransitivityReport:
     """Rebuild the cover from its quotient, its fibre design, and the flag
     orbital its arcs trace.
 
@@ -311,7 +312,8 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     search made N normal and regular, so the fibre rows are G_B's rows;
     ``cross_section_design`` certified G_B flag transitive on the design;
     Δ is one self-paired G_B-orbit of flag pairs because it is read off
-    the arcs.  The rebuilt cover is certified symmetric on the way out.
+    the arcs.  The rebuilt cover is certified symmetric on the way out,
+    and its report is returned.
     """
     q, design, eta = fx.source, fx.design, fx.eta
     quo = q.graph
@@ -331,13 +333,13 @@ def flag_orbital_reconstruction(fx: FibreExtraction) -> FlagReconstruction:
     ]
     cover = Graph(labels, arcs)
     action = Action(
-        q.block_action.group,
+        q.action.group,
         cover.n,
         gen_rows=[
             tuple(prow[x] * quo.n + qrow[v] for x in range(npoints) for v in range(quo.n))
-            for prow, qrow in zip(fx.point_rows, q.block_action.generator_rows())
+            for prow, qrow in zip(fx.point_rows, q.action.generator_rows())
         ],
     )
     report = verify_action(cover, action)
     certify(report.symmetric, "the reconstructed cover is symmetric")
-    return FlagReconstruction(cover, action, report)
+    return report

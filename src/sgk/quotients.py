@@ -39,19 +39,16 @@ def quotient_action(system: BlockSystem, group: GroupLike) -> Action:
     return Action(act.group, system.n_blocks, gen_rows=[system.row(row) for row in gen_rows])
 
 
-class Quotient(Record):
-    """One invariant partition of a symmetric graph, taken once: the base
-    graph with its action, the partition, the quotient graph, the action
-    induced on the blocks and that action's report.  Build it with
-    ``quotient``; ``certify_quotient``, ``cross_section_design`` and the
-    labelling and fibre readers in ``constructions`` take it as it is."""
+class Quotient(TransitivityReport):
+    """One invariant partition of a symmetric graph, taken once: the
+    report of the quotient graph under the action induced on the blocks,
+    with ``source``, the report of the base graph under its action, and
+    the partition.  Build it with ``quotient``; ``certify_quotient``,
+    ``cross_section_design`` and the labelling and fibre readers take it
+    as it is."""
 
-    base: Graph
-    action: Action
+    source: TransitivityReport
     partition: BlockSystem
-    graph: Graph
-    block_action: Action
-    report: TransitivityReport
 
 
 def quotient(report: TransitivityReport, partition: BlockSystem) -> Quotient:
@@ -79,7 +76,7 @@ def quotient(report: TransitivityReport, partition: BlockSystem) -> Quotient:
     quo = Graph(labels, sorted(arcs))
     quo_report = verify_action(quo, qact)
     certify(quo_report.symmetric, "the induced action on the quotient is symmetric")
-    return Quotient(graph, act, partition, quo, qact, quo_report)
+    return Quotient(**quo_report.asdict(), source=report, partition=partition)
 
 
 def quotient_is_nontrivial(graph: Graph, partition: BlockSystem) -> bool:
@@ -168,7 +165,7 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
     that carries a point of b into b fixes b, so the orbit of a flag
     under the stabiliser is its orbit under the group, cut down to b.
     """
-    graph, act, partition, quo = q.base, q.action, q.partition, q.graph
+    graph, act, partition, quo = q.source.graph, q.source.action, q.partition, q.graph
     if not quotient_is_nontrivial(graph, partition):
         raise TrivialQuotient("cross sections are cut through nontrivial quotients")
     if not 0 <= b < partition.n_blocks:
@@ -194,7 +191,7 @@ def cross_section_design(q: Quotient, b: int) -> CrossSection:
             f"certification failed: cross section is not uniform ({exc})"
         )
     p, j = min(flags)
-    rows = list(zip(act.generator_rows(), q.block_action.generator_rows()))
+    rows = list(zip(act.generator_rows(), q.action.generator_rows()))
     pairs = closure(((points[p], neighbours[j]),), lambda x: [(r[x[0]], qr[x[1]]) for r, qr in rows])
     orbit = {(where[v], col_of[c]) for v, c in pairs if v in where}
     certify(
@@ -210,23 +207,14 @@ class QuotientCertificate(Record):
     source: Quotient
     nontrivial: bool
     cover_class: Optional[str]
-    bipartite_pattern: Optional[Graph]
     design_params: Optional[DesignParams]
     bipartite_uniform: Optional[bool]
-
-    @property
-    def quotient(self) -> Graph:
-        return self.source.graph
-
-    @property
-    def report(self) -> TransitivityReport:
-        return self.source.report
 
 
 def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCertificate:
     """The facts a caller will want on file about a quotient: cover class,
-    a representative induced bipartite graph with the verdict that every
-    pair's is isomorphic to it, and the cross-sectional design numbers.
+    the verdict that the bipartite graphs induced by adjacent block pairs
+    are all isomorphic, and the cross-sectional design numbers.
 
     The isomorphisms are explicit: a walk over the quotient's arcs from
     the least one (b0, c0) finds, for each arc (b, c), an element carrying
@@ -236,21 +224,21 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     Trivial quotients are refused unless ``allow_trivial`` is set; with it
     the classification fields come back as None.
     """
-    graph, partition, quo = q.base, q.partition, q.graph
+    graph, partition, quo = q.source.graph, q.partition, q.graph
     if not quotient_is_nontrivial(graph, partition):
         if not allow_trivial:
             raise TrivialQuotient("some arc stays inside a block (or there are no arcs)")
-        return QuotientCertificate(q, False, None, None, None, None)
+        return QuotientCertificate(q, False, None, None, None)
     kind = cover_class(graph, partition)
     arcs_sorted = sorted(quo.arcs)
     b0, c0 = arcs_sorted[0]
-    pattern = induced_bipartite(graph, partition, b0, c0)
     block_of = partition.block_of
     between: dict = {}
     for u, v in graph.arcs:
         between.setdefault((block_of[u], block_of[v]), set()).add((u, v))
-    arc_step = tuple_step(q.block_action.generator_rows())
-    carriers = _witnesses((b0, c0), tuple(range(graph.n)), q.action.generator_rows(), arc_step)
+    arc_step = tuple_step(q.action.generator_rows())
+    rows = q.source.action.generator_rows()
+    carriers = _witnesses((b0, c0), tuple(range(graph.n)), rows, arc_step)
 
     def carried(arc) -> bool:
         t = carriers.get(arc)
@@ -259,7 +247,7 @@ def certify_quotient(q: Quotient, *, allow_trivial: bool = False) -> QuotientCer
     uniform = all(map(carried, arcs_sorted))
     certify(uniform, "all induced bipartite graphs are isomorphic")
     section = cross_section_design(q, b0)
-    return QuotientCertificate(q, True, kind, pattern, section.params, uniform)
+    return QuotientCertificate(q, True, kind, section.params, uniform)
 
 
 class QuotientCosetForm(Record):
@@ -302,7 +290,7 @@ def quotient_as_coset_graph(
     for v in range(base.graph.n):
         blocks[k_cosets.coset_of(base.cosets.reps[v])].append(v)
     partition = BlockSystem.from_blocks(base.graph.n, blocks)
-    quo = quotient(base.report, partition).graph
+    quo = quotient(base, partition).graph
     # a block holds the H-cosets filling one K-coset; send it there
     vertex_map = tuple(
         k_cosets.coset_of(base.cosets.reps[block[0]]) for block in partition.blocks

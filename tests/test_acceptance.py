@@ -140,25 +140,25 @@ def test_criterion_04(capsys, k4, s4, z2, q3):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
     matchings = True
-    for b, c in sorted(bc.certificate.quotient.arcs):
+    for b, c in sorted(bc.certificate.source.graph.arcs):
         if b < c:
-            pattern = induced_bipartite(bc.cover, bc.fibres, b, c)
+            pattern = induced_bipartite(bc.graph, bc.certificate.source.partition, b, c)
             matchings = matchings and pattern.valency() == 1 and pattern.n == 4
     flat = biggs_cover(k4, s4, sd, constant_chain(k4, 0))
-    comps = connected_components(flat.cover)
+    comps = connected_components(flat.graph)
     split = sorted(len(c) for c in comps) == [4, 4] and all(
-        are_isomorphic(flat.cover.induced_subgraph(c)[0], complete_graph(4)) is not None
+        are_isomorphic(flat.graph.induced_subgraph(c)[0], complete_graph(4)) is not None
         for c in comps
     )
     ok = (
-        are_isomorphic(bc.cover, q3) is not None
-        and are_isomorphic(bc.certificate.quotient, k4) is not None
+        are_isomorphic(bc.graph, q3) is not None
+        and are_isomorphic(bc.certificate.source.graph, k4) is not None
         and matchings
-        and bc.cover.valency() == 3
-        and bc.report.symmetric
-        and bc.report.acts_as_automorphisms
-        and bc.report.vertex_transitive
-        and bc.report.arc_transitive
+        and bc.graph.valency() == 3
+        and bc.symmetric
+        and bc.acts_as_automorphisms
+        and bc.vertex_transitive
+        and bc.arc_transitive
         and split
     )
     _report(capsys, 4, ok, "Biggs cover of K4 by Z2 is the cube; the identity chain splits into two K4s")
@@ -171,15 +171,15 @@ def test_criterion_05(capsys, k4, s4):
     if ok:
         for ob in orbs:
             t = three_arc_graph(report, ob)
-            quo = quotient(t.report, t.partition).graph
-            labelling = check_condition_pe(quotient(t.report, t.partition))
+            q = quotient(t, t.certificate.source.partition)
+            labelling = check_condition_pe(q)
             ok = ok and (
                 t.graph.n == 12
                 and t.graph.valency() == 2
-                and t.report.symmetric
-                and quo.arcs == k4.arcs
+                and t.symmetric
+                and q.graph.arcs == k4.arcs
                 and labelling is not None
-                and check_three_arc_necessity(quotient(t.report, t.partition), labelling)
+                and check_three_arc_necessity(q, labelling)
             )
     _report(capsys, 5, ok, "both 3-arc graphs of K4: 12 vertices, 2-regular, quotient back to K4, labelling found")
 
@@ -209,8 +209,8 @@ def test_criterion_07(capsys, k4, s4, q3):
     ok = (
         res.graph.n == 8
         and are_isomorphic(res.graph, q3) is not None
-        and res.report.vertex_transitive
-        and res.report.arc_transitive
+        and res.vertex_transitive
+        and res.arc_transitive
     )
     _report(capsys, 7, ok, "the directed-triangle subgraph graph of K4 is the cube")
 
@@ -311,7 +311,7 @@ def test_criterion_09(capsys, k4, s4, c6, d6, z2):
         for _ in range(8):
             x, y = rnd.choice(ref.pairs), rnd.choice(ref.pairs)
             z = ref.mul(x, y)
-            v = rnd.randrange(bc.cover.n)
+            v = rnd.randrange(bc.graph.n)
             if rows[y][rows[x][v]] != rows[z][v]:
                 failures.append((trial, "biggs-action-law", (x, y, v)))
 

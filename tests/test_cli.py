@@ -584,13 +584,16 @@ COUNTED_RUNS = [
     ("_preserves_arcs", ["verify", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp"], [6]),
     ("_preserves_arcs", ["cosetgraph", "--group", GRP, "--subgroup", "(2 3),(3 4)",
                          "--involution", "(1 2)"], [4]),
+    ("verify_action", ["extend", "--via", "arcs", "--group", "{fix}/octahedron-aut.grp",
+                       "--subgroup", "(2 3)(5 6),(2 5)(3 6),(3 6)", "--over", "(3 6),(2 5)",
+                       "--involution", "(1 2)(4 5)"], [6, 12, 12]),
 ]
 
 
 @pytest.mark.parametrize(
     "name, argv, verified",
     COUNTED_RUNS,
-    ids=["biggs", "threearc", "design-to-graph", "verify", "cosetgraph"],
+    ids=["biggs", "threearc", "design-to-graph", "verify", "cosetgraph", "extend-arcs"],
 )
 def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, name, argv, verified):
     """Each graph is verified once, and whatever needs its symmetry takes
@@ -598,9 +601,10 @@ def test_certified_graphs_are_not_verified_again(capsys, tmp_path, monkeypatch, 
     graph sizes listed: ``verify_action`` for ``biggs`` on K4 on the cover
     and its quotient, for ``threearc --orbit-index 0`` on K4, the
     three-arc graph and its quotient, for ``design to-graph`` on C6's
-    design on the rebuilt C6 alone; the arc-preservation test once for
-    ``verify`` on C6 and ``cosetgraph`` on K4, whose s-arc level reads
-    the report."""
+    design on the rebuilt C6 alone, for ``extend --via arcs`` on the
+    octahedron on the coset graphs on H and on K and on the extension;
+    the arc-preservation test once for ``verify`` on C6 and
+    ``cosetgraph`` on K4, whose s-arc level reads the report."""
     (tmp_path / "trivial").write_text("trivial\n")
     (tmp_path / "chain").write_text("arc 1 2 (1 2)\n")
     code, _, err = run(
@@ -634,16 +638,7 @@ def test_biggs_action_law_catches_one_corrupted_row(capsys, tmp_path, monkeypatc
         row = list(rows[-1])
         row[0], row[1] = row[1], row[0]
         rows[-1] = tuple(row)
-        return constructions.BiggsCover(
-            cover=bc.cover,
-            action=Action(sd, bc.cover.n, rows),
-            sd=bc.sd,
-            chain=bc.chain,
-            fibres=bc.fibres,
-            report=bc.report,
-            certificate=bc.certificate,
-            chain_report=bc.chain_report,
-        )
+        return constructions.BiggsCover(**dict(bc.asdict(), action=Action(sd, bc.graph.n, rows)))
 
     monkeypatch.setattr(cli_covers, "biggs_cover", corrupted)
     k5 = tmp_path / "k5.graph"
@@ -680,11 +675,11 @@ def test_biggs_fiber_matching_catches_two_swapped_cover_edges(capsys, tmp_path, 
 
     def swapped(graph, group, sd, chain):
         bc = real(graph, group, sd, chain)
-        arcs = bc.cover.arcs - {(0, 5), (5, 0), (1, 6), (6, 1)}
+        arcs = bc.graph.arcs - {(0, 5), (5, 0), (1, 6), (6, 1)}
         arcs |= {(0, 1), (1, 0), (5, 6), (6, 5)}
-        cover = Graph(bc.cover.labels, arcs)
-        assert cover.valency() == bc.cover.valency()
-        return type(bc)(**dict(bc.asdict(), cover=cover))
+        cover = Graph(bc.graph.labels, arcs)
+        assert cover.valency() == bc.graph.valency()
+        return type(bc)(**dict(bc.asdict(), graph=cover))
 
     monkeypatch.setattr(cli_covers, "biggs_cover", swapped)
     (tmp_path / "trivial").write_text("trivial\n")
@@ -739,9 +734,9 @@ def _drop_one_extension_edge(real):
 
     def dropped(group, sub, over, a):
         ext = real(group, sub, over, a)
-        u, v = min(ext.extension.arcs)
-        arcs = ext.extension.arcs - {(u, v), (v, u)}
-        return type(ext)(**dict(ext.asdict(), extension=Graph(ext.extension.labels, arcs)))
+        u, v = min(ext.graph.arcs)
+        arcs = ext.graph.arcs - {(u, v), (v, u)}
+        return type(ext)(**dict(ext.asdict(), graph=Graph(ext.graph.labels, arcs)))
 
     return dropped
 
@@ -927,6 +922,45 @@ def _graph_commands(tmp_path) -> list:
         ["extend", "--via", "flags", "--graph", cover, "--group", cover_group,
          "--blocks", t["fibres.txt"]],
     ]
+
+
+GROUP_OUT_RUNS = [
+    ["cosetgraph", "--group", GRP, "--subgroup", "(2 3),(3 4)", "--involution", "(1 2)"],
+    ["threearc", "--graph", GRAPH, "--group", GRP, "--orbit-index", "0"],
+    ["biggs", "--graph", GRAPH, "--group", GRP, "--n", "{fix}/z2.grp",
+     "--twist", "{tmp}/trivial", "--chain", "{tmp}/chain"],
+    ["subgraph-graph", "--graph", GRAPH, "--group", GRP,
+     "--subgraph", "3>4,4>1,1>3", "--involution", "(1 2)"],
+    ["extend", "--via", "flags", "--graph", "{fix}/c6.graph", "--group", "{fix}/d6.grp",
+     "--blocks", "{tmp}/halves"],
+    EXTEND_OCTAHEDRON,
+    # the bundles are not numbered as their K-cosets: vertex_map is
+    # (0, 11, 1, 8, 2, 5, 10, 3, 7, 4, 9, 6)
+    ["extend", "--via", "arcs", "--group", GRP, "--subgroup", "(1 4),(2 3)",
+     "--over", "(2 3)", "--involution", "(3 4)"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GROUP_OUT_RUNS,
+    ids=["cosetgraph", "threearc", "biggs", "subgraph-graph", "extend-flags",
+         "extend-arcs-octahedron", "extend-arcs-s4"],
+)
+def test_group_out_acts_on_the_written_graph(capsys, tmp_path, argv):
+    """The ``--group-out`` file numbers its points as the ``--out-file``
+    graph numbers its vertices, so ``verify`` on the pair finds the
+    action symmetric."""
+    for name, text in (("trivial", "trivial\n"), ("chain", "arc 1 2 (1 2)\n"),
+                       ("halves", "1 4\n2 5\n3 6\n")):
+        (tmp_path / name).write_text(text)
+    graph, group = str(tmp_path / "out.graph"), str(tmp_path / "out.grp")
+    argv = [a.format(fix=FIXDIR, tmp=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv, "--out-file", graph, "--group-out", group)
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--graph", graph, "--group", group)
+    assert code == 0, err
+    assert {c["id"]: c["pass"] for c in cert_from(out)["claims"]}["symmetric-action"]
 
 
 def test_out_file_alone_writes_edges(capsys, tmp_path):

@@ -306,12 +306,12 @@ def test_a_chain_that_is_no_chain_is_refused_by_name(k4, s4, z2, build, error, m
 def test_biggs_cover_of_k4_is_cube(k4, s4, z2, q3):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    assert bc.cover.n == 8
-    assert bc.cover.valency() == 3
-    assert are_isomorphic(bc.cover, q3) is not None
-    assert bc.report.symmetric
+    assert bc.graph.n == 8
+    assert bc.graph.valency() == 3
+    assert are_isomorphic(bc.graph, q3) is not None
+    assert bc.symmetric
     assert bc.certificate.cover_class == "cover"
-    assert are_isomorphic(bc.certificate.quotient, k4) is not None
+    assert are_isomorphic(bc.certificate.source.graph, k4) is not None
     p = bc.certificate.design_params
     assert (p.v, p.b, p.k, p.lam, p.multiplicity) == (2, 3, 2, 3, 3)
 
@@ -319,10 +319,10 @@ def test_biggs_cover_of_k4_is_cube(k4, s4, z2, q3):
 def test_biggs_fibre_matchings(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    quo = bc.certificate.quotient
+    quo = bc.certificate.source.graph
     for b, c in sorted(quo.arcs):
         if b < c:
-            pattern = induced_bipartite(bc.cover, bc.fibres, b, c)
+            pattern = induced_bipartite(bc.graph, bc.certificate.source.partition, b, c)
             assert pattern.valency() == 1
             assert pattern.n == 4
 
@@ -330,19 +330,19 @@ def test_biggs_fibre_matchings(k4, s4, z2):
 def test_biggs_identity_chain_splits(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 0))
-    comps = connected_components(bc.cover)
+    comps = connected_components(bc.graph)
     assert sorted(len(c) for c in comps) == [4, 4]
     for comp in comps:
-        piece, _ = bc.cover.induced_subgraph(comp)
+        piece, _ = bc.graph.induced_subgraph(comp)
         assert are_isomorphic(piece, complete_graph(4)) is not None
 
 
 def test_biggs_c6_cover_splits_into_hexagons(c6, d6, z2):
     sd = semidirect_product(z2, d6, trivial_twist(z2, d6))
     bc = biggs_cover(c6, d6, sd, constant_chain(c6, 1))
-    assert bc.cover.n == 12
-    assert bc.cover.valency() == 2
-    comps = connected_components(bc.cover)
+    assert bc.graph.n == 12
+    assert bc.graph.valency() == 2
+    comps = connected_components(bc.graph)
     assert sorted(len(c) for c in comps) == [6, 6]
 
 
@@ -357,7 +357,7 @@ def test_biggs_action_is_homomorphism(k4, s4, z2):
     for x in ref.pairs:
         for y in ref.pairs:
             z = ref.mul(x, y)
-            for v in range(bc.cover.n):
+            for v in range(bc.graph.n):
                 assert rows[y][rows[x][v]] == rows[z][v]
 
 
@@ -382,7 +382,7 @@ def test_three_arc_graph_triangle_orbit(k4, s4):
     t = three_arc_graph(report, closed)
     assert t.graph.n == 12
     assert t.graph.valency() == 2
-    assert t.report.symmetric
+    assert t.symmetric
     comps = connected_components(t.graph)
     assert sorted(len(c) for c in comps) == [3, 3, 3, 3]
 
@@ -402,7 +402,7 @@ def test_three_arc_partition_collapses_to_base(k4, s4):
     report = verify_action(k4, s4)
     for ob in three_arc_orbits(report):
         t = three_arc_graph(report, ob)
-        assert t.partition.n_blocks == k4.n
+        assert t.certificate.source.partition.n_blocks == k4.n
         collapsed = set()
         for u, v in t.graph.arcs:
             collapsed.add(
@@ -520,16 +520,17 @@ def test_condition_pe_on_k4_tags(k4, s4):
     report = verify_action(k4, s4)
     for ob in three_arc_orbits(report):
         t = three_arc_graph(report, ob)
-        labelling = check_condition_pe(quotient(t.report, t.partition))
+        q = quotient(t, t.certificate.source.partition)
+        labelling = check_condition_pe(q)
         assert labelling is not None
         assert labelling == tuple(v for (_, v) in t.vertices)
-        assert check_three_arc_necessity(quotient(t.report, t.partition), labelling)
+        assert check_three_arc_necessity(q, labelling)
 
 
 def test_condition_pe_rejects_covers(q3, k4, s4, z2, d6, c6):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    assert check_condition_pe(quotient(bc.report, bc.fibres)) is None
+    assert check_condition_pe(quotient(bc, bc.certificate.source.partition)) is None
 
 
 def test_necessity_counterexample():
@@ -553,7 +554,7 @@ def test_subgraph_graph_cube(k4, s4, q3):
     assert res.stabilizer_order == 3
     assert not res.dropped_loops
     assert are_isomorphic(res.graph, q3) is not None
-    assert res.report.vertex_transitive and res.report.arc_transitive
+    assert res.vertex_transitive and res.arc_transitive
 
 
 def test_subgraph_graph_directed_triangle_variant(k4, s4):
@@ -622,13 +623,14 @@ def test_subgraph_graph_needs_involution(k4, s4):
 
 
 def test_subgraph_graph_refuses_what_does_not_fit_the_graph(k4, s4):
-    tri = DirectedSubgraph.make([0, 2, 3], [(2, 3), (3, 0), (0, 2)])
-    # Z2 on five points, acting on K4's four vertices by its generator's row
-    z2_on_5 = GroupTable(5, [(1, 0, 2, 3, 4)])
-    action = Action(z2_on_5, 4, gen_rows=[(1, 0, 2, 3)])
-    with pytest.raises(DegreeMismatch) as exc:
-        subgraph_graph(k4, action, tri, (1, 0, 2, 3, 4))
-    assert str(exc.value) == "the involution acts on the wrong number of points"
+    # S3 on K3 through conjugation by (1 2 3): (1 2) acts by the row (2 3),
+    # so its own image tuple would pair 2>3 with the wrong subgraph
+    s3 = GroupTable(3, [(1, 0, 2), (1, 2, 0)])
+    action = Action(s3, 3, gen_rows=[(0, 2, 1), (1, 2, 0)])
+    arc = DirectedSubgraph.make([1, 2], [(1, 2)])
+    with pytest.raises(TypeError) as exc:
+        subgraph_graph(complete_graph(3), action, arc, (1, 0, 2))
+    assert str(exc.value) == "subgraph graphs take a group on the graph's vertices, not an Action"
     with pytest.raises(NotSubgraph) as exc:
         subgraph_graph(k4, s4, DirectedSubgraph.make([0, 9], [(0, 9)]), (1, 0, 2, 3))
     assert str(exc.value) == "vertex 9 is outside the graph"
@@ -650,21 +652,21 @@ def test_arc_extension_octahedron(oct_aut, octahedron):
     h, k, a = _octahedron_setup(oct_aut)
     ext = arc_partition_extension(oct_aut, h, k, a)
     assert ext.r == 2
-    assert ext.extension.n == 12
-    assert ext.extension.valency() == 2
+    assert ext.graph.n == 12
+    assert ext.graph.valency() == 2
     assert ext.base.graph.n == 6
     assert are_isomorphic(ext.base.graph, octahedron) is not None
     assert ext.base.valency == 4
-    assert ext.extension.edge_count == ext.base.graph.edge_count
+    assert ext.graph.edge_count == ext.base.graph.edge_count
     assert ext.exact
-    comps = connected_components(ext.extension)
+    comps = connected_components(ext.graph)
     assert sorted(len(c) for c in comps) == [4, 4, 4]
 
 
 def test_arc_extension_head_collapse(oct_aut):
     h, k, a = _octahedron_setup(oct_aut)
     ext = arc_partition_extension(oct_aut, h, k, a)
-    collapsed = {(ext.head_map[u], ext.head_map[v]) for u, v in ext.extension.arcs}
+    collapsed = {(ext.head_map[u], ext.head_map[v]) for u, v in ext.graph.arcs}
     assert collapsed == set(ext.base.graph.arcs)
 
 
@@ -698,7 +700,7 @@ def test_arc_extension_needs_an_involution_of_the_group(oct_aut, involution, mes
 def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
     sd = semidirect_product(z2, s4, trivial_twist(z2, s4))
     bc = biggs_cover(k4, s4, sd, constant_chain(k4, 1))
-    fx = extract_fibre_data(quotient(bc.report, bc.fibres))
+    fx = extract_fibre_data(quotient(bc, bc.certificate.source.partition))
     assert fx.normal_order == 4
     assert fx.stabilizer_order == 12
     assert len(fx.delta) == 6
@@ -706,11 +708,11 @@ def test_extract_and_reconstruct_biggs_cover(k4, s4, z2):
     assert fx.design.n_blocks == 3
     assert len(fx.design.flags) == 6
     rb = flag_orbital_reconstruction(fx)
-    assert rb.graph.n == bc.cover.n
-    remap = [code[0] * fx.quotient.n + code[1] for code in fx.vertex_code]
-    assert sorted(remap) == list(range(bc.cover.n))
-    assert {(remap[u], remap[v]) for u, v in bc.cover.arcs} == set(rb.graph.arcs)
-    assert rb.report.symmetric
+    assert rb.graph.n == bc.graph.n
+    remap = [code[0] * fx.source.graph.n + code[1] for code in fx.vertex_code]
+    assert sorted(remap) == list(range(bc.graph.n))
+    assert {(remap[u], remap[v]) for u, v in bc.graph.arcs} == set(rb.graph.arcs)
+    assert rb.symmetric
 
 
 def test_extract_trivial_fibres_k4(k4, s4):

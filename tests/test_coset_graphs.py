@@ -13,7 +13,7 @@ from sgk.errors import (
     NotInvolution,
     NotTransitive,
 )
-from sgk.graphs import Graph, are_isomorphic, complete_graph
+from sgk.graphs import Graph, are_isomorphic, complete_graph, is_connected
 from sgk.groups import GroupTable, group_from_generators
 from sgk.perm import is_involution, parse_cycles
 from sgk.subgroups import (
@@ -37,8 +37,8 @@ def test_golden_s4_gives_k4(s4):
     assert res.valency == 3
     assert res.valency == sub.order // res.arc_stabilizer_order == 6 // 2
     assert are_isomorphic(res.graph, complete_graph(4)) is not None
-    assert res.report.symmetric
-    assert res.connected
+    assert res.symmetric
+    assert is_connected(res.graph)
 
 
 def test_golden_s5_gives_k5(s5):

@@ -117,11 +117,11 @@ def test_semidirect_product_acts_on_the_cover(name):
     rows = _formula_rows(graph, g_part, n_part, twist)
     assert len(set(rows)) == len(rows) == len(n_part.elements) * len(g_part.elements) <= 2000
     gen_rows = bc.action.generator_rows()
-    generated = set(closure([tuple(range(bc.cover.n))],
+    generated = set(closure([tuple(range(bc.graph.n))],
                             lambda r: [tuple(s[x] for x in r) for s in gen_rows]))
     assert generated == set(rows)
-    u, v = min(bc.cover.arcs)
-    assert {(r[u], r[v]) for r in rows} == set(bc.cover.arcs)
+    u, v = min(bc.graph.arcs)
+    assert {(r[u], r[v]) for r in rows} == set(bc.graph.arcs)
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -42,7 +42,7 @@ def _double_cover(graph, group):
     z2 = _group(2, ["(1 2)"])
     bc = biggs_cover(graph, group, semidirect_product(z2, group, trivial_twist(z2, group)),
                      constant_chain(graph, 1))
-    on_cover = group_from_generators(bc.action.generator_rows(), degree=bc.cover.n)
+    on_cover = group_from_generators(bc.action.generator_rows(), degree=bc.graph.n)
     return bc, on_cover
 
 
@@ -64,7 +64,7 @@ def _covers():
     out = {}
     for name, (graph, group) in COVERS.items():
         bc, on_cover = _double_cover(graph, group)
-        out[name] = (bc.cover, on_cover, bc.fibres)
+        out[name] = (bc.graph, on_cover, bc.certificate.source.partition)
     return out
 
 
@@ -98,7 +98,7 @@ def test_round_trip_is_isomorphic(inputs, name):
     rb = flag_orbital_reconstruction(fx)
     assert rb.graph.n == graph.n
     assert nx.is_isomorphic(_nx(rb.graph), _nx(graph))
-    assert rb.report.symmetric
+    assert rb.symmetric
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -123,9 +123,9 @@ def test_biggs_projection_is_a_covering(name):
     vertices (Biggs, Algebraic Graph Theory, ch. 19)."""
     graph, group = COVERS[name]
     bc, _ = _double_cover(graph, group)
-    assert bc.cover.n == 2 * graph.n
-    for x in range(bc.cover.n):
-        below = [y % graph.n for y in bc.cover.adj[x]]
+    assert bc.graph.n == 2 * graph.n
+    for x in range(bc.graph.n):
+        below = [y % graph.n for y in bc.graph.adj[x]]
         assert sorted(below) == sorted(graph.adj[x % graph.n])
 
 
@@ -135,7 +135,7 @@ def test_flag_orbital_is_the_block_stabiliser_orbit_of_one_pair(inputs, name):
     under G_B, listed here by brute force as the elements fixing block 0."""
     graph, group, blocks = inputs[name]
     fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
-    points, nbrs = blocks.blocks[0], fx.quotient.adj[0]
+    points, nbrs = blocks.blocks[0], fx.source.graph.adj[0]
     back = [_invert(x) for x in fx.normal]
 
     def flag(u, v):
@@ -161,7 +161,7 @@ def test_rebuilt_arcs_match_the_pointwise_search(inputs, name):
     transported flags form a pair in Δ, tried one pair at a time."""
     graph, group, blocks = inputs[name]
     fx = extract_fibre_data(quotient(verify_action(graph, group), blocks))
-    quo, flags, eta = fx.quotient, fx.design.flags, fx.eta
+    quo, flags, eta = fx.source.graph, fx.design.flags, fx.eta
     back = [_invert(row) for row in fx.normal_block_rows]
     npoints = fx.design.n_points
     arcs = set()

@@ -65,7 +65,7 @@ def _reference_labelling(group, q):
     bijection of block 0 onto its quotient neighbours, in permutation
     order, that commutes with every element of the block's stabiliser,
     carried to every vertex by every element."""
-    partition, graph = q.partition, q.base
+    partition, graph = q.partition, q.source.graph
     members, nbrs = partition.blocks[0], q.graph.adj[0]
     if len(members) != len(nbrs):
         return None

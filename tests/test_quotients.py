@@ -57,11 +57,11 @@ def test_quotient_action_rejects_non_invariant(d6):
 def test_c6_antipodal_quotient_is_triangle(c6, d6):
     qc = certify_quotient(quotient(verify_action(c6, d6), _antipodal6()))
     assert qc.nontrivial
-    assert are_isomorphic(qc.quotient, complete_graph(3)) is not None
+    assert are_isomorphic(qc.source.graph, complete_graph(3)) is not None
     assert qc.cover_class == "cover"
     p = qc.design_params
     assert (p.v, p.k, p.lam, p.b, p.multiplicity) == (2, 2, 2, 2, 2)
-    assert qc.report.symmetric
+    assert qc.source.symmetric
     assert qc.bipartite_uniform
 
 
@@ -69,7 +69,7 @@ def test_k4_singleton_quotient_is_identity_cover(k4, s4):
     qc = certify_quotient(quotient(verify_action(k4, s4), _singletons(4)))
     assert qc.nontrivial
     assert qc.cover_class == "cover"
-    assert qc.quotient.arcs == k4.arcs
+    assert qc.source.graph.arcs == k4.arcs
     p = qc.design_params
     assert (p.v, p.k, p.lam, p.b) == (1, 1, 3, 3)
 
@@ -85,7 +85,7 @@ def test_q3_antipodal_gives_k4(q3):
     assert len(group) == 48
     part = BlockSystem.from_blocks(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
     qc = certify_quotient(quotient(verify_action(q3, group), part))
-    assert are_isomorphic(qc.quotient, complete_graph(4)) is not None
+    assert are_isomorphic(qc.source.graph, complete_graph(4)) is not None
     assert qc.cover_class == "cover"
 
 
@@ -138,7 +138,7 @@ def test_cover_class_multicover(c6, d6):
     assert cover_class(c6, part) == "multicover_proper"
     qc = certify_quotient(quotient(verify_action(c6, d6), part))
     assert qc.cover_class == "multicover_proper"
-    assert qc.quotient.n == 2 and qc.quotient.edge_count == 1
+    assert qc.source.graph.n == 2 and qc.source.graph.edge_count == 1
 
 
 def test_induced_bipartite_pattern(c6, petersen):
@@ -269,11 +269,10 @@ def test_consumers_read_the_quotient_and_derive_nothing(k4, s4, z2, monkeypatch)
         monkeypatch.setattr(module, name, derive)
     qc = certify_quotient(cover)
     assert qc.source is cover and qc.cover_class == "cover"
-    assert qc.quotient is cover.graph and qc.report is cover.report
     p = cross_section_design(cover, 0).params
     assert (p.v, p.k, p.b) == (2, 2, 3)
     fx = extract_fibre_data(cover)
-    assert fx.quotient is cover.graph and fx.source is cover
+    assert fx.source is cover
     assert fx.normal_order == 4
     labelling = check_condition_pe(tag)
     assert labelling is not None
